@@ -88,15 +88,15 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _load_embedder(path: str | Path):
-    """Open a checkpoint as (kind, embed callable taking a FeatureSequence)."""
-    kind, _, _ = load_checkpoint(path)
-    if kind == "wavembed":
-        return kind, WavEmbedModel.load(path).embed
-    if kind == "student":
-        return kind, StudentModel.load(path).embed
-    raise ValidationError(
-        f"checkpoint kind {kind!r} cannot embed feature sequences", field="kind"
-    )
+    """Read a checkpoint once as (kind, model with ``embed`` and ``embed_batch``)."""
+    checkpoint = load_checkpoint(path)
+    kind = checkpoint[0]
+    model_cls = {"wavembed": WavEmbedModel, "student": StudentModel}.get(kind)
+    if model_cls is None:
+        raise ValidationError(
+            f"checkpoint kind {kind!r} cannot embed feature sequences", field="kind"
+        )
+    return kind, model_cls.from_checkpoint(*checkpoint)
 
 
 def _load_targets(args, cfg: PipelineConfig):
@@ -327,12 +327,12 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
-    kind, embed = _load_embedder(args.model)
+    kind, model = _load_embedder(args.model)
     corpus = load_corpus(args.corpus)
     pairs = load_scored_pairs(args.pairs, split="test")
     renderings = {u.id: [u.features] for u in corpus}
     report = evaluate(
-        embed,
+        model.embed,
         pairs,
         renderings,
         pos_threshold=cfg["eval.pos_threshold"],
@@ -349,10 +349,10 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
 
 
 def cmd_build_index(cfg: PipelineConfig, args, out: Path) -> None:
-    kind, embed = _load_embedder(args.model)
+    kind, model = _load_embedder(args.model)
     corpus = load_corpus(args.corpus)
     index = build_index(
-        embed,
+        model.embed_batch,
         corpus,
         metadata={"model_kind": kind, "checkpoint_sha256": _sha256(args.model)},
     )
@@ -373,8 +373,8 @@ def cmd_search(cfg: PipelineConfig, args, out: Path) -> None:
             raise ValidationError(
                 "--query-features needs --model to embed them", field="model"
             )
-        _, embed = _load_embedder(args.model)
-        query = embed(read_features(args.query_features))
+        _, model = _load_embedder(args.model)
+        query = model.embed(read_features(args.query_features))
     results = search(index, query, k=args.k)
     lines = [f"{utt_id}\t{score:.6f}" for utt_id, score in results]
     (out / "results.tsv").write_text("\n".join(lines) + "\n")
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
         COMMANDS[args.command](cfg, args, out)
         logger.info("%s finished in %.1fs", args.command, time.perf_counter() - start)
         return 0
-    except (SemspeechError, FileNotFoundError) as e:
+    except (SemspeechError, OSError) as e:
         line = f"error\t{type(e).__name__}\t{e}"
         logger.error("%s", line)
         print(line, file=sys.stderr)

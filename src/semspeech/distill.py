@@ -31,7 +31,7 @@ from .nn.optim import ParamStore, adamw_step
 from .nn.tensor import Tensor, concat, no_grad
 from .random_utils import derive_rng
 from .teachers import Teacher
-from .wavembed import _as_frames, _chunks, _pad_frames
+from .wavembed import _as_frames, _chunks, _embed_by_length, _pad_frames
 
 DEFAULT_BANK_CAPACITY = 256
 
@@ -180,14 +180,11 @@ class StudentModel:
         return z.data[0].copy()
 
     def embed_batch(self, features: Sequence) -> np.ndarray:
-        if not len(features):
-            return np.zeros((0, self.cfg.model_dim))
+        forward = self._forward_cls_grad if self.pooling == "cls" else self._forward
         with no_grad():
-            if self.pooling == "cls":
-                z = self._forward_cls_grad(list(features), False, None)
-            else:
-                z = self._forward(list(features), False, None)
-        return z.data.copy()
+            return _embed_by_length(
+                lambda frames: forward(frames, False, None).data, features, self.cfg.model_dim
+            )
 
     def config_dict(self) -> dict:
         return {
@@ -201,7 +198,11 @@ class StudentModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "StudentModel":
-        kind, config, params = load_checkpoint(path)
+        return cls.from_checkpoint(*load_checkpoint(path))
+
+    @classmethod
+    def from_checkpoint(cls, kind: str, config: dict, params) -> "StudentModel":
+        """Rebuild a model from the parts ``load_checkpoint`` returns."""
         if kind != "student":
             raise ValidationError(f"checkpoint kind {kind!r} is not 'student'", field="kind")
         model = cls.create(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -20,6 +21,7 @@ from .errors import FileFormatError, ValidationError
 
 INDEX_MAGIC = b"SEMI"
 INDEX_VERSION = 1
+SEARCH_BLOCK_SCORES = 1 << 18  # float64 scores (2 MiB) per matrix product in search_batch
 
 
 @dataclass
@@ -49,34 +51,94 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
+    # Search caches, made on first use so that building or loading an index
+    # holds no second copy of the matrix. They assume ``matrix`` and ``ids``
+    # are not changed after construction.
+    @cached_property
+    def _matrix64(self) -> np.ndarray:
+        return self.matrix.astype(np.float64)
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {utt_id: row for row, utt_id in enumerate(self.ids)}
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
 
 def build_index(
-    embed_fn: Callable[[object], np.ndarray],
+    embed_batch: Callable[[list], np.ndarray],
     corpus: Corpus,
     metadata: dict | None = None,
 ) -> EmbeddingIndex:
-    """Embed every utterance, unit-normalize, and assemble the index."""
+    """Embed every utterance in one batched call, unit-normalize, assemble.
+
+    ``embed_batch`` maps a list of feature sequences to an (N, d) array whose
+    rows follow the input order.
+    """
     if len(corpus) == 0:
         raise ValidationError("corpus is empty", field="corpus")
-    ids, rows = [], []
-    for utt in corpus:
-        z = np.asarray(embed_fn(utt.features), dtype=np.float64)
-        if z.ndim != 1:
-            raise ValidationError(
-                f"embedding for {utt.id!r} is not a vector", field="embedding"
-            )
+    ids = [utt.id for utt in corpus]
+    embs = np.asarray(embed_batch([utt.features for utt in corpus]), dtype=np.float64)
+    if embs.ndim != 2:
+        raise ValidationError(
+            f"embedding for {ids[0]!r} is not a vector", field="embedding"
+        )
+    if embs.shape[0] != len(ids):
+        raise ValidationError(
+            f"{embs.shape[0]} embeddings for {len(ids)} utterances", field="embedding"
+        )
+    matrix = np.empty(embs.shape, dtype=np.float32)
+    for row, (utt_id, z) in enumerate(zip(ids, embs)):
         norm = np.linalg.norm(z)
         if norm == 0.0:
             raise ValidationError(
-                f"embedding for {utt.id!r} has zero norm", field="embedding"
+                f"embedding for {utt_id!r} has zero norm", field="embedding"
             )
-        ids.append(utt.id)
-        rows.append((z / norm).astype(np.float32))
-    return EmbeddingIndex(ids=ids, matrix=np.stack(rows), metadata=dict(metadata or {}))
+        matrix[row] = z / norm
+    return EmbeddingIndex(ids=ids, matrix=matrix, metadata=dict(metadata or {}))
+
+
+def _check_k(index: EmbeddingIndex, k: int) -> None:
+    n = len(index)
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must be in [1, {n}], got {k}", field="k")
+
+
+def _query_vector(index: EmbeddingIndex, query) -> np.ndarray:
+    """A query id or embedding as a unit float64 vector."""
+    if isinstance(query, str):
+        row = index._row_of.get(query)
+        if row is None:
+            raise ValidationError(f"id {query!r} is not indexed", field="query")
+        q = index._matrix64[row]
+    else:
+        q = np.asarray(query, dtype=np.float64)
+        if q.shape != (index.dim,):
+            raise ValidationError(
+                f"query shape {q.shape} does not match index dim {index.dim}",
+                field="query",
+            )
+        if not np.all(np.isfinite(q)):
+            raise ValidationError("query has a non-finite value", field="query")
+    norm = np.linalg.norm(q)
+    if norm == 0.0:
+        raise ValidationError("query has zero norm", field="query")
+    return q / norm
+
+
+def _top_k(ids: list[str], scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The k best rows by (-score, id), the order a lexsort of all rows gives.
+
+    ``argpartition`` finds the k-th best score; every row scoring at least
+    that much stays a candidate, so ties straddling position k are all
+    ordered by id before the cut.
+    """
+    kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+    candidates = np.flatnonzero(scores >= kth).tolist()
+    candidates.sort(key=lambda i: (-scores[i], ids[i]))
+    return [(ids[i], float(scores[i])) for i in candidates[:k]]
 
 
 def search(
@@ -87,36 +149,27 @@ def search(
     The query is either a feature-space embedding vector or the id of an
     indexed item.
     """
-    n = len(index)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}", field="k")
-    if isinstance(query, str):
-        try:
-            row = index.ids.index(query)
-        except ValueError:
-            raise ValidationError(f"id {query!r} is not indexed", field="query") from None
-        q = index.matrix[row].astype(np.float64)
-    else:
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (index.dim,):
-            raise ValidationError(
-                f"query shape {q.shape} does not match index dim {index.dim}",
-                field="query",
-            )
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise ValidationError("query has zero norm", field="query")
-    q = q / norm
-    scores = index.matrix.astype(np.float64) @ q
-    ids_arr = np.array(index.ids)
-    order = np.lexsort((ids_arr, -scores))
-    return [(index.ids[i], float(scores[i])) for i in order[:k]]
+    _check_k(index, k)
+    q = _query_vector(index, query)
+    return _top_k(index.ids, index._matrix64 @ q, k)
 
 
 def search_batch(
     index: EmbeddingIndex, queries: Sequence, k: int
 ) -> list[list[tuple[str, float]]]:
-    return [search(index, q, k) for q in queries]
+    """``search`` for each query, scored with one matrix product per block.
+
+    Scores may differ from ``search``'s in the last bits, because a matrix
+    product sums in another order than a matrix-vector product.
+    """
+    _check_k(index, k)
+    vectors = [_query_vector(index, query) for query in queries]
+    block = max(1, SEARCH_BLOCK_SCORES // len(index))
+    results = []
+    for start in range(0, len(vectors), block):
+        scores = np.stack(vectors[start : start + block]) @ index._matrix64.T
+        results.extend(_top_k(index.ids, row, k) for row in scores)
+    return results
 
 
 # ---------------------------------------------------------------------------

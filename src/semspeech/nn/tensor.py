@@ -299,8 +299,12 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form gelu; kink-free so finite differences stay honest."""
-    u = _GELU_C * (x.data + _GELU_A * x.data**3)
+    """Smooth tanh-form gelu; kink-free so finite differences stay honest.
+
+    The cube is ``x*x*x``: numpy's float ``**3`` goes through ``pow``, which is
+    about 40x slower and can differ from it in the last ulp.
+    """
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 

@@ -33,6 +33,7 @@ from .random_utils import derive_rng
 from .tokenizer import CLS, PAD, SEP
 
 DEFAULT_MAX_TARGET_LEN = 256
+EMBED_CHUNK = 32  # sequences per padded forward pass in embed_batch
 
 
 @dataclass
@@ -181,13 +182,12 @@ class WavEmbedModel:
         return z.data.copy()
 
     def embed_batch(self, features: Iterable) -> np.ndarray:
-        frame_list = [_as_frames(f) for f in features]
-        if not frame_list:
-            return np.zeros((0, self.encoder_cfg.model_dim))
-        x, valid = _pad_frames(frame_list)
+        def forward(frame_list):
+            x, valid = _pad_frames(frame_list)
+            return self._encode_pool(Tensor(x), valid, False, None).data
+
         with no_grad():
-            z = self._encode_pool(Tensor(x), valid, False, None)
-        return z.data.copy()
+            return _embed_by_length(forward, features, self.encoder_cfg.model_dim)
 
     # -- reconstruction -----------------------------------------------------
 
@@ -319,7 +319,11 @@ class WavEmbedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "WavEmbedModel":
-        kind, config, params = load_checkpoint(path)
+        return cls.from_checkpoint(*load_checkpoint(path))
+
+    @classmethod
+    def from_checkpoint(cls, kind: str, config: dict, params) -> "WavEmbedModel":
+        """Rebuild a model from the parts ``load_checkpoint`` returns."""
         if kind != "wavembed":
             raise ValidationError(f"checkpoint kind {kind!r} is not 'wavembed'", field="kind")
         encoder_cfg = EncoderConfig.from_dict(config["encoder"])
@@ -350,6 +354,28 @@ def _pad_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
         x[i, : f.shape[0]] = f
         valid[i, : f.shape[0]] = True
     return x, valid
+
+
+def _embed_by_length(forward, features: Iterable, dim: int) -> np.ndarray:
+    """Embed feature sequences in length-sorted chunks; rows keep input order.
+
+    Padding every sequence to the longest one in the whole input wastes most
+    of the forward pass, so inputs are sorted by frame count (stably) and run
+    ``EMBED_CHUNK`` at a time through ``forward``, which maps a list of
+    float64 frame matrices to one (len, dim) array. Frames are converted per
+    chunk, never for the whole input at once.
+    """
+    seqs = list(features)
+    shapes = [np.shape(f.data if isinstance(f, FeatureSequence) else f) for f in seqs]
+    if any(len(shape) != 2 for shape in shapes):
+        raise ValidationError("features must be a 2-D (T, d) matrix", field="features")
+    if len({shape[1] for shape in shapes}) > 1:
+        raise ValidationError("inconsistent feature dimensions in batch", field="batch")
+    order = sorted(range(len(seqs)), key=lambda i: shapes[i][0])
+    out = np.zeros((len(seqs), dim))
+    for chunk in _chunks(order, EMBED_CHUNK):
+        out[chunk] = forward([_as_frames(seqs[i]) for i in chunk])
+    return out
 
 
 def _pad_targets(token_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

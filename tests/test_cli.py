@@ -255,6 +255,19 @@ def test_missing_input_exits_with_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_directory_as_input_file_exits_with_one_line_error(pipeline, tmp_path, capsys):
+    root, c = pipeline
+    rc = main([
+        "evaluate", "--config", c, "--out", str(tmp_path / "o"),
+        "--model", str(root / "wavembed" / "wavembed.semm"),
+        "--corpus", str(root / "data" / "corpus"),
+        "--pairs", str(root / "data"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("error\tIsADirectoryError\t")
+
+
 def test_search_rejects_ambiguous_query(pipeline, tmp_path, capsys):
     root, c = pipeline
     rc = main([

@@ -185,6 +185,18 @@ def test_student_batch_matches_single(pooling):
         np.testing.assert_allclose(batch[i], student.embed(f), atol=1e-10)
 
 
+@pytest.mark.parametrize("pooling", ["self_attention", "cls"])
+def test_student_batch_spanning_chunks_keeps_input_order(pooling):
+    student = make_student(seed=2, pooling=pooling)
+    rng = np.random.default_rng(2)
+    lengths = rng.permutation(np.repeat(np.arange(1, 36), 2))
+    frames = [rng.standard_normal((int(t), 8)) for t in lengths]
+    batch = student.embed_batch(frames)
+    assert batch.shape == (len(frames), 16)
+    for i, f in enumerate(frames):
+        assert np.max(np.abs(batch[i] - student.embed(f))) <= 1e-12
+
+
 def test_student_pooling_modes_differ():
     a = make_student(seed=5, pooling="self_attention")
     b = make_student(seed=5, pooling="cls")

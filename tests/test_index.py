@@ -53,13 +53,13 @@ def small_corpus(n=12, seed=0):
     return generate_corpus(spec)
 
 
-def mean_embed(features):
-    return np.asarray(features.data, dtype=np.float64).mean(axis=0)
+def mean_embed_batch(features):
+    return np.stack([np.asarray(f.data, dtype=np.float64).mean(axis=0) for f in features])
 
 
 def test_build_covers_corpus_with_unit_rows():
     corpus = small_corpus(n=12)
-    index = build_index(mean_embed, corpus)
+    index = build_index(mean_embed_batch, corpus)
     assert len(index) == len(corpus)
     assert index.ids == [u.id for u in corpus]
     norms = np.linalg.norm(index.matrix.astype(np.float64), axis=1)
@@ -69,7 +69,7 @@ def test_build_covers_corpus_with_unit_rows():
 def test_build_rejects_zero_embedding():
     corpus = small_corpus(n=4)
     with pytest.raises(ValidationError) as e:
-        build_index(lambda f: np.zeros(8), corpus)
+        build_index(lambda feats: np.zeros((len(feats), 8)), corpus)
     assert corpus.utterances[0].id in str(e.value)
 
 
@@ -144,6 +144,57 @@ def test_search_validation():
         search(index, np.zeros(4), k=1)
     with pytest.raises(ValidationError):
         search(index, np.ones(5), k=1)
+
+
+def lexsort_top_k(index: EmbeddingIndex, q: np.ndarray, k: int):
+    """The full-lexsort selection: every row ordered by (-score, id)."""
+    scores = index.matrix.astype(np.float64) @ (q / np.linalg.norm(q))
+    order = np.lexsort((np.array(index.ids), -scores))
+    return [(index.ids[i], scores[i]) for i in order[:k]]
+
+
+def test_ties_straddling_k_match_full_lexsort():
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((6, 5))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    # eight copies of one row: a block of exactly tied scores
+    matrix = np.concatenate([np.repeat(rows[:1], 8, axis=0), rows[1:]]).astype(np.float32)
+    ids = [f"id-{i:02d}" for i in rng.permutation(len(matrix))]
+    index = EmbeddingIndex(ids=ids, matrix=matrix)
+    for q in (matrix[0].astype(np.float64), -matrix[0].astype(np.float64), rng.standard_normal(5)):
+        for k in range(1, len(index) + 1):
+            got = search(index, q, k)
+            want = lexsort_top_k(index, q, k)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert all(
+                np.float64(g).tobytes() == w.tobytes() for (_, g), (_, w) in zip(got, want)
+            )
+
+
+def test_search_batch_matches_single_searches():
+    index = random_index(2000, 12, seed=13)
+    rng = np.random.default_rng(14)
+    queries = [
+        index.ids[int(rng.integers(len(index)))] if n % 3 == 0 else rng.standard_normal(12)
+        for n in range(600)  # several blocks of queries
+    ]
+    batch = search_batch(index, queries, k=7)
+    assert len(batch) == len(queries)
+    for q, hits in zip(queries, batch):
+        want = search(index, q, k=7)
+        assert [i for i, _ in hits] == [i for i, _ in want]
+        assert max(abs(h - w) for (_, h), (_, w) in zip(hits, want)) <= 1e-12
+
+
+def test_search_batch_validation():
+    index = random_index(10, 4, seed=15)
+    with pytest.raises(ValidationError):
+        search_batch(index, ["item-00001", "no-such-id"], k=1)
+    with pytest.raises(ValidationError):
+        search_batch(index, [np.ones(4)], k=11)
+    with pytest.raises(ValidationError):
+        search(index, np.array([1.0, np.nan, 0.0, 0.0]), k=1)
+    assert search_batch(index, [], k=1) == []
 
 
 def test_batch_of_100_queries_on_10k_items_under_2s():

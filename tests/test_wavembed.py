@@ -69,6 +69,25 @@ def test_embed_batch_matches_single():
         assert np.allclose(batched[i], model.embed(s), atol=1e-10)
 
 
+def test_embed_batch_spanning_chunks_keeps_input_order():
+    model = tiny_model()
+    rng = np.random.default_rng(4)
+    lengths = rng.permutation(np.repeat(np.arange(1, 36), 2))
+    seqs = [rng.standard_normal((int(t), 4)) for t in lengths]
+    batched = model.embed_batch(seqs)
+    assert batched.shape == (len(seqs), 16)
+    for i, s in enumerate(seqs):
+        assert np.max(np.abs(batched[i] - model.embed(s))) <= 1e-12
+
+
+def test_embed_batch_rejects_mixed_feature_dims():
+    model = tiny_model()
+    rng = np.random.default_rng(5)
+    seqs = [rng.standard_normal((3, 4)) for _ in range(40)] + [rng.standard_normal((3, 5))]
+    with pytest.raises(ValidationError):
+        model.embed_batch(seqs)
+
+
 def test_embed_ignores_decoder_params():
     model = tiny_model()
     rng = np.random.default_rng(3)

@@ -461,13 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_line(e: Exception) -> str:
+    return f"error\t{type(e).__name__}\t{e}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     command_slug = args.command.replace("-", "_")
-    file_handler = logging.FileHandler(out / f"{command_slug}.log", mode="w")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        file_handler = logging.FileHandler(out / f"{command_slug}.log", mode="w")
+    except OSError as e:
+        # no log file yet, so the error line goes to stderr alone
+        print(_error_line(e), file=sys.stderr)
+        return 1
     file_handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)s %(message)s")
     )
@@ -489,7 +497,7 @@ def main(argv=None) -> int:
         logger.info("%s finished in %.1fs", args.command, time.perf_counter() - start)
         return 0
     except (SemspeechError, OSError) as e:
-        line = f"error\t{type(e).__name__}\t{e}"
+        line = _error_line(e)
         logger.error("%s", line)
         print(line, file=sys.stderr)
         return 1

@@ -183,13 +183,6 @@ class ScoredPairSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def validate_ids(self, corpus: Corpus) -> None:
-        for a, b, _ in self.pairs:
-            if a not in corpus:
-                raise ValidationError(f"pair id {a!r} not in corpus", field="id_a")
-            if b not in corpus:
-                raise ValidationError(f"pair id {b!r} not in corpus", field="id_b")
-
 
 def _sample_centroids(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the unit sphere, rejection-sampled for separation."""
@@ -342,15 +335,28 @@ def ground_truth_similarity(a: Utterance, b: Utterance) -> float:
     return dot / math.sqrt(sq_a * sq_b)
 
 
-def _bin_index(score: float, n_bins: int = 10) -> int:
-    # equal-width bins over [0, 1]; the top bin is closed
-    return min(int(score * n_bins), n_bins - 1)
-
-
 def _bin_label(idx: int, n_bins: int = 10) -> str:
     lo, hi = 5.0 * idx / n_bins, 5.0 * (idx + 1) / n_bins
     closer = "]" if idx == n_bins - 1 else ")"
     return f"[{lo:.1f}, {hi:.1f}{closer}"
+
+
+def _sample_pair_keys(rng: np.random.Generator, n: int, max_candidates: int) -> np.ndarray:
+    """``max_candidates`` distinct unordered pairs of n items as sorted keys i*n + j, i < j.
+
+    Each round draws a (max_candidates, 2) block and keeps, in draw order, the
+    pairs not seen before, until ``max_candidates`` are kept.
+    """
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < max_candidates:
+        draw = rng.integers(n, size=(max_candidates, 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        _, first = np.unique(keys, return_index=True)
+        fresh = keys[np.sort(first)]
+        fresh = fresh[~np.isin(fresh, kept)]
+        kept = np.concatenate((kept, fresh[: max_candidates - kept.size]))
+    return np.sort(kept)
 
 
 def build_scored_pairs(
@@ -396,58 +402,50 @@ def build_scored_pairs(
         iu, ju = np.triu_indices(n, k=1)
         dots = (counts @ counts.T)[iu, ju]
     else:
-        seen: set[tuple[int, int]] = set()
-        while len(seen) < max_candidates:
-            draw = rng.integers(n, size=(max_candidates, 2))
-            for i, j in draw:
-                if i == j:
-                    continue
-                seen.add((min(i, j), max(i, j)))
-                if len(seen) >= max_candidates:
-                    break
-        arr = np.array(sorted(seen), dtype=np.int64)
-        iu, ju = arr[:, 0], arr[:, 1]
+        keys = _sample_pair_keys(rng, n, max_candidates)
+        iu, ju = keys // n, keys % n
         dots = np.einsum("ij,ij->i", counts[iu], counts[ju])
     scores = np.where(dots == 0.0, 0.0, dots / np.sqrt(sq[iu] * sq[ju]))
 
+    # equal-width bins over [0, 1], the top bin closed; each bin holds its
+    # candidates' indices in ascending order
     n_bins = 10
     bin_of = np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
-    bins: list[list[tuple[int, int, float]]] = [[] for _ in range(n_bins)]
-    for k in range(n_bins):
-        members = np.flatnonzero(bin_of == k)
-        bins[k] = [(int(iu[m]), int(ju[m]), float(scores[m])) for m in members]
+    by_bin = np.argsort(bin_of, kind="stable")
+    bins = np.split(by_bin, np.cumsum(np.bincount(bin_of, minlength=n_bins))[:-1])
 
-    populated = [k for k in range(n_bins) if bins[k]]
+    populated = [k for k in range(n_bins) if bins[k].size]
     for k in range(n_bins):
-        if not bins[k]:
+        if not bins[k].size:
             only = ", ".join(_bin_label(p) for p in populated)
             raise PairBinningError(
                 f"score bin {_bin_label(k)} has no candidate pairs (populable: {only})",
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
+    # an index array shuffles into the same permutation as a list of its length
     for k in range(n_bins):
         rng.shuffle(bins[k])
 
     base, rem = divmod(n_pairs, n_bins)
     quotas = [base + (1 if k < rem else 0) for k in range(n_bins)]
-    taken: list[list[tuple[int, int, float]]] = []
+    taken: list[list[np.ndarray]] = []
     for k in range(n_bins):
-        taken.append(bins[k][: quotas[k]])
+        taken.append([bins[k][: quotas[k]]])
         bins[k] = bins[k][quotas[k] :]
 
     # borrow for deficit bins from the nearest bins that still have candidates
     for k in range(n_bins):
-        deficit = quotas[k] - len(taken[k])
+        deficit = quotas[k] - taken[k][0].size
         if deficit <= 0:
             continue
         for dist in range(1, n_bins):
             for nb in (k - dist, k + dist):
                 if deficit == 0:
                     break
-                if 0 <= nb < n_bins and bins[nb]:
-                    grab = min(deficit, len(bins[nb]))
-                    taken[k].extend(bins[nb][:grab])
+                if 0 <= nb < n_bins and bins[nb].size:
+                    grab = min(deficit, bins[nb].size)
+                    taken[k].append(bins[nb][:grab])
                     bins[nb] = bins[nb][grab:]
                     deficit -= grab
             if deficit == 0:
@@ -459,10 +457,8 @@ def build_scored_pairs(
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
-    emitted = [p for bucket in taken for p in bucket]
-    hist = [0] * n_bins
-    for _, _, s in emitted:
-        hist[_bin_index(s, n_bins)] += 1
+    emitted = np.concatenate([part for bucket in taken for part in bucket])
+    hist = np.bincount(bin_of[emitted], minlength=n_bins)
     target = n_pairs / n_bins
     for k in range(n_bins):
         if abs(hist[k] - target) > 0.2 * target + 1e-9:
@@ -472,7 +468,10 @@ def build_scored_pairs(
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
-    pairs = [(utts[i].id, utts[j].id, 5.0 * s) for i, j, s in emitted]
+    pairs = [
+        (utts[i].id, utts[j].id, 5.0 * s)
+        for i, j, s in zip(iu[emitted].tolist(), ju[emitted].tolist(), scores[emitted].tolist())
+    ]
     return ScoredPairSet(pairs=pairs, split=split)
 
 

@@ -21,6 +21,10 @@ CODEBOOK_VERSION = 1
 
 DEFAULT_CLUSTER_SIZES = (50, 100, 200)
 
+# frames per block of the Lloyd assignment pass: a (block, k) float64 distance
+# matrix stays in cache at k of a few hundred
+_LLOYD_BLOCK = 1024
+
 
 @dataclass
 class Codebook:
@@ -65,22 +69,31 @@ class UnitSequence:
                 )
 
 
-def _pairwise_sq_dists(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # |x-c|^2 = |x|^2 - 2 x.c + |c|^2; clamp tiny negatives from cancellation
-    d2 = (
-        np.einsum("ij,ij->i", frames, frames)[:, None]
-        - 2.0 * frames @ centroids.T
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _row_terms(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centroid-free terms of |x-c|^2 = |x|^2 - 2 x.c + |c|^2, per row: (2x, |x|^2)."""
+    return 2.0 * frames, np.einsum("ij,ij->i", frames, frames)
 
 
-def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dists(twice: np.ndarray, sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # rows given as _row_terms; clamp tiny negatives from cancellation
+    d2 = twice @ centroids.T
+    np.subtract(sq[:, None], d2, out=d2)
+    np.add(d2, np.einsum("ij,ij->i", centroids, centroids), out=d2)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeans_pp_init(
+    frames: np.ndarray,
+    twice: np.ndarray,
+    sq: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     n = frames.shape[0]
     centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = frames[first]
-    closest = _pairwise_sq_dists(frames, centroids[:1]).ravel()
+    closest = _sq_dists(twice, sq, centroids[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -89,7 +102,7 @@ def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[c] = frames[idx]
-        d_new = _pairwise_sq_dists(frames, centroids[c : c + 1]).ravel()
+        d_new = _sq_dists(twice, sq, centroids[c : c + 1]).ravel()
         closest = np.minimum(closest, d_new)
     return centroids
 
@@ -128,15 +141,24 @@ def train_kmeans(
             f"need at least {k} distinct frames, got {n_distinct}", field="frames"
         )
 
-    centroids = _kmeans_pp_init(frames, k, rng)
+    n, dim = frames.shape
+    twice, sq = _row_terms(frames)
+    centroids = _kmeans_pp_init(frames, twice, sq, k, rng)
+    labels = np.empty(n, dtype=np.intp)
+    assigned_d2 = np.empty(n, dtype=np.float64)
     history: list[float] = []
     prev_inertia = np.inf
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(frames, centroids)
-        labels = np.argmin(d2, axis=1)
-        # direct differences: the expanded form above suffers cancellation
-        resid = frames - centroids[labels]
-        assigned_d2 = np.einsum("ij,ij->i", resid, resid)
+        # row blocks keep each (block, k) distance matrix in cache; every
+        # row's values are the same as from one (n, k) pass
+        for lo in range(0, n, _LLOYD_BLOCK):
+            rows = slice(lo, lo + _LLOYD_BLOCK)
+            block_labels = np.argmin(_sq_dists(twice[rows], sq[rows], centroids), axis=1)
+            labels[rows] = block_labels
+            # direct differences: the expanded form suffers cancellation
+            resid = centroids[block_labels]
+            np.subtract(frames[rows], resid, out=resid)
+            assigned_d2[rows] = np.einsum("ij,ij->i", resid, resid)
         inertia = float(assigned_d2.sum())
         history.append(inertia)
 
@@ -148,16 +170,15 @@ def train_kmeans(
                 break
         prev_inertia = inertia
 
-        new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            mask = labels == c
-            if not mask.any():
-                far = int(np.argmax(assigned_d2))
-                logger.info("kmeans: reseeding empty cluster %d to frame %d", c, far)
-                new_centroids[c] = frames[far]
-            else:
-                new_centroids[c] = frames[mask].mean(axis=0)
-        centroids = new_centroids
+        # per-(cluster, dimension) sums, added in row order like a mean over axis 0
+        counts = np.bincount(labels, minlength=k)
+        bins = (labels[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(bins, weights=frames.ravel(), minlength=k * dim).reshape(k, dim)
+        centroids = sums / np.maximum(counts, 1)[:, None]
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(assigned_d2))
+            logger.info("kmeans: reseeding empty cluster %d to frame %d", c, far)
+            centroids[c] = frames[far]
 
     return Codebook(centroids=centroids, inertia_history=history)
 
@@ -174,7 +195,7 @@ def assign(fs: FeatureSequence | np.ndarray, cb: Codebook) -> np.ndarray:
             field="dim",
         )
     # np.argmin returns the first minimum, which is the lowest centroid index
-    return np.argmin(_pairwise_sq_dists(frames, cb.centroids), axis=1)
+    return np.argmin(_sq_dists(*_row_terms(frames), cb.centroids), axis=1)
 
 
 def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequence:

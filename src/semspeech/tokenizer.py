@@ -44,6 +44,7 @@ class BpeModel:
     merges: list[tuple[int, int]]  # (left, right) token-id pairs, in merge order
     _unit_to_token: dict[int, int] = field(default_factory=dict, repr=False)
     _expansions: list[list[int]] = field(default_factory=list, repr=False)
+    _merge_rank: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if sorted(set(self.alphabet)) != list(self.alphabet):
@@ -61,6 +62,7 @@ class BpeModel:
                 )
             exp.append(exp[left] + exp[right])
         self._expansions = exp
+        self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
 
     @property
     def vocab_size(self) -> int:
@@ -152,7 +154,7 @@ def train_bpe(units: list[UnitSequence], vocab_size: int) -> BpeModel:
 def encode(units: UnitSequence, model: BpeModel) -> TokenSequence:
     """Apply merges in training order and wrap with CLS/SEP."""
     seq = [model.token_for_unit(u) for u in units.units]
-    rank = {pair: r for r, pair in enumerate(model.merges)}
+    rank = model._merge_rank
     base = N_SPECIALS + len(model.alphabet)
     # merging the lowest-rank pair present reproduces replay in training
     # order: a merge can only create pairs involving its (newer) output token

@@ -255,6 +255,17 @@ def test_missing_input_exits_with_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_out_naming_a_file_exits_with_one_line_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = main(["gen-corpus", "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error\tFileExistsError\t")
+    assert len(err.strip().splitlines()) == 1
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_directory_as_input_file_exits_with_one_line_error(pipeline, tmp_path, capsys):
     root, c = pipeline
     rc = main([

@@ -27,6 +27,7 @@ from semspeech.errors import (
     PairBinningError,
     ValidationError,
 )
+from semspeech.random_utils import derive_rng
 
 
 def make_utt(uid, symbols, speaker=0, dim=4):
@@ -274,6 +275,77 @@ def test_scored_pairs_requires_ground_truth():
     corpus = Corpus(utterances=utts)
     with pytest.raises(MissingGroundTruthError):
         build_scored_pairs(corpus, n_pairs=10, seed=0)
+
+
+# reference stratifier: every candidate pair as a Python tuple, per-draw
+# candidate sampling into a set, bins as shuffled lists of tuples
+def reference_scored_pairs(corpus, n_pairs, seed, split="dev", max_candidates=2_500_000):
+    rng = derive_rng(seed, "pairs", split)
+    utts = corpus.utterances
+    n = len(utts)
+    counts = np.zeros((n, 1 + max(max(u.symbols) for u in utts)))
+    for row, u in enumerate(utts):
+        for sym in u.symbols:
+            counts[row, sym] += 1.0
+    sq = np.einsum("ij,ij->i", counts, counts)
+    if n * (n - 1) // 2 <= max_candidates:
+        iu, ju = np.triu_indices(n, k=1)
+        dots = (counts @ counts.T)[iu, ju]
+    else:
+        seen = set()
+        while len(seen) < max_candidates:
+            for i, j in rng.integers(n, size=(max_candidates, 2)):
+                if i == j:
+                    continue
+                seen.add((min(i, j), max(i, j)))
+                if len(seen) >= max_candidates:
+                    break
+        arr = np.array(sorted(seen), dtype=np.int64)
+        iu, ju = arr[:, 0], arr[:, 1]
+        dots = np.einsum("ij,ij->i", counts[iu], counts[ju])
+    scores = np.where(dots == 0.0, 0.0, dots / np.sqrt(sq[iu] * sq[ju]))
+    bin_of = np.minimum((scores * 10).astype(np.int64), 9)
+    bins = []
+    for k in range(10):
+        members = np.flatnonzero(bin_of == k)
+        bins.append([(int(iu[m]), int(ju[m]), float(scores[m])) for m in members])
+    for k in range(10):
+        rng.shuffle(bins[k])
+    base, rem = divmod(n_pairs, 10)
+    quotas = [base + (1 if k < rem else 0) for k in range(10)]
+    taken = []
+    for k in range(10):
+        taken.append(bins[k][: quotas[k]])
+        bins[k] = bins[k][quotas[k] :]
+    borrowed = 0
+    for k in range(10):
+        deficit = quotas[k] - len(taken[k])
+        for dist in range(1, 10):
+            for nb in (k - dist, k + dist):
+                if deficit > 0 and 0 <= nb < 10 and bins[nb]:
+                    grab = min(deficit, len(bins[nb]))
+                    taken[k].extend(bins[nb][:grab])
+                    bins[nb] = bins[nb][grab:]
+                    deficit -= grab
+                    borrowed += grab
+    pairs = [(utts[i].id, utts[j].id, 5.0 * s) for bucket in taken for i, j, s in bucket]
+    return pairs, borrowed
+
+
+def test_scored_pairs_borrowing_matches_reference():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=40, seed=0))
+    expected, borrowed = reference_scored_pairs(corpus, n_pairs=100, seed=1)
+    assert borrowed > 0
+    assert build_scored_pairs(corpus, n_pairs=100, seed=1).pairs == expected
+
+
+def test_scored_pairs_sampled_candidates_match_reference():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=150, seed=2))
+    # 6000 of 11175 pairs: a (6000, 2) draw holds repeats and self-pairs, and
+    # the sampler needs a second round to reach the budget
+    expected, _ = reference_scored_pairs(corpus, n_pairs=60, seed=5, max_candidates=6000)
+    got = build_scored_pairs(corpus, n_pairs=60, seed=5, max_candidates=6000)
+    assert got.pairs == expected
 
 
 def test_scored_pair_set_validates():

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -20,6 +21,7 @@ from semspeech.quantizer import (
     train_kmeans,
     write_codebook,
 )
+from semspeech.random_utils import derive_rng
 
 
 def cluster_purity(labels, truths):
@@ -106,6 +108,79 @@ def test_kmeans_purity_on_synthetic_corpus():
     cb = train_kmeans(frames, k=8, seed=6)
     labels = assign(frames, cb)
     assert cluster_purity(labels, truths) >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# reference k-means: one (n, k) distance pass and a per-cluster mean loop
+# ---------------------------------------------------------------------------
+
+def reference_sq_dists(frames, centroids):
+    d2 = (
+        np.einsum("ij,ij->i", frames, frames)[:, None]
+        - 2.0 * frames @ centroids.T
+        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def reference_kmeans(frames, k, max_iters, tol, seed):
+    frames = np.asarray(frames, dtype=np.float64)
+    rng = derive_rng(seed, "kmeans", k)
+    n = frames.shape[0]
+    centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
+    centroids[0] = frames[int(rng.integers(n))]
+    closest = reference_sq_dists(frames, centroids[:1]).ravel()
+    for c in range(1, k):
+        total = closest.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=closest / total))
+        centroids[c] = frames[idx]
+        closest = np.minimum(closest, reference_sq_dists(frames, centroids[c : c + 1]).ravel())
+
+    history, prev = [], np.inf
+    for _ in range(max_iters):
+        labels = np.argmin(reference_sq_dists(frames, centroids), axis=1)
+        resid = frames - centroids[labels]
+        assigned_d2 = np.einsum("ij,ij->i", resid, resid)
+        inertia = float(assigned_d2.sum())
+        history.append(inertia)
+        if inertia == 0.0:
+            break
+        if np.isfinite(prev) and (prev - inertia) / max(prev, 1e-12) < tol:
+            break
+        prev = inertia
+        new = np.empty_like(centroids)
+        for c in range(k):
+            mask = labels == c
+            new[c] = frames[mask].mean(axis=0) if mask.any() else frames[np.argmax(assigned_d2)]
+        centroids = new
+    return centroids, history
+
+
+def assert_kmeans_matches_reference(frames, k, max_iters, tol, seed):
+    cb = train_kmeans(frames, k=k, max_iters=max_iters, tol=tol, seed=seed)
+    ref_centroids, ref_history = reference_kmeans(frames, k, max_iters, tol, seed)
+    assert cb.centroids.tobytes() == ref_centroids.tobytes()
+    assert cb.inertia_history == ref_history
+
+
+def test_kmeans_matches_reference_bitwise_across_row_blocks():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=200, seed=12))
+    frames = np.concatenate([u.features.data for u in corpus.utterances])
+    assert frames.shape[0] > 2 * 1024  # several row blocks, the last one partial
+    assert_kmeans_matches_reference(frames, k=20, max_iters=15, tol=0.0, seed=3)
+    assert_kmeans_matches_reference(frames, k=20, max_iters=100, tol=1e-4, seed=4)
+    # full float64 mantissas: centroid sums round, so their order shows in the bits
+    frames = np.random.default_rng(6).standard_normal((3000, 5))
+    assert_kmeans_matches_reference(frames, k=12, max_iters=10, tol=0.0, seed=5)
+
+
+def test_kmeans_reseeds_empty_cluster_like_reference(caplog):
+    # k-means++ on this weighted lattice leaves cluster 2 empty after one update
+    points = np.array([[11, 5], [11, 11], [1, 6], [2, 6], [9, 2]], dtype=np.float64)
+    frames = np.repeat(points, [3, 1, 4, 5, 1], axis=0)
+    with caplog.at_level(logging.INFO, logger="semspeech.quantizer"):
+        assert_kmeans_matches_reference(frames, k=3, max_iters=20, tol=0.0, seed=1069)
+    assert any("reseeding empty cluster" in r.getMessage() for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------

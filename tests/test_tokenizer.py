@@ -10,6 +10,7 @@ from semspeech.quantizer import UnitSequence
 from semspeech.tokenizer import (
     CLS,
     MASK,
+    N_SPECIALS,
     PAD,
     SEP,
     UNK,
@@ -218,6 +219,39 @@ def test_round_trip_over_base_alphabet(seq):
     model = train_bpe(corpus, vocab_size=5 + 8 + 4)
     x = UnitSequence(units=seq, source_id="q")
     assert decode(encode(x, model), model) == seq
+
+
+def reference_encode(units, model):
+    """Lowest-rank merge first, with the rank table rebuilt on every call."""
+    seq = [model.token_for_unit(u) for u in units.units]
+    rank = {pair: r for r, pair in enumerate(model.merges)}
+    while len(seq) > 1:
+        present = [(rank[p], p) for p in zip(seq, seq[1:]) if p in rank]
+        if not present:
+            break
+        r, pair = min(present)
+        out, i = [], 0
+        while i < len(seq):
+            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == pair:
+                out.append(N_SPECIALS + len(model.alphabet) + r)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+    return [CLS] + seq + [SEP]
+
+
+def test_encode_matches_per_call_rank_reference(tmp_path):
+    rng = np.random.default_rng(17)
+    model = train_bpe(make_units(rng, n_lines=150), vocab_size=5 + 8 + 60)
+    save_bpe_model(model, tmp_path / "bpe.json")
+    loaded = load_bpe_model(tmp_path / "bpe.json")
+    # alphabet 10 holds units the model never saw, which encode to UNK
+    queries = make_units(rng, n_lines=100, alphabet=10)
+    for m in (model, loaded):
+        for q in queries:
+            assert encode(q, m).tokens == reference_encode(q, m)
 
 
 def test_compression_bound():

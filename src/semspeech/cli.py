@@ -219,7 +219,6 @@ def cmd_train_wavembed(cfg: PipelineConfig, args, out: Path) -> None:
         d_in=corpus.spec.feature_dim if corpus.spec else corpus.utterances[0].features.data.shape[1],
         vocab=vocab,
         encoder_cfg=_encoder_config(cfg),
-        target_mode=cfg["wavembed.target_mode"],
         condition_mode=cfg["wavembed.condition_mode"],
         max_target_len=cfg["wavembed.max_target_len"],
         seed=cfg["run.seed"],

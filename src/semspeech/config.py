@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# key -> (type tag, default); type tags: int, float, str, bool, int_list
+# key -> (type tag, default); type tags: int, float, str
 SCHEMA: dict[str, tuple[str, object]] = {
     "run.seed": ("int", 0),
     "corpus.alphabet_size": ("int", 16),
@@ -45,7 +45,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "wavembed.batch_size": ("int", 16),
     "wavembed.weight_decay": ("float", 0.01),
     "wavembed.dev_fraction": ("float", 0.1),
-    "wavembed.target_mode": ("str", "units"),
     "wavembed.condition_mode": ("str", "memory"),
     "wavembed.max_target_len": ("int", 256),
     "mlm.steps": ("int", 500),
@@ -73,7 +72,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "distill.pooling": ("str", "self_attention"),
     "distill.weight_decay": ("float", 0.01),
     "eval.pos_threshold": ("float", 4.0),
-    "eval.recall_ks": ("int_list", (1, 5, 10)),
 }
 
 
@@ -85,12 +83,6 @@ def _cast(key: str, raw: str) -> object:
             return int(raw)
         if tag == "float":
             return float(raw)
-        if tag == "bool":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
-        if tag == "int_list":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError:
         raise ConfigError(
             f"value {raw!r} for key {key!r} is not a valid {tag}", key=key
@@ -99,10 +91,6 @@ def _cast(key: str, raw: str) -> object:
 
 
 def _format(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
 
 

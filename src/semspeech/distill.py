@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, ScoredPairSet
 from .errors import ValidationError
-from .evaluation import spearman
+from .evaluation import pair_spearman
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import (
     EncoderConfig,
@@ -27,11 +27,12 @@ from .nn.layers import (
     transformer_encode,
 )
 from .nn.losses import _normalize_rows, infonce_batch, mse
-from .nn.optim import ParamStore, adamw_step
+from .nn.optim import ParamStore
 from .nn.tensor import Tensor, concat, no_grad
 from .random_utils import derive_rng
 from .teachers import Teacher
-from .wavembed import _as_frames, _chunks, _embed_by_length, _pad_frames
+from .training import fit, optimizer_step
+from .wavembed import _as_frames, _embed_by_length, _pad_frames
 
 DEFAULT_BANK_CAPACITY = 256
 
@@ -77,10 +78,6 @@ class MemoryBank:
         if not self._vectors:
             return np.zeros((0, self._dim or 0))
         return np.stack(self._vectors)
-
-
-def bank_update(bank: MemoryBank, embeddings) -> None:
-    bank.push(embeddings)
 
 
 class StudentModel:
@@ -214,10 +211,6 @@ class StudentModel:
         return model
 
 
-def student_embed(student: StudentModel, features) -> np.ndarray:
-    return student.embed(features)
-
-
 @dataclass
 class DistillConfig:
     loss: str = "infonce"
@@ -283,11 +276,9 @@ def distill_step(
     else:
         targets = teacher_embs / np.sqrt((teacher_embs**2).sum(axis=1, keepdims=True))
         loss = mse(_normalize_rows(z, "student embedding"), Tensor(targets))
-    student.store.zero_grad()
-    loss.backward()
-    adamw_step(student.store, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    value = optimizer_step(student.store, loss, cfg.lr, cfg.weight_decay)
     bank.push(teacher_embs)
-    return float(loss.data)
+    return value
 
 
 def distill_train(
@@ -323,18 +314,11 @@ def distill_train(
 
     dev_ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
 
-    def dev_metric() -> float:
-        embs = student.embed_batch([corpus[i].features.data for i in dev_ids])
-        vec = {i: embs[k] for k, i in enumerate(dev_ids)}
-        preds, human = [], []
-        for id_a, id_b, score in dev_pairs.pairs:
-            a, b = vec[id_a], vec[id_b]
-            preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
-            human.append(score)
-        return spearman(preds, human)
+    def frames_of(utt_id: str) -> np.ndarray:
+        return corpus[utt_id].features.data
 
     def mean_teacher_cosine() -> float:
-        s = student.embed_batch([corpus[i].features.data for i in dev_ids])
+        s = student.embed_batch([frames_of(i) for i in dev_ids])
         t = teacher.embed_batch([targets[i] for i in dev_ids])
         s = s / np.linalg.norm(s, axis=1, keepdims=True)
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
@@ -343,30 +327,22 @@ def distill_train(
     rng = derive_rng(cfg.seed, "distill", "train")
     if bank is None:
         bank = MemoryBank(cfg.bank_capacity)
-    init_metric = dev_metric()
-    history = [(0, init_metric)]
-    info = {"cosine_start": mean_teacher_cosine()}
-    best_metric = init_metric
-    best_state = student.store.state_dict()
 
-    step = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(ids))
-        for chunk in _chunks([ids[i] for i in order], cfg.batch_size):
-            batch = [(corpus[i].features.data, targets[i]) for i in chunk]
-            if cfg.loss == "infonce" and len(batch) == 1 and len(bank) == 0:
-                continue  # nothing to contrast against yet
-            distill_step(student, teacher, batch, bank, cfg, rng)
-            step += 1
-        metric = dev_metric()
-        history.append((step, metric))
-        if metric > best_metric:
-            best_metric = metric
-            best_state = student.store.state_dict()
-    student.store.load_state_dict(best_state)
+    def step(chunk) -> float | None:
+        if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
+            return None  # nothing to contrast against yet
+        batch = [(frames_of(i), targets[i]) for i in chunk]
+        return distill_step(student, teacher, batch, bank, cfg, rng)
+
+    info = {"cosine_start": mean_teacher_cosine()}
+    evals, _, best_metric = fit(
+        student.store, ids, cfg.batch_size, rng, step,
+        evaluate=lambda: pair_spearman(student.embed_batch, dev_pairs, frames_of),
+        epochs=cfg.epochs, maximize=True,
+    )
     info["cosine_best"] = mean_teacher_cosine()
     info["best_dev_spearman"] = best_metric
-    return history, info
+    return [(s, v) for s, _, v in evals], info
 
 
 # ---------------------------------------------------------------------------

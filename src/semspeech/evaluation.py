@@ -124,6 +124,27 @@ def uniformity(embeddings, include_self: bool = False) -> float:
     return math.log(total / count)
 
 
+def pair_spearman(
+    embed_batch: Callable[[list], np.ndarray],
+    pairs: ScoredPairSet,
+    item_of: Callable[[str], object],
+) -> float:
+    """Rank correlation of pair cosines with the human scores.
+
+    Each id in ``pairs`` is embedded once, in one ``embed_batch`` call over
+    ``item_of(id)`` for the sorted ids.
+    """
+    ids = sorted({i for a, b, _ in pairs.pairs for i in (a, b)})
+    embs = embed_batch([item_of(i) for i in ids])
+    vec = {i: embs[k] for k, i in enumerate(ids)}
+    preds, human = [], []
+    for id_a, id_b, score in pairs.pairs:
+        a, b = vec[id_a], vec[id_b]
+        preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
+        human.append(score)
+    return spearman(preds, human)
+
+
 @dataclass
 class PairPrediction:
     id_a: str
@@ -303,10 +324,3 @@ def save_pair_predictions(report: EvalReport, path: str | Path) -> None:
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def save_geometry_rows(rows: Sequence[tuple[str, float, float, float]], path: str | Path) -> None:
-    """TSV of (model, uniformity, alignment, spearman) for scatter plotting."""
-    lines = ["model\tuniformity\talignment\tspearman"]
-    for model_id, uniform, align, rho in rows:
-        lines.append(f"{model_id}\t{uniform:.10f}\t{align:.10f}\t{rho:.10f}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -9,7 +9,7 @@ forward pass of the same sequence is the positive.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .corpus import ScoredPairSet
-from .evaluation import spearman
+from .evaluation import pair_spearman
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import (
     EncoderConfig,
@@ -34,11 +34,13 @@ from .nn.layers import (
     sinusoidal_positions,
 )
 from .nn.losses import infonce_batch, masked_cross_entropy, nll_loss
-from .nn.optim import ParamStore, adamw_step
+from .nn.optim import ParamStore
 from .nn.tensor import Tensor, dropout, no_grad, take_rows
 from .random_utils import derive_rng
 from .tokenizer import CLS, MASK, N_SPECIALS, PAD, SEP, TokenSequence
-from .wavembed import CurvePoint, _chunks, _pad_targets
+from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
+from .training import fit, mean_loss, optimizer_step, split_dev
+from .wavembed import CurvePoint, _pad_targets
 
 logger = logging.getLogger(__name__)
 
@@ -284,22 +286,15 @@ def mlm_pretrain(
         raise ValidationError("no usable sequences in the corpus", field="corpus")
 
     rng = derive_rng(seed, "mlm", "train")
-    history: list[float] = []
-    step = 0
-    while step < steps:
-        order = rng.permutation(len(arrs))
-        for chunk in _chunks(list(order), batch_size):
-            if step >= steps:
-                break
-            batch = _pad_batch([arrs[i] for i in chunk])
-            corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
-            encoder.store.zero_grad()
-            logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
-            loss = masked_cross_entropy(logits, batch, mask)
-            loss.backward()
-            adamw_step(encoder.store, lr=lr, weight_decay=0.01)
-            history.append(float(loss.data))
-            step += 1
+
+    def step(chunk) -> float:
+        batch = _pad_batch(chunk)
+        corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
+        logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
+        loss = masked_cross_entropy(logits, batch, mask)
+        return optimizer_step(encoder.store, loss, lr, 0.01)
+
+    _, history, _ = fit(encoder.store, arrs, batch_size, rng, step, max_steps=steps)
     return history
 
 
@@ -380,7 +375,7 @@ class Teacher:
     info: dict = field(default_factory=dict)
 
     def embed(self, seq) -> np.ndarray:
-        return teacher_embed(self, seq)
+        return self.encoder.embed(seq)
 
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
         return self.encoder.embed_batch(seqs)
@@ -408,29 +403,6 @@ class Teacher:
         )
         encoder.store.load_state_dict(params)
         return cls(encoder=encoder, kind=config["teacher_kind"])
-
-
-def teacher_embed(teacher: Teacher, seq) -> np.ndarray:
-    arr = _as_token_array(seq)
-    if arr.max() >= teacher.encoder.vocab:
-        raise ValidationError(
-            f"sequence uses token id {int(arr.max())} but the teacher vocabulary "
-            f"is {teacher.encoder.vocab}",
-            field="vocab",
-        )
-    return teacher.encoder.embed(arr)
-
-
-def _split_corpus(arrs: list, dev_fraction: float, rng: np.random.Generator):
-    order = [int(i) for i in rng.permutation(len(arrs))]
-    n_dev = int(round(dev_fraction * len(arrs)))
-    dev = [arrs[i] for i in order[:n_dev]]
-    train = [arrs[i] for i in order[n_dev:]]
-    if not train:
-        raise ValidationError("dev split leaves no training sequences", field="dev_fraction")
-    if not dev:
-        dev = train
-    return train, dev
 
 
 def _tsdae_batch_loss(
@@ -480,84 +452,36 @@ def train_tsdae(
         )
 
     split_rng = derive_rng(cfg.seed, "tsdae", "split")
-    train_seqs, dev_seqs = _split_corpus(seqs, cfg.dev_fraction, split_rng)
-    # dev corruption drawn once so epoch-to-epoch dev losses are comparable
-    dev_rng = derive_rng(cfg.seed, "tsdae", "dev-corrupt")
-    dev_corrupted = [
-        np.asarray(delete_tokens(s, cfg.deletion_ratio, dev_rng).tokens) for s in dev_seqs
-    ]
-    dev_originals = [np.asarray(s.tokens) for s in dev_seqs]
-
-    def eval_loss(corrupted: list[np.ndarray], originals: list[np.ndarray]) -> float:
-        total, count = 0.0, 0
-        with no_grad():
-            for chunk in _chunks(list(range(len(originals))), cfg.batch_size):
-                loss = _tsdae_batch_loss(
-                    encoder,
-                    decoder_cfg,
-                    [corrupted[i] for i in chunk],
-                    [originals[i] for i in chunk],
-                    False,
-                    None,
-                )
-                total += float(loss.data) * len(chunk)
-                count += len(chunk)
-        return total / count
-
-    def dev_loss() -> float:
-        return eval_loss(dev_corrupted, dev_originals)
-
+    train_seqs, dev_seqs = split_dev(seqs, cfg.dev_fraction, split_rng)
     rng = derive_rng(cfg.seed, "tsdae", "train")
-    init_rng = derive_rng(cfg.seed, "tsdae", "init-eval")
-    init_train = eval_loss(
-        [np.asarray(delete_tokens(s, cfg.deletion_ratio, init_rng).tokens) for s in train_seqs],
-        [np.asarray(s.tokens) for s in train_seqs],
+
+    def corrupt(seqs, source: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(corrupted, original) token arrays, drawing deletions from ``source``."""
+        return [
+            (np.asarray(delete_tokens(s, cfg.deletion_ratio, source).tokens), np.asarray(s.tokens))
+            for s in seqs
+        ]
+
+    def batch_loss(examples, train_mode=False, rng=None) -> Tensor:
+        corrupted, originals = zip(*examples)
+        return _tsdae_batch_loss(encoder, decoder_cfg, corrupted, originals, train_mode, rng)
+
+    def step(chunk) -> float:
+        loss = batch_loss(corrupt(chunk, rng), True, rng)
+        return optimizer_step(encoder.store, loss, cfg.lr, 0.01)
+
+    # dev corruption drawn once so epoch-to-epoch dev losses are comparable
+    dev_examples = corrupt(dev_seqs, derive_rng(cfg.seed, "tsdae", "dev-corrupt"))
+    init_train = mean_loss(
+        batch_loss, corrupt(train_seqs, derive_rng(cfg.seed, "tsdae", "init-eval")), cfg.batch_size
     )
-    curve = [CurvePoint(step=0, train_loss=init_train, dev_loss=dev_loss())]
-    best_dev = curve[0].dev_loss
-    best_state = encoder.store.state_dict()
-    step = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_seqs))
-        epoch_total, epoch_count = 0.0, 0
-        for chunk in _chunks([train_seqs[i] for i in order], cfg.batch_size):
-            corrupted = [
-                np.asarray(delete_tokens(s, cfg.deletion_ratio, rng).tokens) for s in chunk
-            ]
-            originals = [np.asarray(s.tokens) for s in chunk]
-            encoder.store.zero_grad()
-            loss = _tsdae_batch_loss(encoder, decoder_cfg, corrupted, originals, True, rng)
-            loss.backward()
-            adamw_step(encoder.store, lr=cfg.lr, weight_decay=0.01)
-            step += 1
-            epoch_total += float(loss.data) * len(chunk)
-            epoch_count += len(chunk)
-        d = dev_loss()
-        curve.append(CurvePoint(step=step, train_loss=epoch_total / epoch_count, dev_loss=d))
-        if d < best_dev:
-            best_dev = d
-            best_state = encoder.store.state_dict()
-    encoder.store.load_state_dict(best_state)
+    evals, _, best_dev = fit(
+        encoder.store, train_seqs, cfg.batch_size, rng, step,
+        evaluate=lambda: mean_loss(batch_loss, dev_examples, cfg.batch_size),
+        epochs=cfg.epochs,
+    )
+    curve = [CurvePoint(s, init_train if t is None else t, d) for s, t, d in evals]
     return Teacher(encoder=encoder, kind="tsdae", info={"best_dev_loss": best_dev}), curve
-
-
-class EarlyStopper:
-    """Stop after `patience` consecutive evaluations without improvement."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValidationError("patience must be >= 1", field="patience")
-        self.patience = patience
-        self.best = -np.inf
-        self.stale = 0
-
-    def update(self, value: float) -> bool:
-        if value > self.best:
-            self.best = value
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
 
 
 def train_simcse(
@@ -584,8 +508,6 @@ def train_simcse(
     seqs = [TokenSequence(list(_as_token_array(s)), getattr(s, "source_id", "")) for s in corpus]
     if not seqs:
         raise ValidationError("corpus is empty", field="corpus")
-    encoder.cfg.dropout_rate = cfg.dropout_rate
-
     by_id = {s.source_id: np.asarray(s.tokens) for s in seqs if s.source_id}
     for id_a, id_b, _ in dev_pairs.pairs:
         for utt_id in (id_a, id_b):
@@ -595,65 +517,28 @@ def train_simcse(
                     field=utt_id,
                 )
 
-    def dev_metric() -> float:
-        ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
-        embs = encoder.embed_batch([by_id[i] for i in ids])
-        vec = {i: embs[k] for k, i in enumerate(ids)}
-        preds, human = [], []
-        for id_a, id_b, score in dev_pairs.pairs:
-            a, b = vec[id_a], vec[id_b]
-            preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
-            human.append(score)
-        return spearman(preds, human)
-
     rng = derive_rng(cfg.seed, "simcse", "train")
-    stopper = EarlyStopper(cfg.patience)
-    history: list[tuple[int, float]] = []
-    init_metric = dev_metric()
-    history.append((0, init_metric))
-    best_metric = init_metric
-    best_state = encoder.store.state_dict()
-    stopper.update(init_metric)
 
-    step = 0
-    stop = False
-    for _epoch in range(cfg.epochs):
-        if stop:
-            break
-        order = rng.permutation(len(seqs))
-        for chunk in _chunks([seqs[i] for i in order], cfg.batch_size):
-            if len(chunk) < 2:
-                continue  # a lone trailing sequence has no in-batch negatives
-            tokens = _pad_batch([np.asarray(s.tokens) for s in chunk])
-            encoder.store.zero_grad()
-            z1 = encoder.embed_train(tokens, rng)
-            z2 = encoder.embed_train(tokens, rng)
-            loss = infonce_batch(z1, z2, tau=cfg.tau)
-            loss.backward()
-            adamw_step(encoder.store, lr=cfg.lr, weight_decay=0.01)
-            step += 1
-            if step % cfg.eval_every_steps == 0:
-                metric = dev_metric()
-                history.append((step, metric))
-                if metric > best_metric:
-                    best_metric = metric
-                    best_state = encoder.store.state_dict()
-                if stopper.update(metric):
-                    stop = True
-                    break
-    encoder.store.load_state_dict(best_state)
+    def step(chunk) -> float | None:
+        if len(chunk) < 2:
+            return None  # a lone trailing sequence has no in-batch negatives
+        tokens = _pad_batch([np.asarray(s.tokens) for s in chunk])
+        z1 = encoder.embed_train(tokens, rng)
+        z2 = encoder.embed_train(tokens, rng)
+        loss = infonce_batch(z1, z2, tau=cfg.tau)
+        return optimizer_step(encoder.store, loss, cfg.lr, 0.01)
+
+    # train under the recipe's dropout without touching the caller's config
+    own_cfg = encoder.cfg
+    encoder.cfg = replace(own_cfg, dropout_rate=cfg.dropout_rate)
+    try:
+        evals, _, best_metric = fit(
+            encoder.store, seqs, cfg.batch_size, rng, step,
+            evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id.__getitem__),
+            epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
+            patience=cfg.patience,
+        )
+    finally:
+        encoder.cfg = own_cfg
     teacher = Teacher(encoder=encoder, kind="simcse", info={"best_dev_spearman": best_metric})
-    return teacher, history
-
-
-def simcse_batch_loss(
-    encoder: SequenceEncoder,
-    seqs: Sequence,
-    tau: float,
-    rng: np.random.Generator,
-) -> Tensor:
-    """One unoptimized forward of the contrastive objective (for inspection)."""
-    tokens = _pad_batch([_as_token_array(s) for s in seqs])
-    z1 = encoder.embed_train(tokens, rng)
-    z2 = encoder.embed_train(tokens, rng)
-    return infonce_batch(z1, z2, tau=tau)
+    return teacher, [(s, v) for s, _, v in evals]

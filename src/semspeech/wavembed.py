@@ -27,10 +27,11 @@ from .nn.layers import (
     transformer_encode,
 )
 from .nn.losses import nll_loss
-from .nn.optim import ParamStore, adamw_step
+from .nn.optim import ParamStore
 from .nn.tensor import Tensor, no_grad
 from .random_utils import derive_rng
 from .tokenizer import CLS, PAD, SEP
+from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
 
 DEFAULT_MAX_TARGET_LEN = 256
 EMBED_CHUNK = 32  # sequences per padded forward pass in embed_batch
@@ -93,7 +94,6 @@ class WavEmbedModel:
         decoder_cfg: EncoderConfig,
         d_in: int,
         vocab: int,
-        target_mode: str = "units",
         condition_mode: str = "memory",
         max_target_len: int = DEFAULT_MAX_TARGET_LEN,
         has_decoder: bool = True,
@@ -103,7 +103,6 @@ class WavEmbedModel:
         self.decoder_cfg = decoder_cfg
         self.d_in = d_in
         self.vocab = vocab
-        self.target_mode = target_mode
         self.condition_mode = condition_mode
         self.max_target_len = max_target_len
         self.has_decoder = has_decoder
@@ -115,16 +114,10 @@ class WavEmbedModel:
         vocab: int,
         encoder_cfg: EncoderConfig | None = None,
         decoder_cfg: EncoderConfig | None = None,
-        target_mode: str = "units",
         condition_mode: str = "memory",
         max_target_len: int = DEFAULT_MAX_TARGET_LEN,
         seed: int = 0,
     ) -> "WavEmbedModel":
-        if target_mode not in ("units", "tokens", "text"):
-            raise ValidationError(
-                f"target_mode must be 'units', 'tokens' or 'text', got {target_mode!r}",
-                field="target_mode",
-            )
         if vocab < 6:
             raise ValidationError(
                 "vocabulary must cover the 5 special ids plus content", field="vocab"
@@ -156,7 +149,6 @@ class WavEmbedModel:
             decoder_cfg,
             d_in,
             vocab,
-            target_mode=target_mode,
             condition_mode=condition_mode,
             max_target_len=max_target_len,
         )
@@ -298,7 +290,6 @@ class WavEmbedModel:
             "decoder": self.decoder_cfg.to_dict(),
             "d_in": self.d_in,
             "vocab": self.vocab,
-            "target_mode": self.target_mode,
             "condition_mode": self.condition_mode,
             "max_target_len": self.max_target_len,
             "has_decoder": self.has_decoder,
@@ -333,7 +324,6 @@ class WavEmbedModel:
             vocab=int(config["vocab"]),
             encoder_cfg=encoder_cfg,
             decoder_cfg=decoder_cfg,
-            target_mode=config["target_mode"],
             condition_mode=config["condition_mode"],
             max_target_len=int(config["max_target_len"]),
         )
@@ -388,29 +378,6 @@ def _pad_targets(token_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return inputs, targets
 
 
-def _chunks(seq: Sequence, size: int):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
-
-
-def _mean_eval_loss(
-    model: WavEmbedModel,
-    ids: Sequence[str],
-    frames: Mapping[str, np.ndarray],
-    targets: Mapping[str, np.ndarray],
-    batch_size: int,
-) -> float:
-    total, count = 0.0, 0
-    with no_grad():
-        for chunk in _chunks(list(ids), batch_size):
-            loss = model.batch_loss(
-                [frames[i] for i in chunk], [targets[i] for i in chunk]
-            )
-            total += float(loss.data) * len(chunk)
-            count += len(chunk)
-    return total / count
-
-
 def train_wavembed(
     model: WavEmbedModel,
     corpus: Corpus,
@@ -442,51 +409,25 @@ def train_wavembed(
         frame_map[u.id] = _as_frames(u.features)
 
     split_rng = derive_rng(cfg.seed, "wavembed", "split")
-    order = [ids[i] for i in split_rng.permutation(len(ids))]
-    n_dev = int(round(cfg.dev_fraction * len(ids)))
-    dev_ids = order[:n_dev]
-    train_ids = order[n_dev:]
-    if not train_ids:
-        raise ValidationError("dev split leaves no training utterances", field="dev_fraction")
-    if not dev_ids:
-        # tiny corpora: judge on the training set rather than skipping keep-best
-        dev_ids = train_ids
-
+    train_ids, dev_ids = split_dev(ids, cfg.dev_fraction, split_rng)
     train_rng = derive_rng(cfg.seed, "wavembed", "train")
-    curve: list[CurvePoint] = []
-    init_train = _mean_eval_loss(model, train_ids, frame_map, token_map, cfg.batch_size)
-    init_dev = _mean_eval_loss(model, dev_ids, frame_map, token_map, cfg.batch_size)
-    curve.append(CurvePoint(step=0, train_loss=init_train, dev_loss=init_dev))
-    best_dev = init_dev
-    best_state = model.store.state_dict()
 
-    step = 0
-    for _epoch in range(cfg.epochs):
-        perm = train_rng.permutation(len(train_ids))
-        epoch_total, epoch_count = 0.0, 0
-        for chunk in _chunks([train_ids[i] for i in perm], cfg.batch_size):
-            model.store.zero_grad()
-            loss = model.batch_loss(
-                [frame_map[i] for i in chunk],
-                [token_map[i] for i in chunk],
-                train_mode=True,
-                rng=train_rng,
-            )
-            loss.backward()
-            adamw_step(model.store, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            step += 1
-            epoch_total += float(loss.data) * len(chunk)
-            epoch_count += len(chunk)
-        dev_loss = _mean_eval_loss(model, dev_ids, frame_map, token_map, cfg.batch_size)
-        curve.append(
-            CurvePoint(step=step, train_loss=epoch_total / epoch_count, dev_loss=dev_loss)
+    def batch_loss(chunk, train_mode=False, rng=None) -> Tensor:
+        return model.batch_loss(
+            [frame_map[i] for i in chunk], [token_map[i] for i in chunk], train_mode, rng
         )
-        if dev_loss < best_dev:
-            best_dev = dev_loss
-            best_state = model.store.state_dict()
 
-    model.store.load_state_dict(best_state)
-    return curve
+    def step(chunk) -> float:
+        loss = batch_loss(chunk, True, train_rng)
+        return optimizer_step(model.store, loss, cfg.lr, cfg.weight_decay)
+
+    init_train = mean_loss(batch_loss, train_ids, cfg.batch_size)
+    evals, _, _ = fit(
+        model.store, train_ids, cfg.batch_size, train_rng, step,
+        evaluate=lambda: mean_loss(batch_loss, dev_ids, cfg.batch_size),
+        epochs=cfg.epochs,
+    )
+    return [CurvePoint(s, init_train if t is None else t, d) for s, t, d in evals]
 
 
 def save_loss_curve(path: str | Path, curve: Sequence[CurvePoint]) -> None:

@@ -1,5 +1,7 @@
+import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from semspeech.corpus import ScoredPairSet
 from semspeech.errors import ValidationError
 from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig
-from semspeech.nn.losses import masked_cross_entropy
+from semspeech.nn.losses import infonce_batch, masked_cross_entropy
+from semspeech.nn.optim import adamw_step
 from semspeech.random_utils import derive_rng
 from semspeech.teachers import (
     EarlyStopper,
@@ -16,17 +19,26 @@ from semspeech.teachers import (
     Teacher,
     TeacherConfig,
     _mask_batch,
+    _pad_batch,
     delete_tokens,
     mlm_forward,
     mlm_pretrain,
-    simcse_batch_loss,
-    teacher_embed,
     train_simcse,
     train_tsdae,
 )
 from semspeech.tokenizer import CLS, MASK, PAD, SEP, TokenSequence
 
 TINY = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
+
+
+def batches(items, size):
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def assert_same_params(store_a, store_b):
+    assert store_a.names() == store_b.names()
+    for name in store_a.names():
+        assert store_a[name].data.tobytes() == store_b[name].data.tobytes(), name
 
 
 def make_seqs(n, vocab=20, min_len=3, max_len=8, seed=0):
@@ -141,6 +153,39 @@ def test_mlm_loss_below_log_vocab_after_500_steps():
     assert len(history) == 500
     tail = np.mean(history[-20:])
     assert tail < math.log(vocab)
+
+
+def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
+    """mlm_pretrain's own loop before it ran on the shared fit loop."""
+    rng = derive_rng(seed, "mlm", "train")
+    history: list[float] = []
+    step = 0
+    while step < steps:
+        order = rng.permutation(len(arrs))
+        for chunk in batches(list(order), batch_size):
+            if step >= steps:
+                break
+            batch = _pad_batch([arrs[i] for i in chunk])
+            corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
+            encoder.store.zero_grad()
+            logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
+            loss = masked_cross_entropy(logits, batch, mask)
+            loss.backward()
+            adamw_step(encoder.store, lr=lr, weight_decay=0.01)
+            history.append(float(loss.data))
+            step += 1
+    return history
+
+
+def test_mlm_matches_reference_loop_when_steps_end_mid_epoch():
+    seqs = make_seqs(10, vocab=13, seed=9)  # batches of 4, 4, 2: three per epoch
+    enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=9)
+    ref = SequenceEncoder.create(vocab=13, cfg=TINY, seed=9)
+    history = mlm_pretrain(enc, seqs, steps=7, batch_size=4, seed=9, lr=1e-3)
+    arrs = [np.asarray(s.tokens, dtype=np.int64) for s in seqs]
+    assert history == mlm_reference(ref, arrs, 0.15, 7, 9, 1e-3, 4)
+    assert len(history) == 7
+    assert_same_params(enc.store, ref.store)
 
 
 def test_mlm_unmasked_positions_get_zero_logit_grads():
@@ -276,7 +321,9 @@ def test_simcse_initial_loss_near_log_batch():
     for seed in range(3):
         enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=seed)
         seqs = make_seqs(16, seed=seed)
-        loss = simcse_batch_loss(enc, seqs, tau=0.05, rng=derive_rng(seed, "probe"))
+        tokens = _pad_batch([np.asarray(s.tokens) for s in seqs])
+        rng = derive_rng(seed, "probe")
+        loss = infonce_batch(enc.embed_train(tokens, rng), enc.embed_train(tokens, rng), tau=0.05)
         losses.append(float(loss.data))
     target = math.log(16)
     for value in losses:
@@ -303,6 +350,112 @@ def test_simcse_trains_and_keeps_best():
     assert len(history) >= 2
     best = max(m for _, m in history)
     assert teacher.info["best_dev_spearman"] == best
+
+
+def test_simcse_leaves_the_callers_encoder_config_alone(tmp_path):
+    shared = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.0)
+    enc = SequenceEncoder.create(vocab=13, cfg=shared, seed=3)
+    seqs = make_seqs(8, vocab=13, seed=3)
+    pairs = ScoredPairSet(
+        pairs=[("u000", "u001", 4.0), ("u002", "u003", 1.0), ("u004", "u005", 2.5)], split="dev"
+    )
+    cfg = TeacherConfig(kind="simcse", dropout_rate=0.1, epochs=1, batch_size=4, seed=3,
+                        eval_every_steps=1)
+    teacher, _ = train_simcse(enc, seqs, cfg, pairs)
+    assert shared.dropout_rate == 0.0
+    assert enc.cfg is shared
+    teacher.save(tmp_path / "teacher.semm")
+    assert Teacher.load(tmp_path / "teacher.semm").encoder.cfg.dropout_rate == 0.0
+    # a run that fails inside training restores the encoder's config too
+    seqs[0] = TokenSequence([CLS, 99, SEP], source_id="u000")
+    with pytest.raises(ValidationError):
+        train_simcse(enc, seqs, cfg, pairs)
+    assert enc.cfg is shared
+
+
+def simcse_reference(encoder, seqs, cfg, dev_pairs):
+    """train_simcse's own loop before it ran on the shared fit loop."""
+    encoder.cfg = replace(encoder.cfg, dropout_rate=cfg.dropout_rate)
+    by_id = {s.source_id: np.asarray(s.tokens) for s in seqs}
+
+    def dev_metric():
+        ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
+        embs = encoder.embed_batch([by_id[i] for i in ids])
+        vec = {i: embs[k] for k, i in enumerate(ids)}
+        preds, human = [], []
+        for id_a, id_b, score in dev_pairs.pairs:
+            a, b = vec[id_a], vec[id_b]
+            preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
+            human.append(score)
+        return spearman(preds, human)
+
+    rng = derive_rng(cfg.seed, "simcse", "train")
+    stopper = EarlyStopper(cfg.patience)
+    init_metric = dev_metric()
+    history = [(0, init_metric)]
+    best_metric = init_metric
+    best_state = encoder.store.state_dict()
+    stopper.update(init_metric)
+    step = 0
+    stop = False
+    for _epoch in range(cfg.epochs):
+        if stop:
+            break
+        order = rng.permutation(len(seqs))
+        for chunk in batches([seqs[i] for i in order], cfg.batch_size):
+            if len(chunk) < 2:
+                continue
+            tokens = _pad_batch([np.asarray(s.tokens) for s in chunk])
+            encoder.store.zero_grad()
+            z1 = encoder.embed_train(tokens, rng)
+            z2 = encoder.embed_train(tokens, rng)
+            loss = infonce_batch(z1, z2, tau=cfg.tau)
+            loss.backward()
+            adamw_step(encoder.store, lr=cfg.lr, weight_decay=0.01)
+            step += 1
+            if step % cfg.eval_every_steps == 0:
+                metric = dev_metric()
+                history.append((step, metric))
+                if metric > best_metric:
+                    best_metric = metric
+                    best_state = encoder.store.state_dict()
+                if stopper.update(metric):
+                    stop = True
+                    break
+    encoder.store.load_state_dict(best_state)
+    return history, best_metric
+
+
+def overlap_pairs(seqs, n_pairs, seed):
+    """Dev pairs scored by token overlap, so the metric is computable."""
+    combos = list(itertools.combinations(range(len(seqs)), 2))
+    entries = []
+    for k in np.random.default_rng(seed).choice(len(combos), size=n_pairs, replace=False):
+        i, j = combos[k]
+        a, b = set(seqs[i].tokens[1:-1]), set(seqs[j].tokens[1:-1])
+        entries.append((seqs[i].source_id, seqs[j].source_id, 5.0 * len(a & b) / len(a | b)))
+    return ScoredPairSet(pairs=entries, split="dev")
+
+
+def test_simcse_matches_reference_loop_through_a_mid_epoch_early_stop():
+    # 13 sequences in batches of 4 leave a lone trailing sequence, so an
+    # epoch is 3 steps; evaluating every 2 steps puts evaluations mid-epoch,
+    # and with this seed the stopper trips at step 10
+    seed = 1
+    seqs = make_seqs(13, vocab=13, seed=seed)
+    pairs = overlap_pairs(seqs, 10, seed)
+    cfg = TeacherConfig(kind="simcse", epochs=10, lr=3e-3, batch_size=4,
+                        seed=seed, eval_every_steps=2, patience=2)
+    enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
+    ref = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
+    teacher, history = train_simcse(enc, seqs, cfg, pairs)
+    ref_history, ref_best = simcse_reference(ref, seqs, cfg, pairs)
+    assert history == ref_history
+    assert teacher.info["best_dev_spearman"] == ref_best
+    assert_same_params(enc.store, ref.store)
+    last_step = history[-1][0]
+    assert last_step < cfg.epochs * 3, "early stopping never fired"
+    assert last_step % 3 != 0, "early stopping fired at an epoch boundary"
 
 
 def test_simcse_missing_dev_id_errors():
@@ -340,7 +493,7 @@ def test_teacher_embed_vocab_mismatch():
     enc = SequenceEncoder.create(vocab=10, cfg=TINY, seed=0)
     teacher = Teacher(encoder=enc, kind="tsdae")
     with pytest.raises(ValidationError):
-        teacher_embed(teacher, np.array([CLS, 55, SEP]))
+        teacher.embed(np.array([CLS, 55, SEP]))
 
 
 def test_teacher_save_load_round_trip(tmp_path):

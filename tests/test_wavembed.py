@@ -5,6 +5,7 @@ import pytest
 
 from semspeech.corpus import SyntheticSpec, generate_corpus
 from semspeech.errors import ValidationError
+from semspeech.nn.checkpoint import save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.optim import adamw_step
@@ -284,6 +285,19 @@ def test_save_load_round_trip(tmp_path):
     assert np.allclose(loaded.embed(x), z, atol=1e-5)
     assert loaded.vocab == model.vocab
     assert loaded.condition_mode == model.condition_mode
+
+
+def test_load_accepts_checkpoint_with_target_mode(tmp_path):
+    # checkpoints written before target_mode left the model still carry it
+    model = tiny_model(seed=5)
+    path = tmp_path / "model.semm"
+    config = dict(model.config_dict(), target_mode="units")
+    save_checkpoint(path, kind="wavembed", config=config, store=model.store)
+    loaded = WavEmbedModel.load(path)
+    x = np.random.default_rng(12).standard_normal((5, 4))
+    assert np.allclose(loaded.embed(x), model.embed(x), atol=1e-5)
+    assert loaded.config_dict() == model.config_dict()
+    assert "target_mode" not in loaded.config_dict()
 
 
 def test_save_encoder_only(tmp_path):

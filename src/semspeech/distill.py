@@ -38,46 +38,50 @@ DEFAULT_BANK_CAPACITY = 256
 
 
 class MemoryBank:
-    """Bounded FIFO of unit-normalized embeddings."""
+    """Bounded FIFO of unit-normalized embeddings, held in a (capacity, d) ring."""
 
     def __init__(self, capacity: int = DEFAULT_BANK_CAPACITY):
         if capacity < 1:
             raise ValidationError("capacity must be >= 1", field="capacity")
         self.capacity = capacity
-        self._vectors: list[np.ndarray] = []
-        self._dim: int | None = None
+        self._rows: np.ndarray | None = None  # allocated by the first push
+        self._next = 0  # ring slot the next row goes to
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._count
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return None if self._rows is None else self._rows.shape[1]
 
     def push(self, embeddings) -> None:
         arr = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         if arr.shape[0] == 0:
             return
-        if self._dim is None:
-            self._dim = arr.shape[1]
-        elif arr.shape[1] != self._dim:
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, arr.shape[1]))
+        elif arr.shape[1] != self.dim:
             raise ValidationError(
-                f"embedding dim {arr.shape[1]} does not match bank dim {self._dim}",
+                f"embedding dim {arr.shape[1]} does not match bank dim {self.dim}",
                 field="embeddings",
             )
         norms = np.sqrt((arr * arr).sum(axis=1))
         if np.any(norms == 0.0):
             raise ValidationError("cannot bank a zero embedding", field="embeddings")
-        for row, norm in zip(arr, norms):
-            self._vectors.append(row / norm)
-        overflow = len(self._vectors) - self.capacity
-        if overflow > 0:
-            del self._vectors[:overflow]
+        rows = (arr / norms[:, None])[-self.capacity:]
+        slots = (self._next + np.arange(len(rows))) % self.capacity
+        self._rows[slots] = rows
+        self._next = (self._next + len(rows)) % self.capacity
+        self._count = min(self._count + len(rows), self.capacity)
 
     def contents(self) -> np.ndarray:
-        if not self._vectors:
-            return np.zeros((0, self._dim or 0))
-        return np.stack(self._vectors)
+        """A copy of the banked rows, oldest first."""
+        if self._rows is None:
+            return np.zeros((0, 0))
+        if self._count < self.capacity:
+            return self._rows[: self._count].copy()
+        return np.roll(self._rows, -self._next, axis=0)
 
 
 class StudentModel:

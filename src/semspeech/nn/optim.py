@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -9,21 +11,35 @@ from .tensor import Tensor
 
 
 class ParamStore:
-    """Insertion-ordered named parameters plus per-parameter Adam state."""
+    """Insertion-ordered named parameters over flat float64 buffers.
+
+    Parameters, Adam's m and Adam's v each live in one contiguous buffer in
+    insertion order, and every parameter's ``.data`` is a view into the
+    first. The buffers are (re)built lazily: an added parameter, or a
+    ``.data`` rebound to a fresh array, is copied in by ``_sync`` before the
+    next optimizer step or state load, and m and v are made by the first
+    optimizer step.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
+        self._flat = np.zeros(0)
+        self._bounds = [0]
+        self._views: list[np.ndarray] = []
+        # Adam's moments and the update's scratch, made by the first step:
+        # a store that only runs inference holds the parameter buffer alone
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
+        self._grad = np.zeros(0)  # gathered gradients
+        self._tmp = np.zeros(0)
+        self._grad_views: list[np.ndarray] = []
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
             raise ValidationError(f"duplicate parameter name {name!r}", field="name")
         tensor.requires_grad = True
         self._params[name] = tensor
-        self._m[name] = np.zeros_like(tensor.data)
-        self._v[name] = np.zeros_like(tensor.data)
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -45,13 +61,39 @@ class ParamStore:
         for p in self._params.values():
             p.grad = None
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self._params.values())
+    def _cut(self, buf: np.ndarray) -> list[np.ndarray]:
+        bounds = zip(self._bounds[:-1], self._bounds[1:])
+        return [buf[a:b].reshape(p.shape) for (a, b), p in zip(bounds, self._params.values())]
+
+    def _sync(self) -> None:
+        """Make every parameter's ``.data`` its view of the flat buffer."""
+        if len(self._views) != len(self._params):
+            self._bounds = list(accumulate((p.size for p in self._params.values()), initial=0))
+            self._flat = np.empty(self._bounds[-1])
+            self._views = self._cut(self._flat)
+        for p, view in zip(self._params.values(), self._views):
+            if p.data is not view:
+                np.copyto(view, p.data)
+                p.data = view
+
+    def _adam_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """m, v and two scratch buffers, each the size of the synced flat buffer."""
+        n, old = self._flat.size, self._m.size
+        if old != n:
+            # parameters are only appended, so the moments so far are a prefix
+            self._m = np.concatenate((self._m, np.zeros(n - old)))
+            self._v = np.concatenate((self._v, np.zeros(n - old)))
+            self._grad = np.empty(n)
+            self._tmp = np.empty(n)
+            self._grad_views = self._cut(self._grad)
+        return self._m, self._v, self._grad, self._tmp
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters' views; nothing loads unless all fit."""
+        arrays = []
         for name, p in self._params.items():
             if name not in state:
                 raise ValidationError(f"missing parameter {name!r} in state", field=name)
@@ -61,7 +103,10 @@ class ParamStore:
                     f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}",
                     field=name,
                 )
-            p.data = arr.copy()
+            arrays.append(arr)
+        self._sync()
+        for p, arr in zip(self._params.values(), arrays):
+            np.copyto(p.data, arr)
 
 
 def adamw_step(
@@ -71,30 +116,51 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam update over every parameter with a grad.
+    """One decoupled-weight-decay Adam update over every parameter.
 
-    The whole step aborts, updating nothing, if any gradient is non-finite.
+    A parameter without a gradient counts as a zero gradient: its moments
+    still decay and it still moves. The update runs as in-place ufuncs over
+    the store's flat buffers, in the operand order of the per-parameter form
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so every element is
+    bit-equal to it. The whole step aborts, updating nothing, if any gradient
+    is non-finite.
     """
     b1, b2 = betas
-    for name, p in store.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise ValidationError(
-                f"non-finite gradient for parameter {name!r}; step aborted", field=name
-            )
+    store._sync()
+    m, v, g, tmp = store._adam_buffers()
+    for p, view in zip(store._params.values(), store._grad_views):
+        if p.grad is None:
+            view.fill(0.0)
+        else:
+            np.copyto(view, p.grad)
+    if not np.isfinite(g).all():
+        for name, p in store.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise ValidationError(
+                    f"non-finite gradient for parameter {name!r}; "
+                    f"step {store.step_count + 1} aborted",
+                    field=name,
+                )
     store.step_count += 1
     t = store.step_count
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for name, p in store.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
-        m = store._m[name]
-        v = store._v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    flat = store._flat
+    if weight_decay:
+        np.multiply(flat, 1.0 - lr * weight_decay, out=flat)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.add(v, tmp, out=v)
+    # g is spent: it holds the denominator from here on
+    np.divide(v, bias2, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, eps, out=g)
+    np.divide(m, bias1, out=tmp)
+    np.multiply(tmp, lr, out=tmp)
+    np.divide(tmp, g, out=tmp)
+    np.subtract(flat, tmp, out=flat)

@@ -44,7 +44,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_retain")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -52,6 +52,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
+        self._retain = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,9 +69,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -85,12 +83,22 @@ class Tensor:
             out._backward = backward
         return out
 
+    def retain_grad(self) -> None:
+        """Keep this non-leaf's gradient after backward(), which frees it by default."""
+        self._retain = True
+
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # Laid out like self.data, whatever the order of grad, so later
+            # matmuls take the same BLAS path; adding 0.0 rather than copying
+            # stores -0.0 as +0.0, the bits an accumulation onto zeros gives.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
+        """Fill the leaves' .grad; a non-leaf's .grad is freed once its closure
+        has run, unless retain_grad() was called on it."""
         if self.size != 1:
             raise ValidationError("backward() requires a scalar", field="shape")
         topo: list[Tensor] = []
@@ -112,6 +120,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if not node._retain:
+                    node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 

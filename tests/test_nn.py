@@ -631,6 +631,16 @@ def test_adamw_nan_aborts_whole_step():
     # nothing moved, step counter untouched
     assert a.data[0] == 1.0 and b.data[0] == 2.0
     assert store.step_count == 0
+    # the error names the optimizer step it aborted
+    assert "step 1 aborted" in str(e.value)
+    b.grad = np.array([0.25])
+    adamw_step(store, lr=0.1)
+    moved = (a.data.copy(), b.data.copy())
+    a.grad = np.array([np.inf])
+    with pytest.raises(ValidationError, match="'a'; step 2 aborted"):
+        adamw_step(store, lr=0.1)
+    assert np.array_equal(a.data, moved[0]) and np.array_equal(b.data, moved[1])
+    assert store.step_count == 1
 
 
 def test_param_store_rejects_duplicates():
@@ -650,6 +660,196 @@ def test_adamw_converges_on_quadratic():
         loss.backward()
         adamw_step(store, lr=0.05)
     assert np.allclose(p.data, target, atol=1e-2)
+
+
+def reference_adamw(params, state, lr, t, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """The former per-parameter AdamW loop: (data, grad) pairs, m/v per parameter."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for k, (data, g) in enumerate(params):
+        if g is None:
+            g = np.zeros_like(data)
+        if weight_decay:
+            data *= 1.0 - lr * weight_decay
+        m, v = state.setdefault(k, (np.zeros_like(data), np.zeros_like(data)))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+def test_flat_adamw_matches_per_parameter_loop_bitwise():
+    rng = np.random.default_rng(60)
+    shapes = {"w": (5, 3), "b": (3,), "idle": (2, 2), "s": ()}
+    stores, refs = [], []
+    for _ in range(2):  # two stores stepped in turn keep separate state
+        store = ParamStore()
+        ref = {}
+        for name, shape in shapes.items():
+            init = rng.standard_normal(shape)
+            store.add(name, Tensor(init.copy()))
+            ref[name] = init.copy()
+        stores.append(store)
+        refs.append((ref, {}))
+    for t in range(1, 7):
+        for store, (ref, state) in zip(stores, refs):
+            grads = {
+                "w": rng.standard_normal((3, 5)).T,  # a transposed view
+                "b": rng.standard_normal(3) * 1e-3,
+                "idle": None,  # never gets a gradient; still decays and moves
+                "s": rng.standard_normal(()) if t % 2 else None,
+            }
+            store.zero_grad()
+            for name, g in grads.items():
+                store[name].grad = g
+            adamw_step(store, lr=3e-2, weight_decay=0.1)
+            reference_adamw([(ref[n], grads[n]) for n in shapes], state, 3e-2, t,
+                            weight_decay=0.1)
+            assert store.step_count == t
+            for name in shapes:
+                assert store[name].data.tobytes() == ref[name].tobytes(), (t, name)
+
+
+def test_params_are_views_of_one_buffer_after_load_state_dict():
+    rng = np.random.default_rng(61)
+    store = ParamStore()
+    init_linear(store, rng, "lin", 4, 3)
+    kept = {name: p for name, p in store.items()}
+    state = {name: rng.standard_normal(p.shape).astype(np.float32) for name, p in kept.items()}
+    store.load_state_dict(state)
+    for name, p in store.items():
+        assert np.shares_memory(p.data, store._flat), name
+        assert p.data.tobytes() == state[name].astype(np.float64).tobytes()
+    assert store._m.size == 0  # no optimizer state until the first step
+    views = [p.data for _, p in store.items()]
+    store.load_state_dict({name: s * 2 for name, s in state.items()})
+    # a second load copies into the same views instead of rebinding
+    assert all(p.data is v for (_, p), v in zip(store.items(), views))
+    assert all(store[name] is p for name, p in kept.items())
+    with pytest.raises(ValidationError):
+        store.load_state_dict({"lin.w": state["lin.w"]})
+
+
+def test_rebound_param_data_is_still_trained():
+    store = ParamStore()
+    w = store.add("w", Tensor(np.array([1.0, -2.0])))
+    u = store.add("u", Tensor(np.array([0.5])))
+    ref_w, ref_u, state = w.data.copy(), u.data.copy(), {}
+    for t in range(1, 5):
+        if t == 3:
+            w.data = w.data + 10.0  # rebinding replaces the array the store made
+            ref_w = ref_w + 10.0
+        w.grad, u.grad = np.array([0.3, -0.1 * t]), np.array([t * 1.0])
+        adamw_step(store, lr=0.1, weight_decay=0.01)
+        reference_adamw([(ref_w, w.grad), (ref_u, u.grad)], state, 0.1, t, weight_decay=0.01)
+        assert w.data.tobytes() == ref_w.tobytes() and u.data.tobytes() == ref_u.tobytes()
+        assert np.shares_memory(w.data, store._flat)
+
+
+def test_parameter_added_after_a_step_keeps_earlier_moments():
+    store = ParamStore()
+    a = store.add("a", Tensor(np.array([1.0, 2.0])))
+    ref_a, state = a.data.copy(), {}
+    a.grad = np.array([0.5, -0.5])
+    adamw_step(store, lr=0.1)
+    reference_adamw([(ref_a, a.grad)], state, 0.1, 1)
+    b = store.add("b", Tensor(np.array([3.0])))
+    ref_b = b.data.copy()
+    a.grad, b.grad = np.array([0.1, 0.2]), np.array([-1.0])
+    adamw_step(store, lr=0.1)
+    reference_adamw([(ref_a, a.grad), (ref_b, b.grad)], state, 0.1, 2)
+    assert a.data.tobytes() == ref_a.tobytes() and b.data.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("transposed_data", [False, True])
+def test_first_gradient_copy_matches_zero_fill_and_add(transposed_data):
+    rng = np.random.default_rng(62)
+    data = rng.standard_normal((3, 4))
+    t = Tensor(data.T if transposed_data else data.T.copy())
+    grad = rng.standard_normal((3, 4)).T  # arrives as a transposed view
+    grad[0, 0] = -0.0
+    grad[1, 2] = 0.0
+    t._accumulate(grad)
+    # the former first write
+    ref = np.zeros_like(t.data)
+    ref += grad
+    assert t.grad.strides == ref.strides
+    assert t.grad.tobytes(order="A") == ref.tobytes(order="A")
+    assert np.signbit(t.grad[0, 0]) == np.signbit(ref[0, 0])
+    w = rng.standard_normal((3, 5))
+    assert (t.grad @ w).tobytes() == (ref @ w).tobytes()
+
+
+def _former_accumulate(self, grad):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += grad
+
+
+def _former_backward(self):
+    topo, seen, stack = [], set(), [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    self.grad = np.ones_like(self.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _encoder_decoder_grads(seed):
+    rng = np.random.default_rng(seed)
+    cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.2)
+    store = ParamStore()
+    init_feature_encoder(store, rng, cfg, d_in=4)
+    init_token_decoder(store, rng, cfg, 7, condition_mode="memory")
+    x = Tensor(rng.standard_normal((2, 5, 4)))
+    valid = np.array([[True] * 5, [True, True, True, False, False]])
+    drop = np.random.default_rng(seed + 1)
+    h = transformer_encode(x, store, cfg, train_mode=True, rng=drop, valid=valid)
+    z = attention_pool(h[0], h[1, 0])
+    logits = decode_tokens(np.array([1, 4, 2, 6]), z, store, cfg, vocab=7,
+                           train_mode=True, rng=drop)
+    loss = nll_loss(logits, np.array([4, 2, 6, 2]))
+    loss.backward()
+    return {name: p.grad for name, p in store.items()}, logits
+
+
+def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
+    grads, logits = _encoder_decoder_grads(63)
+    assert logits.grad is None  # the new tape frees non-leaf gradients
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "_accumulate", _former_accumulate)
+        m.setattr(Tensor, "backward", _former_backward)
+        ref, ref_logits = _encoder_decoder_grads(63)
+    assert ref_logits.grad is not None
+    assert grads.keys() == ref.keys()
+    for name, g in grads.items():
+        assert g is not None and g.strides == ref[name].strides, name
+        assert g.tobytes(order="A") == ref[name].tobytes(order="A"), name
+
+
+def test_retain_grad_keeps_a_non_leaf_gradient():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = x * 2.0
+    y.retain_grad()
+    z = y * y
+    loss = z.sum()
+    loss.backward()
+    assert np.array_equal(y.grad, 2.0 * y.data)
+    assert z.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, 8.0 * x.data)
 
 
 # ---------------------------------------------------------------------------

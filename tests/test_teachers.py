@@ -194,6 +194,7 @@ def test_mlm_unmasked_positions_get_zero_logit_grads():
     toks = np.array([[CLS, 7, 9, 12, 6, SEP]])
     corrupted, mask = _mask_batch(toks, 0.4, 20, rng)
     logits = mlm_forward(enc, corrupted)
+    logits.retain_grad()
     loss = masked_cross_entropy(logits, toks, mask)
     loss.backward()
     g = logits.grad

@@ -44,7 +44,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_retain")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -52,7 +52,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
-        self._retain = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,10 +82,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def retain_grad(self) -> None:
-        """Keep this non-leaf's gradient after backward(), which frees it by default."""
-        self._retain = True
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # Laid out like self.data, whatever the order of grad, so later
@@ -98,7 +93,7 @@ class Tensor:
 
     def backward(self) -> None:
         """Fill the leaves' .grad; a non-leaf's .grad is freed once its closure
-        has run, unless retain_grad() was called on it."""
+        has run."""
         if self.size != 1:
             raise ValidationError("backward() requires a scalar", field="shape")
         topo: list[Tensor] = []
@@ -120,8 +115,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                if not node._retain:
-                    node.grad = None
+                node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 

@@ -36,6 +36,7 @@ def test_compare_hashes_names_every_differing_artifact():
     b = {"mlm": {"enc.semm": "x", "loss.csv": "z"}}
     same = bench_pairs.compare_hashes({"parent": [a, a], "change": [a]})
     assert same["all_identical"] and same["artifacts"] == 2 and same["passes_compared"] == 3
+    assert same["sha256"] == {"mlm/enc.semm": "x", "mlm/loss.csv": "y"}
     diff = bench_pairs.compare_hashes({"parent": [a], "change": [a, b]})
     assert not diff["all_identical"] and diff["differing"] == ["mlm/loss.csv"]
 

@@ -828,7 +828,7 @@ def _encoder_decoder_grads(seed):
 
 def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
     grads, logits = _encoder_decoder_grads(63)
-    assert logits.grad is None  # the new tape frees non-leaf gradients
+    assert logits.grad is None  # the tape frees non-leaf gradients
     with monkeypatch.context() as m:
         m.setattr(Tensor, "_accumulate", _former_accumulate)
         m.setattr(Tensor, "backward", _former_backward)
@@ -838,18 +838,6 @@ def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
     for name, g in grads.items():
         assert g is not None and g.strides == ref[name].strides, name
         assert g.tobytes(order="A") == ref[name].tobytes(order="A"), name
-
-
-def test_retain_grad_keeps_a_non_leaf_gradient():
-    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    y = x * 2.0
-    y.retain_grad()
-    z = y * y
-    loss = z.sum()
-    loss.backward()
-    assert np.array_equal(y.grad, 2.0 * y.data)
-    assert z.grad is None and loss.grad is None
-    assert np.array_equal(x.grad, 8.0 * x.data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ sides alike. After each run the tool reads the printed result and the run's
 this checkout, holding the machine and the numpy/BLAS build, per-side medians
 and quartiles of ``setup_s``, ``pass_s`` and ``peak_rss_mb``, the pairs each
 side won, failed operations, the minor page faults of each run, and whether
-every artifact hashed the same in every pass of both sides, with the
-artifacts' sha256 (or, past ``MAX_LISTED`` artifacts, one sha256 of their
-sorted name/digest listing).
+every artifact hashed the same in every pass of both sides, with each
+artifact's sha256.
 
 ``--durations`` takes the output of ``pytest --durations=N`` from each side
 and records every set-up and call that took at least ``MIN_DURATION_S``
@@ -27,7 +26,6 @@ seconds, with the suite's total time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import resource
@@ -39,7 +37,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")  # all lower-is-better
 SIDES = ("parent", "change")
-MAX_LISTED = 64  # artifacts listed one by one; larger sets get one digest of the listing
 SECONDS = 10  # run length, as BENCHMARK.json's run_seconds
 MIN_DURATION_S = 5.0
 
@@ -88,14 +85,12 @@ def compare_hashes(per_side: dict[str, list[dict]]) -> dict:
                               if a.get(name) != b.get(name)}
     artifacts = {f"{stage}/{name}": digest
                  for stage, files in reference.items() for name, digest in files.items()}
-    listing = "".join(f"{name} {digest}\n" for name, digest in sorted(artifacts.items()))
     return {
         "artifacts": len(artifacts),
         "passes_compared": passes,
         "all_identical": not differing,
         "differing": sorted(differing),
-        "listing_sha256": hashlib.sha256(listing.encode()).hexdigest(),
-        "sha256": artifacts if len(artifacts) <= MAX_LISTED else None,
+        "sha256": dict(sorted(artifacts.items())),
     }
 
 
@@ -141,12 +136,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--durations", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
-    ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": ROOT}
     report = {
-        "note": args.note,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "pairs_alternate_order": True,
         "env": None,

@@ -32,7 +32,7 @@ from .distill import DistillConfig, StudentModel, distill_train, save_paired_man
 from .errors import SemspeechError, ValidationError
 from .evaluation import evaluate, save_pair_predictions, save_report
 from .index import build_index, load_index, save_index, search
-from .nn.checkpoint import load_checkpoint
+from .nn import checkpoint
 from .nn.layers import EncoderConfig
 from .quantizer import (
     load_unit_corpus,
@@ -88,15 +88,8 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _load_embedder(path: str | Path):
-    """Read a checkpoint once as (kind, model with ``embed`` and ``embed_batch``)."""
-    checkpoint = load_checkpoint(path)
-    kind = checkpoint[0]
-    model_cls = {"wavembed": WavEmbedModel, "student": StudentModel}.get(kind)
-    if model_cls is None:
-        raise ValidationError(
-            f"checkpoint kind {kind!r} cannot embed feature sequences", field="kind"
-        )
-    return kind, model_cls.from_checkpoint(*checkpoint)
+    """A model that embeds feature sequences: WavEmbed or the student."""
+    return checkpoint.load(path, WavEmbedModel, StudentModel)
 
 
 def _load_targets(args, cfg: PipelineConfig):
@@ -326,7 +319,7 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
-    kind, model = _load_embedder(args.model)
+    model = _load_embedder(args.model)
     corpus = load_corpus(args.corpus)
     pairs = load_scored_pairs(args.pairs, split="test")
     renderings = {u.id: [u.features] for u in corpus}
@@ -335,7 +328,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
         pairs,
         renderings,
         pos_threshold=cfg["eval.pos_threshold"],
-        metadata={"model_kind": kind, "checkpoint_sha256": _sha256(args.model)},
+        metadata={"model_kind": model.KIND, "checkpoint_sha256": _sha256(args.model)},
     )
     save_report(report, out / "report.json")
     save_pair_predictions(report, out / "per_pair.tsv")
@@ -348,12 +341,12 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
 
 
 def cmd_build_index(cfg: PipelineConfig, args, out: Path) -> None:
-    kind, model = _load_embedder(args.model)
+    model = _load_embedder(args.model)
     corpus = load_corpus(args.corpus)
     index = build_index(
         model.embed_batch,
         corpus,
-        metadata={"model_kind": kind, "checkpoint_sha256": _sha256(args.model)},
+        metadata={"model_kind": model.KIND, "checkpoint_sha256": _sha256(args.model)},
     )
     save_index(index, out / "index.semi")
     logger.info("indexed %d embeddings of dim %d", len(index), index.dim)
@@ -372,7 +365,7 @@ def cmd_search(cfg: PipelineConfig, args, out: Path) -> None:
             raise ValidationError(
                 "--query-features needs --model to embed them", field="model"
             )
-        _, model = _load_embedder(args.model)
+        model = _load_embedder(args.model)
         query = model.embed(read_features(args.query_features))
     results = search(index, query, k=args.k)
     lines = [f"{utt_id}\t{score:.6f}" for utt_id, score in results]
@@ -496,9 +489,8 @@ def main(argv=None) -> int:
         logger.info("%s finished in %.1fs", args.command, time.perf_counter() - start)
         return 0
     except (SemspeechError, OSError) as e:
-        line = _error_line(e)
-        logger.error("%s", line)
-        print(line, file=sys.stderr)
+        # the stream handler puts the line on stderr, the file handler in the log
+        logger.error("%s", _error_line(e))
         return 1
     finally:
         root.removeHandler(file_handler)

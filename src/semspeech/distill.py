@@ -17,22 +17,15 @@ import numpy as np
 from .corpus import Corpus, ScoredPairSet
 from .errors import ValidationError
 from .evaluation import pair_spearman
-from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.layers import (
-    EncoderConfig,
-    apply_linear,
-    attention_pool,
-    init_feature_encoder,
-    init_linear,
-    transformer_encode,
-)
+from .nn import checkpoint
+from .nn.layers import EncoderConfig, apply_linear, init_encoder, init_linear
 from .nn.losses import _normalize_rows, infonce_batch, mse
 from .nn.optim import ParamStore
-from .nn.tensor import Tensor, concat, no_grad
+from .nn.tensor import Tensor, no_grad
 from .random_utils import derive_rng
 from .teachers import Teacher
 from .training import fit, optimizer_step
-from .wavembed import _as_frames, _embed_by_length, _pad_frames
+from .wavembed import _embed_by_length, encode_frames
 
 DEFAULT_BANK_CAPACITY = 256
 
@@ -87,6 +80,8 @@ class MemoryBank:
 class StudentModel:
     """Frame encoder + pooling + one projection layer."""
 
+    KIND = "student"
+
     def __init__(
         self,
         store: ParamStore,
@@ -113,78 +108,34 @@ class StudentModel:
         seed: int = 0,
     ) -> "StudentModel":
         cfg = cfg or EncoderConfig()
-        cfg.validate()
         rng = derive_rng(seed, "student", "init")
         store = ParamStore()
-        init_feature_encoder(store, rng, cfg, d_in, prefix="enc")
-        if pooling == "self_attention":
-            store.add("pool.W", Tensor(np.zeros(cfg.model_dim)))
-        else:
-            # a learnable pseudo-frame, prepended so its contextual state can
-            # summarize the sequence
-            store.add("pool.cls", Tensor(0.02 * rng.standard_normal(d_in)))
+        init_encoder(store, rng, cfg, d_in=d_in, pooling=pooling)
         init_linear(store, rng, "proj", cfg.model_dim, cfg.model_dim)
         return cls(store, cfg, d_in, pooling=pooling)
 
     def _forward(
         self,
         frame_list: Sequence[np.ndarray],
-        train_mode: bool,
-        rng: np.random.Generator | None,
+        train_mode: bool = False,
+        rng: np.random.Generator | None = None,
     ) -> Tensor:
-        frames = [_as_frames(f) for f in frame_list]
-        x, valid = _pad_frames(frames)
-        h = transformer_encode(
-            Tensor(x), self.store, self.cfg, train_mode=train_mode, rng=rng, valid=valid
-        )
-        pooled = attention_pool(h, self.store["pool.W"], valid=valid)
-        return apply_linear(self.store, "proj", pooled)
-
-    def _forward_cls_grad(
-        self,
-        frame_list: Sequence[np.ndarray],
-        train_mode: bool,
-        rng: np.random.Generator | None,
-    ) -> Tensor:
-        """cls path with gradient flowing into the learnable pseudo-frame."""
-        frames = [Tensor(_as_frames(f)) for f in frame_list]
-        cls_vec = self.store["pool.cls"].reshape(1, self.d_in)
-        rows = [concat([cls_vec, f], axis=0) for f in frames]
-        t_max = max(r.shape[0] for r in rows)
-        padded, valid = [], np.zeros((len(rows), t_max), dtype=bool)
-        for i, r in enumerate(rows):
-            valid[i, : r.shape[0]] = True
-            if r.shape[0] < t_max:
-                filler = Tensor(np.zeros((t_max - r.shape[0], self.d_in)))
-                r = concat([r, filler], axis=0)
-            padded.append(r.reshape(1, t_max, self.d_in))
-        x = concat(padded, axis=0)
-        h = transformer_encode(
-            x, self.store, self.cfg, train_mode=train_mode, rng=rng, valid=valid
-        )
-        pooled = h[:, 0]
+        pooled = encode_frames(self.store, self.cfg, self.pooling, frame_list, train_mode, rng)
         return apply_linear(self.store, "proj", pooled)
 
     def embed_train(
         self, frame_list: Sequence[np.ndarray], rng: np.random.Generator
     ) -> Tensor:
-        if self.pooling == "cls":
-            return self._forward_cls_grad(frame_list, True, rng)
         return self._forward(frame_list, True, rng)
 
     def embed(self, features) -> np.ndarray:
         with no_grad():
-            if self.pooling == "cls":
-                z = self._forward_cls_grad([features], False, None)
-            else:
-                z = self._forward([features], False, None)
-        return z.data[0].copy()
+            return self._forward([features]).data[0].copy()
 
     def embed_batch(self, features: Sequence) -> np.ndarray:
-        forward = self._forward_cls_grad if self.pooling == "cls" else self._forward
         with no_grad():
             return _embed_by_length(
-                lambda frames: forward(frames, False, None).data, features, self.cfg.model_dim
+                lambda frames: self._forward(frames).data, features, self.cfg.model_dim
             )
 
     def config_dict(self) -> dict:
@@ -194,25 +145,20 @@ class StudentModel:
             "pooling": self.pooling,
         }
 
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(path, kind="student", config=self.config_dict(), store=self.store)
-
     @classmethod
-    def load(cls, path: str | Path) -> "StudentModel":
-        return cls.from_checkpoint(*load_checkpoint(path))
-
-    @classmethod
-    def from_checkpoint(cls, kind: str, config: dict, params) -> "StudentModel":
-        """Rebuild a model from the parts ``load_checkpoint`` returns."""
-        if kind != "student":
-            raise ValidationError(f"checkpoint kind {kind!r} is not 'student'", field="kind")
-        model = cls.create(
+    def from_config(cls, config: dict) -> "StudentModel":
+        return cls.create(
             d_in=int(config["d_in"]),
             cfg=EncoderConfig.from_dict(config["encoder"]),
             pooling=config["pooling"],
         )
-        model.store.load_state_dict(params)
-        return model
+
+    def save(self, path: str | Path) -> None:
+        checkpoint.save_checkpoint(path, self.KIND, self.config_dict(), self.store)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "StudentModel":
+        return checkpoint.load(path, cls)
 
 
 @dataclass

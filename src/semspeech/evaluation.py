@@ -258,19 +258,6 @@ def evaluate(
     )
 
 
-def inter_rater_agreement(ratings) -> float:
-    """Mean pairwise rank correlation across raters (rows)."""
-    arr = np.asarray(ratings, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValidationError("need an (n_raters >= 2, n_pairs) matrix", field="ratings")
-    total, count = 0.0, 0
-    for i in range(arr.shape[0] - 1):
-        for j in range(i + 1, arr.shape[0]):
-            total += spearman(arr[i], arr[j])
-            count += 1
-    return total / count
-
-
 def recall_at_k(
     queries: np.ndarray,
     index_embeddings: np.ndarray,

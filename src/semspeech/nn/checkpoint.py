@@ -5,6 +5,7 @@ float32 parameter buffers concatenated in header order."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from .optim import ParamStore
 
 CHECKPOINT_MAGIC = b"SEMM"
 CHECKPOINT_VERSION = 1
+HEADER_OFFSET = 10  # where the JSON header starts
 
 
 def save_checkpoint(path: str | Path, kind: str, config: dict, store: ParamStore) -> None:
@@ -33,6 +35,17 @@ def save_checkpoint(path: str | Path, kind: str, config: dict, store: ParamStore
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
+def _is_param_entry(entry) -> bool:
+    """[name, shape] with a string name and a list of non-negative ints."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], list)
+        and all(type(n) is int and n >= 0 for n in entry[1])
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Returns (kind, config, name -> float32 array)."""
     with open(path, "rb") as f:
@@ -41,26 +54,36 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
         raise FileFormatError(
             f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}", offset=0
         )
-    if len(blob) < 10:
+    if len(blob) < HEADER_OFFSET:
         raise FileFormatError("truncated header", offset=len(blob))
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FileFormatError(f"unsupported version {version}", offset=4)
     (header_len,) = struct.unpack_from("<I", blob, 6)
-    if len(blob) < 10 + header_len:
+    end = HEADER_OFFSET + header_len
+    if len(blob) < end:
         raise FileFormatError("truncated JSON header", offset=len(blob))
     try:
-        header = json.loads(blob[10 : 10 + header_len].decode("utf-8"))
+        header = json.loads(blob[HEADER_OFFSET:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"bad JSON header: {e}", offset=10) from e
-    for key in ("kind", "config", "params"):
-        if key not in header:
-            raise FileFormatError(f"header missing key {key!r}", offset=10)
+        raise FileFormatError(f"bad JSON header: {e}", offset=HEADER_OFFSET) from e
+    if not isinstance(header, dict):
+        raise FileFormatError("header is not a JSON object", offset=HEADER_OFFSET)
+    for key, kind in (("kind", str), ("config", dict), ("params", list)):
+        if not isinstance(header.get(key), kind):
+            raise FileFormatError(
+                f"header key {key!r} missing or not a {kind.__name__}", offset=HEADER_OFFSET
+            )
+    for entry in header["params"]:
+        if not _is_param_entry(entry):
+            raise FileFormatError(
+                f"parameter entry {entry!r} is not [name, shape]", offset=HEADER_OFFSET
+            )
 
     params: dict[str, np.ndarray] = {}
-    offset = 10 + header_len
+    offset = end
     for name, shape in header["params"]:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = 4 * count
         if len(blob) < offset + nbytes:
             raise FileFormatError(
@@ -81,10 +104,30 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     return header["kind"], header["config"], params
 
 
-def load_into_store(path: str | Path, store: ParamStore, expect_kind: str | None = None):
-    """Load a checkpoint's buffers into an already constructed store."""
+def load(path: str | Path, *classes):
+    """The model a ``.semm`` holds, as an instance of one of ``classes``.
+
+    Each class names its checkpoints with ``KIND``, rebuilds an untrained
+    model from a header's config with ``from_config``, and holds its
+    parameters in ``store``, into which the file's buffers are copied;
+    parameters of the file that the model lacks are dropped. A kind outside
+    ``classes``, a config the class cannot build from, or a parameter the
+    file lacks or shapes differently raises ``FileFormatError`` at the
+    header's offset.
+    """
     kind, config, params = load_checkpoint(path)
-    if expect_kind is not None and kind != expect_kind:
-        raise FileFormatError(f"checkpoint kind {kind!r}, expected {expect_kind!r}")
-    store.load_state_dict({k: v.astype(np.float64) for k, v in params.items()})
-    return kind, config
+    by_kind = {cls.KIND: cls for cls in classes}
+    if kind not in by_kind:
+        expected = " or ".join(repr(k) for k in by_kind)
+        raise FileFormatError(
+            f"checkpoint kind {kind!r}, expected {expected}", offset=HEADER_OFFSET
+        )
+    try:
+        model = by_kind[kind].from_config(config)
+        model.store.load_state_dict(params)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FileFormatError(
+            f"{kind} checkpoint header does not describe a model: {type(e).__name__}: {e}",
+            offset=HEADER_OFFSET,
+        ) from e
+    return model

@@ -1,5 +1,8 @@
 """Transformer building blocks: linear, embeddings, multi-head attention,
-pre-norm encoder/decoder stacks, sinusoidal positions, attention pooling.
+pre-norm encoder/decoder stacks, sinusoidal positions, pooling.
+
+The encoder is the one skeleton every model embeds with: ``init_encoder``,
+``transformer_encode`` over frames or token ids, and ``pool_states``.
 
 Parameters are registered into a ParamStore under hierarchical names at init
 time; apply functions are pure given the store contents.
@@ -8,13 +11,13 @@ time; apply functions are pure given the store contents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import ValidationError
 from .optim import ParamStore
-from .tensor import Tensor, dropout, gelu, layer_norm, softmax, take_rows
+from .tensor import Tensor, concat, dropout, gelu, layer_norm, softmax, take_rows
 
 NEG_INF = -1e9
 
@@ -41,14 +44,7 @@ class EncoderConfig:
             raise ValidationError("dropout_rate must be in [0, 1)", field="dropout_rate")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "model_dim": self.model_dim,
-            "heads": self.heads,
-            "ff_dim": self.ff_dim,
-            "dropout_rate": self.dropout_rate,
-            "max_positions": self.max_positions,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
@@ -190,56 +186,106 @@ def apply_block(
     return x
 
 
-# -- encoder over continuous features -----------------------------------------
+# -- the encoder: input layer, positions, blocks, pooling ----------------------
 
-def init_feature_encoder(
+def _check_sequence(n: int, cfg: EncoderConfig, train_mode: bool, rng) -> None:
+    if n < 1:
+        raise ValidationError("empty sequence", field="x")
+    if n > cfg.max_positions:
+        raise ValidationError(
+            f"sequence length {n} exceeds max_positions {cfg.max_positions}",
+            field="max_positions",
+        )
+    if train_mode and cfg.dropout_rate > 0.0 and rng is None:
+        raise ValidationError("train_mode with dropout requires an rng", field="rng")
+
+
+def _run_blocks(
+    store: ParamStore,
+    prefix: str,
+    h: Tensor,
+    cfg: EncoderConfig,
+    mask: np.ndarray | None,
+    memory: Tensor | None,
+    train_mode: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Input dropout, the pre-norm blocks and the final layer norm."""
+    if train_mode and cfg.dropout_rate > 0.0:
+        h = dropout(h, cfg.dropout_rate, rng)
+    for layer in range(cfg.layers):
+        h = apply_block(
+            store, f"{prefix}.block{layer}", h, cfg,
+            self_mask=mask, memory=memory, train=train_mode, rng=rng,
+        )
+    return apply_layer_norm(store, f"{prefix}.ln_f", h)
+
+
+def init_encoder(
     store: ParamStore,
     rng: np.random.Generator,
     cfg: EncoderConfig,
-    d_in: int,
-    prefix: str = "enc",
+    d_in: int | None = None,
+    vocab: int | None = None,
+    pooling: str = "mean",
 ):
+    """Encoder parameters in saved order: the input layer (``enc.in`` over
+    ``d_in``-dim frames, or the ``tok`` table over ``vocab`` ids), the
+    blocks, ``enc.ln_f``, then what ``pooling`` needs: ``pool.W`` for
+    self-attention, and ``pool.cls`` for cls pooling over frames."""
     cfg.validate()
-    init_linear(store, rng, f"{prefix}.in", d_in, cfg.model_dim)
+    if vocab is None:
+        init_linear(store, rng, "enc.in", d_in, cfg.model_dim)
+    else:
+        init_embedding(store, rng, "tok", vocab, cfg.model_dim)
     for layer in range(cfg.layers):
-        init_block(store, rng, f"{prefix}.block{layer}", cfg)
-    init_layer_norm(store, f"{prefix}.ln_f", cfg.model_dim)
+        init_block(store, rng, f"enc.block{layer}", cfg)
+    init_layer_norm(store, "enc.ln_f", cfg.model_dim)
+    if pooling == "self_attention":
+        # zero pooling weight starts at plain mean pooling
+        store.add("pool.W", Tensor(np.zeros(cfg.model_dim)))
+    elif pooling == "cls" and vocab is None:
+        # token sequences open with CLS; frames get a learnable pseudo-frame,
+        # prepended so its contextual state can summarize the sequence
+        store.add("pool.cls", Tensor(0.02 * rng.standard_normal(d_in)))
 
 
 def transformer_encode(
-    x: Tensor,
+    x,
     store: ParamStore,
     cfg: EncoderConfig,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     valid: np.ndarray | None = None,
-    prefix: str = "enc",
 ) -> Tensor:
-    """Project frames, add positions, run pre-norm blocks; (B,T,d) or (T,d)."""
-    single = x.ndim == 2
+    """Contextual states of frames or token ids.
+
+    ``x`` is a (B, T, d_in) frame Tensor, read through ``enc.in``, or a
+    (B, T) integer id array, read through the ``tok`` table; a (T, d_in) or
+    (T,) input gives (T, d) states. Positions are added, and keys where the
+    (B, T) ``valid`` is False are masked out.
+    """
+    frames = isinstance(x, Tensor)
+    if not frames:
+        x = np.asarray(x, dtype=np.int64)
+    single = x.ndim == (2 if frames else 1)
     if single:
         x = x.reshape(1, *x.shape)
-    b, t, _ = x.shape
-    if t > cfg.max_positions:
-        raise ValidationError(
-            f"sequence length {t} exceeds max_positions {cfg.max_positions}",
-            field="max_positions",
-        )
-    if t < 1:
-        raise ValidationError("empty sequence", field="x")
-    if train_mode and cfg.dropout_rate > 0.0 and rng is None:
-        raise ValidationError("train_mode with dropout requires an rng", field="rng")
-
-    h = apply_linear(store, f"{prefix}.in", x) + Tensor(sinusoidal_positions(t, cfg.model_dim))
-    if train_mode and cfg.dropout_rate > 0.0:
-        h = dropout(h, cfg.dropout_rate, rng)
-    mask = padding_mask(valid) if valid is not None else None
-    for layer in range(cfg.layers):
-        h = apply_block(
-            store, f"{prefix}.block{layer}", h, cfg, self_mask=mask, train=train_mode, rng=rng
-        )
-    h = apply_layer_norm(store, f"{prefix}.ln_f", h)
+    t = x.shape[1]
+    _check_sequence(t, cfg, train_mode, rng)
+    h = apply_linear(store, "enc.in", x) if frames else take_rows(store["tok"], x)
+    h = h + Tensor(sinusoidal_positions(t, cfg.model_dim))
+    mask = padding_mask(valid) if valid is not None and not valid.all() else None
+    h = _run_blocks(store, "enc", h, cfg, mask, None, train_mode, rng)
     return h.reshape(t, cfg.model_dim) if single else h
+
+
+def prepend_frame(frame: Tensor, x: Tensor, valid: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Put one (d,) frame in front of every row of a padded (B, T, d) batch,
+    which gathers the frame's gradient over the rows."""
+    b, _, d = x.shape
+    lead = take_rows(frame.reshape(1, d), np.zeros((b, 1), dtype=np.int64))
+    return concat([lead, x], axis=1), np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
 
 
 def attention_pool(h: Tensor, w: Tensor, valid: np.ndarray | None = None) -> Tensor:
@@ -258,6 +304,23 @@ def attention_pool(h: Tensor, w: Tensor, valid: np.ndarray | None = None) -> Ten
     weights = softmax(scores, axis=-1)
     z = (weights.reshape(b, 1, t) @ h).reshape(b, d)
     return z.reshape(d) if single else z
+
+
+def pool_states(h: Tensor, store: ParamStore, pooling: str, mask: np.ndarray | None) -> Tensor:
+    """One vector per row of (B, T, d) states.
+
+    ``cls`` takes the state at position 0, ``mean`` averages the states where
+    ``mask`` is True, and ``self_attention`` attends over them with ``pool.W``.
+    """
+    if pooling == "cls":
+        return h[:, 0]
+    if pooling == "self_attention":
+        return attention_pool(h, store["pool.W"], valid=mask)
+    counts = mask.sum(axis=1)
+    if np.any(counts == 0):
+        raise ValidationError("sequence has no content to mean-pool", field="tokens")
+    weights = mask.astype(np.float64) / counts[:, None]
+    return (h * Tensor(weights[:, :, None])).sum(axis=1)
 
 
 # -- autoregressive decoder over tokens ---------------------------------------
@@ -309,43 +372,14 @@ def decode_tokens(
         tokens = tokens[None, :]
         z = z.reshape(1, *z.shape)
     b, s = tokens.shape
-    if s < 1:
-        raise ValidationError("empty token prefix", field="tokens")
-    if s > cfg.max_positions:
-        raise ValidationError(
-            f"sequence length {s} exceeds max_positions {cfg.max_positions}",
-            field="max_positions",
-        )
-    if tokens.min() < 0 or tokens.max() >= vocab:
-        raise ValidationError(
-            f"token id outside vocabulary of size {vocab}", field="tokens"
-        )
-    if train_mode and cfg.dropout_rate > 0.0 and rng is None:
-        raise ValidationError("train_mode with dropout requires an rng", field="rng")
-
-    h = take_rows(store[f"{prefix}.tok"], tokens) + Tensor(
-        sinusoidal_positions(s, cfg.model_dim)
-    )
+    _check_sequence(s, cfg, train_mode, rng)
+    h = take_rows(store[f"{prefix}.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
     memory = None
     if condition_mode == "add":
         h = h + z.reshape(b, 1, z.shape[-1])
     else:
         memory = z.reshape(b, 1, z.shape[-1])
-    if train_mode and cfg.dropout_rate > 0.0:
-        h = dropout(h, cfg.dropout_rate, rng)
-    mask = causal_mask(s)
-    for layer in range(cfg.layers):
-        h = apply_block(
-            store,
-            f"{prefix}.block{layer}",
-            h,
-            cfg,
-            self_mask=mask,
-            memory=memory,
-            train=train_mode,
-            rng=rng,
-        )
-    h = apply_layer_norm(store, f"{prefix}.ln_f", h)
+    h = _run_blocks(store, prefix, h, cfg, causal_mask(s), memory, train_mode, rng)
     logits = apply_linear(store, f"{prefix}.out", h)
     return logits.reshape(s, vocab) if single else logits
 

@@ -221,18 +221,6 @@ def quantize_corpus(corpus: Corpus, cb: Codebook) -> list[UnitSequence]:
     return out
 
 
-def standardize_frames(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-dimension zero-mean unit-variance scaling; returns (scaled, mean, scale).
-
-    Constant dimensions keep scale 1 to stay invertible.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    mean = frames.mean(axis=0)
-    scale = frames.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return (frames - mean) / scale, mean, scale
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

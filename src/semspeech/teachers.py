@@ -18,29 +18,24 @@ import numpy as np
 from .errors import ValidationError
 from .corpus import ScoredPairSet
 from .evaluation import pair_spearman
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn import checkpoint
 from .nn.layers import (
     EncoderConfig,
-    apply_block,
-    apply_layer_norm,
     apply_linear,
-    decode_tokens,
-    init_block,
-    init_layer_norm,
+    init_encoder,
     init_linear,
-    init_embedding,
     init_token_decoder,
-    padding_mask,
-    sinusoidal_positions,
+    pool_states,
+    transformer_encode,
 )
-from .nn.losses import infonce_batch, masked_cross_entropy, nll_loss
+from .nn.losses import infonce_batch, masked_cross_entropy
 from .nn.optim import ParamStore
-from .nn.tensor import Tensor, dropout, no_grad, take_rows
+from .nn.tensor import Tensor, no_grad
 from .random_utils import derive_rng
-from .tokenizer import CLS, MASK, N_SPECIALS, PAD, SEP, TokenSequence
+from .tokenizer import CLS, MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
 from .training import fit, mean_loss, optimizer_step, split_dev
-from .wavembed import CurvePoint, _pad_targets
+from .wavembed import CurvePoint, decode_loss
 
 logger = logging.getLogger(__name__)
 
@@ -53,23 +48,10 @@ def _content_mask(tokens: np.ndarray) -> np.ndarray:
     return ~np.isin(tokens, _STRUCTURAL)
 
 
-def _as_token_array(seq) -> np.ndarray:
-    arr = np.asarray(getattr(seq, "tokens", seq), dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValidationError("expected a 1-D token sequence of length >= 2", field="tokens")
-    return arr
-
-
-def _pad_batch(seqs: Sequence[np.ndarray]) -> np.ndarray:
-    s_max = max(len(s) for s in seqs)
-    out = np.full((len(seqs), s_max), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
-
-
 class SequenceEncoder:
     """Token embedding + transformer + pooling into one vector per sequence."""
+
+    KIND = "seq-encoder"
 
     def __init__(
         self,
@@ -100,26 +82,10 @@ class SequenceEncoder:
                 "vocabulary must extend beyond the special ids", field="vocab"
             )
         cfg = cfg or EncoderConfig()
-        cfg.validate()
         rng = derive_rng(seed, "seq-encoder", "init")
         store = ParamStore()
-        init_embedding(store, rng, "tok", vocab, cfg.model_dim)
-        for layer in range(cfg.layers):
-            init_block(store, rng, f"enc.block{layer}", cfg)
-        init_layer_norm(store, "enc.ln_f", cfg.model_dim)
+        init_encoder(store, rng, cfg, vocab=vocab, pooling=pooling)
         return cls(store, cfg, vocab, pooling=pooling)
-
-    def _check_tokens(self, tokens: np.ndarray) -> None:
-        if tokens.shape[1] > self.cfg.max_positions:
-            raise ValidationError(
-                f"sequence length {tokens.shape[1]} exceeds max_positions "
-                f"{self.cfg.max_positions}",
-                field="max_positions",
-            )
-        if tokens.min() < 0 or tokens.max() >= self.vocab:
-            raise ValidationError(
-                f"token id outside vocabulary of size {self.vocab}", field="tokens"
-            )
 
     def encode(
         self,
@@ -129,42 +95,13 @@ class SequenceEncoder:
     ) -> Tensor:
         """Contextual states (B, S, d) for a padded (B, S) id matrix."""
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-        self._check_tokens(tokens)
-        if train_mode and self.cfg.dropout_rate > 0.0 and rng is None:
-            raise ValidationError("train_mode with dropout requires an rng", field="rng")
-        s = tokens.shape[1]
-        h = take_rows(self.store["tok"], tokens) + Tensor(
-            sinusoidal_positions(s, self.cfg.model_dim)
+        return transformer_encode(
+            tokens, self.store, self.cfg, train_mode=train_mode, rng=rng, valid=tokens != PAD
         )
-        if train_mode and self.cfg.dropout_rate > 0.0:
-            h = dropout(h, self.cfg.dropout_rate, rng)
-        valid = tokens != PAD
-        mask = padding_mask(valid) if not valid.all() else None
-        for layer in range(self.cfg.layers):
-            h = apply_block(
-                self.store,
-                f"enc.block{layer}",
-                h,
-                self.cfg,
-                self_mask=mask,
-                train=train_mode,
-                rng=rng,
-            )
-        return apply_layer_norm(self.store, "enc.ln_f", h)
 
     def pool(self, states: Tensor, tokens: np.ndarray) -> Tensor:
         """One vector per row: CLS state or the mean over content positions."""
-        tokens = np.atleast_2d(tokens)
-        if self.pooling == "cls":
-            return states[:, 0]
-        content = _content_mask(tokens)
-        counts = content.sum(axis=1)
-        if np.any(counts == 0):
-            raise ValidationError(
-                "sequence has no content tokens to mean-pool", field="tokens"
-            )
-        weights = content.astype(np.float64) / counts[:, None]
-        return (states * Tensor(weights[:, :, None])).sum(axis=1)
+        return pool_states(states, self.store, self.pooling, _content_mask(np.atleast_2d(tokens)))
 
     def embed_train(
         self, tokens: np.ndarray, rng: np.random.Generator
@@ -173,19 +110,17 @@ class SequenceEncoder:
         return self.pool(self.encode(tokens, train_mode=True, rng=rng), tokens)
 
     def embed(self, seq) -> np.ndarray:
-        arr = _as_token_array(seq)
+        tokens = token_array(seq)[None, :]
         with no_grad():
-            z = self.pool(self.encode(arr[None, :]), arr[None, :])
-        return z.data[0].copy()
+            return self.pool(self.encode(tokens), tokens).data[0].copy()
 
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
-        arrs = [_as_token_array(s) for s in seqs]
+        arrs = [token_array(s) for s in seqs]
         if not arrs:
             return np.zeros((0, self.cfg.model_dim))
-        tokens = _pad_batch(arrs)
+        tokens = pad_tokens(arrs)
         with no_grad():
-            z = self.pool(self.encode(tokens), tokens)
-        return z.data.copy()
+            return self.pool(self.encode(tokens), tokens).data.copy()
 
     def config_dict(self) -> dict:
         return {
@@ -194,25 +129,22 @@ class SequenceEncoder:
             "pooling": self.pooling,
         }
 
+    @classmethod
+    def from_config(cls, config: dict) -> "SequenceEncoder":
+        return cls.create(
+            vocab=int(config["vocab"]),
+            cfg=EncoderConfig.from_dict(config["encoder"]),
+            pooling=config["pooling"],
+        )
+
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, kind="seq-encoder", config=self.config_dict(), store=self.store)
+        checkpoint.save_checkpoint(path, self.KIND, self.config_dict(), self.store)
 
     @classmethod
     def load(cls, path: str | Path) -> "SequenceEncoder":
         """Rebuild from a checkpoint; auxiliary heads (mlm/decoder) in the
         file are dropped, only the embedding-relevant parameters survive."""
-        kind, config, params = load_checkpoint(path)
-        if kind != "seq-encoder":
-            raise ValidationError(
-                f"checkpoint kind {kind!r} is not 'seq-encoder'", field="kind"
-            )
-        enc = cls.create(
-            vocab=int(config["vocab"]),
-            cfg=EncoderConfig.from_dict(config["encoder"]),
-            pooling=config["pooling"],
-        )
-        enc.store.load_state_dict(params)
-        return enc
+        return checkpoint.load(path, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +208,7 @@ def mlm_pretrain(
         raise ValidationError("steps must be >= 1", field="steps")
     arrs = []
     for seq in corpus:
-        arr = _as_token_array(seq)
+        arr = token_array(seq)
         if not _content_mask(arr).any():
             source = getattr(seq, "source_id", "") or "<unnamed>"
             logger.warning("skipping %s: sequence holds only special tokens", source)
@@ -288,7 +220,7 @@ def mlm_pretrain(
     rng = derive_rng(seed, "mlm", "train")
 
     def step(chunk) -> float:
-        batch = _pad_batch(chunk)
+        batch = pad_tokens(chunk)
         corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
         logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
         loss = masked_cross_entropy(logits, batch, mask)
@@ -374,6 +306,12 @@ class Teacher:
     kind: str
     info: dict = field(default_factory=dict)
 
+    KIND = "teacher"
+
+    @property
+    def store(self) -> ParamStore:
+        return self.encoder.store
+
     def embed(self, seq) -> np.ndarray:
         return self.encoder.embed(seq)
 
@@ -389,43 +327,15 @@ class Teacher:
                 slim.add(name, Tensor(p.data.copy()))
         config = self.encoder.config_dict()
         config["teacher_kind"] = self.kind
-        save_checkpoint(path, kind="teacher", config=config, store=slim)
+        checkpoint.save_checkpoint(path, self.KIND, config, slim)
+
+    @classmethod
+    def from_config(cls, config: dict) -> "Teacher":
+        return cls(encoder=SequenceEncoder.from_config(config), kind=config["teacher_kind"])
 
     @classmethod
     def load(cls, path: str | Path) -> "Teacher":
-        kind, config, params = load_checkpoint(path)
-        if kind != "teacher":
-            raise ValidationError(f"checkpoint kind {kind!r} is not 'teacher'", field="kind")
-        encoder = SequenceEncoder.create(
-            vocab=int(config["vocab"]),
-            cfg=EncoderConfig.from_dict(config["encoder"]),
-            pooling=config["pooling"],
-        )
-        encoder.store.load_state_dict(params)
-        return cls(encoder=encoder, kind=config["teacher_kind"])
-
-
-def _tsdae_batch_loss(
-    encoder: SequenceEncoder,
-    decoder_cfg: EncoderConfig,
-    corrupted: Sequence[np.ndarray],
-    originals: Sequence[np.ndarray],
-    train_mode: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    tokens = _pad_batch(list(corrupted))
-    z = encoder.pool(encoder.encode(tokens, train_mode=train_mode, rng=rng), tokens)
-    inputs, targets = _pad_targets(list(originals))
-    logits = decode_tokens(
-        inputs,
-        z,
-        encoder.store,
-        decoder_cfg,
-        encoder.vocab,
-        train_mode=train_mode,
-        rng=rng,
-    )
-    return nll_loss(logits, targets, pad_id=PAD)
+        return checkpoint.load(path, cls)
 
 
 def train_tsdae(
@@ -438,7 +348,7 @@ def train_tsdae(
     cfg.validate()
     if cfg.kind != "tsdae":
         raise ValidationError("config kind must be 'tsdae'", field="kind")
-    seqs = [TokenSequence(list(_as_token_array(s)), getattr(s, "source_id", "")) for s in corpus]
+    seqs = [TokenSequence(list(token_array(s)), getattr(s, "source_id", "")) for s in corpus]
     if not seqs:
         raise ValidationError("corpus is empty", field="corpus")
     decoder_cfg = decoder_cfg or encoder.cfg
@@ -464,7 +374,12 @@ def train_tsdae(
 
     def batch_loss(examples, train_mode=False, rng=None) -> Tensor:
         corrupted, originals = zip(*examples)
-        return _tsdae_batch_loss(encoder, decoder_cfg, corrupted, originals, train_mode, rng)
+        tokens = pad_tokens(corrupted)
+        z = encoder.pool(encoder.encode(tokens, train_mode=train_mode, rng=rng), tokens)
+        return decode_loss(
+            z, originals, encoder.store, decoder_cfg, encoder.vocab,
+            train_mode=train_mode, rng=rng,
+        )
 
     def step(chunk) -> float:
         loss = batch_loss(corrupt(chunk, rng), True, rng)
@@ -505,7 +420,7 @@ def train_simcse(
         raise ValidationError(
             "batch_size must be >= 2 to provide in-batch negatives", field="batch_size"
         )
-    seqs = [TokenSequence(list(_as_token_array(s)), getattr(s, "source_id", "")) for s in corpus]
+    seqs = [TokenSequence(list(token_array(s)), getattr(s, "source_id", "")) for s in corpus]
     if not seqs:
         raise ValidationError("corpus is empty", field="corpus")
     by_id = {s.source_id: np.asarray(s.tokens) for s in seqs if s.source_id}
@@ -522,7 +437,7 @@ def train_simcse(
     def step(chunk) -> float | None:
         if len(chunk) < 2:
             return None  # a lone trailing sequence has no in-batch negatives
-        tokens = _pad_batch([np.asarray(s.tokens) for s in chunk])
+        tokens = pad_tokens([np.asarray(s.tokens) for s in chunk])
         z1 = encoder.embed_train(tokens, rng)
         z2 = encoder.embed_train(tokens, rng)
         loss = infonce_batch(z1, z2, tau=cfg.tau)

@@ -11,6 +11,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FileFormatError, ValidationError
 from .quantizer import UnitSequence
 
@@ -36,6 +38,22 @@ class TokenSequence:
                 raise ValidationError(
                     f"interior token {t} is a special other than UNK", field="tokens"
                 )
+
+
+def token_array(seq) -> np.ndarray:
+    """A TokenSequence or a list of ids as a 1-D int64 array."""
+    arr = np.asarray(getattr(seq, "tokens", seq), dtype=np.int64)
+    if arr.ndim != 1 or arr.shape[0] < 2:
+        raise ValidationError("expected a 1-D token sequence of length >= 2", field="tokens")
+    return arr
+
+
+def pad_tokens(seqs) -> np.ndarray:
+    """(len(seqs), longest) int64 matrix of the id arrays, PAD after each."""
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out
 
 
 @dataclass

@@ -92,11 +92,13 @@ def fit(
 
     Each epoch feeds ``items`` in the order of ``rng.permutation``,
     ``batch_size`` at a time, to ``step``, which returns the batch loss or
-    ``None`` for a batch it skips. ``evaluate`` runs at step 0, then after
-    every epoch, or every ``eval_every`` steps if that is set. ``store`` ends
-    at the parameters of the best evaluation: the lowest, or the highest with
-    ``maximize``, taking only strict improvements. ``patience`` stops the run
-    once that many evaluations in a row fail to improve.
+    ``None`` for a batch it skips. A first epoch that skips every batch
+    raises ``ValidationError``: the run would train nothing. ``evaluate``
+    runs at step 0, then after every epoch, or every ``eval_every`` steps if
+    that is set. ``store`` ends at the parameters of the best evaluation: the
+    lowest, or the highest with ``maximize``, taking only strict
+    improvements. ``patience`` stops the run once that many evaluations in a
+    row fail to improve.
 
     Returns ``(evals, losses, best)``: one ``(step, mean train loss since the
     previous evaluation or None, value)`` per evaluation, the loss of every
@@ -119,7 +121,7 @@ def fit(
         return stopper is not None and stopper.update(value if maximize else -value)
 
     stop = evaluate is not None and evaluate_now()
-    for _epoch in range(epochs) if epochs is not None else itertools.count():
+    for epoch in range(epochs) if epochs is not None else itertools.count():
         if stop or len(losses) == max_steps:
             break
         order = rng.permutation(len(items))
@@ -134,6 +136,12 @@ def fit(
                 stop = evaluate_now()
             if stop or len(losses) == max_steps:
                 break
+        if epoch == 0 and not losses:
+            raise ValidationError(
+                f"the first epoch skipped all {len(items)} items in batches of "
+                f"{batch_size} and took no optimizer step",
+                field="batch_size",
+            )
         if evaluate is not None and eval_every is None and not stop:
             stop = evaluate_now()
     if best_state is not None:

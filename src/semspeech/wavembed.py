@@ -8,7 +8,7 @@ dropped; embedding extraction only ever reads encoder and pooling parameters.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -16,21 +16,22 @@ import numpy as np
 
 from .corpus import Corpus, FeatureSequence
 from .errors import ValidationError
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn import checkpoint
 from .nn.layers import (
     EncoderConfig,
-    attention_pool,
     decode_tokens,
     decoder_step,
-    init_feature_encoder,
+    init_encoder,
     init_token_decoder,
+    pool_states,
+    prepend_frame,
     transformer_encode,
 )
 from .nn.losses import nll_loss
 from .nn.optim import ParamStore
 from .nn.tensor import Tensor, no_grad
 from .random_utils import derive_rng
-from .tokenizer import CLS, PAD, SEP
+from .tokenizer import CLS, PAD, SEP, pad_tokens, token_array
 from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
 
 DEFAULT_MAX_TARGET_LEN = 256
@@ -75,17 +76,52 @@ def _as_frames(x) -> np.ndarray:
     return arr
 
 
-def _as_tokens(seq) -> np.ndarray:
-    arr = np.asarray(getattr(seq, "tokens", seq), dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValidationError(
-            "target must be a 1-D token sequence of length >= 2", field="target"
-        )
-    return arr
+def encode_frames(
+    store: ParamStore,
+    cfg: EncoderConfig,
+    pooling: str,
+    frame_list: Sequence,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Pad frame sequences into one batch, encode it and pool each row to one
+    (B, d) vector; cls pooling first puts ``pool.cls`` in front of each row."""
+    x, valid = _pad_frames([_as_frames(f) for f in frame_list])
+    x = Tensor(x)
+    if pooling == "cls":
+        x, valid = prepend_frame(store["pool.cls"], x, valid)
+    h = transformer_encode(x, store, cfg, train_mode=train_mode, rng=rng, valid=valid)
+    return pool_states(h, store, pooling, valid)
+
+
+def decode_loss(
+    z: Tensor,
+    token_list: Sequence[np.ndarray],
+    store: ParamStore,
+    cfg: EncoderConfig,
+    vocab: int,
+    condition_mode: str = "memory",
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Mean NLL of decoding each token sequence from its row of ``z``."""
+    logits = decode_tokens(
+        pad_tokens([t[:-1] for t in token_list]),
+        z,
+        store,
+        cfg,
+        vocab,
+        condition_mode=condition_mode,
+        train_mode=train_mode,
+        rng=rng,
+    )
+    return nll_loss(logits, pad_tokens([t[1:] for t in token_list]), pad_id=PAD)
 
 
 class WavEmbedModel:
     """Feature encoder + attention pooling + token decoder in one store."""
+
+    KIND = "wavembed"
 
     def __init__(
         self,
@@ -123,23 +159,14 @@ class WavEmbedModel:
                 "vocabulary must cover the 5 special ids plus content", field="vocab"
             )
         encoder_cfg = encoder_cfg or EncoderConfig()
-        decoder_cfg = decoder_cfg or EncoderConfig(
-            layers=encoder_cfg.layers,
-            model_dim=encoder_cfg.model_dim,
-            heads=encoder_cfg.heads,
-            ff_dim=encoder_cfg.ff_dim,
-            dropout_rate=encoder_cfg.dropout_rate,
-            max_positions=encoder_cfg.max_positions,
-        )
+        decoder_cfg = decoder_cfg or replace(encoder_cfg)
         if decoder_cfg.model_dim != encoder_cfg.model_dim:
             raise ValidationError(
                 "encoder and decoder must share model_dim", field="model_dim"
             )
         rng = derive_rng(seed, "wavembed", "init")
         store = ParamStore()
-        init_feature_encoder(store, rng, encoder_cfg, d_in, prefix="enc")
-        # zero pooling weight starts at plain mean pooling
-        store.add("pool.W", Tensor(np.zeros(encoder_cfg.model_dim)))
+        init_encoder(store, rng, encoder_cfg, d_in=d_in, pooling="self_attention")
         init_token_decoder(
             store, rng, decoder_cfg, vocab, prefix="dec", condition_mode=condition_mode
         )
@@ -155,31 +182,25 @@ class WavEmbedModel:
 
     # -- embedding ----------------------------------------------------------
 
-    def _encode_pool(
+    def _encode(
         self,
-        x: Tensor,
-        valid: np.ndarray | None,
-        train_mode: bool,
-        rng: np.random.Generator | None,
+        frame_list: Sequence,
+        train_mode: bool = False,
+        rng: np.random.Generator | None = None,
     ) -> Tensor:
-        h = transformer_encode(
-            x, self.store, self.encoder_cfg, train_mode=train_mode, rng=rng, valid=valid
+        return encode_frames(
+            self.store, self.encoder_cfg, "self_attention", frame_list, train_mode, rng
         )
-        return attention_pool(h, self.store["pool.W"], valid=valid)
 
     def embed(self, features) -> np.ndarray:
-        frames = _as_frames(features)
         with no_grad():
-            z = self._encode_pool(Tensor(frames), None, False, None)
-        return z.data.copy()
+            return self._encode([features]).data[0].copy()
 
     def embed_batch(self, features: Iterable) -> np.ndarray:
-        def forward(frame_list):
-            x, valid = _pad_frames(frame_list)
-            return self._encode_pool(Tensor(x), valid, False, None).data
-
         with no_grad():
-            return _embed_by_length(forward, features, self.encoder_cfg.model_dim)
+            return _embed_by_length(
+                lambda frames: self._encode(frames).data, features, self.encoder_cfg.model_dim
+            )
 
     # -- reconstruction -----------------------------------------------------
 
@@ -203,22 +224,7 @@ class WavEmbedModel:
         train_mode: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        self._require_decoder()
-        tokens = _as_tokens(target)
-        self._check_target_len(len(tokens))
-        frames = _as_frames(features)
-        z = self._encode_pool(Tensor(frames), None, train_mode, rng)
-        logits = decode_tokens(
-            tokens[:-1],
-            z,
-            self.store,
-            self.decoder_cfg,
-            self.vocab,
-            condition_mode=self.condition_mode,
-            train_mode=train_mode,
-            rng=rng,
-        )
-        return nll_loss(logits, tokens[1:], pad_id=PAD)
+        return self.batch_loss([features], [target], train_mode, rng)
 
     def batch_loss(
         self,
@@ -233,30 +239,21 @@ class WavEmbedModel:
                 "need equal, non-zero numbers of feature and target sequences",
                 field="batch",
             )
-        for t in token_list:
+        tokens = [token_array(t) for t in token_list]
+        for t in tokens:
             self._check_target_len(len(t))
-        x, valid = _pad_frames([_as_frames(f) for f in frame_list])
-        inputs, targets = _pad_targets([_as_tokens(t) for t in token_list])
-        z = self._encode_pool(Tensor(x), valid, train_mode, rng)
-        logits = decode_tokens(
-            inputs,
-            z,
-            self.store,
-            self.decoder_cfg,
-            self.vocab,
-            condition_mode=self.condition_mode,
-            train_mode=train_mode,
-            rng=rng,
+        z = self._encode(frame_list, train_mode, rng)
+        return decode_loss(
+            z, tokens, self.store, self.decoder_cfg, self.vocab,
+            condition_mode=self.condition_mode, train_mode=train_mode, rng=rng,
         )
-        return nll_loss(logits, targets, pad_id=PAD)
 
     def greedy_decode(self, features, max_len: int = 64) -> np.ndarray:
         self._require_decoder()
         if max_len < 2:
             raise ValidationError("max_len must be >= 2", field="max_len")
-        frames = _as_frames(features)
         with no_grad():
-            z = self._encode_pool(Tensor(frames), None, False, None)
+            z = self._encode([features])[0]
             out = [CLS]
             while len(out) < max_len:
                 logits = decoder_step(
@@ -295,6 +292,20 @@ class WavEmbedModel:
             "has_decoder": self.has_decoder,
         }
 
+    @classmethod
+    def from_config(cls, config: dict) -> "WavEmbedModel":
+        model = cls.create(
+            d_in=int(config["d_in"]),
+            vocab=int(config["vocab"]),
+            encoder_cfg=EncoderConfig.from_dict(config["encoder"]),
+            decoder_cfg=EncoderConfig.from_dict(config["decoder"]),
+            condition_mode=config["condition_mode"],
+            max_target_len=int(config["max_target_len"]),
+        )
+        if not config.get("has_decoder", True):
+            model.strip_decoder()
+        return model
+
     def save(self, path: str | Path, encoder_only: bool = False) -> None:
         store = self.store
         has_decoder = self.has_decoder
@@ -306,31 +317,11 @@ class WavEmbedModel:
             has_decoder = False
         config = self.config_dict()
         config["has_decoder"] = has_decoder
-        save_checkpoint(path, kind="wavembed", config=config, store=store)
+        checkpoint.save_checkpoint(path, self.KIND, config, store)
 
     @classmethod
     def load(cls, path: str | Path) -> "WavEmbedModel":
-        return cls.from_checkpoint(*load_checkpoint(path))
-
-    @classmethod
-    def from_checkpoint(cls, kind: str, config: dict, params) -> "WavEmbedModel":
-        """Rebuild a model from the parts ``load_checkpoint`` returns."""
-        if kind != "wavembed":
-            raise ValidationError(f"checkpoint kind {kind!r} is not 'wavembed'", field="kind")
-        encoder_cfg = EncoderConfig.from_dict(config["encoder"])
-        decoder_cfg = EncoderConfig.from_dict(config["decoder"])
-        model = cls.create(
-            d_in=int(config["d_in"]),
-            vocab=int(config["vocab"]),
-            encoder_cfg=encoder_cfg,
-            decoder_cfg=decoder_cfg,
-            condition_mode=config["condition_mode"],
-            max_target_len=int(config["max_target_len"]),
-        )
-        if not config.get("has_decoder", True):
-            model.strip_decoder()
-        model.store.load_state_dict(params)
-        return model
+        return checkpoint.load(path, cls)
 
 
 def _pad_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -368,16 +359,6 @@ def _embed_by_length(forward, features: Iterable, dim: int) -> np.ndarray:
     return out
 
 
-def _pad_targets(token_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    s_max = max(len(t) for t in token_list)
-    inputs = np.full((len(token_list), s_max - 1), PAD, dtype=np.int64)
-    targets = np.full((len(token_list), s_max - 1), PAD, dtype=np.int64)
-    for i, t in enumerate(token_list):
-        inputs[i, : len(t) - 1] = t[:-1]
-        targets[i, : len(t) - 1] = t[1:]
-    return inputs, targets
-
-
 def train_wavembed(
     model: WavEmbedModel,
     corpus: Corpus,
@@ -398,7 +379,7 @@ def train_wavembed(
     for u in corpus:
         if u.id not in targets:
             raise ValidationError(f"no target sequence for utterance {u.id!r}", field=u.id)
-        t = _as_tokens(targets[u.id])
+        t = token_array(targets[u.id])
         model._check_target_len(len(t))
         if t.min() < 0 or t.max() >= model.vocab:
             raise ValidationError(

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a toy configuration."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -288,3 +289,43 @@ def test_search_rejects_ambiguous_query(pipeline, tmp_path, capsys):
     ])
     assert rc == 1
     assert "query" in capsys.readouterr().err
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with ``edit`` applied to its JSON header."""
+    (n,) = struct.unpack_from("<I", blob, 6)
+    header = json.loads(blob[10 : 10 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + n :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(params=7),
+        lambda h: h.update(params=[["a"]]),
+        lambda h: h["params"][0].__setitem__(1, ["x"]),
+        lambda h: h["config"].pop("d_in"),
+        lambda h: h["config"]["encoder"].update(depth=3),
+    ],
+    ids=[
+        "params-not-a-list", "entry-without-shape", "shape-not-ints", "no-d_in",
+        "unknown-encoder-key",
+    ],
+)
+def test_malformed_checkpoint_header_exits_with_one_line_error(
+    pipeline, tmp_path, capsys, edit
+):
+    root, c = pipeline
+    bad = tmp_path / "bad.semm"
+    bad.write_bytes(_with_header((root / "student" / "student.semm").read_bytes(), edit))
+    rc = main([
+        "build-index", "--config", c, "--out", str(tmp_path / "o"),
+        "--model", str(bad), "--corpus", str(root / "data" / "corpus"),
+    ])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tFileFormatError\t")
+    assert errors[0].endswith("(byte offset 10)")

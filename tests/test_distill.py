@@ -505,8 +505,8 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs):
 
 
 # batches of one under InfoNCE are all skipped while the bank is empty, and
-# nothing fills it, so that run never steps; 9 items in batches of 4 or 2
-# end in a singleton that is trained on
+# nothing fills it, so that run would never step and must fail instead; 9
+# items in batches of 4 or 2 end in a singleton that is trained on
 @pytest.mark.parametrize("loss, batch_size", [("infonce", 1), ("infonce", 4), ("mse", 2)])
 def test_distill_train_matches_reference_loop(loss, batch_size):
     corpus, targets = toy_corpus(n=9, seed=18)
@@ -514,15 +514,18 @@ def test_distill_train_matches_reference_loop(loss, batch_size):
     cfg = DistillConfig(loss=loss, lr=3e-3, batch_size=batch_size, epochs=3, seed=18)
     teacher = make_teacher(seed=18)
     student, ref = make_student(seed=18), make_student(seed=18)
+    if batch_size == 1:
+        with pytest.raises(ValidationError, match="took no optimizer step"):
+            distill_train(student, teacher, corpus, targets, cfg, dev)
+        return
     history, info = distill_train(student, teacher, corpus, targets, cfg, dev)
     ref_history, ref_best = distill_reference(ref, teacher, corpus, targets, cfg, dev)
     assert history == ref_history
     assert info["best_dev_spearman"] == ref_best
     assert store_hash(student.store) == store_hash(ref.store)
-    trained = history[-1][0] > 0
-    assert trained == (batch_size > 1)
-    if trained:  # keep-best chose a trained state, so the parameters compare training
-        assert info["best_dev_spearman"] > history[0][1]
+    assert history[-1][0] > 0
+    # keep-best chose a trained state, so the parameters compare training
+    assert info["best_dev_spearman"] > history[0][1]
 
 
 def test_distill_train_mse_mode_runs():

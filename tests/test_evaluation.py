@@ -11,7 +11,6 @@ from semspeech.evaluation import (
     average_ranks,
     cosine,
     evaluate,
-    inter_rater_agreement,
     l2_normalize,
     load_report,
     recall_at_k,
@@ -256,32 +255,6 @@ def test_evaluate_scale_invariance():
     assert scaled.spearman == base.spearman
     for p, q in zip(base.per_pair, scaled.per_pair):
         assert p.predicted == q.predicted
-
-
-# ---------------------------------------------------------------------------
-# inter-rater agreement
-# ---------------------------------------------------------------------------
-
-def test_inter_rater_identical_raters():
-    ratings = np.tile(np.array([1.0, 3.0, 2.0, 5.0]), (3, 1))
-    assert inter_rater_agreement(ratings) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inter_rater_reversed_pair():
-    ratings = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    assert inter_rater_agreement(ratings) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_inter_rater_synthetic_high_agreement():
-    rng = np.random.default_rng(8)
-    truth = rng.uniform(0, 5, size=60)
-    raters = np.stack([truth + 0.15 * rng.standard_normal(60) for _ in range(4)])
-    assert inter_rater_agreement(raters) > 0.9
-
-
-def test_inter_rater_needs_two_raters():
-    with pytest.raises(ValidationError):
-        inter_rater_agreement(np.ones((1, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, ValidationError
-from semspeech.nn.checkpoint import load_checkpoint, load_into_store, save_checkpoint
+from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
     EncoderConfig,
@@ -13,7 +16,7 @@ from semspeech.nn.layers import (
     decode_tokens,
     decoder_step,
     init_attention,
-    init_feature_encoder,
+    init_encoder,
     init_linear,
     init_token_decoder,
     sinusoidal_positions,
@@ -451,7 +454,7 @@ def test_encoder_shapes_and_determinism():
     rng = np.random.default_rng(29)
     cfg = EncoderConfig(layers=2, model_dim=16, heads=4, ff_dim=32, dropout_rate=0.1)
     store = ParamStore()
-    init_feature_encoder(store, rng, cfg, d_in=6)
+    init_encoder(store, rng, cfg, d_in=6)
     x = Tensor(rng.standard_normal((1, 16, 6)))
     h1 = transformer_encode(x, store, cfg)
     h2 = transformer_encode(x, store, cfg)
@@ -466,7 +469,7 @@ def test_encoder_rejects_overlong():
     rng = np.random.default_rng(30)
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=16, max_positions=4)
     store = ParamStore()
-    init_feature_encoder(store, rng, cfg, d_in=3)
+    init_encoder(store, rng, cfg, d_in=3)
     with pytest.raises(ValidationError):
         transformer_encode(Tensor(np.zeros((5, 3))), store, cfg)
 
@@ -475,7 +478,7 @@ def test_encoder_grad():
     rng = np.random.default_rng(31)
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
     store = ParamStore()
-    init_feature_encoder(store, rng, cfg, d_in=4)
+    init_encoder(store, rng, cfg, d_in=4)
     x = rand_t(rng, 3, 4)
     params = [p for _, p in store.items()]
     err = grad_check(lambda: (transformer_encode(x, store, cfg) ** 2).sum(), params + [x])
@@ -486,7 +489,7 @@ def test_encoder_padding_mask_blocks_pad_frames():
     rng = np.random.default_rng(32)
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
     store = ParamStore()
-    init_feature_encoder(store, rng, cfg, d_in=4)
+    init_encoder(store, rng, cfg, d_in=4)
     x = rng.standard_normal((2, 5, 4))
     valid = np.array([[True] * 5, [True, True, True, False, False]])
     h = transformer_encode(Tensor(x), store, cfg, valid=valid)
@@ -812,7 +815,7 @@ def _encoder_decoder_grads(seed):
     rng = np.random.default_rng(seed)
     cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.2)
     store = ParamStore()
-    init_feature_encoder(store, rng, cfg, d_in=4)
+    init_encoder(store, rng, cfg, d_in=4)
     init_token_decoder(store, rng, cfg, 7, condition_mode="memory")
     x = Tensor(rng.standard_normal((2, 5, 4)))
     valid = np.array([[True] * 5, [True, True, True, False, False]])
@@ -844,6 +847,21 @@ def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+class _ToyModel:
+    """The least a class needs for ``load``: a kind, a rebuild, a store."""
+
+    KIND = "test-model"
+
+    def __init__(self, dim: int):
+        self.store = ParamStore()
+        self.store.add("a.w", Tensor(np.zeros((3, dim))))
+        self.store.add("a.b", Tensor(np.zeros(dim)))
+
+    @classmethod
+    def from_config(cls, config: dict) -> "_ToyModel":
+        return cls(config["dim"])
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(38)
     store = ParamStore()
@@ -858,10 +876,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(params["a.w"], store["a.w"].data.astype(np.float32))
 
     # load back into a fresh store with the same structure
-    store2 = ParamStore()
-    store2.add("a.w", Tensor(np.zeros((3, 4))))
-    store2.add("a.b", Tensor(np.zeros(4)))
-    load_into_store(path, store2, expect_kind="test-model")
+    store2 = load(path, _ToyModel).store
     assert np.array_equal(store2["a.w"].data, store["a.w"].data.astype(np.float32).astype(np.float64))
 
 
@@ -899,4 +914,32 @@ def test_checkpoint_wrong_kind(tmp_path):
     path = tmp_path / "m.semm"
     save_checkpoint(path, "kind-a", {}, store)
     with pytest.raises(FileFormatError):
-        load_into_store(path, store, expect_kind="kind-b")
+        load(path, _ToyModel)
+
+
+def _saved_student(path) -> bytes:
+    cfg = EncoderConfig(layers=1, model_dim=4, heads=2, ff_dim=6)
+    StudentModel.create(d_in=3, cfg=cfg, pooling="cls", seed=1).save(path)
+    return path.read_bytes()
+
+
+@st.composite
+def _damaged(draw, blob: bytes) -> bytes:
+    """``blob`` cut short at any byte, or with any one byte set to any value."""
+    at = draw(st.integers(0, len(blob) - 1))
+    if draw(st.booleans()):
+        return blob[:at]
+    return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_student_checkpoint_loads_or_raises_format_error(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("semm")
+    blob = data.draw(_damaged(_saved_student(directory / "student.semm")))
+    path = directory / "damaged.semm"
+    path.write_bytes(blob)
+    try:
+        load(path, StudentModel)
+    except FileFormatError as e:
+        assert e.offset is not None

@@ -17,7 +17,6 @@ from semspeech.quantizer import (
     quantize_corpus,
     read_codebook,
     save_unit_corpus,
-    standardize_frames,
     train_kmeans,
     write_codebook,
 )
@@ -294,27 +293,6 @@ def test_quantize_error_names_utterance():
     with pytest.raises(ValidationError) as e:
         quantize_corpus(corpus, cb)
     assert "bad-dim" in str(e.value)
-
-
-# ---------------------------------------------------------------------------
-# standardization
-# ---------------------------------------------------------------------------
-
-def test_standardize_round_trip():
-    rng = np.random.default_rng(5)
-    frames = rng.standard_normal((100, 4)) * 3.0 + 1.5
-    scaled, mean, scale = standardize_frames(frames)
-    assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(scaled * scale + mean, frames, atol=1e-12)
-
-
-def test_standardize_constant_dim():
-    frames = np.zeros((10, 2))
-    frames[:, 0] = 7.0
-    scaled, mean, scale = standardize_frames(frames)
-    assert scale[0] == 1.0
-    assert np.all(scaled[:, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

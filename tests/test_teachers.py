@@ -12,6 +12,7 @@ from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.losses import infonce_batch, masked_cross_entropy
 from semspeech.nn.optim import adamw_step
+from semspeech import teachers
 from semspeech.nn.tensor import Tensor
 from semspeech.random_utils import derive_rng
 from semspeech.teachers import (
@@ -20,14 +21,13 @@ from semspeech.teachers import (
     Teacher,
     TeacherConfig,
     _mask_batch,
-    _pad_batch,
     delete_tokens,
     mlm_forward,
     mlm_pretrain,
     train_simcse,
     train_tsdae,
 )
-from semspeech.tokenizer import CLS, MASK, PAD, SEP, TokenSequence
+from semspeech.tokenizer import CLS, MASK, PAD, SEP, TokenSequence, pad_tokens
 
 TINY = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
 
@@ -166,7 +166,7 @@ def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
         for chunk in batches(list(order), batch_size):
             if step >= steps:
                 break
-            batch = _pad_batch([arrs[i] for i in chunk])
+            batch = pad_tokens([arrs[i] for i in chunk])
             corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
             encoder.store.zero_grad()
             logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
@@ -318,12 +318,22 @@ def test_simcse_requires_batch_of_two():
         train_simcse(enc, make_seqs(4), cfg, pairs)
 
 
+def test_simcse_over_one_sequence_fails_instead_of_training_nothing(monkeypatch):
+    # a lone sequence has no in-batch negatives, so every batch is skipped;
+    # one sequence gives no rank correlation either, so the dev score is fixed
+    monkeypatch.setattr(teachers, "pair_spearman", lambda *args: 0.0)
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
+    pairs = ScoredPairSet(pairs=[("u000", "u000", 4.0)], split="dev")
+    with pytest.raises(ValidationError, match="took no optimizer step"):
+        train_simcse(enc, make_seqs(1), TeacherConfig(kind="simcse", batch_size=2), pairs)
+
+
 def test_simcse_initial_loss_near_log_batch():
     losses = []
     for seed in range(3):
         enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=seed)
         seqs = make_seqs(16, seed=seed)
-        tokens = _pad_batch([np.asarray(s.tokens) for s in seqs])
+        tokens = pad_tokens([np.asarray(s.tokens) for s in seqs])
         rng = derive_rng(seed, "probe")
         loss = infonce_batch(enc.embed_train(tokens, rng), enc.embed_train(tokens, rng), tau=0.05)
         losses.append(float(loss.data))
@@ -407,7 +417,7 @@ def simcse_reference(encoder, seqs, cfg, dev_pairs):
         for chunk in batches([seqs[i] for i in order], cfg.batch_size):
             if len(chunk) < 2:
                 continue
-            tokens = _pad_batch([np.asarray(s.tokens) for s in chunk])
+            tokens = pad_tokens([np.asarray(s.tokens) for s in chunk])
             encoder.store.zero_grad()
             z1 = encoder.embed_train(tokens, rng)
             z2 = encoder.embed_train(tokens, rng)

@@ -324,7 +324,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
     pairs = load_scored_pairs(args.pairs, split="test")
     renderings = {u.id: [u.features] for u in corpus}
     report = evaluate(
-        model.embed,
+        model.embed_batch,
         pairs,
         renderings,
         pos_threshold=cfg["eval.pos_threshold"],

@@ -200,7 +200,7 @@ class EvalReport:
 
 
 def evaluate(
-    embed: Callable[[object], np.ndarray],
+    embed_batch: Callable[[list], np.ndarray],
     pairs: ScoredPairSet,
     renderings: Mapping[str, Sequence[object]],
     pos_threshold: float = POSITIVE_THRESHOLD,
@@ -211,22 +211,28 @@ def evaluate(
     Each utterance id maps to one or more renderings (e.g. the same content
     spoken by different speakers). Every rendering combination of a pair is
     scored and the cosines averaged before rank correlation, so multi-speaker
-    sets follow the same protocol as single-rendering ones.
+    sets follow the same protocol as single-rendering ones. ``embed_batch``
+    maps a list of renderings to an (N, d) array, one row per rendering; it
+    is called once, over every rendering of the sorted ids.
     """
     if not pairs.pairs:
         raise ValidationError("no pairs to evaluate", field="pairs")
     ids = sorted({i for a, b, _ in pairs.pairs for i in (a, b)})
-    embedded: dict[str, list[np.ndarray]] = {}
     for utt_id in ids:
         if utt_id not in renderings or not renderings[utt_id]:
             raise MissingGroundTruthError(f"no rendering available for id {utt_id!r}")
-        vecs = []
-        for r in renderings[utt_id]:
-            v = np.asarray(embed(r), dtype=np.float64)
-            if v.ndim != 1:
-                raise ValidationError("embedder must return 1-D vectors", field="embed")
-            vecs.append(v)
-        embedded[utt_id] = vecs
+    flat = [r for utt_id in ids for r in renderings[utt_id]]
+    embs = np.asarray(embed_batch(flat), dtype=np.float64)
+    if embs.ndim != 2 or embs.shape[0] != len(flat):
+        raise ValidationError(
+            "embed_batch must return one vector per rendering", field="embed_batch"
+        )
+    embedded: dict[str, list[np.ndarray]] = {}
+    start = 0
+    for utt_id in ids:
+        stop = start + len(renderings[utt_id])
+        embedded[utt_id] = list(embs[start:stop])
+        start = stop
 
     per_pair: list[PairPrediction] = []
     for id_a, id_b, score in pairs.pairs:

@@ -40,12 +40,11 @@ class EmbeddingIndex:
             )
         if len(set(self.ids)) != len(self.ids):
             raise ValidationError("ids must be unique", field="ids")
-        norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
-        if self.matrix.shape[0] and not np.allclose(norms, 1.0, atol=1e-5):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
+        worst = _worst_row(self.matrix)
+        if worst is not None:
+            norm = np.linalg.norm(self.matrix[worst].astype(np.float64))
             raise ValidationError(
-                f"row for {self.ids[worst]!r} has norm {norms[worst]:.6f}, not 1",
-                field="matrix",
+                f"row for {self.ids[worst]!r} has norm {norm:.6f}, not 1", field="matrix"
             )
 
     def __len__(self) -> int:
@@ -65,6 +64,14 @@ class EmbeddingIndex:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+
+def _worst_row(matrix: np.ndarray) -> int | None:
+    """The row whose norm is furthest from 1, if any is off by more than 1e-5."""
+    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
+    if matrix.shape[0] and not np.allclose(norms, 1.0, atol=1e-5):
+        return int(np.argmax(np.abs(norms - 1.0)))
+    return None
 
 
 def build_index(
@@ -208,13 +215,18 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         doc = json.loads(blob[18 : 18 + doc_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"bad JSON block: {e}", offset=18) from e
+    if not isinstance(doc, dict):
+        raise FileFormatError("JSON block is not an object", offset=18)
     for key in ("ids", "metadata"):
         if key not in doc:
             raise FileFormatError(f"JSON block missing key {key!r}", offset=18)
-    if len(doc["ids"]) != n:
-        raise FileFormatError(
-            f"JSON block has {len(doc['ids'])} ids for {n} rows", offset=18
-        )
+    ids = doc["ids"]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise FileFormatError("JSON block ids are not a list of strings", offset=18)
+    if not isinstance(doc["metadata"], dict):
+        raise FileFormatError("JSON block metadata is not an object", offset=18)
+    if len(ids) != n:
+        raise FileFormatError(f"JSON block has {len(ids)} ids for {n} rows", offset=18)
     offset = 18 + doc_len
     count = n * d
     if len(blob) < offset + 4 * count:
@@ -227,8 +239,10 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if not np.all(np.isfinite(matrix)):
         bad = int(np.flatnonzero(~np.isfinite(matrix))[0])
         raise FileFormatError("non-finite value in matrix", offset=offset + 4 * bad)
-    return EmbeddingIndex(
-        ids=list(doc["ids"]),
-        matrix=matrix.reshape(n, d).copy(),
-        metadata=doc["metadata"],
-    )
+    matrix = matrix.reshape(n, d).copy()
+    try:
+        return EmbeddingIndex(ids=ids, matrix=matrix, metadata=doc["metadata"])
+    except ValidationError as e:
+        # duplicate ids sit in the JSON block; a row off unit norm in the matrix
+        at = 18 if e.field == "ids" else offset + 4 * d * _worst_row(matrix)
+        raise FileFormatError(str(e), offset=at) from e

@@ -17,7 +17,17 @@ import numpy as np
 
 from ..errors import ValidationError
 from .optim import ParamStore
-from .tensor import Tensor, concat, dropout, gelu, layer_norm, softmax, take_rows
+from .tensor import (
+    Tensor,
+    attention,
+    concat,
+    dropout,
+    ffn,
+    layer_norm,
+    linear,
+    softmax,
+    take_rows,
+)
 
 NEG_INF = -1e9
 
@@ -106,7 +116,7 @@ def init_block(
 # -- forward pieces ----------------------------------------------------------
 
 def apply_linear(store: ParamStore, name: str, x: Tensor) -> Tensor:
-    return x @ store[f"{name}.w"] + store[f"{name}.b"]
+    return linear(x, store[f"{name}.w"], store[f"{name}.b"])
 
 
 def apply_layer_norm(store: ParamStore, name: str, x: Tensor) -> Tensor:
@@ -143,22 +153,13 @@ def apply_attention(
     heads: int,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    b, t, d = q_in.shape
-    s = kv_in.shape[1]
-    dh = d // heads
-    q = apply_linear(store, f"{name}.q", q_in).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    k = apply_linear(store, f"{name}.k", kv_in).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
-    v = apply_linear(store, f"{name}.v", kv_in).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = scores + Tensor(mask)
-    attn = softmax(scores, axis=-1)
-    out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    return apply_linear(store, f"{name}.o", out)
+    params = [store[f"{name}.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
+    return attention(q_in, kv_in, params, heads, mask)
 
 
 def apply_ffn(store: ParamStore, name: str, x: Tensor) -> Tensor:
-    return apply_linear(store, f"{name}.ff2", gelu(apply_linear(store, f"{name}.ff1", x)))
+    params = [store[f"{name}.{layer}.{part}"] for layer in ("ff1", "ff2") for part in "wb"]
+    return ffn(x, *params)
 
 
 def apply_block(

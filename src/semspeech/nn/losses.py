@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .tensor import Tensor, concat, gather_last, log_softmax
+from .tensor import Tensor, concat, gather_last, log_softmax, nll
 
 
 def nll_loss(logits: Tensor, targets: np.ndarray, pad_id: int = 0) -> Tensor:
@@ -23,8 +23,7 @@ def nll_loss(logits: Tensor, targets: np.ndarray, pad_id: int = 0) -> Tensor:
     n_live = int(mask.sum())
     if n_live == 0:
         raise ValidationError("all target positions are PAD", field="targets")
-    logp = gather_last(log_softmax(logits, axis=-1), targets)
-    return -(logp * Tensor(mask.astype(np.float64))).sum() * (1.0 / n_live)
+    return nll(logits, targets, mask)
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -40,8 +39,7 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     safe = np.where(mask, targets, 0)
     if safe.min() < 0 or safe.max() >= vocab:
         raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
-    logp = gather_last(log_softmax(logits, axis=-1), safe)
-    return -(logp * Tensor(mask.astype(np.float64))).sum() * (1.0 / n_live)
+    return nll(logits, safe, mask)
 
 
 def mse(z: Tensor, target: Tensor) -> Tensor:

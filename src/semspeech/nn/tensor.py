@@ -302,28 +302,44 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form gelu; kink-free so finite differences stay honest.
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term of tanh-form gelu. The cube is ``x*x*x``: numpy's float
+    ``**3`` goes through ``pow``, which is about 40x slower and can differ
+    from it in the last ulp."""
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
 
-    The cube is ``x*x*x``: numpy's float ``**3`` goes through ``pow``, which is
-    about 40x slower and can differ from it in the last ulp.
-    """
-    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Smooth tanh-form gelu; kink-free so finite differences stay honest."""
+    t = _gelu_tanh(x.data)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
-        grad = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        x._accumulate(g * grad)
+        x._accumulate(g * _gelu_slope(x.data, t))
 
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(_gelu_value(x.data, t), (x,), backward)
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(x.data, axis)
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
@@ -333,15 +349,150 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = _log_softmax(x.data, axis)
     soft = np.exp(out_data)
 
     def backward(g):
         x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (x,), backward)
+
+
+# -- fused nodes ---------------------------------------------------------------
+#
+# Each is one tape node with a hand-derived backward pass. A forward runs the
+# numpy operations of the composite it replaces in the same order, so its
+# output keeps its bytes; the backward keeps only what it needs and sums
+# gradients in its own order.
+
+def _affine_backward(
+    x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray, need_dx: bool
+) -> np.ndarray | None:
+    """For y = x@W + b over (N, d_in) rows: accumulate dW = XᵀG and
+    db = colsum(G), and return dX = GWᵀ when ``need_dx``."""
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2)
+    if b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+    return g2 @ w.data.T if need_dx else None
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over any leading axes of x; the backward is one 2-D GEMM
+    per gradient over the flattened rows."""
+    d_in, d_out = w.shape
+
+    def backward(g):
+        dx = _affine_backward(
+            x.data.reshape(-1, d_in), w, b, g.reshape(-1, d_out), x.requires_grad
+        )
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape))
+
+    return Tensor._make(x.data @ w.data + b.data, (x, w, b), backward)
+
+
+def attention(
+    q_in: Tensor,
+    kv_in: Tensor,
+    params,
+    heads: int,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head attention as one node: the Q/K/V projections of (B, T, d)
+    queries and (B, S, d) keys/values, the scaled and additively masked
+    softmax, P@V, the head merge and the output projection. ``params`` is
+    (Wq, bq, Wk, bk, Wv, bv, Wo, bo).
+
+    The backward follows FlashAttention (Dao et al., 2022) without tiling:
+    dS = P∘(dP − rowsum(dO∘O)). With ``q_in is kv_in`` the three input
+    gradients are summed and accumulated once.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    b, t, d = q_in.shape
+    s = kv_in.shape[1]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a: np.ndarray, n: int) -> np.ndarray:
+        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray, n: int) -> np.ndarray:
+        return a.transpose(0, 2, 1, 3).reshape(b * n, d)
+
+    qh = split(q_in.data @ wq.data + bq.data, t)
+    kh = split(kv_in.data @ wk.data + bk.data, s)
+    vh = split(kv_in.data @ wv.data + bv.data, s)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    p = _softmax(scores)
+    o = (p @ vh).transpose(0, 2, 1, 3).reshape(b, t, d)
+    self_attn = q_in is kv_in
+
+    def backward(g):
+        do = split(_affine_backward(o.reshape(-1, d), wo, bo, g.reshape(-1, d), True), t)
+        dv = p.transpose(0, 1, 3, 2) @ do
+        ds = do @ vh.transpose(0, 1, 3, 2)
+        ds -= (do * split(o, t)).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq = _affine_backward(
+            q_in.data.reshape(-1, d), wq, bq, merge(ds @ kh, t), q_in.requires_grad
+        )
+        x_kv = kv_in.data.reshape(-1, d)
+        dk = _affine_backward(
+            x_kv, wk, bk, merge(ds.transpose(0, 1, 3, 2) @ qh, s), kv_in.requires_grad
+        )
+        dkv = _affine_backward(x_kv, wv, bv, merge(dv, s), kv_in.requires_grad)
+        if dkv is not None:
+            dkv += dk
+            if self_attn:
+                dkv += dq
+            kv_in._accumulate(dkv.reshape(kv_in.shape))
+        if dq is not None and not self_attn:
+            q_in._accumulate(dq.reshape(q_in.shape))
+
+    parents = (q_in, *params) if self_attn else (q_in, kv_in, *params)
+    return Tensor._make(o @ wo.data + bo.data, parents, backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ W1 + b1) @ W2 + b2 as one node. It keeps the pre-activation
+    and its tanh term, and recomputes the activation in the backward."""
+    d_in, d_ff = w1.shape
+    a = (x.data @ w1.data + b1.data).reshape(-1, d_ff)
+    t = _gelu_tanh(a)
+
+    def backward(g):
+        dh = _affine_backward(_gelu_value(a, t), w2, b2, g.reshape(-1, w2.shape[1]), True)
+        dh *= _gelu_slope(a, t)
+        dx = _affine_backward(x.data.reshape(-1, d_in), w1, b1, dh, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape))
+
+    h = _gelu_value(a, t).reshape(*x.shape[:-1], d_ff)
+    return Tensor._make(h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+
+
+def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[..., target] over the positions where
+    ``mask`` is True, as one node that keeps only the softmax. ``targets``
+    must be valid ids at every position, masked ones included."""
+    idx = np.expand_dims(targets, -1)
+    weights = mask.astype(np.float64)
+    scale = 1.0 / int(mask.sum())
+    logp = _log_softmax(logits.data)
+    out_data = -(np.take_along_axis(logp, idx, axis=-1).squeeze(-1) * weights).sum() * scale
+    soft = np.exp(logp)
+
+    def backward(g):
+        coef = np.expand_dims(-(g * scale) * weights, -1)
+        grad = soft * -coef
+        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) + coef, axis=-1)
+        logits._accumulate(grad)
+
+    return Tensor._make(out_data, (logits,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -178,10 +178,11 @@ def _mask_batch(
 
 
 def mlm_forward(encoder: SequenceEncoder, tokens: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-    """Per-position vocabulary logits; creates the prediction head on first use."""
+                rng: np.random.Generator | None = None, seed: int = 0) -> Tensor:
+    """Per-position vocabulary logits; creates the prediction head on first
+    use, drawn from the run ``seed``."""
     if "mlm.out.w" not in encoder.store:
-        head_rng = derive_rng(0, "mlm", "head", encoder.vocab)
+        head_rng = derive_rng(seed, "mlm", "head", encoder.vocab)
         init_linear(
             encoder.store, head_rng, "mlm.out", encoder.cfg.model_dim, encoder.vocab,
             scale=0.1,
@@ -222,7 +223,7 @@ def mlm_pretrain(
     def step(chunk) -> float:
         batch = pad_tokens(chunk)
         corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
-        logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
+        logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
         loss = masked_cross_entropy(logits, batch, mask)
         return optimizer_step(encoder.store, loss, lr, 0.01)
 

@@ -42,6 +42,14 @@ def _chunks(seq: Sequence, size: int):
         yield seq[i : i + size]
 
 
+def _item_name(item, position: int) -> str:
+    """An item as an error message names it: the item itself if it is an id,
+    else its ``source_id``, else its position in the items."""
+    if isinstance(item, str):
+        return item
+    return getattr(item, "source_id", "") or f"#{position}"
+
+
 def optimizer_step(store: ParamStore, loss: Tensor, lr: float, weight_decay: float) -> float:
     """Backpropagate ``loss`` into ``store`` and take one AdamW step.
 
@@ -98,7 +106,9 @@ def fit(
     that is set. ``store`` ends at the parameters of the best evaluation: the
     lowest, or the highest with ``maximize``, taking only strict
     improvements. ``patience`` stops the run once that many evaluations in a
-    row fail to improve.
+    row fail to improve. A ``ValidationError`` from ``step``, such as a
+    non-finite gradient, is raised again naming the epoch (from 1) and the
+    batch's items.
 
     Returns ``(evals, losses, best)``: one ``(step, mean train loss since the
     previous evaluation or None, value)`` per evaluation, the loss of every
@@ -124,9 +134,15 @@ def fit(
     for epoch in range(epochs) if epochs is not None else itertools.count():
         if stop or len(losses) == max_steps:
             break
-        order = rng.permutation(len(items))
-        for chunk in _chunks([items[i] for i in order], batch_size):
-            loss = step(chunk)
+        for positions in _chunks(rng.permutation(len(items)), batch_size):
+            chunk = [items[i] for i in positions]
+            try:
+                loss = step(chunk)
+            except ValidationError as e:
+                names = [_item_name(item, int(i)) for item, i in zip(chunk, positions)]
+                raise ValidationError(
+                    f"{e}; epoch {epoch + 1}, batch items {names}", field=e.field
+                ) from e
             if loss is None:
                 continue
             losses.append(loss)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damage import damaged
 from semspeech.corpus import (
     Corpus,
     FeatureSequence,
@@ -360,6 +361,19 @@ def test_scored_pair_set_validates():
 # ---------------------------------------------------------------------------
 # feature file format
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_feature_file_loads_or_raises_format_error(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("semf")
+    path = directory / "x.semf"
+    write_features(path, FeatureSequence(np.arange(6, dtype=np.float32).reshape(3, 2)))
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    try:
+        read_features(path)
+    except FileFormatError as e:
+        assert e.offset is not None
+
 
 def test_feature_round_trip(tmp_path):
     rng = np.random.default_rng(0)

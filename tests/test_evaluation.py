@@ -195,12 +195,17 @@ def test_uniformity_nonpositive_for_unit_vectors():
 # evaluate
 # ---------------------------------------------------------------------------
 
+def batched(embed):
+    """An ``embed_batch`` callable that stacks ``embed`` of each item."""
+    return lambda items: np.stack([embed(item) for item in items])
+
+
 def test_evaluate_single_rendering_reduces_to_cosine():
     rng = np.random.default_rng(5)
     vecs = {f"u{i}": rng.standard_normal(8) for i in range(6)}
     renderings = {i: [i] for i in vecs}  # rendering key = id itself
     entries = [("u0", "u1", 5.0), ("u2", "u3", 2.0), ("u4", "u5", 4.2)]
-    report = evaluate(lambda key: vecs[key], pairset(entries), renderings)
+    report = evaluate(batched(lambda key: vecs[key]), pairset(entries), renderings)
     for p in report.per_pair:
         assert p.n_combinations == 1
         assert p.predicted == pytest.approx(cosine(vecs[p.id_a], vecs[p.id_b]), abs=1e-12)
@@ -226,7 +231,7 @@ def test_evaluate_two_by_two_renderings_average_four_combinations():
         "d": [("d", 0)],
     }
     entries = [("a", "b", 4.5), ("c", "d", 1.0)]
-    report = evaluate(lambda key: store[key], pairset(entries), renderings)
+    report = evaluate(batched(lambda key: store[key]), pairset(entries), renderings)
     first = report.per_pair[0]
     assert first.n_combinations == 4
     manual = np.mean(
@@ -239,8 +244,27 @@ def test_evaluate_two_by_two_renderings_average_four_combinations():
 def test_evaluate_missing_rendering_names_id():
     renderings = {"a": [0]}
     with pytest.raises(MissingGroundTruthError) as e:
-        evaluate(lambda key: np.ones(3), pairset([("a", "missing-one", 3.0)]), renderings)
+        evaluate(
+            batched(lambda key: np.ones(3)), pairset([("a", "missing-one", 3.0)]), renderings
+        )
     assert "missing-one" in str(e.value)
+
+
+def test_evaluate_embeds_every_rendering_in_one_batch():
+    rng = np.random.default_rng(8)
+    vecs = {f"u{i}": rng.standard_normal(4) for i in range(4)}
+    renderings = {i: [i] for i in vecs}
+    entries = [("u0", "u1", 5.0), ("u2", "u3", 1.0), ("u1", "u2", 3.0)]
+    calls = []
+
+    def embed_batch(items):
+        calls.append(list(items))
+        return np.stack([vecs[k] for k in items])
+
+    evaluate(embed_batch, pairset(entries), renderings)
+    assert calls == [["u0", "u1", "u2", "u3"]]
+    with pytest.raises(ValidationError, match="one vector per rendering"):
+        evaluate(lambda items: np.ones((1, 4)), pairset(entries), renderings)
 
 
 def test_evaluate_scale_invariance():
@@ -248,10 +272,10 @@ def test_evaluate_scale_invariance():
     vecs = {f"u{i}": rng.standard_normal(5) for i in range(4)}
     renderings = {i: [i] for i in vecs}
     entries = [("u0", "u1", 5.0), ("u2", "u3", 1.0), ("u0", "u2", 3.0)]
-    base = evaluate(lambda k: vecs[k], pairset(entries), renderings)
+    base = evaluate(batched(lambda k: vecs[k]), pairset(entries), renderings)
     # power-of-two per-id rescaling leaves every cosine bit-identical
     scales = {"u0": 4.0, "u1": 0.5, "u2": 16.0, "u3": 2.0}
-    scaled = evaluate(lambda k: scales[k] * vecs[k], pairset(entries), renderings)
+    scaled = evaluate(batched(lambda k: scales[k] * vecs[k]), pairset(entries), renderings)
     assert scaled.spearman == base.spearman
     for p, q in zip(base.per_pair, scaled.per_pair):
         assert p.predicted == q.predicted
@@ -335,7 +359,7 @@ def test_pair_predictions_file(tmp_path):
     vecs = {f"u{i}": rng.standard_normal(4) for i in range(4)}
     renderings = {i: [i] for i in vecs}
     entries = [("u0", "u1", 5.0), ("u2", "u3", 1.5)]
-    report = evaluate(lambda k: vecs[k], pairset(entries), renderings)
+    report = evaluate(batched(lambda k: vecs[k]), pairset(entries), renderings)
     path = tmp_path / "pairs.tsv"
     save_pair_predictions(report, path)
     lines = path.read_text().strip().split("\n")

@@ -4,7 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from damage import damaged
 from semspeech.corpus import SyntheticSpec, generate_corpus
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.index import (
@@ -259,3 +262,41 @@ def test_load_rejects_wrong_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FileFormatError):
         load_index(path)
+
+
+def _three_row_index_bytes(path) -> bytes:
+    rows = np.eye(3, 4, dtype=np.float32)
+    save_index(EmbeddingIndex(ids=["a", "b", "c"], matrix=rows, metadata={}), path)
+    return path.read_bytes()
+
+
+def test_load_reports_duplicate_ids_as_format_error(tmp_path):
+    path = tmp_path / "x.semi"
+    blob = _three_row_index_bytes(path)
+    path.write_bytes(blob.replace(b'"b"', b'"a"'))
+    with pytest.raises(FileFormatError, match="ids must be unique") as e:
+        load_index(path)
+    assert e.value.offset == 18
+
+
+def test_load_reports_a_row_off_unit_norm_at_its_offset(tmp_path):
+    path = tmp_path / "x.semi"
+    blob = bytearray(_three_row_index_bytes(path))
+    matrix_at = len(blob) - 4 * 3 * 4
+    blob[matrix_at + 4 * 4 + 4 + 2] = 0x00  # row 1 is (0, 1, 0, 0): its 1.0 becomes 0.5
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match="row for 'b' has norm") as e:
+        load_index(path)
+    assert e.value.offset == matrix_at + 4 * 4
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_index_loads_or_raises_format_error(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("semi")
+    path = directory / "x.semi"
+    path.write_bytes(data.draw(damaged(_three_row_index_bytes(path))))
+    try:
+        load_index(path)
+    except FileFormatError as e:
+        assert e.offset is not None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damage import damaged
 from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
@@ -923,20 +924,11 @@ def _saved_student(path) -> bytes:
     return path.read_bytes()
 
 
-@st.composite
-def _damaged(draw, blob: bytes) -> bytes:
-    """``blob`` cut short at any byte, or with any one byte set to any value."""
-    at = draw(st.integers(0, len(blob) - 1))
-    if draw(st.booleans()):
-        return blob[:at]
-    return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
-
-
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_damaged_student_checkpoint_loads_or_raises_format_error(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("semm")
-    blob = data.draw(_damaged(_saved_student(directory / "student.semm")))
+    blob = data.draw(damaged(_saved_student(directory / "student.semm")))
     path = directory / "damaged.semm"
     path.write_bytes(blob)
     try:

@@ -9,9 +9,9 @@ import pytest
 from semspeech.corpus import ScoredPairSet
 from semspeech.errors import ValidationError
 from semspeech.evaluation import spearman
-from semspeech.nn.layers import EncoderConfig
+from semspeech.nn.layers import EncoderConfig, init_linear
 from semspeech.nn.losses import infonce_batch, masked_cross_entropy
-from semspeech.nn.optim import adamw_step
+from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech import teachers
 from semspeech.nn.tensor import Tensor
 from semspeech.random_utils import derive_rng
@@ -169,7 +169,7 @@ def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
             batch = pad_tokens([arrs[i] for i in chunk])
             corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
             encoder.store.zero_grad()
-            logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng)
+            logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
             loss = masked_cross_entropy(logits, batch, mask)
             loss.backward()
             adamw_step(encoder.store, lr=lr, weight_decay=0.01)
@@ -187,6 +187,27 @@ def test_mlm_matches_reference_loop_when_steps_end_mid_epoch():
     assert history == mlm_reference(ref, arrs, 0.15, 7, 9, 1e-3, 4)
     assert len(history) == 7
     assert_same_params(enc.store, ref.store)
+
+
+def _mlm_head_init(seed: int, vocab: int) -> np.ndarray:
+    store = ParamStore()
+    head_rng = derive_rng(seed, "mlm", "head", vocab)
+    init_linear(store, head_rng, "mlm.out", TINY.model_dim, vocab, scale=0.1)
+    return store["mlm.out.w"].data
+
+
+def test_mlm_head_draws_from_the_run_seed():
+    toks = np.array([[CLS, 7, 9, 12, 6, SEP]])
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=8)
+    mlm_forward(enc, toks)
+    # seed 0, the default, keeps the draws of the head it made before
+    assert np.array_equal(enc.store["mlm.out.w"].data, _mlm_head_init(0, 20))
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=8)
+    mlm_pretrain(enc, make_seqs(4), steps=1, batch_size=4, seed=3, lr=1e-3)
+    # one AdamW step moves each weight by at most about lr
+    head = enc.store["mlm.out.w"].data
+    assert np.max(np.abs(head - _mlm_head_init(3, 20))) < 1.1e-3
+    assert np.max(np.abs(head - _mlm_head_init(0, 20))) > 1e-2
 
 
 def test_mlm_unmasked_positions_get_zero_logit_grads():

@@ -7,9 +7,10 @@ before; these cover what those comparisons cannot pin down.
 import numpy as np
 import pytest
 
+from semspeech.errors import ValidationError
 from semspeech.nn.optim import ParamStore
 from semspeech.nn.tensor import Tensor
-from semspeech.training import fit
+from semspeech.training import fit, optimizer_step
 
 
 @pytest.mark.parametrize(
@@ -39,3 +40,24 @@ def test_fit_keeps_the_first_strictly_best_evaluation(maximize, values, kept):
     assert losses == [2.0, 1.0, 2.0, 1.0]
     assert best == (max(values) if maximize else min(values))
     assert w.data[0] == kept
+
+
+def test_non_finite_gradient_names_the_epoch_and_the_batch_items():
+    store = ParamStore()
+    w = store.add("w", Tensor(np.ones(2)))
+    poisoned = "utt-7"
+    calls = []
+
+    def step(chunk):
+        # ten items in batches of 4 make three steps an epoch; poison epoch 2
+        calls.append(chunk)
+        scale = np.inf if len(calls) > 3 and poisoned in chunk else 1.0
+        return optimizer_step(store, (w * Tensor(np.full(2, scale))).sum(), 1e-3, 0.0)
+
+    items = [f"utt-{i}" for i in range(10)]
+    with pytest.raises(ValidationError, match="non-finite gradient for parameter 'w'") as e:
+        fit(store, items, 4, np.random.default_rng(0), step, epochs=3)
+    message = str(e.value)
+    assert "epoch 2" in message
+    assert f"batch items {calls[-1]}" in message and poisoned in calls[-1]
+    assert e.value.field == "w"

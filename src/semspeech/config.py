@@ -12,6 +12,7 @@ import io
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileformat import read_text
 
 # key -> (type tag, default); type tags: int, float, str
 SCHEMA: dict[str, tuple[str, object]] = {
@@ -160,4 +161,4 @@ def load_config(path: str | Path) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    return parse_config(read_text(p))

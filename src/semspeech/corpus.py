@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     PairBinningError,
     ValidationError,
 )
+from .fileformat import BinaryReader, read_rows, read_text, write_binary
 from .random_utils import derive_rng
 
 FEATURE_MAGIC = b"SEMF"
@@ -481,39 +481,18 @@ def build_scored_pairs(
 
 def write_features(path: str | Path, fs: FeatureSequence) -> None:
     """SEMF format: magic, version u16, T u32, d u32, T*d float32 LE row-major."""
-    data = np.ascontiguousarray(fs.data, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<H", FEATURE_VERSION))
-        f.write(struct.pack("<II", fs.n_frames, fs.dim))
-        f.write(data.tobytes())
+    write_binary(path, FEATURE_MAGIC, FEATURE_VERSION, fs.data.shape, arrays=[fs.data])
 
 
 def read_features(path: str | Path) -> FeatureSequence:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FileFormatError(f"bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}", offset=0)
-    if len(blob) < 14:
-        raise FileFormatError("truncated header", offset=len(blob))
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != FEATURE_VERSION:
-        raise FileFormatError(f"unsupported version {version}", offset=4)
-    n_frames, dim = struct.unpack_from("<II", blob, 6)
+    reader = BinaryReader(path, FEATURE_MAGIC, FEATURE_VERSION, n_fields=2)
+    n_frames, dim = reader.fields
     if n_frames < 1:
         raise FileFormatError("feature file declares 0 frames", offset=6)
     if dim < 1:
         raise FileFormatError("feature file declares 0 dimensions", offset=10)
-    expected = 14 + 4 * n_frames * dim
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"payload length {len(blob) - 14} does not match T*d*4 = {expected - 14}",
-            offset=min(len(blob), expected),
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=n_frames * dim, offset=14)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise FileFormatError("non-finite feature value", offset=14 + 4 * int(bad[0]))
+    reader.expect_payload(4 * n_frames * dim)
+    data = reader.floats(n_frames * dim, "feature frames")
     return FeatureSequence(data.reshape(n_frames, dim).copy())
 
 
@@ -534,59 +513,64 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     return manifest
 
 
+def _manifest_fault(rec) -> str | None:
+    """What is wrong with one parsed manifest line, if anything."""
+    if type(rec) is not dict:
+        return "is not a JSON object"
+    for key, kind in (("id", str), ("speaker", int), ("path", str)):
+        if key not in rec:
+            return f"missing key {key!r}"
+        if type(rec[key]) is not kind:
+            return f"key {key!r} is not a JSON {kind.__name__}"
+    symbols = rec.get("symbols", [])
+    if type(symbols) is not list or any(type(s) is not int for s in symbols):
+        return "key 'symbols' is not a list of ints"
+    return None
+
+
 def load_corpus(corpus_dir: str | Path) -> Corpus:
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.jsonl"
     if not manifest.exists():
         raise FileFormatError(f"no manifest.jsonl in {corpus_dir}")
     utterances = []
-    with open(manifest, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FileFormatError(f"manifest line {line_no} is not valid JSON: {e}") from e
-            for key in ("id", "speaker", "path"):
-                if key not in rec:
-                    raise FileFormatError(f"manifest line {line_no} missing key {key!r}")
-            fs = read_features(corpus_dir / rec["path"])
-            utterances.append(
-                Utterance(
-                    id=rec["id"],
-                    speaker_id=int(rec["speaker"]),
-                    features=fs,
-                    symbols=list(rec["symbols"]) if "symbols" in rec else None,
-                )
+    for line_no, line in enumerate(read_text(manifest).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(f"manifest line {line_no} is not valid JSON: {e}") from e
+        fault = _manifest_fault(rec)
+        if fault:
+            raise FileFormatError(f"manifest line {line_no} {fault}")
+        utterances.append(
+            Utterance(
+                id=rec["id"],
+                speaker_id=rec["speaker"],
+                features=read_features(corpus_dir / rec["path"]),
+                symbols=rec.get("symbols"),
             )
+        )
     return Corpus(utterances=utterances)
+
+
+_PAIRS_HEADER = ("id_a", "id_b", "score")
 
 
 def save_scored_pairs(pairs: ScoredPairSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("id_a\tid_b\tscore\n")
+        f.write("\t".join(_PAIRS_HEADER) + "\n")
         for a, b, s in pairs.pairs:
             f.write(f"{a}\t{b}\t{s:.6f}\n")
 
 
 def load_scored_pairs(path: str | Path, split: str = "dev") -> ScoredPairSet:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if header.split("\t") != ["id_a", "id_b", "score"]:
-            raise FileFormatError(f"bad scored-pairs header {header!r}")
-        pairs = []
-        for line_no, line in enumerate(f, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FileFormatError(f"line {line_no}: expected 3 tab-separated fields")
-            try:
-                score = float(parts[2])
-            except ValueError as e:
-                raise FileFormatError(f"line {line_no}: bad score {parts[2]!r}") from e
-            pairs.append((parts[0], parts[1], score))
+    pairs = []
+    for line_no, (a, b, score) in read_rows(path, 3, header=_PAIRS_HEADER):
+        try:
+            pairs.append((a, b, float(score)))
+        except ValueError as e:
+            raise FileFormatError(f"{path} line {line_no}: bad score {score!r}") from e
     return ScoredPairSet(pairs=pairs, split=split)

@@ -15,8 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, ScoredPairSet
-from .errors import ValidationError
+from .errors import FileFormatError, ValidationError
 from .evaluation import pair_spearman
+from .fileformat import read_rows
 from .nn import checkpoint
 from .nn.layers import EncoderConfig, apply_linear, init_encoder, init_linear
 from .nn.losses import _normalize_rows, infonce_batch, mse
@@ -307,19 +308,9 @@ def save_paired_manifest(pairs: Sequence[tuple[str, int]], path: str | Path) -> 
 
 def load_paired_manifest(path: str | Path) -> list[tuple[str, int]]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValidationError(
-                f"line {lineno}: expected 'id<TAB>line_ref', got {line!r}", field="line"
-            )
+    for line_no, (utt_id, ref) in read_rows(path, 2):
         try:
-            ref = int(parts[1])
-        except ValueError:
-            raise ValidationError(
-                f"line {lineno}: line_ref {parts[1]!r} is not an integer", field="line"
-            ) from None
-        out.append((parts[0], ref))
+            out.append((utt_id, int(ref)))
+        except ValueError as e:
+            raise FileFormatError(f"{path} line {line_no}: line_ref {ref!r} is not an int") from e
     return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import ScoredPairSet
 from .errors import MissingGroundTruthError, ValidationError
+from .fileformat import read_text
 
 POSITIVE_THRESHOLD = 4.0
 
@@ -306,7 +307,7 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_json(Path(path).read_text())
+    return EvalReport.from_json(read_text(path))
 
 
 def save_pair_predictions(report: EvalReport, path: str | Path) -> None:

@@ -1,0 +1,147 @@
+"""How artifacts are framed on disk, and how a damaged one is rejected.
+
+A binary artifact is a 4-byte magic, a u16 version and the format's u32
+fields, then, if the format has one, a u32 length and that many bytes of
+UTF-8 JSON object, then little-endian float32 runs. Text artifacts are UTF-8;
+TSV rows are non-blank lines of tab-separated fields. Every fault is a
+``FileFormatError``, at its byte offset where one is known.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .errors import FileFormatError
+
+
+def write_binary(path: str | Path, magic: bytes, version: int, fields: Sequence[int],
+                 doc: dict | None = None, arrays: Iterable[np.ndarray] = ()) -> None:
+    """Write the framing above, with ``doc`` as compact sorted-key JSON."""
+    head = magic + struct.pack(f"<H{len(fields)}I", version, *fields)
+    if doc is not None:
+        doc_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        head += struct.pack("<I", len(doc_bytes)) + doc_bytes
+    with open(path, "wb") as f:
+        f.write(head)
+        for arr in arrays:
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+class BinaryReader:
+    """A read cursor over one binary artifact.
+
+    Opening checks the magic (offset 0), that the fixed header is all there
+    (offset: the file's length), and the version (offset 4), then reads the
+    ``n_fields`` u32 fields into ``fields`` and, with ``has_doc``, the JSON
+    object into ``doc``. ``offset`` is then where the payload starts.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes, version: int, n_fields: int,
+                 has_doc: bool = False):
+        with open(path, "rb") as f:
+            self.blob = blob = f.read()
+        if blob[:4] != magic:
+            raise FileFormatError(f"bad magic {blob[:4]!r}, expected {magic!r}", offset=0)
+        n_u32 = n_fields + has_doc
+        self.offset = 6 + 4 * n_u32
+        if len(blob) < self.offset:
+            raise FileFormatError("truncated header", offset=len(blob))
+        found, *u32s = struct.unpack_from(f"<H{n_u32}I", blob, 4)
+        if found != version:
+            raise FileFormatError(f"unsupported version {found}", offset=4)
+        self.fields = u32s[:n_fields]
+        self.doc = self._doc(u32s[-1]) if has_doc else None
+
+    def _doc(self, length: int) -> dict:
+        at, end = self.offset, self.offset + length
+        if len(self.blob) < end:
+            raise FileFormatError("truncated JSON block", offset=len(self.blob))
+        try:
+            doc = json.loads(self.blob[at:end].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FileFormatError(f"bad JSON block: {e}", offset=at) from e
+        if not isinstance(doc, dict):
+            raise FileFormatError("JSON block is not an object", offset=at)
+        self.offset = end
+        return doc
+
+    def expect_payload(self, nbytes: int) -> None:
+        """The rest of the file is ``nbytes`` long."""
+        short = self.offset + nbytes - len(self.blob)
+        if short > 0:
+            raise FileFormatError(f"truncated: {short} bytes missing", offset=len(self.blob))
+        if short < 0:
+            raise FileFormatError(f"{-short} trailing bytes", offset=self.offset + nbytes)
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """The next ``count`` float32s, as a read-only view; all must be finite."""
+        at = self.offset
+        if len(self.blob) < at + 4 * count:
+            raise FileFormatError(f"truncated {what}", offset=len(self.blob))
+        arr = np.frombuffer(self.blob, dtype="<f4", count=count, offset=at)
+        if not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise FileFormatError(f"non-finite value in {what}", offset=at + 4 * bad)
+        self.offset = at + 4 * count
+        return arr
+
+    def end(self) -> None:
+        """Nothing follows what has been read."""
+        self.expect_payload(0)
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file with its line ends made ``\\n``, as text-mode ``open``
+    gives; an undecodable byte is a ``FileFormatError`` at its offset."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path} is not UTF-8 text: {e.reason}", offset=e.start) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_rows(
+    path: str | Path, n_fields: int, header: Sequence[str] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a UTF-8 TSV file that
+    has ``n_fields`` fields; the first line must be ``header`` if one is given."""
+    lines = read_text(path).split("\n")
+    start = 0
+    if header is not None:
+        if lines[0].split("\t") != list(header):
+            raise FileFormatError(f"{path}: header {lines[0]!r}, expected {'<TAB>'.join(header)!r}")
+        start = 1
+    for line_no, line in enumerate(lines[start:], start + 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise FileFormatError(
+                f"{path} line {line_no}: {len(fields)} tab-separated fields, expected {n_fields}"
+            )
+        yield line_no, fields
+
+
+def write_id_ints(path: str | Path, rows: Iterable[tuple[str, Sequence[int]]]) -> None:
+    """One ``<id><TAB><space-separated ints>`` line per row."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row_id, ints in rows:
+            f.write(f"{row_id}\t{' '.join(str(i) for i in ints)}\n")
+
+
+def read_id_ints(path: str | Path, make: Callable[[list[int], str], object]) -> list:
+    """``make(ints, id)`` for each row ``write_id_ints`` wrote; a bad int or a
+    ``ValidationError`` from ``make`` is a ``FileFormatError`` naming the line."""
+    out = []
+    for line_no, (row_id, ints) in read_rows(path, 2):
+        try:
+            out.append(make([int(x) for x in ints.split()], row_id))
+        except ValueError as e:  # ValidationError included
+            raise FileFormatError(f"{path} line {line_no}: {e}") from e
+    return out

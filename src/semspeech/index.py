@@ -7,8 +7,6 @@ structures; results are exact and reproducible.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +16,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import FileFormatError, ValidationError
+from .fileformat import BinaryReader, write_binary
 
 INDEX_MAGIC = b"SEMI"
 INDEX_VERSION = 1
@@ -184,65 +183,30 @@ def search_batch(
 # u32 + JSON {"ids", "metadata"}, then N*d float32 row-major
 # ---------------------------------------------------------------------------
 
+_DOC_OFFSET = 18  # where the JSON block starts
+
+
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
     doc = {"ids": index.ids, "metadata": index.metadata}
-    doc_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    n, d = index.matrix.shape
-    with open(path, "wb") as f:
-        f.write(INDEX_MAGIC)
-        f.write(struct.pack("<H", INDEX_VERSION))
-        f.write(struct.pack("<II", n, d))
-        f.write(struct.pack("<I", len(doc_bytes)))
-        f.write(doc_bytes)
-        f.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
+    write_binary(path, INDEX_MAGIC, INDEX_VERSION, index.matrix.shape, doc, [index.matrix])
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != INDEX_MAGIC:
-        raise FileFormatError(f"bad magic {blob[:4]!r}, expected {INDEX_MAGIC!r}", offset=0)
-    if len(blob) < 18:
-        raise FileFormatError("truncated header", offset=len(blob))
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != INDEX_VERSION:
-        raise FileFormatError(f"unsupported version {version}", offset=4)
-    n, d = struct.unpack_from("<II", blob, 6)
-    (doc_len,) = struct.unpack_from("<I", blob, 14)
-    if len(blob) < 18 + doc_len:
-        raise FileFormatError("truncated JSON block", offset=len(blob))
-    try:
-        doc = json.loads(blob[18 : 18 + doc_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"bad JSON block: {e}", offset=18) from e
-    if not isinstance(doc, dict):
-        raise FileFormatError("JSON block is not an object", offset=18)
-    for key in ("ids", "metadata"):
-        if key not in doc:
-            raise FileFormatError(f"JSON block missing key {key!r}", offset=18)
-    ids = doc["ids"]
+    reader = BinaryReader(path, INDEX_MAGIC, INDEX_VERSION, n_fields=2, has_doc=True)
+    n, d = reader.fields
+    ids, metadata = reader.doc.get("ids"), reader.doc.get("metadata")
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise FileFormatError("JSON block ids are not a list of strings", offset=18)
-    if not isinstance(doc["metadata"], dict):
-        raise FileFormatError("JSON block metadata is not an object", offset=18)
+        raise FileFormatError("JSON block ids missing or not a list of strings", offset=_DOC_OFFSET)
+    if not isinstance(metadata, dict):
+        raise FileFormatError("JSON block metadata missing or not an object", offset=_DOC_OFFSET)
     if len(ids) != n:
-        raise FileFormatError(f"JSON block has {len(ids)} ids for {n} rows", offset=18)
-    offset = 18 + doc_len
-    count = n * d
-    if len(blob) < offset + 4 * count:
-        raise FileFormatError("truncated embedding matrix", offset=len(blob))
-    if len(blob) > offset + 4 * count:
-        raise FileFormatError(
-            f"{len(blob) - offset - 4 * count} trailing bytes", offset=offset + 4 * count
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    if not np.all(np.isfinite(matrix)):
-        bad = int(np.flatnonzero(~np.isfinite(matrix))[0])
-        raise FileFormatError("non-finite value in matrix", offset=offset + 4 * bad)
-    matrix = matrix.reshape(n, d).copy()
+        raise FileFormatError(f"JSON block has {len(ids)} ids for {n} rows", offset=_DOC_OFFSET)
+    matrix_at = reader.offset
+    reader.expect_payload(4 * n * d)
+    matrix = reader.floats(n * d, "embedding matrix").reshape(n, d).copy()
     try:
-        return EmbeddingIndex(ids=ids, matrix=matrix, metadata=doc["metadata"])
+        return EmbeddingIndex(ids=ids, matrix=matrix, metadata=metadata)
     except ValidationError as e:
         # duplicate ids sit in the JSON block; a row off unit norm in the matrix
-        at = 18 if e.field == "ids" else offset + 4 * d * _worst_row(matrix)
+        at = _DOC_OFFSET if e.field == "ids" else matrix_at + 4 * d * _worst_row(matrix)
         raise FileFormatError(str(e), offset=at) from e

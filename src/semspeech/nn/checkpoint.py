@@ -4,14 +4,13 @@ float32 parameter buffers concatenated in header order."""
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import FileFormatError
+from ..fileformat import BinaryReader, write_binary
 from .optim import ParamStore
 
 CHECKPOINT_MAGIC = b"SEMM"
@@ -25,14 +24,8 @@ def save_checkpoint(path: str | Path, kind: str, config: dict, store: ParamStore
         "config": config,
         "params": [[name, list(p.shape)] for name, p in store.items()],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<H", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for _, p in store.items():
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    arrays = [p.data for _, p in store.items()]
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, (), header, arrays)
 
 
 def _is_param_entry(entry) -> bool:
@@ -48,59 +41,19 @@ def _is_param_entry(entry) -> bool:
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Returns (kind, config, name -> float32 array)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FileFormatError(
-            f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}", offset=0
-        )
-    if len(blob) < HEADER_OFFSET:
-        raise FileFormatError("truncated header", offset=len(blob))
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FileFormatError(f"unsupported version {version}", offset=4)
-    (header_len,) = struct.unpack_from("<I", blob, 6)
-    end = HEADER_OFFSET + header_len
-    if len(blob) < end:
-        raise FileFormatError("truncated JSON header", offset=len(blob))
-    try:
-        header = json.loads(blob[HEADER_OFFSET:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"bad JSON header: {e}", offset=HEADER_OFFSET) from e
-    if not isinstance(header, dict):
-        raise FileFormatError("header is not a JSON object", offset=HEADER_OFFSET)
+    reader = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n_fields=0, has_doc=True)
+    header = reader.doc
     for key, kind in (("kind", str), ("config", dict), ("params", list)):
         if not isinstance(header.get(key), kind):
-            raise FileFormatError(
-                f"header key {key!r} missing or not a {kind.__name__}", offset=HEADER_OFFSET
-            )
+            raise FileFormatError(f"header {key!r} missing or not a {kind.__name__}", HEADER_OFFSET)
     for entry in header["params"]:
         if not _is_param_entry(entry):
-            raise FileFormatError(
-                f"parameter entry {entry!r} is not [name, shape]", offset=HEADER_OFFSET
-            )
-
-    params: dict[str, np.ndarray] = {}
-    offset = end
-    for name, shape in header["params"]:
-        count = math.prod(shape)
-        nbytes = 4 * count
-        if len(blob) < offset + nbytes:
-            raise FileFormatError(
-                f"truncated buffer for parameter {name!r}", offset=len(blob)
-            )
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise FileFormatError(
-                f"non-finite value in parameter {name!r}", offset=offset + 4 * bad
-            )
-        params[name] = arr.reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise FileFormatError(
-            f"{len(blob) - offset} trailing bytes after parameter buffers", offset=offset
-        )
+            raise FileFormatError(f"parameter entry {entry!r} is not [name, shape]", HEADER_OFFSET)
+    params = {
+        name: reader.floats(math.prod(shape), f"parameter {name!r}").reshape(shape).copy()
+        for name, shape in header["params"]
+    }
+    reader.end()
     return header["kind"], header["config"], params
 
 

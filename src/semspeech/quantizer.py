@@ -4,7 +4,6 @@ consecutive-duplicate merging into hidden-unit sequences."""
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import numpy as np
 
 from .corpus import Corpus, FeatureSequence
 from .errors import FileFormatError, ValidationError
+from .fileformat import BinaryReader, read_id_ints, write_binary, write_id_ints
 from .random_utils import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -227,65 +227,25 @@ def quantize_corpus(corpus: Corpus, cb: Codebook) -> list[UnitSequence]:
 
 def write_codebook(path: str | Path, cb: Codebook) -> None:
     """SEMK format: magic, version u16, k u32, d u32, k*d float32 LE row-major."""
-    data = np.ascontiguousarray(cb.centroids, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        f.write(struct.pack("<H", CODEBOOK_VERSION))
-        f.write(struct.pack("<II", cb.k, cb.dim))
-        f.write(data.tobytes())
+    write_binary(path, CODEBOOK_MAGIC, CODEBOOK_VERSION, (cb.k, cb.dim), arrays=[cb.centroids])
 
 
 def read_codebook(path: str | Path) -> Codebook:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CODEBOOK_MAGIC:
-        raise FileFormatError(f"bad magic {blob[:4]!r}, expected {CODEBOOK_MAGIC!r}", offset=0)
-    if len(blob) < 14:
-        raise FileFormatError("truncated header", offset=len(blob))
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CODEBOOK_VERSION:
-        raise FileFormatError(f"unsupported version {version}", offset=4)
-    k, d = struct.unpack_from("<II", blob, 6)
+    reader = BinaryReader(path, CODEBOOK_MAGIC, CODEBOOK_VERSION, n_fields=2)
+    k, d = reader.fields
     if k < 1:
         raise FileFormatError("codebook declares 0 centroids", offset=6)
     if d < 1:
         raise FileFormatError("codebook declares 0 dimensions", offset=10)
-    expected = 14 + 4 * k * d
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"payload length {len(blob) - 14} does not match k*d*4 = {expected - 14}",
-            offset=min(len(blob), expected),
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=k * d, offset=14)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise FileFormatError("non-finite centroid value", offset=14 + 4 * int(bad[0]))
+    reader.expect_payload(4 * k * d)
+    data = reader.floats(k * d, "centroids")
     return Codebook(centroids=data.reshape(k, d).astype(np.float64))
 
 
 def save_unit_corpus(units: list[UnitSequence], path: str | Path) -> None:
     """One line per utterance: `<id><TAB><space-separated unit ids>`."""
-    with open(path, "w", encoding="utf-8") as f:
-        for seq in units:
-            f.write(f"{seq.source_id}\t{' '.join(str(u) for u in seq.units)}\n")
+    write_id_ints(path, ((seq.source_id, seq.units) for seq in units))
 
 
 def load_unit_corpus(path: str | Path) -> list[UnitSequence]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FileFormatError(f"line {line_no}: expected `<id>\\t<ids>`")
-            try:
-                units = [int(x) for x in parts[1].split()]
-            except ValueError as e:
-                raise FileFormatError(f"line {line_no}: bad unit id: {e}") from e
-            try:
-                out.append(UnitSequence(units=units, source_id=parts[0]))
-            except ValidationError as e:
-                raise FileFormatError(f"line {line_no}: {e}") from e
-    return out
+    return read_id_ints(path, UnitSequence)

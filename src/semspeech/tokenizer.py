@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
+from .fileformat import read_id_ints, read_text, write_id_ints
 from .quantizer import UnitSequence
 
 PAD, CLS, SEP, UNK, MASK = 0, 1, 2, 3, 4
@@ -230,14 +231,15 @@ def save_bpe_model(model: BpeModel, path: str | Path) -> None:
 
 
 def load_bpe_model(path: str | Path) -> BpeModel:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"model file is not valid JSON: {e}") from e
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise FileFormatError(f"model file {path} is not valid JSON: {e}") from e
+    if type(doc) is not dict:
+        raise FileFormatError(f"model file {path} is not a JSON object")
     for key in ("alphabet", "merges", "specials"):
         if key not in doc:
-            raise FileFormatError(f"model file missing key {key!r}")
+            raise FileFormatError(f"model file {path} missing key {key!r}")
     if doc["specials"] != SPECIALS:
         raise FileFormatError(f"unexpected special-token layout {doc['specials']!r}")
     try:
@@ -245,33 +247,14 @@ def load_bpe_model(path: str | Path) -> BpeModel:
             alphabet=[int(u) for u in doc["alphabet"]],
             merges=[(int(left), int(right)) for left, right in doc["merges"]],
         )
-    except (TypeError, ValueError) as e:
-        raise FileFormatError(f"malformed model file: {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise FileFormatError(f"malformed model file {path}: {e}") from e
 
 
 def save_token_corpus(seqs: list[TokenSequence], path: str | Path) -> None:
     """Same TSV line format as the unit corpus."""
-    with open(path, "w", encoding="utf-8") as f:
-        for seq in seqs:
-            f.write(f"{seq.source_id}\t{' '.join(str(t) for t in seq.tokens)}\n")
+    write_id_ints(path, ((seq.source_id, seq.tokens) for seq in seqs))
 
 
 def load_token_corpus(path: str | Path) -> list[TokenSequence]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FileFormatError(f"line {line_no}: expected `<id>\\t<ids>`")
-            try:
-                tokens = [int(x) for x in parts[1].split()]
-            except ValueError as e:
-                raise FileFormatError(f"line {line_no}: bad token id: {e}") from e
-            try:
-                out.append(TokenSequence(tokens=tokens, source_id=parts[0]))
-            except ValidationError as e:
-                raise FileFormatError(f"line {line_no}: {e}") from e
-    return out
+    return read_id_ints(path, TokenSequence)

@@ -87,6 +87,11 @@ def encode_frames(
     """Pad frame sequences into one batch, encode it and pool each row to one
     (B, d) vector; cls pooling first puts ``pool.cls`` in front of each row."""
     x, valid = _pad_frames([_as_frames(f) for f in frame_list])
+    d_in = store["enc.in.w"].shape[0]
+    if x.shape[2] != d_in:
+        raise ValidationError(
+            f"features have {x.shape[2]} dimensions, the model takes {d_in}", field="features"
+        )
     x = Tensor(x)
     if pooling == "cls":
         x, valid = prepend_frame(store["pool.cls"], x, valid)

@@ -10,6 +10,8 @@ from semspeech.cli import main
 from semspeech.corpus import load_corpus
 from semspeech.evaluation import load_report
 from semspeech.index import load_index
+from semspeech.nn.layers import EncoderConfig
+from semspeech.wavembed import WavEmbedModel
 
 TOY_CONFIG = """\
 [run]
@@ -289,6 +291,20 @@ def test_search_rejects_ambiguous_query(pipeline, tmp_path, capsys):
     ])
     assert rc == 1
     assert "query" in capsys.readouterr().err
+
+
+def test_model_of_another_feature_dim_exits_with_one_line_error(pipeline, tmp_path, capsys):
+    root, c = pipeline
+    model = tmp_path / "wide.semm"
+    cfg = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24)
+    WavEmbedModel.create(d_in=16, vocab=13, encoder_cfg=cfg).save(model)
+    rc = main([
+        "evaluate", "--config", c, "--out", str(tmp_path / "o"), "--model", str(model),
+        "--corpus", str(root / "data" / "corpus"), "--pairs", str(root / "data" / "pairs.test.tsv"),
+    ])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error\tValidationError\tfeatures have 8 dimensions, the model takes 16"]
 
 
 def _with_header(blob: bytes, edit) -> bytes:

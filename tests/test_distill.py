@@ -23,7 +23,7 @@ from semspeech.distill import (
     load_paired_manifest,
     save_paired_manifest,
 )
-from semspeech.errors import ValidationError
+from semspeech.errors import FileFormatError, ValidationError
 from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.losses import infonce_batch
@@ -194,6 +194,13 @@ def test_student_batch_spanning_chunks_keeps_input_order(pooling):
     assert batch.shape == (len(frames), 16)
     for i, f in enumerate(frames):
         assert np.max(np.abs(batch[i] - student.embed(f))) <= 1e-12
+
+
+@pytest.mark.parametrize("pooling", ["self_attention", "cls"])
+def test_student_rejects_features_of_another_dimension(pooling):
+    with pytest.raises(ValidationError, match="5 dimensions, the model takes 8") as e:
+        make_student(pooling=pooling).embed_batch([np.ones((3, 5))])
+    assert e.value.field == "features"
 
 
 def test_student_pooling_modes_differ():
@@ -558,10 +565,10 @@ def test_paired_manifest_round_trip(tmp_path):
 def test_paired_manifest_malformed_lines_error(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("utt-00\t1\t2\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(FileFormatError):
         load_paired_manifest(path)
     path.write_text("utt-00\tseven\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(FileFormatError):
         load_paired_manifest(path)
 
 

@@ -4,10 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from damage import damaged
 from semspeech.corpus import SyntheticSpec, generate_corpus
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.index import (
@@ -290,13 +287,3 @@ def test_load_reports_a_row_off_unit_norm_at_its_offset(tmp_path):
     assert e.value.offset == matrix_at + 4 * 4
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_damaged_index_loads_or_raises_format_error(tmp_path_factory, data):
-    directory = tmp_path_factory.mktemp("semi")
-    path = directory / "x.semi"
-    path.write_bytes(data.draw(damaged(_three_row_index_bytes(path))))
-    try:
-        load_index(path)
-    except FileFormatError as e:
-        assert e.offset is not None

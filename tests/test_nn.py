@@ -2,11 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from damage import damaged
-from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
 from semspeech.nn.gradcheck import grad_check
@@ -918,20 +914,3 @@ def test_checkpoint_wrong_kind(tmp_path):
         load(path, _ToyModel)
 
 
-def _saved_student(path) -> bytes:
-    cfg = EncoderConfig(layers=1, model_dim=4, heads=2, ff_dim=6)
-    StudentModel.create(d_in=3, cfg=cfg, pooling="cls", seed=1).save(path)
-    return path.read_bytes()
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_damaged_student_checkpoint_loads_or_raises_format_error(tmp_path_factory, data):
-    directory = tmp_path_factory.mktemp("semm")
-    blob = data.draw(damaged(_saved_student(directory / "student.semm")))
-    path = directory / "damaged.semm"
-    path.write_bytes(blob)
-    try:
-        load(path, StudentModel)
-    except FileFormatError as e:
-        assert e.offset is not None

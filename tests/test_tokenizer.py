@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from semspeech.tokenizer import (
     N_SPECIALS,
     PAD,
     SEP,
+    SPECIALS,
     UNK,
     BpeModel,
     TokenSequence,
@@ -281,8 +283,6 @@ def test_model_round_trip(tmp_path):
 
 
 def test_model_file_is_json_with_layout(tmp_path):
-    import json
-
     model = BpeModel(alphabet=[2, 5], merges=[(5, 6)])
     path = tmp_path / "bpe.json"
     save_bpe_model(model, path)
@@ -296,6 +296,21 @@ def test_model_file_bad_json(tmp_path):
     path = tmp_path / "bpe.json"
     path.write_text("{nope")
     with pytest.raises(FileFormatError):
+        load_bpe_model(path)
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        ("5", "is not a JSON object"),
+        ('{"alphabet": [1e999], "merges": [], "specials": SPECIALS}', "malformed model file"),
+    ],
+    ids=["a-number", "alphabet-entry-infinite"],
+)
+def test_model_file_of_the_wrong_type_is_a_format_error(tmp_path, doc, fault):
+    path = tmp_path / "bpe.json"
+    path.write_text(doc.replace("SPECIALS", json.dumps(SPECIALS)) + "\n")
+    with pytest.raises(FileFormatError, match=fault):
         load_bpe_model(path)
 
 

@@ -89,6 +89,13 @@ def test_embed_batch_rejects_mixed_feature_dims():
         model.embed_batch(seqs)
 
 
+def test_embed_rejects_features_of_another_dimension():
+    model = tiny_model()
+    with pytest.raises(ValidationError, match="6 dimensions, the model takes 4") as e:
+        model.embed(np.ones((3, 6)))
+    assert e.value.field == "features"
+
+
 def test_embed_ignores_decoder_params():
     model = tiny_model()
     rng = np.random.default_rng(3)

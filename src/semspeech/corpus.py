@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +47,11 @@ _MAX_CENTROID_TRIES = 500
 # decile being populable.
 _VARIANT_PROB = 0.5
 _COPY_PROB = 0.15
+
+# candidate pairs scored per block in build_scored_pairs: at 2000 utterances a
+# block's Gram rows, keys and scores take about 2 MB each, where all 2M
+# candidates at once take about 100 MB
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass
@@ -359,6 +365,33 @@ def _sample_pair_keys(rng: np.random.Generator, n: int, max_candidates: int) -> 
     return np.sort(kept)
 
 
+def _cosines(dots: np.ndarray, sq_i: np.ndarray, sq_j: np.ndarray) -> np.ndarray:
+    return np.where(dots == 0.0, 0.0, dots / np.sqrt(sq_i * sq_j))
+
+
+def _candidate_blocks(
+    counts: np.ndarray, rng: np.random.Generator, max_candidates: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Candidate pairs as (keys i*n + j, dots) blocks of about ``_PAIR_BLOCK``, keys ascending.
+
+    Every pair when there are at most ``max_candidates``, as row blocks of the
+    upper triangle of the Gram matrix; otherwise ``max_candidates`` sampled ones.
+    """
+    n = len(counts)
+    if n * (n - 1) // 2 <= max_candidates:
+        cols = np.arange(n)
+        rows = max(1, _PAIR_BLOCK // n)
+        for lo in range(0, n - 1, rows):
+            hi = min(lo + rows, n - 1)
+            upper = cols > np.arange(lo, hi)[:, None]
+            yield np.flatnonzero(upper) + lo * n, (counts[lo:hi] @ counts.T)[upper]
+    else:
+        keys = _sample_pair_keys(rng, n, max_candidates)
+        for lo in range(0, keys.size, _PAIR_BLOCK):
+            block = keys[lo : lo + _PAIR_BLOCK]
+            yield block, np.einsum("ij,ij->i", counts[block // n], counts[block % n])
+
+
 def build_scored_pairs(
     corpus: Corpus,
     n_pairs: int,
@@ -389,8 +422,8 @@ def build_scored_pairs(
         )
 
     # Bag-of-symbols count matrix. Counts are small integers, so float64 dot
-    # products are exact and the vectorized cosine matches
-    # ground_truth_similarity bit for bit.
+    # products are exact in any summation order and the vectorized cosine
+    # matches ground_truth_similarity bit for bit.
     n_symbols = 1 + max(max(u.symbols) for u in utts)
     counts = np.zeros((n, n_symbols), dtype=np.float64)
     for row, u in enumerate(utts):
@@ -398,21 +431,19 @@ def build_scored_pairs(
             counts[row, sym] += 1.0
     sq = np.einsum("ij,ij->i", counts, counts)
 
-    if total_pairs <= max_candidates:
-        iu, ju = np.triu_indices(n, k=1)
-        dots = (counts @ counts.T)[iu, ju]
-    else:
-        keys = _sample_pair_keys(rng, n, max_candidates)
-        iu, ju = keys // n, keys % n
-        dots = np.einsum("ij,ij->i", counts[iu], counts[ju])
-    scores = np.where(dots == 0.0, 0.0, dots / np.sqrt(sq[iu] * sq[ju]))
-
     # equal-width bins over [0, 1], the top bin closed; each bin holds its
-    # candidates' indices in ascending order
+    # candidates' keys in ascending order
     n_bins = 10
-    bin_of = np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
-    by_bin = np.argsort(bin_of, kind="stable")
-    bins = np.split(by_bin, np.cumsum(np.bincount(bin_of, minlength=n_bins))[:-1])
+    parts: list[list[np.ndarray]] = [[] for _ in range(n_bins)]
+    for keys, dots in _candidate_blocks(counts, rng, max_candidates):
+        scores = _cosines(dots, sq[keys // n], sq[keys % n])
+        bin_of = np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
+        for k in range(n_bins):
+            parts[k].append(keys[bin_of == k])
+    bins = []
+    for part in parts:
+        bins.append(np.concatenate(part))
+        part.clear()
 
     populated = [k for k in range(n_bins) if bins[k].size]
     for k in range(n_bins):
@@ -423,15 +454,19 @@ def build_scored_pairs(
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
-    # an index array shuffles into the same permutation as a list of its length
+    # the shuffle's draws depend only on a bin's length, so a bin of keys
+    # shuffles into the same permutation as a list of its pairs
     for k in range(n_bins):
         rng.shuffle(bins[k])
 
     base, rem = divmod(n_pairs, n_bins)
     quotas = [base + (1 if k < rem else 0) for k in range(n_bins)]
+    # emitted pairs per bin they were taken from
+    hist = [0] * n_bins
     taken: list[list[np.ndarray]] = []
     for k in range(n_bins):
         taken.append([bins[k][: quotas[k]]])
+        hist[k] += taken[k][0].size
         bins[k] = bins[k][quotas[k] :]
 
     # borrow for deficit bins from the nearest bins that still have candidates
@@ -446,6 +481,7 @@ def build_scored_pairs(
                 if 0 <= nb < n_bins and bins[nb].size:
                     grab = min(deficit, bins[nb].size)
                     taken[k].append(bins[nb][:grab])
+                    hist[nb] += grab
                     bins[nb] = bins[nb][grab:]
                     deficit -= grab
             if deficit == 0:
@@ -457,8 +493,6 @@ def build_scored_pairs(
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
-    emitted = np.concatenate([part for bucket in taken for part in bucket])
-    hist = np.bincount(bin_of[emitted], minlength=n_bins)
     target = n_pairs / n_bins
     for k in range(n_bins):
         if abs(hist[k] - target) > 0.2 * target + 1e-9:
@@ -468,9 +502,12 @@ def build_scored_pairs(
                 bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
             )
 
+    emitted = np.concatenate([part for bucket in taken for part in bucket])
+    iu, ju = emitted // n, emitted % n
+    scores = _cosines(np.einsum("ij,ij->i", counts[iu], counts[ju]), sq[iu], sq[ju])
     pairs = [
         (utts[i].id, utts[j].id, 5.0 * s)
-        for i, j, s in zip(iu[emitted].tolist(), ju[emitted].tolist(), scores[emitted].tolist())
+        for i, j, s in zip(iu.tolist(), ju.tolist(), scores.tolist())
     ]
     return ScoredPairSet(pairs=pairs, split=split)
 
@@ -522,6 +559,9 @@ def _manifest_fault(rec) -> str | None:
             return f"missing key {key!r}"
         if type(rec[key]) is not kind:
             return f"key {key!r} is not a JSON {kind.__name__}"
+    # ids are written unescaped into the TSV artifacts
+    if any(c in rec["id"] for c in "\t\r\n"):
+        return f"key 'id' holds a tab or line break: {rec['id']!r}"
     symbols = rec.get("symbols", [])
     if type(symbols) is not list or any(type(s) is not int for s in symbols):
         return "key 'symbols' is not a list of ints"

@@ -6,6 +6,7 @@ alphabet, then merged tokens in merge order.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -142,29 +143,42 @@ def train_bpe(units: list[UnitSequence], vocab_size: int) -> BpeModel:
             counts[p] += c
             where[p].add(idx)
 
+    # max-count pair first, ties to the smallest pair; an entry whose count is
+    # not the pair's current count is stale and skipped when it surfaces
+    heap = [(-c, p) for p, c in counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[int, int]] = []
     next_id = N_SPECIALS + len(alphabet)
     while next_id < vocab_size and counts:
-        best_pair, best_count = None, 0
-        for p, c in counts.items():
-            if c > best_count or (c == best_count and (best_pair is None or p < best_pair)):
-                best_pair, best_count = p, c
-        if best_count < 2:
+        neg, best_pair = heapq.heappop(heap)
+        while counts.get(best_pair) != -neg:
+            neg, best_pair = heapq.heappop(heap)
+        if -neg < 2:
             break
         merges.append(best_pair)
         affected = sorted(where[best_pair])
+        # net count change per pair; only a pair whose count moved gets a new
+        # heap entry
+        delta: Counter = Counter()
         for idx in affected:
-            old = seqs[idx]
-            for p, c in _pair_counts(old).items():
-                counts[p] -= c
-                if counts[p] <= 0:
-                    del counts[p]
+            before = _pair_counts(seqs[idx])
+            seqs[idx] = _merge_once(seqs[idx], best_pair, next_id)
+            after = _pair_counts(seqs[idx])
+            for p in before.keys() - after.keys():
                 where[p].discard(idx)
-            new = _merge_once(old, best_pair, next_id)
-            seqs[idx] = new
-            for p, c in _pair_counts(new).items():
-                counts[p] += c
+            for p in after.keys() - before.keys():
                 where[p].add(idx)
+            delta.update(after)
+            delta.subtract(before)
+        for p, d in delta.items():
+            if d:
+                c = counts[p] + d
+                if c > 0:
+                    counts[p] = c
+                    heapq.heappush(heap, (-c, p))
+                else:
+                    del counts[p]
         next_id += 1
 
     return BpeModel(alphabet=alphabet, merges=merges)

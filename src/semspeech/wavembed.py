@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FeatureSequence
-from .errors import ValidationError
+from .errors import FileFormatError, ValidationError
+from .fileformat import read_text
 from .nn import checkpoint
 from .nn.layers import (
     EncoderConfig,
@@ -416,21 +417,36 @@ def train_wavembed(
     return [CurvePoint(s, init_train if t is None else t, d) for s, t, d in evals]
 
 
+_CURVE_HEADER = ["step", "train_loss", "dev_loss"]
+
+
 def save_loss_curve(path: str | Path, curve: Sequence[CurvePoint]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "train_loss", "dev_loss"])
+        writer.writerow(_CURVE_HEADER)
         for point in curve:
             writer.writerow([point.step, repr(point.train_loss), repr(point.dev_loss)])
 
 
 def load_loss_curve(path: str | Path) -> list[CurvePoint]:
+    """The points ``save_loss_curve`` wrote; a malformed line is a
+    ``FileFormatError`` naming it."""
+    lines = read_text(path).split("\n")
+    if lines[0].split(",") != _CURVE_HEADER:
+        raise FileFormatError(
+            f"{path} line 1: loss curve header {lines[0]!r}, expected {','.join(_CURVE_HEADER)!r}"
+        )
     points = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["step", "train_loss", "dev_loss"]:
-            raise ValidationError("unexpected loss curve header", field="header")
-        for row in reader:
-            points.append(CurvePoint(int(row[0]), float(row[1]), float(row[2])))
+    for line_no, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise FileFormatError(
+                f"{path} line {line_no}: {len(fields)} comma-separated fields, expected 3"
+            )
+        try:
+            points.append(CurvePoint(int(fields[0]), float(fields[1]), float(fields[2])))
+        except ValueError as e:
+            raise FileFormatError(f"{path} line {line_no}: {e}") from e
     return points

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semspeech.corpus as corpus_module
 from semspeech.corpus import (
     Corpus,
     FeatureSequence,
@@ -348,6 +350,33 @@ def test_scored_pairs_sampled_candidates_match_reference():
     assert got.pairs == expected
 
 
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_scored_pairs_match_reference_at_any_block_size(monkeypatch, block):
+    monkeypatch.setattr(corpus_module, "_PAIR_BLOCK", block)
+    corpus = generate_corpus(SyntheticSpec(n_utterances=150, seed=2))
+    expected, _ = reference_scored_pairs(corpus, n_pairs=60, seed=5)
+    assert build_scored_pairs(corpus, n_pairs=60, seed=5).pairs == expected
+    expected, _ = reference_scored_pairs(corpus, n_pairs=60, seed=5, max_candidates=6000)
+    assert build_scored_pairs(corpus, n_pairs=60, seed=5, max_candidates=6000).pairs == expected
+
+
+# The all-pairs path once held the (n, n) Gram matrix and five arrays over all
+# candidates (92 MiB at 2000 utterances), the sampled one (n_candidates, symbols)
+# gathers of the count matrix (687 MiB at 3000); each must stay under half.
+@pytest.mark.parametrize("n_utterances, limit_mib", [(2000, 46), (3000, 343)],
+                         ids=["all-pairs", "sampled"])
+def test_scored_pairs_peak_memory(n_utterances, limit_mib):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=n_utterances, seed=0))
+    tracemalloc.start()
+    try:
+        pairs = build_scored_pairs(corpus, n_pairs=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 200
+    assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_scored_pair_set_validates():
     with pytest.raises(ValidationError):
         ScoredPairSet(pairs=[("a", "b", 6.0)])
@@ -482,8 +511,19 @@ def test_corpus_load_missing_manifest(tmp_path):
         ('{"id": "u0", "speaker": 0, "path": 5}', "'path' is not a JSON str"),
         ("5", "is not a JSON object"),
         ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "symbols": 3}', "'symbols'"),
+        ('{"id": "a\\tb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
+        ('{"id": "a\\nb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
+        ('{"id": "a\\rb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
     ],
-    ids=["speaker-a-string", "path-a-number", "bare-number", "symbols-a-number"],
+    ids=[
+        "speaker-a-string",
+        "path-a-number",
+        "bare-number",
+        "symbols-a-number",
+        "id-with-tab",
+        "id-with-line-feed",
+        "id-with-carriage-return",
+    ],
 )
 def test_manifest_line_of_the_wrong_type_is_a_format_error(tmp_path, line, fault):
     (tmp_path / "features").mkdir()

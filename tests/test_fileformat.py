@@ -52,6 +52,7 @@ from semspeech.tokenizer import (
     save_token_corpus,
     train_bpe,
 )
+from semspeech.wavembed import CurvePoint, load_loss_curve, save_loss_curve
 
 UNITS = [UnitSequence([3, 1, 4], "u0"), UnitSequence([5], "u1"), UnitSequence([2, 6], "u2")]
 
@@ -151,6 +152,10 @@ TEXT = {
     "manifest.jsonl": (_write_manifest, lambda p: load_corpus(p.parent)),
     "bpe.json": (lambda p: save_bpe_model(train_bpe(UNITS * 2, vocab_size=14), p), load_bpe_model),
     "config": (_write_config, load_config),
+    "curve.csv": (
+        lambda p: save_loss_curve(p, [CurvePoint(0, 2.5, 2.6), CurvePoint(10, 1.25, float("nan"))]),
+        load_loss_curve,
+    ),
 }
 
 

@@ -1,5 +1,6 @@
+import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from semspeech.tokenizer import (
     UNK,
     BpeModel,
     TokenSequence,
+    _merge_once,
+    _pair_counts,
     decode,
     encode,
     load_bpe_model,
@@ -172,6 +175,74 @@ def test_training_deterministic_bytes(tmp_path):
     save_bpe_model(train_bpe(units, 5 + 8 + 10), p1)
     save_bpe_model(train_bpe(units, 5 + 8 + 10), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# the trainer before merges came from a heap: it rescans every pair count for
+# each merge, and is the oracle for the heap's choice, ties included
+def rescanning_train_bpe(units, vocab_size):
+    alphabet = sorted({u for seq in units for u in seq.units})
+    model = BpeModel(alphabet=alphabet, merges=[])
+    seqs = [[model.token_for_unit(u) for u in seq.units] for seq in units]
+    counts = Counter()
+    where = defaultdict(set)
+    for idx, s in enumerate(seqs):
+        for p, c in _pair_counts(s).items():
+            counts[p] += c
+            where[p].add(idx)
+    merges = []
+    next_id = N_SPECIALS + len(alphabet)
+    while next_id < vocab_size and counts:
+        best_pair, best_count = None, 0
+        for p, c in counts.items():
+            if c > best_count or (c == best_count and (best_pair is None or p < best_pair)):
+                best_pair, best_count = p, c
+        if best_count < 2:
+            break
+        merges.append(best_pair)
+        for idx in sorted(where[best_pair]):
+            old = seqs[idx]
+            for p, c in _pair_counts(old).items():
+                counts[p] -= c
+                if counts[p] <= 0:
+                    del counts[p]
+                where[p].discard(idx)
+            new = _merge_once(old, best_pair, next_id)
+            seqs[idx] = new
+            for p, c in _pair_counts(new).items():
+                counts[p] += c
+                where[p].add(idx)
+        next_id += 1
+    return BpeModel(alphabet=alphabet, merges=merges)
+
+
+def _dedup_runs(xs):
+    return [x for i, x in enumerate(xs) if i == 0 or x != xs[i - 1]]
+
+
+# three or four units over short lines: most merge choices are ties
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.lists(st.integers(0, 3), min_size=1, max_size=14).map(_dedup_runs),
+        min_size=1,
+        max_size=30,
+    ),
+    extra=st.integers(0, 60),
+)
+def test_heap_merges_equal_the_rescanning_trainer(lines, extra):
+    units = [UnitSequence(units=line, source_id=f"u{i}") for i, line in enumerate(lines)]
+    vocab_size = N_SPECIALS + len({u for line in lines for u in line}) + extra
+    assert train_bpe(units, vocab_size).merges == rescanning_train_bpe(units, vocab_size).merges
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    units = make_units(np.random.default_rng(11), n_lines=300, alphabet=6)
+    model = train_bpe(units, N_SPECIALS + 6 + 120)
+    assert model.merges == rescanning_train_bpe(units, N_SPECIALS + 6 + 120).merges
+    path = tmp_path / "bpe.json"
+    save_bpe_model(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c8600aaec719862da04cf7966c6bcb0b48971ade0b346d8ccfc1fe4db84c6ebb"
 
 
 # ---------------------------------------------------------------------------

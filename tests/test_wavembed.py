@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semspeech.corpus import SyntheticSpec, generate_corpus
-from semspeech.errors import ValidationError
+from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig
@@ -338,6 +338,23 @@ def test_loss_curve_round_trip(tmp_path):
     save_loss_curve(path, curve)
     back = load_loss_curve(path)
     assert back == curve
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("step,train_loss\n", "line 1: loss curve header"),
+        ("step,train_loss,dev_loss\r\n0,2.5,2.6\r\n1,0.5\r\n", "line 3: 2 comma-separated"),
+        ("step,train_loss,dev_loss\n0,2.5,x\n", "line 2: could not convert"),
+        ("step,train_loss,dev_loss\n0.5,2.5,2.6\n", "line 2: invalid literal"),
+    ],
+    ids=["header", "short-row", "bad-float", "bad-step"],
+)
+def test_malformed_loss_curve_is_a_format_error_naming_its_line(tmp_path, text, fault):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(FileFormatError, match=fault):
+        load_loss_curve(path)
 
 
 def test_wrap_units_layout():

@@ -8,7 +8,6 @@ nonzero with a one-line machine-parsable error on failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import sys
@@ -31,6 +30,7 @@ from .corpus import (
 from .distill import DistillConfig, StudentModel, distill_train, save_paired_manifest
 from .errors import SemspeechError, ValidationError
 from .evaluation import evaluate, save_pair_predictions, save_report
+from .fileformat import write_csv
 from .index import build_index, load_index, save_index, search
 from .nn import checkpoint
 from .nn.layers import EncoderConfig
@@ -77,14 +77,6 @@ def _encoder_config(cfg: PipelineConfig) -> EncoderConfig:
 
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _load_embedder(path: str | Path):
@@ -201,7 +193,7 @@ def cmd_pretrain_mlm(cfg: PipelineConfig, args, out: Path) -> None:
         batch_size=cfg["mlm.batch_size"],
     )
     encoder.save(out / "encoder-mlm.semm")
-    _write_rows(out / "mlm_loss.csv", ["step", "loss"], enumerate(history, start=1))
+    write_csv(out / "mlm_loss.csv", ["step", "loss"], enumerate(history, start=1))
     logger.info("%d steps; final loss %.4f", len(history), history[-1])
 
 
@@ -251,7 +243,6 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
         teacher = Teacher(encoder=encoder, kind="mlm")
     elif args.kind == "tsdae":
         tcfg = TeacherConfig(
-            kind="tsdae",
             deletion_ratio=cfg["tsdae.deletion_ratio"],
             epochs=cfg["tsdae.epochs"],
             lr=cfg["tsdae.lr"],
@@ -267,7 +258,6 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
             raise ValidationError("simcse needs --pairs for dev evaluation", field="pairs")
         dev_pairs = load_scored_pairs(args.pairs, split="dev")
         tcfg = TeacherConfig(
-            kind="simcse",
             dropout_rate=cfg["simcse.dropout"],
             tau=cfg["simcse.tau"],
             lr=cfg["simcse.lr"],
@@ -278,7 +268,7 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
             seed=cfg["run.seed"],
         )
         teacher, history = train_simcse(encoder, seqs, tcfg, dev_pairs)
-        _write_rows(out / "simcse_history.csv", ["step", "dev_spearman"], history)
+        write_csv(out / "simcse_history.csv", ["step", "dev_spearman"], history)
         logger.info("best dev spearman %.4f", teacher.info["best_dev_spearman"])
     teacher.save(out / "teacher.semm")
     logger.info("saved %s teacher", args.kind)
@@ -307,7 +297,7 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
     )
     history, info = distill_train(student, teacher, corpus, targets, dcfg, dev_pairs)
     student.save(out / "student.semm")
-    _write_rows(out / "distill_history.csv", ["step", "dev_spearman"], history)
+    write_csv(out / "distill_history.csv", ["step", "dev_spearman"], history)
     line_of = {utt_id: i for i, utt_id in enumerate(targets)}
     save_paired_manifest(
         [(u.id, line_of[u.id]) for u in corpus], out / "paired.tsv"
@@ -369,7 +359,7 @@ def cmd_search(cfg: PipelineConfig, args, out: Path) -> None:
         query = model.embed(read_features(args.query_features))
     results = search(index, query, k=args.k)
     lines = [f"{utt_id}\t{score:.6f}" for utt_id, score in results]
-    (out / "results.tsv").write_text("\n".join(lines) + "\n")
+    (out / "results.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
 
@@ -463,7 +453,9 @@ def main(argv=None) -> int:
     command_slug = args.command.replace("-", "_")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        file_handler = logging.FileHandler(out / f"{command_slug}.log", mode="w")
+        file_handler = logging.FileHandler(
+            out / f"{command_slug}.log", mode="w", encoding="utf-8"
+        )
     except OSError as e:
         # no log file yet, so the error line goes to stderr alone
         print(_error_line(e), file=sys.stderr)

@@ -303,7 +303,7 @@ def distill_train(
 def save_paired_manifest(pairs: Sequence[tuple[str, int]], path: str | Path) -> None:
     """TSV rows of utterance id and the line index of its target sequence."""
     lines = [f"{utt_id}\t{line_ref}" for utt_id, line_ref in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_paired_manifest(path: str | Path) -> list[tuple[str, int]]:

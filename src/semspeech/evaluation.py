@@ -104,7 +104,7 @@ def alignment(
     return total / count
 
 
-def uniformity(embeddings, include_self: bool = False) -> float:
+def uniformity(embeddings) -> float:
     """log mean over unordered pairs of exp(-2 ||f(x)-f(y)||^2), normalized inputs."""
     arr = np.asarray(embeddings, dtype=np.float64)
     if arr.ndim != 2:
@@ -118,11 +118,7 @@ def uniformity(embeddings, include_self: bool = False) -> float:
         diffs = arr[i + 1 :] - arr[i]
         sq = (diffs * diffs).sum(axis=1)
         total += float(np.exp(-2.0 * sq).sum())
-    count = n * (n - 1) // 2
-    if include_self:
-        total += n  # each self-pair contributes e^0
-        count += n
-    return math.log(total / count)
+    return math.log(total / (n * (n - 1) // 2))
 
 
 def pair_spearman(
@@ -303,7 +299,7 @@ def recall_at_k(
 # ---------------------------------------------------------------------------
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(report.to_json())
+    Path(path).write_text(report.to_json(), encoding="utf-8")
 
 
 def load_report(path: str | Path) -> EvalReport:
@@ -316,5 +312,5 @@ def save_pair_predictions(report: EvalReport, path: str | Path) -> None:
         lines.append(
             f"{p.id_a}\t{p.id_b}\t{p.human_score:.6f}\t{p.predicted:.10f}\t{p.n_combinations}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

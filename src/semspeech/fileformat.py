@@ -3,12 +3,14 @@
 A binary artifact is a 4-byte magic, a u16 version and the format's u32
 fields, then, if the format has one, a u32 length and that many bytes of
 UTF-8 JSON object, then little-endian float32 runs. Text artifacts are UTF-8;
-TSV rows are non-blank lines of tab-separated fields. Every fault is a
-``FileFormatError``, at its byte offset where one is known.
+TSV rows are non-blank lines of tab-separated fields, and CSV tables a header
+row then data rows, CRLF-terminated. Every fault is a ``FileFormatError``, at
+its byte offset where one is known.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -133,6 +135,15 @@ def write_id_ints(path: str | Path, rows: Iterable[tuple[str, Sequence[int]]]) -
     with open(path, "w", encoding="utf-8") as f:
         for row_id, ints in rows:
             f.write(f"{row_id}\t{' '.join(str(i) for i in ints)}\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A UTF-8 CSV table with ``csv.writer``'s CRLF line ends. It writes a
+    float as its shortest round-tripping digits, so it reads back the same."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_id_ints(path: str | Path, make: Callable[[list[int], str], object]) -> list:

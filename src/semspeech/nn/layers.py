@@ -331,7 +331,6 @@ def init_token_decoder(
     rng: np.random.Generator,
     cfg: EncoderConfig,
     vocab: int,
-    prefix: str = "dec",
     condition_mode: str = "memory",
 ):
     cfg.validate()
@@ -340,14 +339,14 @@ def init_token_decoder(
             f"condition_mode must be 'memory' or 'add', got {condition_mode!r}",
             field="condition_mode",
         )
-    init_embedding(store, rng, f"{prefix}.tok", vocab, cfg.model_dim)
+    init_embedding(store, rng, "dec.tok", vocab, cfg.model_dim)
     for layer in range(cfg.layers):
         init_block(
-            store, rng, f"{prefix}.block{layer}", cfg, cross_attention=condition_mode == "memory"
+            store, rng, f"dec.block{layer}", cfg, cross_attention=condition_mode == "memory"
         )
-    init_layer_norm(store, f"{prefix}.ln_f", cfg.model_dim)
+    init_layer_norm(store, "dec.ln_f", cfg.model_dim)
     # small output head keeps initial logits near uniform (loss starts at ~ln V)
-    init_linear(store, rng, f"{prefix}.out", cfg.model_dim, vocab, scale=0.1)
+    init_linear(store, rng, "dec.out", cfg.model_dim, vocab, scale=0.1)
 
 
 def decode_tokens(
@@ -356,7 +355,6 @@ def decode_tokens(
     store: ParamStore,
     cfg: EncoderConfig,
     vocab: int,
-    prefix: str = "dec",
     condition_mode: str = "memory",
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
@@ -374,14 +372,14 @@ def decode_tokens(
         z = z.reshape(1, *z.shape)
     b, s = tokens.shape
     _check_sequence(s, cfg, train_mode, rng)
-    h = take_rows(store[f"{prefix}.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
+    h = take_rows(store["dec.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
     memory = None
     if condition_mode == "add":
         h = h + z.reshape(b, 1, z.shape[-1])
     else:
         memory = z.reshape(b, 1, z.shape[-1])
-    h = _run_blocks(store, prefix, h, cfg, causal_mask(s), memory, train_mode, rng)
-    logits = apply_linear(store, f"{prefix}.out", h)
+    h = _run_blocks(store, "dec", h, cfg, causal_mask(s), memory, train_mode, rng)
+    logits = apply_linear(store, "dec.out", h)
     return logits.reshape(s, vocab) if single else logits
 
 
@@ -391,12 +389,10 @@ def decoder_step(
     store: ParamStore,
     cfg: EncoderConfig,
     vocab: int,
-    prefix: str = "dec",
     condition_mode: str = "memory",
 ) -> Tensor:
     """Next-token logits given the prefix; eval mode."""
     logits = decode_tokens(
-        np.asarray(prev_tokens), z, store, cfg, vocab, prefix=prefix,
-        condition_mode=condition_mode,
+        np.asarray(prev_tokens), z, store, cfg, vocab, condition_mode=condition_mode
     )
     return logits[-1]

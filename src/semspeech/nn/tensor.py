@@ -68,9 +68,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod
@@ -264,32 +261,6 @@ class Tensor:
             )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    # -- elementwise functions --------------------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward(g):
-            self._accumulate(g / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def sqrt(self):
         return self**0.5
 
@@ -316,16 +287,6 @@ def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form gelu; kink-free so finite differences stay honest."""
-    t = _gelu_tanh(x.data)
-
-    def backward(g):
-        x._accumulate(g * _gelu_slope(x.data, t))
-
-    return Tensor._make(_gelu_value(x.data, t), (x,), backward)
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

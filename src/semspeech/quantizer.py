@@ -19,8 +19,6 @@ logger = logging.getLogger(__name__)
 CODEBOOK_MAGIC = b"SEMK"
 CODEBOOK_VERSION = 1
 
-DEFAULT_CLUSTER_SIZES = (50, 100, 200)
-
 # frames per block of the Lloyd assignment pass: a (block, k) float64 distance
 # matrix stays in cache at k of a few hundred
 _LLOYD_BLOCK = 1024

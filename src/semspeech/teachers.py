@@ -109,11 +109,6 @@ class SequenceEncoder:
         tokens = np.atleast_2d(tokens)
         return self.pool(self.encode(tokens, train_mode=True, rng=rng), tokens)
 
-    def embed(self, seq) -> np.ndarray:
-        tokens = token_array(seq)[None, :]
-        with no_grad():
-            return self.pool(self.encode(tokens), tokens).data[0].copy()
-
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
         arrs = [token_array(s) for s in seqs]
         if not arrs:
@@ -235,18 +230,13 @@ def mlm_pretrain(
 # token deletion
 # ---------------------------------------------------------------------------
 
-def delete_tokens(seq: TokenSequence, ratio: float, rng_or_seed=0) -> TokenSequence:
+def delete_tokens(seq: TokenSequence, ratio: float, rng: np.random.Generator) -> TokenSequence:
     """Drop interior tokens independently; the CLS/SEP frame always survives.
 
     If every interior token would vanish, one uniformly chosen survivor stays.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValidationError("deletion ratio must be in [0, 1]", field="ratio")
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else derive_rng(int(rng_or_seed), "delete")
-    )
     toks = list(seq.tokens)
     interior = toks[1:-1]
     if not interior:
@@ -264,7 +254,6 @@ def delete_tokens(seq: TokenSequence, ratio: float, rng_or_seed=0) -> TokenSeque
 
 @dataclass
 class TeacherConfig:
-    kind: str
     deletion_ratio: float = 0.0
     dropout_rate: float = 0.1
     tau: float = 0.05
@@ -277,10 +266,6 @@ class TeacherConfig:
     eval_every_steps: int = 10
 
     def validate(self) -> None:
-        if self.kind not in ("tsdae", "simcse"):
-            raise ValidationError(
-                f"kind must be 'tsdae' or 'simcse', got {self.kind!r}", field="kind"
-            )
         if not 0.0 <= self.deletion_ratio <= 1.0:
             raise ValidationError("deletion_ratio must be in [0, 1]", field="deletion_ratio")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -313,9 +298,6 @@ class Teacher:
     def store(self) -> ParamStore:
         return self.encoder.store
 
-    def embed(self, seq) -> np.ndarray:
-        return self.encoder.embed(seq)
-
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
         return self.encoder.embed_batch(seqs)
 
@@ -347,8 +329,6 @@ def train_tsdae(
 ) -> tuple[Teacher, list[CurvePoint]]:
     """Denoising autoencoder: embed a corrupted sequence, decode the original."""
     cfg.validate()
-    if cfg.kind != "tsdae":
-        raise ValidationError("config kind must be 'tsdae'", field="kind")
     seqs = [TokenSequence(list(token_array(s)), getattr(s, "source_id", "")) for s in corpus]
     if not seqs:
         raise ValidationError("corpus is empty", field="corpus")
@@ -358,8 +338,7 @@ def train_tsdae(
     if "dec.tok" not in encoder.store:
         dec_rng = derive_rng(cfg.seed, "tsdae", "decoder-init")
         init_token_decoder(
-            encoder.store, dec_rng, decoder_cfg, encoder.vocab, prefix="dec",
-            condition_mode="memory",
+            encoder.store, dec_rng, decoder_cfg, encoder.vocab, condition_mode="memory"
         )
 
     split_rng = derive_rng(cfg.seed, "tsdae", "split")
@@ -409,8 +388,6 @@ def train_simcse(
     """Dropout-contrastive training; the same sequence under a second dropout
     draw is the positive, the rest of the batch the negatives."""
     cfg.validate()
-    if cfg.kind != "simcse":
-        raise ValidationError("config kind must be 'simcse'", field="kind")
     if cfg.dropout_rate <= 0.0:
         raise ValidationError(
             "dropout_rate must be positive: with no dropout both passes collapse "

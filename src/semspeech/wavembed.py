@@ -1,13 +1,12 @@
 """Sequence autoencoder: encode frames, pool to one vector, reconstruct tokens.
 
 The model earns its embedding by having to regenerate the utterance's discrete
-target sequence from a single pooled vector. After training the decoder can be
-dropped; embedding extraction only ever reads encoder and pooling parameters.
+target sequence from a single pooled vector. Embedding extraction only ever
+reads encoder and pooling parameters.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -16,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, FeatureSequence
 from .errors import FileFormatError, ValidationError
-from .fileformat import read_text
+from .fileformat import read_text, write_csv
 from .nn import checkpoint
 from .nn.layers import (
     EncoderConfig,
@@ -138,7 +137,6 @@ class WavEmbedModel:
         vocab: int,
         condition_mode: str = "memory",
         max_target_len: int = DEFAULT_MAX_TARGET_LEN,
-        has_decoder: bool = True,
     ):
         self.store = store
         self.encoder_cfg = encoder_cfg
@@ -147,7 +145,6 @@ class WavEmbedModel:
         self.vocab = vocab
         self.condition_mode = condition_mode
         self.max_target_len = max_target_len
-        self.has_decoder = has_decoder
 
     @classmethod
     def create(
@@ -173,9 +170,7 @@ class WavEmbedModel:
         rng = derive_rng(seed, "wavembed", "init")
         store = ParamStore()
         init_encoder(store, rng, encoder_cfg, d_in=d_in, pooling="self_attention")
-        init_token_decoder(
-            store, rng, decoder_cfg, vocab, prefix="dec", condition_mode=condition_mode
-        )
+        init_token_decoder(store, rng, decoder_cfg, vocab, condition_mode=condition_mode)
         return cls(
             store,
             encoder_cfg,
@@ -210,27 +205,12 @@ class WavEmbedModel:
 
     # -- reconstruction -----------------------------------------------------
 
-    def _require_decoder(self) -> None:
-        if not self.has_decoder:
-            raise ValidationError(
-                "decoder parameters were stripped from this model", field="decoder"
-            )
-
     def _check_target_len(self, n: int) -> None:
         if n > self.max_target_len:
             raise ValidationError(
                 f"target length {n} exceeds max_target_len {self.max_target_len}",
                 field="max_target_len",
             )
-
-    def reconstruction_loss(
-        self,
-        features,
-        target,
-        train_mode: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        return self.batch_loss([features], [target], train_mode, rng)
 
     def batch_loss(
         self,
@@ -239,7 +219,6 @@ class WavEmbedModel:
         train_mode: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        self._require_decoder()
         if len(frame_list) != len(token_list) or not frame_list:
             raise ValidationError(
                 "need equal, non-zero numbers of feature and target sequences",
@@ -255,7 +234,6 @@ class WavEmbedModel:
         )
 
     def greedy_decode(self, features, max_len: int = 64) -> np.ndarray:
-        self._require_decoder()
         if max_len < 2:
             raise ValidationError("max_len must be >= 2", field="max_len")
         with no_grad():
@@ -278,15 +256,6 @@ class WavEmbedModel:
 
     # -- persistence --------------------------------------------------------
 
-    def strip_decoder(self) -> None:
-        """Drop decoder parameters; embedding extraction is unaffected."""
-        kept = ParamStore()
-        for name, p in self.store.items():
-            if not name.startswith("dec."):
-                kept.add(name, Tensor(p.data.copy()))
-        self.store = kept
-        self.has_decoder = False
-
     def config_dict(self) -> dict:
         return {
             "encoder": self.encoder_cfg.to_dict(),
@@ -295,12 +264,11 @@ class WavEmbedModel:
             "vocab": self.vocab,
             "condition_mode": self.condition_mode,
             "max_target_len": self.max_target_len,
-            "has_decoder": self.has_decoder,
         }
 
     @classmethod
     def from_config(cls, config: dict) -> "WavEmbedModel":
-        model = cls.create(
+        return cls.create(
             d_in=int(config["d_in"]),
             vocab=int(config["vocab"]),
             encoder_cfg=EncoderConfig.from_dict(config["encoder"]),
@@ -308,22 +276,9 @@ class WavEmbedModel:
             condition_mode=config["condition_mode"],
             max_target_len=int(config["max_target_len"]),
         )
-        if not config.get("has_decoder", True):
-            model.strip_decoder()
-        return model
 
-    def save(self, path: str | Path, encoder_only: bool = False) -> None:
-        store = self.store
-        has_decoder = self.has_decoder
-        if encoder_only and has_decoder:
-            store = ParamStore()
-            for name, p in self.store.items():
-                if not name.startswith("dec."):
-                    store.add(name, Tensor(p.data))
-            has_decoder = False
-        config = self.config_dict()
-        config["has_decoder"] = has_decoder
-        checkpoint.save_checkpoint(path, self.KIND, config, store)
+    def save(self, path: str | Path) -> None:
+        checkpoint.save_checkpoint(path, self.KIND, self.config_dict(), self.store)
 
     @classmethod
     def load(cls, path: str | Path) -> "WavEmbedModel":
@@ -376,7 +331,6 @@ def train_wavembed(
     Returns the loss curve; the model is left holding the best parameters.
     """
     cfg.validate()
-    model._require_decoder()
     ids = [u.id for u in corpus]
     if not ids:
         raise ValidationError("corpus is empty", field="corpus")
@@ -421,11 +375,7 @@ _CURVE_HEADER = ["step", "train_loss", "dev_loss"]
 
 
 def save_loss_curve(path: str | Path, curve: Sequence[CurvePoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CURVE_HEADER)
-        for point in curve:
-            writer.writerow([point.step, repr(point.train_loss), repr(point.dev_loss)])
+    write_csv(path, _CURVE_HEADER, ((p.step, p.train_loss, p.dev_loss) for p in curve))
 
 
 def load_loss_curve(path: str | Path) -> list[CurvePoint]:

@@ -12,8 +12,12 @@ in the suite; every check prints its measured values.
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter, deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,7 +137,7 @@ def denoise_teacher(world, mlm_bases):
     enc.store.load_state_dict(mlm_bases[0])
     teacher, _ = train_tsdae(
         enc, world.corpus_tokens,
-        TeacherConfig(kind="tsdae", deletion_ratio=0.0, epochs=4, batch_size=32, lr=5e-4, seed=0),
+        TeacherConfig(deletion_ratio=0.0, epochs=4, batch_size=32, lr=5e-4, seed=0),
     )
     return teacher
 
@@ -176,7 +180,7 @@ def test_c01_gradients_match_central_differences():
     frames = np.random.default_rng(10).standard_normal((2, 3))
     target = np.array([CLS, 5, 6, SEP])
     err_model = grad_check(
-        lambda: model.reconstruction_loss(frames, target),
+        lambda: model.batch_loss([frames], [target]),
         [p for _, p in model.store.items()],
     )
 
@@ -427,12 +431,11 @@ def test_c04_deletion_free_denoiser_beats_deletion(world, mlm_bases):
             teacher, _ = train_tsdae(
                 enc, world.corpus_tokens,
                 TeacherConfig(
-                    kind="tsdae", deletion_ratio=ratio, epochs=4,
-                    batch_size=32, lr=5e-4, seed=seed,
+                    deletion_ratio=ratio, epochs=4, batch_size=32, lr=5e-4, seed=seed
                 ),
             )
             rho[ratio], _, _ = _pair_spearman(
-                teacher.embed, world.dev, lambda i: world.tokens[i]
+                lambda s: teacher.embed_batch([s])[0], world.dev, lambda i: world.tokens[i]
             )
         margins.append(rho[0.0] - rho[0.6])
         lines.append(
@@ -483,7 +486,7 @@ def test_c05_wavembed_reaches_semantic_signal(world):
 
 def test_c06_student_tracks_teacher(world, denoise_teacher):
     teacher_rho, _, _ = _pair_spearman(
-        denoise_teacher.embed, world.test, lambda i: world.tokens[i]
+        lambda s: denoise_teacher.embed_batch([s])[0], world.test, lambda i: world.tokens[i]
     )
     digest_before = _store_digest(denoise_teacher.encoder.store)
 
@@ -688,6 +691,27 @@ def test_c09_pipeline_reruns_are_byte_identical(tmp_path, capsys):
     diffs = [rel for rel in digests_a if digests_a[rel] != digests_b[rel]]
     assert not diffs, f"artifacts differ between reruns: {diffs}"
     print(f"determinism: {len(digests_a)} artifacts byte-identical across reruns of 10 stages")
+
+
+def test_pipeline_text_writes_name_their_encoding(tmp_path):
+    # A text write that leaves the encoding to the locale could write a
+    # non-ASCII id in bytes its own UTF-8 reader rejects. Under
+    # warn_default_encoding every such open() warns; the run makes that an error.
+    cfg_path = tmp_path / "toy.cfg"
+    cfg_path.write_text(_DET_CONFIG, encoding="utf-8")
+    here = Path(__file__).resolve().parent
+    script = (
+        "import pathlib, sys\n"
+        "from test_acceptance import _run_toy_pipeline\n"
+        "_run_toy_pipeline(pathlib.Path(sys.argv[1]), sys.argv[2])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, str(tmp_path / "run"), str(cfg_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)])),
+        capture_output=True, encoding="utf-8", timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 # ---------------------------------------------------------------------------

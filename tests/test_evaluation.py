@@ -173,13 +173,6 @@ def test_uniformity_matches_double_loop():
     assert got == pytest.approx(math.log(total / count), abs=1e-9)
 
 
-def test_uniformity_include_self_flag():
-    embs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    # pairs: (0,1) -> e^-8, self-pairs add two e^0 terms
-    expected = math.log((math.exp(-8.0) + 2.0) / 3.0)
-    assert uniformity(embs, include_self=True) == pytest.approx(expected, abs=1e-12)
-
-
 def test_uniformity_needs_two():
     with pytest.raises(ValidationError):
         uniformity(np.ones((1, 4)))

@@ -1,7 +1,8 @@
 """Artifact framing: pinned writer bytes, and what a damaged file does.
 
-Every binary writer's output for a fixed tiny input is pinned by sha256, so
-any change to a byte layout shows here. A truncated or one-byte-damaged
+Every binary writer's output for a fixed tiny input is pinned by sha256, as
+are the row writers' (TSV and CSV), so any change to a byte layout shows
+here. A truncated or one-byte-damaged
 artifact must load or raise a typed error: ``FileFormatError`` with an
 offset for a binary one, and for a text one any ``SemspeechError`` or
 ``OSError``, the two the CLI turns into one error line.
@@ -69,8 +70,8 @@ def _tiny_student(path):
     StudentModel.create(d_in=3, cfg=cfg, pooling="cls", seed=1).save(path)
 
 
-# writer of a fixed tiny input, per binary format and per text format that
-# shares the <id>\t<ints> rows
+# writer of a fixed tiny input, per binary format, per text format that
+# shares the <id>\t<ints> rows, and for the CSV tables
 WRITERS = {
     "semf": lambda p: write_features(p, FeatureSequence(np.arange(6.0).reshape(3, 2))),
     "semk": lambda p: write_codebook(p, Codebook(centroids=np.arange(6.0).reshape(3, 2))),
@@ -81,6 +82,9 @@ WRITERS = {
     "units.tsv": lambda p: save_unit_corpus(UNITS, p),
     "tokens.tsv": lambda p: save_token_corpus(
         [TokenSequence([1, 7, 9, 2], "u0"), TokenSequence([1, 3, 2], "u1")], p
+    ),
+    "curve.csv": lambda p: save_loss_curve(
+        p, [CurvePoint(0, 2.5, 2.6), CurvePoint(10, 1.25, float("nan"))]
     ),
 }
 
@@ -93,6 +97,7 @@ GOLDEN = {
     "semm": "008bbfaba1563d4f2cd7e17ad878c99091989f19843aeac093608f053b1afc0d",
     "units.tsv": "4e0100e8e65128561f7f568b491ee8b5c54143f9c7a490ee036b5e15299f5cb9",
     "tokens.tsv": "aab378cc74c7fb7197a020ae9de56835d723e4481a9edf0b9b96169ba6cbb8e2",
+    "curve.csv": "93ce3a0981e66fc0b8287e4daaf5fef29ce9dcb74b2f05189c96d7efc9ee3b59",
 }
 
 
@@ -152,10 +157,7 @@ TEXT = {
     "manifest.jsonl": (_write_manifest, lambda p: load_corpus(p.parent)),
     "bpe.json": (lambda p: save_bpe_model(train_bpe(UNITS * 2, vocab_size=14), p), load_bpe_model),
     "config": (_write_config, load_config),
-    "curve.csv": (
-        lambda p: save_loss_curve(p, [CurvePoint(0, 2.5, 2.6), CurvePoint(10, 1.25, float("nan"))]),
-        load_loss_curve,
-    ),
+    "curve.csv": (WRITERS["curve.csv"], load_loss_curve),
 }
 
 

@@ -14,10 +14,12 @@ from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig, causal_mask, padding_mask
 from semspeech.nn.tensor import (
     Tensor,
+    _gelu_slope,
+    _gelu_tanh,
+    _gelu_value,
     attention,
     ffn,
     gather_last,
-    gelu,
     linear,
     log_softmax,
     nll,
@@ -44,6 +46,17 @@ def composite_attention(q_in, kv_in, params, heads, mask=None):
         scores = scores + Tensor(mask)
     out = (softmax(scores, axis=-1) @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
     return composite_linear(out, wo, bo)
+
+
+def gelu(x):
+    """Smooth tanh-form gelu as its own node; kink-free so finite differences
+    stay honest."""
+    t = _gelu_tanh(x.data)
+
+    def backward(g):
+        x._accumulate(g * _gelu_slope(x.data, t))
+
+    return Tensor._make(_gelu_value(x.data, t), (x,), backward)
 
 
 def composite_ffn(x, w1, b1, w2, b2):
@@ -191,6 +204,13 @@ def test_attention_grad_check(case):
 # ---------------------------------------------------------------------------
 # ffn and nll
 # ---------------------------------------------------------------------------
+
+def test_gelu_oracle_grad_check():
+    # the composite ffn's gradient is only an oracle if its gelu node is right
+    rng = np.random.default_rng(5)
+    a = _leaf(rng, 4, 4)
+    assert grad_check(lambda: gelu(a).sum(), [a]) < 1e-5
+
 
 def test_ffn_matches_composite_and_grad_checks():
     rng = np.random.default_rng(8)

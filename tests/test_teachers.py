@@ -59,7 +59,7 @@ def make_seqs(n, vocab=20, min_len=3, max_len=8, seed=0):
 def test_embed_dimension_and_determinism():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
     seq = TokenSequence([CLS, 7, 9, 12, SEP])
-    z1, z2 = enc.embed(seq), enc.embed(seq)
+    z1, z2 = enc.embed_batch([seq])[0], enc.embed_batch([seq])[0]
     assert z1.shape == (16,)
     assert np.array_equal(z1, z2)
 
@@ -76,7 +76,7 @@ def test_cls_and_mean_pooling_differ():
     mean_enc = SequenceEncoder.create(vocab=20, cfg=TINY, pooling="mean", seed=2)
     cls_enc = SequenceEncoder(mean_enc.store, TINY, 20, pooling="cls")
     seq = TokenSequence([CLS, 6, 11, 14, SEP])
-    assert np.linalg.norm(mean_enc.embed(seq) - cls_enc.embed(seq)) > 0
+    assert np.linalg.norm(mean_enc.embed_batch([seq]) - cls_enc.embed_batch([seq])) > 0
 
 
 def test_embed_batch_matches_single():
@@ -84,19 +84,19 @@ def test_embed_batch_matches_single():
     seqs = make_seqs(5, seed=3)
     batched = enc.embed_batch(seqs)
     for i, s in enumerate(seqs):
-        assert np.allclose(batched[i], enc.embed(s), atol=1e-10)
+        assert np.allclose(batched[i], enc.embed_batch([s])[0], atol=1e-10)
 
 
 def test_mean_pool_rejects_no_content():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=4)
     with pytest.raises(ValidationError):
-        enc.embed(TokenSequence([CLS, SEP]))
+        enc.embed_batch([TokenSequence([CLS, SEP])])
 
 
 def test_encoder_rejects_out_of_vocab():
     enc = SequenceEncoder.create(vocab=10, cfg=TINY, seed=5)
     with pytest.raises(ValidationError):
-        enc.embed(np.array([CLS, 15, SEP]))
+        enc.embed_batch([np.array([CLS, 15, SEP])])
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_mlm_unmasked_positions_get_zero_logit_grads():
 
 def test_delete_ratio_zero_identity():
     seq = TokenSequence([CLS, 7, 9, 12, SEP], source_id="a")
-    out = delete_tokens(seq, 0.0, 0)
+    out = delete_tokens(seq, 0.0, np.random.default_rng(0))
     assert out.tokens == seq.tokens
     assert out.source_id == "a"
 
@@ -271,13 +271,13 @@ def test_delete_empirical_rate():
 
 def test_delete_no_interior_passthrough():
     seq = TokenSequence([CLS, SEP])
-    out = delete_tokens(seq, 0.9, 0)
+    out = delete_tokens(seq, 0.9, np.random.default_rng(0))
     assert out.tokens == [CLS, SEP]
 
 
 def test_delete_ratio_out_of_range():
     with pytest.raises(ValidationError):
-        delete_tokens(TokenSequence([CLS, 5, SEP]), 1.5, 0)
+        delete_tokens(TokenSequence([CLS, 5, SEP]), 1.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +287,12 @@ def test_delete_ratio_out_of_range():
 def test_tsdae_smoke_ratio_zero():
     enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=9)
     seqs = make_seqs(30, vocab=13, seed=9)
-    cfg = TeacherConfig(kind="tsdae", deletion_ratio=0.0, epochs=3, lr=3e-3,
-                        batch_size=8, seed=9)
+    cfg = TeacherConfig(deletion_ratio=0.0, epochs=3, lr=3e-3, batch_size=8, seed=9)
     teacher, curve = train_tsdae(enc, seqs, cfg)
     assert teacher.kind == "tsdae"
     assert min(p.dev_loss for p in curve) < curve[0].dev_loss
-    z = teacher.embed(seqs[0])
-    assert z.shape == (16,)
+    z = teacher.embed_batch(seqs[:1])
+    assert z.shape == (1, 16)
 
 
 def test_tsdae_keep_best_and_determinism():
@@ -301,8 +300,7 @@ def test_tsdae_keep_best_and_determinism():
     for _ in range(2):
         enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=10)
         seqs = make_seqs(20, vocab=13, seed=10)
-        cfg = TeacherConfig(kind="tsdae", deletion_ratio=0.4, epochs=2, lr=1e-3,
-                            batch_size=8, seed=10)
+        cfg = TeacherConfig(deletion_ratio=0.4, epochs=2, lr=1e-3, batch_size=8, seed=10)
         teacher, curve = train_tsdae(enc, seqs, cfg)
         runs.append((teacher, curve))
     t1, c1 = runs[0]
@@ -313,19 +311,13 @@ def test_tsdae_keep_best_and_determinism():
     assert min(p.dev_loss for p in c1) == t1.info["best_dev_loss"]
 
 
-def test_tsdae_rejects_wrong_kind():
-    enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=0)
-    with pytest.raises(ValidationError):
-        train_tsdae(enc, make_seqs(5, vocab=13), TeacherConfig(kind="simcse"))
-
-
 # ---------------------------------------------------------------------------
 # simcse
 # ---------------------------------------------------------------------------
 
 def test_simcse_requires_dropout():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
-    cfg = TeacherConfig(kind="simcse", dropout_rate=0.0)
+    cfg = TeacherConfig(dropout_rate=0.0)
     pairs = ScoredPairSet(pairs=[("u000", "u001", 4.0)], split="dev")
     with pytest.raises(ValidationError):
         train_simcse(enc, make_seqs(4), cfg, pairs)
@@ -333,7 +325,7 @@ def test_simcse_requires_dropout():
 
 def test_simcse_requires_batch_of_two():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
-    cfg = TeacherConfig(kind="simcse", batch_size=1)
+    cfg = TeacherConfig(batch_size=1)
     pairs = ScoredPairSet(pairs=[("u000", "u001", 4.0)], split="dev")
     with pytest.raises(ValidationError):
         train_simcse(enc, make_seqs(4), cfg, pairs)
@@ -346,7 +338,7 @@ def test_simcse_over_one_sequence_fails_instead_of_training_nothing(monkeypatch)
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
     pairs = ScoredPairSet(pairs=[("u000", "u000", 4.0)], split="dev")
     with pytest.raises(ValidationError, match="took no optimizer step"):
-        train_simcse(enc, make_seqs(1), TeacherConfig(kind="simcse", batch_size=2), pairs)
+        train_simcse(enc, make_seqs(1), TeacherConfig(batch_size=2), pairs)
 
 
 def test_simcse_initial_loss_near_log_batch():
@@ -376,7 +368,7 @@ def test_simcse_trains_and_keeps_best():
         union = len(set(a.tokens[1:-1]) | set(b.tokens[1:-1]))
         entries.append((a.source_id, b.source_id, 5.0 * inter / union))
     pairs = ScoredPairSet(pairs=entries, split="dev")
-    cfg = TeacherConfig(kind="simcse", epochs=2, lr=1e-3, batch_size=8, seed=11,
+    cfg = TeacherConfig(epochs=2, lr=1e-3, batch_size=8, seed=11,
                         eval_every_steps=2)
     teacher, history = train_simcse(enc, seqs, cfg, pairs)
     assert teacher.kind == "simcse"
@@ -392,7 +384,7 @@ def test_simcse_leaves_the_callers_encoder_config_alone(tmp_path):
     pairs = ScoredPairSet(
         pairs=[("u000", "u001", 4.0), ("u002", "u003", 1.0), ("u004", "u005", 2.5)], split="dev"
     )
-    cfg = TeacherConfig(kind="simcse", dropout_rate=0.1, epochs=1, batch_size=4, seed=3,
+    cfg = TeacherConfig(dropout_rate=0.1, epochs=1, batch_size=4, seed=3,
                         eval_every_steps=1)
     teacher, _ = train_simcse(enc, seqs, cfg, pairs)
     assert shared.dropout_rate == 0.0
@@ -477,7 +469,7 @@ def test_simcse_matches_reference_loop_through_a_mid_epoch_early_stop():
     seed = 1
     seqs = make_seqs(13, vocab=13, seed=seed)
     pairs = overlap_pairs(seqs, 10, seed)
-    cfg = TeacherConfig(kind="simcse", epochs=10, lr=3e-3, batch_size=4,
+    cfg = TeacherConfig(epochs=10, lr=3e-3, batch_size=4,
                         seed=seed, eval_every_steps=2, patience=2)
     enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
     ref = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
@@ -495,7 +487,7 @@ def test_simcse_missing_dev_id_errors():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
     pairs = ScoredPairSet(pairs=[("u000", "not-there", 3.0)], split="dev")
     with pytest.raises(ValidationError) as e:
-        train_simcse(enc, make_seqs(4), TeacherConfig(kind="simcse", batch_size=2), pairs)
+        train_simcse(enc, make_seqs(4), TeacherConfig(batch_size=2), pairs)
     assert "not-there" in str(e.value)
 
 
@@ -526,19 +518,19 @@ def test_teacher_embed_vocab_mismatch():
     enc = SequenceEncoder.create(vocab=10, cfg=TINY, seed=0)
     teacher = Teacher(encoder=enc, kind="tsdae")
     with pytest.raises(ValidationError):
-        teacher.embed(np.array([CLS, 55, SEP]))
+        teacher.embed_batch([np.array([CLS, 55, SEP])])
 
 
 def test_teacher_save_load_round_trip(tmp_path):
     enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=12)
     seqs = make_seqs(10, vocab=13, seed=12)
-    cfg = TeacherConfig(kind="tsdae", deletion_ratio=0.0, epochs=1, batch_size=4, seed=12)
+    cfg = TeacherConfig(deletion_ratio=0.0, epochs=1, batch_size=4, seed=12)
     teacher, _ = train_tsdae(enc, seqs, cfg)
-    z = teacher.embed(seqs[0])
+    z = teacher.embed_batch(seqs[:1])
     path = tmp_path / "teacher.semm"
     teacher.save(path)
     loaded = Teacher.load(path)
     assert loaded.kind == "tsdae"
-    assert np.allclose(loaded.embed(seqs[0]), z, atol=1e-5)  # float32 storage
+    assert np.allclose(loaded.embed_batch(seqs[:1]), z, atol=1e-5)  # float32 storage
     # decoder params were discarded with the checkpoint
     assert not any(n.startswith("dec.") for n in loaded.encoder.store.names())

@@ -8,7 +8,7 @@ from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig
-from semspeech.nn.optim import adamw_step
+from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech.tokenizer import CLS, SEP, wrap_units
 from semspeech.wavembed import (
     TrainRunConfig,
@@ -107,20 +107,6 @@ def test_embed_ignores_decoder_params():
     assert np.array_equal(model.embed(x), z_before)
 
 
-def test_strip_decoder_keeps_embeddings():
-    model = tiny_model()
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((5, 4))
-    z_before = model.embed(x)
-    model.strip_decoder()
-    assert np.array_equal(model.embed(x), z_before)
-    assert not any(n.startswith("dec.") for n in model.store.names())
-    with pytest.raises(ValidationError):
-        model.reconstruction_loss(x, np.array([CLS, 6, SEP]))
-    with pytest.raises(ValidationError):
-        model.greedy_decode(x)
-
-
 # ---------------------------------------------------------------------------
 # reconstruction loss
 # ---------------------------------------------------------------------------
@@ -133,7 +119,7 @@ def test_untrained_loss_near_log_vocab():
         model = tiny_model(vocab=vocab, seed=seed)
         x = rng.standard_normal((6, 4))
         target = np.array([CLS, 7, 9, 5, 11, SEP])
-        losses.append(float(model.reconstruction_loss(x, target).data))
+        losses.append(float(model.batch_loss([x], [target]).data))
     mean = np.mean(losses)
     assert abs(mean - math.log(vocab)) / math.log(vocab) < 0.15
 
@@ -143,7 +129,7 @@ def test_reconstruction_rejects_overlong_target():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4))
     with pytest.raises(ValidationError):
-        model.reconstruction_loss(x, np.array([CLS, 5, 6, 7, SEP]))
+        model.batch_loss([x], [np.array([CLS, 5, 6, 7, SEP])])
 
 
 def test_batch_loss_matches_singles_equal_lengths():
@@ -152,7 +138,7 @@ def test_batch_loss_matches_singles_equal_lengths():
     seqs = [rng.standard_normal((4, 4)) for _ in range(3)]
     targets = [np.array([CLS, 5 + i, 6, SEP]) for i in range(3)]
     batched = float(model.batch_loss(seqs, targets).data)
-    singles = [float(model.reconstruction_loss(s, t).data) for s, t in zip(seqs, targets)]
+    singles = [float(model.batch_loss([s], [t]).data) for s, t in zip(seqs, targets)]
     assert batched == pytest.approx(np.mean(singles), abs=1e-9)
 
 
@@ -165,7 +151,7 @@ def test_batch_loss_pad_positions_contribute_zero():
     batched = model.batch_loss(seqs, targets)
     live = (len(targets[0]) - 1) + (len(targets[1]) - 1)
     singles = sum(
-        float(model.reconstruction_loss(s, t).data) * (len(t) - 1)
+        float(model.batch_loss([s], [t]).data) * (len(t) - 1)
         for s, t in zip(seqs, targets)
     )
     assert float(batched.data) == pytest.approx(singles / live, abs=1e-9)
@@ -179,7 +165,7 @@ def test_overfit_single_example():
     loss_value = None
     for _ in range(500):
         model.store.zero_grad()
-        loss = model.reconstruction_loss(x, target)
+        loss = model.batch_loss([x], [target])
         loss.backward()
         adamw_step(model.store, lr=5e-3)
         loss_value = float(loss.data)
@@ -198,7 +184,7 @@ def test_full_model_gradient_check():
     x = rng.standard_normal((2, 3))
     target = np.array([CLS, 5, 6, SEP])
     params = [p for _, p in model.store.items()]
-    err = grad_check(lambda: model.reconstruction_loss(x, target), params)
+    err = grad_check(lambda: model.batch_loss([x], [target]), params)
     assert err < 5e-3
 
 
@@ -307,13 +293,31 @@ def test_load_accepts_checkpoint_with_target_mode(tmp_path):
     assert "target_mode" not in loaded.config_dict()
 
 
-def test_save_encoder_only(tmp_path):
+def test_load_accepts_checkpoint_with_has_decoder_key(tmp_path):
+    # checkpoints written while the decoder could be stripped carry this key
     model = tiny_model(seed=6)
-    path = tmp_path / "enc.semm"
-    model.save(path, encoder_only=True)
+    path = tmp_path / "model.semm"
+    config = dict(model.config_dict(), has_decoder=True)
+    save_checkpoint(path, kind="wavembed", config=config, store=model.store)
     loaded = WavEmbedModel.load(path)
-    assert not loaded.has_decoder
-    assert model.has_decoder  # original untouched
+    x = np.random.default_rng(12).standard_normal((5, 4))
+    assert np.allclose(loaded.embed(x), model.embed(x), atol=1e-5)
+    assert loaded.config_dict() == model.config_dict()
+
+
+def test_encoder_only_checkpoint_is_one_format_error(tmp_path):
+    # the stripped layout: no dec.* parameters, so no decoder to rebuild
+    model = tiny_model(seed=6)
+    encoder_only = ParamStore()
+    for name, p in model.store.items():
+        if not name.startswith("dec."):
+            encoder_only.add(name, p)
+    path = tmp_path / "enc.semm"
+    config = dict(model.config_dict(), has_decoder=False)
+    save_checkpoint(path, kind="wavembed", config=config, store=encoder_only)
+    with pytest.raises(FileFormatError, match="missing parameter 'dec.tok'") as e:
+        WavEmbedModel.load(path)
+    assert e.value.offset == 10  # where the JSON header starts
 
 
 def test_condition_mode_add_trains_too():
@@ -321,10 +325,10 @@ def test_condition_mode_add_trains_too():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, 4))
     target = np.array([CLS, 6, 8, SEP])
-    first = float(model.reconstruction_loss(x, target).data)
+    first = float(model.batch_loss([x], [target]).data)
     for _ in range(60):
         model.store.zero_grad()
-        loss = model.reconstruction_loss(x, target)
+        loss = model.batch_loss([x], [target])
         loss.backward()
         adamw_step(model.store, lr=5e-3)
     assert float(loss.data) < first

@@ -18,19 +18,18 @@ import numpy as np
 from ..errors import ValidationError
 from .optim import ParamStore
 from .tensor import (
+    NEG_INF,
+    Packing,
     Tensor,
     attention,
-    concat,
     dropout,
     ffn,
     layer_norm,
     linear,
+    pad_rows,
     softmax,
     take_rows,
 )
-
-NEG_INF = -1e9
-
 
 @dataclass
 class EncoderConfig:
@@ -140,21 +139,18 @@ def causal_mask(n: int) -> np.ndarray:
     return m[None, None, :, :]
 
 
-def padding_mask(valid: np.ndarray) -> np.ndarray:
-    """(B, 1, 1, T) additive mask hiding invalid key positions."""
-    return np.where(valid[:, None, None, :], 0.0, NEG_INF)
-
-
 def apply_attention(
     store: ParamStore,
     name: str,
     q_in: Tensor,
     kv_in: Tensor,
     heads: int,
+    pack: Packing,
+    kv_pack: Packing | None = None,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     params = [store[f"{name}.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
-    return attention(q_in, kv_in, params, heads, mask)
+    return attention(q_in, kv_in, params, heads, pack, kv_pack, mask)
 
 
 def apply_ffn(store: ParamStore, name: str, x: Tensor) -> Tensor:
@@ -167,21 +163,28 @@ def apply_block(
     name: str,
     x: Tensor,
     cfg: EncoderConfig,
+    pack: Packing,
     self_mask: np.ndarray | None = None,
     memory: Tensor | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
+    """One pre-norm block over the packed rows ``pack`` lays out. ``memory``
+    holds one cross-attention slot per sequence, as (B, 1, d): projecting it
+    in that shape runs numpy's per-slot product, as the padded layout did,
+    so its bits do not move."""
+
     def drop(t: Tensor) -> Tensor:
         if train and cfg.dropout_rate > 0.0:
-            return dropout(t, cfg.dropout_rate, rng)
+            return dropout(t, cfg.dropout_rate, rng, pack)
         return t
 
     h = apply_layer_norm(store, f"{name}.ln1", x)
-    x = x + drop(apply_attention(store, f"{name}.attn", h, h, cfg.heads, self_mask))
+    x = x + drop(apply_attention(store, f"{name}.attn", h, h, cfg.heads, pack, mask=self_mask))
     if memory is not None:
+        slots = Packing(np.ones(memory.shape[:2], dtype=bool))
         h = apply_layer_norm(store, f"{name}.lnx", x)
-        x = x + drop(apply_attention(store, f"{name}.xattn", h, memory, cfg.heads))
+        x = x + drop(apply_attention(store, f"{name}.xattn", h, memory, cfg.heads, pack, slots))
     h = apply_layer_norm(store, f"{name}.ln2", x)
     x = x + drop(apply_ffn(store, name, h))
     return x
@@ -206,6 +209,7 @@ def _run_blocks(
     prefix: str,
     h: Tensor,
     cfg: EncoderConfig,
+    pack: Packing,
     mask: np.ndarray | None,
     memory: Tensor | None,
     train_mode: bool,
@@ -213,10 +217,10 @@ def _run_blocks(
 ) -> Tensor:
     """Input dropout, the pre-norm blocks and the final layer norm."""
     if train_mode and cfg.dropout_rate > 0.0:
-        h = dropout(h, cfg.dropout_rate, rng)
+        h = dropout(h, cfg.dropout_rate, rng, pack)
     for layer in range(cfg.layers):
         h = apply_block(
-            store, f"{prefix}.block{layer}", h, cfg,
+            store, f"{prefix}.block{layer}", h, cfg, pack,
             self_mask=mask, memory=memory, train=train_mode, rng=rng,
         )
     return apply_layer_norm(store, f"{prefix}.ln_f", h)
@@ -251,77 +255,81 @@ def init_encoder(
         store.add("pool.cls", Tensor(0.02 * rng.standard_normal(d_in)))
 
 
+def _positions(pack: Packing, dim: int) -> Tensor:
+    """The sinusoidal encoding of each packed row's position."""
+    return Tensor(sinusoidal_positions(pack.length, dim)[pack.positions])
+
+
 def transformer_encode(
     x,
     store: ParamStore,
     cfg: EncoderConfig,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    valid: np.ndarray | None = None,
+    pack: Packing | None = None,
 ) -> Tensor:
-    """Contextual states of frames or token ids.
+    """Contextual states of packed frames or token ids.
 
-    ``x`` is a (B, T, d_in) frame Tensor, read through ``enc.in``, or a
-    (B, T) integer id array, read through the ``tok`` table; a (T, d_in) or
-    (T,) input gives (T, d) states. Positions are added, and keys where the
-    (B, T) ``valid`` is False are masked out.
+    ``x`` is an (N, d_in) frame Tensor, read through ``enc.in``, or an (N,)
+    integer id array, read through the ``tok`` table. Its rows are the valid
+    positions ``pack`` lays out, or one sequence when ``pack`` is None. The
+    states come back as the same (N, d) packed rows; attention sees only the
+    keys of each row's own sequence.
     """
     frames = isinstance(x, Tensor)
     if not frames:
         x = np.asarray(x, dtype=np.int64)
-    single = x.ndim == (2 if frames else 1)
-    if single:
-        x = x.reshape(1, *x.shape)
-    t = x.shape[1]
-    _check_sequence(t, cfg, train_mode, rng)
+    if pack is None:
+        pack = Packing.from_lengths([x.shape[0]])
+    _check_sequence(pack.length, cfg, train_mode, rng)
     h = apply_linear(store, "enc.in", x) if frames else take_rows(store["tok"], x)
-    h = h + Tensor(sinusoidal_positions(t, cfg.model_dim))
-    mask = padding_mask(valid) if valid is not None and not valid.all() else None
-    h = _run_blocks(store, "enc", h, cfg, mask, None, train_mode, rng)
-    return h.reshape(t, cfg.model_dim) if single else h
+    h = h + _positions(pack, cfg.model_dim)
+    return _run_blocks(store, "enc", h, cfg, pack, None, None, train_mode, rng)
 
 
-def prepend_frame(frame: Tensor, x: Tensor, valid: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Put one (d,) frame in front of every row of a padded (B, T, d) batch,
-    which gathers the frame's gradient over the rows."""
-    b, _, d = x.shape
-    lead = take_rows(frame.reshape(1, d), np.zeros((b, 1), dtype=np.int64))
-    return concat([lead, x], axis=1), np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
-
-
-def attention_pool(h: Tensor, w: Tensor, valid: np.ndarray | None = None) -> Tensor:
-    """z = Softmax(w.H^T).H over the time axis; (T,d)->(d,) or (B,T,d)->(B,d)."""
-    single = h.ndim == 2
-    if single:
-        h = h.reshape(1, *h.shape)
-    b, t, d = h.shape
-    if t < 1:
+def attention_pool(h: Tensor, w: Tensor, pack: Packing | None = None) -> Tensor:
+    """z = Softmax(w.H^T).H over each sequence's packed rows of ``h``:
+    (T, d) -> (d,) when ``pack`` is None, else (N, d) -> (B, d). Like
+    attention, it pads inside: the softmax and the weighted sum run over
+    (B, T), which keeps their summation order."""
+    if h.shape[0] < 1:
         raise ValidationError("cannot pool an empty sequence", field="h")
+    d = h.shape[-1]
     if w.shape != (d,):
         raise ValidationError(f"pool weight shape {w.shape} does not match dim {d}", field="w")
-    scores = (h @ w.reshape(d, 1)).reshape(b, t)
-    if valid is not None:
-        scores = scores + Tensor(np.where(valid, 0.0, NEG_INF))
+    layout = Packing.from_lengths([h.shape[0]]) if pack is None else pack
+    b, t = layout.batch, layout.length
+    padded = pad_rows(h, layout)
+    scores = (padded @ w.reshape(d, 1)).reshape(b, t)
+    if layout.index is not None:
+        scores = scores + Tensor(np.where(layout.valid, 0.0, NEG_INF))
     weights = softmax(scores, axis=-1)
-    z = (weights.reshape(b, 1, t) @ h).reshape(b, d)
-    return z.reshape(d) if single else z
+    z = (weights.reshape(b, 1, t) @ padded).reshape(b, d)
+    return z.reshape(d) if pack is None else z
 
 
-def pool_states(h: Tensor, store: ParamStore, pooling: str, mask: np.ndarray | None) -> Tensor:
-    """One vector per row of (B, T, d) states.
+def pool_states(
+    h: Tensor, store: ParamStore, pooling: str, pack: Packing, mask: np.ndarray | None = None
+) -> Tensor:
+    """One vector per sequence of packed (N, d) states.
 
-    ``cls`` takes the state at position 0, ``mean`` averages the states where
-    ``mask`` is True, and ``self_attention`` attends over them with ``pool.W``.
+    ``cls`` takes each sequence's first row, ``mean`` averages the rows where
+    the packed (N,) ``mask`` is True (every row when None), and
+    ``self_attention`` attends over the rows with ``pool.W``. The mean, like
+    attention pooling, sums over the padded (B, T) layout.
     """
+    if np.any(pack.counts == 0):
+        raise ValidationError("cannot pool an empty sequence", field="h")
     if pooling == "cls":
-        return h[:, 0]
+        return h[pack.starts]
     if pooling == "self_attention":
-        return attention_pool(h, store["pool.W"], valid=mask)
-    counts = mask.sum(axis=1)
+        return attention_pool(h, store["pool.W"], pack)
+    padded = pack.pad(np.ones(pack.rows, dtype=bool) if mask is None else mask)
+    counts = padded.sum(axis=1)
     if np.any(counts == 0):
         raise ValidationError("sequence has no content to mean-pool", field="tokens")
-    weights = mask.astype(np.float64) / counts[:, None]
-    return (h * Tensor(weights[:, :, None])).sum(axis=1)
+    weights = padded / counts[:, None]
+    return (pad_rows(h, pack) * Tensor(weights[:, :, None])).sum(axis=1)
 
 
 # -- autoregressive decoder over tokens ---------------------------------------
@@ -358,29 +366,29 @@ def decode_tokens(
     condition_mode: str = "memory",
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    pack: Packing | None = None,
 ) -> Tensor:
     """Teacher-forced forward: next-token logits at every prefix position.
 
-    tokens: (B, S) or (S,) int array; z: (B, d) or (d,). The conditioning
-    vector is either the sole cross-attention memory slot or added to every
-    input embedding.
+    ``tokens`` holds packed (N,) ids laid out by ``pack`` with one (d,) row
+    of the (B, d) ``z`` per sequence; or, when ``pack`` is None, one (S,)
+    sequence with a (d,) ``z``. The logits come back as packed (N, vocab)
+    rows. The conditioning vector is either the sole cross-attention memory
+    slot or added to every input embedding.
     """
     tokens = np.asarray(tokens)
-    single = tokens.ndim == 1
-    if single:
-        tokens = tokens[None, :]
+    if pack is None:
+        pack = Packing.from_lengths([tokens.shape[0]])
         z = z.reshape(1, *z.shape)
-    b, s = tokens.shape
-    _check_sequence(s, cfg, train_mode, rng)
-    h = take_rows(store["dec.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
+    _check_sequence(pack.length, cfg, train_mode, rng)
+    h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim)
     memory = None
     if condition_mode == "add":
-        h = h + z.reshape(b, 1, z.shape[-1])
+        h = h + take_rows(z, pack.segments)
     else:
-        memory = z.reshape(b, 1, z.shape[-1])
-    h = _run_blocks(store, "dec", h, cfg, causal_mask(s), memory, train_mode, rng)
-    logits = apply_linear(store, "dec.out", h)
-    return logits.reshape(s, vocab) if single else logits
+        memory = z.reshape(pack.batch, 1, z.shape[-1])
+    h = _run_blocks(store, "dec", h, cfg, pack, causal_mask(pack.length), memory, train_mode, rng)
+    return apply_linear(store, "dec.out", h)
 
 
 def decoder_step(

@@ -15,6 +15,7 @@ import numpy as np
 from ..errors import ValidationError
 
 _GRAD_ENABLED = True
+NEG_INF = -1e9  # additive mask value; exp() of it underflows to exactly 0
 
 
 class no_grad:
@@ -319,6 +320,66 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+# -- packed rows -------------------------------------------------------------
+
+class Packing:
+    """Where the valid positions of a padded (B, T) batch sit as packed rows.
+
+    Packed arrays hold one row per valid position, in row-major order:
+    sequence 0's positions first. Position-wise ops run on the packed rows
+    alone; attention and pooling pad inside, and a dropout mask is drawn for
+    the padded shape so the random stream advances as for a padded batch.
+    When every position is valid, ``index`` is None and padding and packing
+    are reshapes that copy nothing.
+    """
+
+    def __init__(self, valid: np.ndarray):
+        valid = np.asarray(valid, dtype=bool)
+        self.batch, self.length = valid.shape
+        self.valid = valid
+        self.counts = valid.sum(axis=1)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.segments, self.positions = np.nonzero(valid)
+        self.rows = len(self.segments)
+        self.index = None if self.rows == valid.size else np.flatnonzero(valid)
+
+    @classmethod
+    def from_lengths(cls, lengths) -> "Packing":
+        """Sequences of the given lengths, each starting at position 0."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        return cls(np.arange(lengths.max()) < lengths[:, None])
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        """(rows, ...) -> (B, T, ...), zeros where a position is not valid."""
+        tail = rows.shape[1:]
+        if self.index is None:
+            return rows.reshape(self.batch, self.length, *tail)
+        out = np.zeros((self.batch * self.length, *tail), dtype=rows.dtype)
+        out[self.index] = rows
+        return out.reshape(self.batch, self.length, *tail)
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        """(B, T, ...) -> (rows, ...): the valid positions."""
+        flat = padded.reshape(self.batch * self.length, *padded.shape[2:])
+        return flat if self.index is None else flat[self.index]
+
+    def key_mask(self) -> np.ndarray | None:
+        """(B, 1, 1, T) additive mask hiding invalid key positions; None
+        when every position is valid."""
+        if self.index is None:
+            return None
+        return np.where(self.valid[:, None, None, :], 0.0, NEG_INF)
+
+
+def pad_rows(x: Tensor, pack: Packing) -> Tensor:
+    """Packed (rows, d) -> padded (B, T, d) with zeros at invalid positions."""
+
+    def backward(g):
+        x._accumulate(pack.unpad(g))
+
+    return Tensor._make(pack.pad(x.data), (x,), backward)
+
+
 # -- fused nodes ---------------------------------------------------------------
 #
 # Each is one tape node with a hand-derived backward pass. A forward runs the
@@ -358,61 +419,73 @@ def attention(
     kv_in: Tensor,
     params,
     heads: int,
+    pack: Packing,
+    kv_pack: Packing | None = None,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head attention as one node: the Q/K/V projections of (B, T, d)
-    queries and (B, S, d) keys/values, the scaled and additively masked
-    softmax, P@V, the head merge and the output projection. ``params`` is
-    (Wq, bq, Wk, bk, Wv, bv, Wo, bo).
+    """Multi-head attention over packed rows as one node: the Q/K/V
+    projections, the scaled and additively masked softmax, P@V, the head
+    merge and the output projection. ``params`` is (Wq, bq, Wk, bk, Wv, bv,
+    Wo, bo).
+
+    ``q_in`` holds the packed (N, d) query rows ``pack`` lays out, ``kv_in``
+    the key/value rows ``kv_pack`` lays out (``pack`` when None), packed or,
+    for a layout with no invalid position, as (B, S, d). The projections run
+    on the rows as given; Q, K and V are scattered into padded
+    (B, heads, T, dh) arrays, keys at invalid positions are masked on top of
+    ``mask``, and the output rows are gathered back.
 
     The backward follows FlashAttention (Dao et al., 2022) without tiling:
     dS = P∘(dP − rowsum(dO∘O)). With ``q_in is kv_in`` the three input
     gradients are summed and accumulated once.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = params
-    b, t, d = q_in.shape
-    s = kv_in.shape[1]
+    kv_pack = pack if kv_pack is None else kv_pack
+    b, d = pack.batch, q_in.shape[-1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(a: np.ndarray, n: int) -> np.ndarray:
-        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    def split(rows: np.ndarray, layout: Packing) -> np.ndarray:
+        rows = layout.pad(rows.reshape(-1, d))
+        return rows.reshape(b, layout.length, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a: np.ndarray, n: int) -> np.ndarray:
-        return a.transpose(0, 2, 1, 3).reshape(b * n, d)
+    def merge(a: np.ndarray, layout: Packing) -> np.ndarray:
+        return layout.unpad(a.transpose(0, 2, 1, 3).reshape(b, layout.length, d))
 
-    qh = split(q_in.data @ wq.data + bq.data, t)
-    kh = split(kv_in.data @ wk.data + bk.data, s)
-    vh = split(kv_in.data @ wv.data + bv.data, s)
+    qh = split(q_in.data @ wq.data + bq.data, pack)
+    kh = split(kv_in.data @ wk.data + bk.data, kv_pack)
+    vh = split(kv_in.data @ wv.data + bv.data, kv_pack)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    key_mask = kv_pack.key_mask()
+    if key_mask is not None:
+        mask = key_mask if mask is None else mask + key_mask
     if mask is not None:
         scores = scores + mask
     p = _softmax(scores)
-    o = (p @ vh).transpose(0, 2, 1, 3).reshape(b, t, d)
+    oh = p @ vh
+    o = merge(oh, pack)
     self_attn = q_in is kv_in
 
     def backward(g):
-        do = split(_affine_backward(o.reshape(-1, d), wo, bo, g.reshape(-1, d), True), t)
+        do = split(_affine_backward(o, wo, bo, g, True), pack)
         dv = p.transpose(0, 1, 3, 2) @ do
         ds = do @ vh.transpose(0, 1, 3, 2)
-        ds -= (do * split(o, t)).sum(axis=-1, keepdims=True)
+        ds -= (do * oh).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        dq = _affine_backward(
-            q_in.data.reshape(-1, d), wq, bq, merge(ds @ kh, t), q_in.requires_grad
-        )
+        dq = _affine_backward(q_in.data, wq, bq, merge(ds @ kh, pack), q_in.requires_grad)
         x_kv = kv_in.data.reshape(-1, d)
         dk = _affine_backward(
-            x_kv, wk, bk, merge(ds.transpose(0, 1, 3, 2) @ qh, s), kv_in.requires_grad
+            x_kv, wk, bk, merge(ds.transpose(0, 1, 3, 2) @ qh, kv_pack), kv_in.requires_grad
         )
-        dkv = _affine_backward(x_kv, wv, bv, merge(dv, s), kv_in.requires_grad)
+        dkv = _affine_backward(x_kv, wv, bv, merge(dv, kv_pack), kv_in.requires_grad)
         if dkv is not None:
             dkv += dk
             if self_attn:
                 dkv += dq
             kv_in._accumulate(dkv.reshape(kv_in.shape))
         if dq is not None and not self_attn:
-            q_in._accumulate(dq.reshape(q_in.shape))
+            q_in._accumulate(dq)
 
     parents = (q_in, *params) if self_attn else (q_in, kv_in, *params)
     return Tensor._make(o @ wo.data + bo.data, parents, backward)
@@ -471,7 +544,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             gh = g * gain.data
-            d = x.shape[-1]
             term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(
                 axis=-1, keepdims=True
             )
@@ -528,13 +600,17 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn once from the supplied generator."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, pack: Packing) -> Tensor:
+    """Inverted dropout of the packed rows ``pack`` lays out, with a mask
+    drawn once from the supplied generator. The mask is drawn for the padded
+    (B, T, d) batch and its valid rows kept, so the stream advances as it
+    would for the padded batch."""
     if not 0.0 <= rate < 1.0:
         raise ValidationError("dropout rate must be in [0, 1)", field="rate")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = pack.unpad(rng.random((pack.batch, pack.length, x.shape[-1])) >= rate)
+    mask = keep / (1.0 - rate)
     out_data = x.data * mask
 
     def backward(g):

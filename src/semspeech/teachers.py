@@ -30,7 +30,7 @@ from .nn.layers import (
 )
 from .nn.losses import infonce_batch, masked_cross_entropy
 from .nn.optim import ParamStore
-from .nn.tensor import Tensor, no_grad
+from .nn.tensor import Packing, Tensor, no_grad
 from .random_utils import derive_rng
 from .tokenizer import CLS, MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
@@ -46,6 +46,11 @@ _STRUCTURAL = (PAD, CLS, SEP, MASK)
 
 def _content_mask(tokens: np.ndarray) -> np.ndarray:
     return ~np.isin(tokens, _STRUCTURAL)
+
+
+def _packing(tokens: np.ndarray) -> Packing:
+    """The non-PAD positions of a padded (B, S) id matrix as packed rows."""
+    return Packing(tokens != PAD)
 
 
 class SequenceEncoder:
@@ -93,15 +98,21 @@ class SequenceEncoder:
         train_mode: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Contextual states (B, S, d) for a padded (B, S) id matrix."""
+        """Contextual states of a padded (B, S) id matrix, as packed (N, d)
+        rows: one per non-PAD position, row by row."""
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        pack = _packing(tokens)
         return transformer_encode(
-            tokens, self.store, self.cfg, train_mode=train_mode, rng=rng, valid=tokens != PAD
+            tokens[pack.valid], self.store, self.cfg, train_mode=train_mode, rng=rng, pack=pack
         )
 
     def pool(self, states: Tensor, tokens: np.ndarray) -> Tensor:
-        """One vector per row: CLS state or the mean over content positions."""
-        return pool_states(states, self.store, self.pooling, _content_mask(np.atleast_2d(tokens)))
+        """One vector per row of ``tokens`` from its packed ``states``: the CLS
+        state or the mean over content positions."""
+        tokens = np.atleast_2d(tokens)
+        pack = _packing(tokens)
+        content = _content_mask(tokens[pack.valid])
+        return pool_states(states, self.store, self.pooling, pack, content)
 
     def embed_train(
         self, tokens: np.ndarray, rng: np.random.Generator
@@ -174,8 +185,9 @@ def _mask_batch(
 
 def mlm_forward(encoder: SequenceEncoder, tokens: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None, seed: int = 0) -> Tensor:
-    """Per-position vocabulary logits; creates the prediction head on first
-    use, drawn from the run ``seed``."""
+    """Vocabulary logits at each non-PAD position of ``tokens``, as packed
+    rows; creates the prediction head on first use, drawn from the run
+    ``seed``."""
     if "mlm.out.w" not in encoder.store:
         head_rng = derive_rng(seed, "mlm", "head", encoder.vocab)
         init_linear(
@@ -219,7 +231,8 @@ def mlm_pretrain(
         batch = pad_tokens(chunk)
         corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
         logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
-        loss = masked_cross_entropy(logits, batch, mask)
+        valid = batch != PAD
+        loss = masked_cross_entropy(logits, batch[valid], mask[valid])
         return optimizer_step(encoder.store, loss, lr, 0.01)
 
     _, history, _ = fit(encoder.store, arrs, batch_size, rng, step, max_steps=steps)

@@ -24,18 +24,17 @@ from .nn.layers import (
     init_encoder,
     init_token_decoder,
     pool_states,
-    prepend_frame,
     transformer_encode,
 )
 from .nn.losses import nll_loss
 from .nn.optim import ParamStore
-from .nn.tensor import Tensor, no_grad
+from .nn.tensor import Packing, Tensor, concat, no_grad, take_rows
 from .random_utils import derive_rng
-from .tokenizer import CLS, PAD, SEP, pad_tokens, token_array
+from .tokenizer import CLS, PAD, SEP, token_array
 from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
 
 DEFAULT_MAX_TARGET_LEN = 256
-EMBED_CHUNK = 32  # sequences per padded forward pass in embed_batch
+EMBED_CHUNK = 32  # sequences per forward pass in embed_batch
 
 
 @dataclass
@@ -84,19 +83,24 @@ def encode_frames(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Pad frame sequences into one batch, encode it and pool each row to one
-    (B, d) vector; cls pooling first puts ``pool.cls`` in front of each row."""
-    x, valid = _pad_frames([_as_frames(f) for f in frame_list])
+    """Pack frame sequences into one batch of rows, encode it and pool each
+    sequence to one (B, d) vector; cls pooling first puts ``pool.cls`` in
+    front of each sequence."""
+    x, lengths = _pack_frames([_as_frames(f) for f in frame_list])
     d_in = store["enc.in.w"].shape[0]
-    if x.shape[2] != d_in:
+    if x.shape[1] != d_in:
         raise ValidationError(
-            f"features have {x.shape[2]} dimensions, the model takes {d_in}", field="features"
+            f"features have {x.shape[1]} dimensions, the model takes {d_in}", field="features"
         )
+    pack = Packing.from_lengths(lengths + (pooling == "cls"))
     x = Tensor(x)
     if pooling == "cls":
-        x, valid = prepend_frame(store["pool.cls"], x, valid)
-    h = transformer_encode(x, store, cfg, train_mode=train_mode, rng=rng, valid=valid)
-    return pool_states(h, store, pooling, valid)
+        # the table's row 0, the pseudo-frame, heads every sequence
+        rows = np.arange(pack.rows) - pack.segments
+        rows[pack.starts] = 0
+        x = take_rows(concat([store["pool.cls"].reshape(1, d_in), x], axis=0), rows)
+    h = transformer_encode(x, store, cfg, train_mode=train_mode, rng=rng, pack=pack)
+    return pool_states(h, store, pooling, pack)
 
 
 def decode_loss(
@@ -111,7 +115,7 @@ def decode_loss(
 ) -> Tensor:
     """Mean NLL of decoding each token sequence from its row of ``z``."""
     logits = decode_tokens(
-        pad_tokens([t[:-1] for t in token_list]),
+        np.concatenate([t[:-1] for t in token_list]),
         z,
         store,
         cfg,
@@ -119,8 +123,9 @@ def decode_loss(
         condition_mode=condition_mode,
         train_mode=train_mode,
         rng=rng,
+        pack=Packing.from_lengths([len(t) - 1 for t in token_list]),
     )
-    return nll_loss(logits, pad_tokens([t[1:] for t in token_list]), pad_id=PAD)
+    return nll_loss(logits, np.concatenate([t[1:] for t in token_list]), pad_id=PAD)
 
 
 class WavEmbedModel:
@@ -285,17 +290,12 @@ class WavEmbedModel:
         return checkpoint.load(path, cls)
 
 
-def _pad_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    t_max = max(f.shape[0] for f in frame_list)
+def _pack_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of every sequence stacked as (N, d) rows, and the lengths."""
     d = frame_list[0].shape[1]
-    x = np.zeros((len(frame_list), t_max, d))
-    valid = np.zeros((len(frame_list), t_max), dtype=bool)
-    for i, f in enumerate(frame_list):
-        if f.shape[1] != d:
-            raise ValidationError("inconsistent feature dimensions in batch", field="batch")
-        x[i, : f.shape[0]] = f
-        valid[i, : f.shape[0]] = True
-    return x, valid
+    if any(f.shape[1] != d for f in frame_list):
+        raise ValidationError("inconsistent feature dimensions in batch", field="batch")
+    return np.concatenate(frame_list), np.array([f.shape[0] for f in frame_list])
 
 
 def _embed_by_length(forward, features: Iterable, dim: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from semspeech.nn.layers import (
 )
 from semspeech.nn.losses import infonce, nll_loss
 from semspeech.nn.optim import ParamStore
-from semspeech.nn.tensor import Tensor, take_rows
+from semspeech.nn.tensor import Packing, Tensor, take_rows
 from semspeech.quantizer import train_kmeans, quantize_corpus
 from semspeech.teachers import (
     SequenceEncoder,
@@ -167,11 +167,12 @@ def test_c01_gradients_match_central_differences():
 
     store = ParamStore()
     init_attention(store, rng, "att", 4)
-    q = Tensor(rng.standard_normal((1, 3, 4)))
-    c = Tensor(rng.standard_normal((1, 3, 4)))
+    q = Tensor(rng.standard_normal((3, 4)))
+    c = Tensor(rng.standard_normal((3, 4)))
     params = [p for _, p in store.items()] + [q]
+    one = Packing.from_lengths([3])
     err_attn = grad_check(
-        lambda: (apply_attention(store, "att", q, q, heads=2, mask=causal_mask(3)) * c).sum(),
+        lambda: (apply_attention(store, "att", q, q, 2, one, mask=causal_mask(3)) * c).sum(),
         params,
     )
 

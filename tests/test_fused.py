@@ -1,32 +1,53 @@
-"""The fused tape nodes against the composite ops they replace.
+"""The fused tape nodes against the composite ops they replace, and the
+packed models against the padded path they replace.
 
 The composites below are the oracle: each forward must match its fused node
 bit for bit, and each gradient to 1e-12 relative (the fused backward sums in
 another order). Every fused node also passes a central-difference check.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from semspeech.distill import StudentModel
 from semspeech.nn.gradcheck import grad_check
-from semspeech.nn.layers import EncoderConfig, causal_mask, padding_mask
+from semspeech.nn.layers import (
+    EncoderConfig,
+    causal_mask,
+    decode_tokens,
+    init_encoder,
+    init_token_decoder,
+    pool_states,
+    sinusoidal_positions,
+    transformer_encode,
+)
+from semspeech.nn.losses import infonce_batch, nll_loss
+from semspeech.nn.optim import ParamStore
 from semspeech.nn.tensor import (
+    NEG_INF,
+    Packing,
     Tensor,
     _gelu_slope,
     _gelu_tanh,
     _gelu_value,
     attention,
+    concat,
     ffn,
     gather_last,
+    layer_norm,
     linear,
     log_softmax,
     nll,
+    pad_rows,
     softmax,
+    take_rows,
 )
-from semspeech.tokenizer import CLS, SEP
-from semspeech.wavembed import WavEmbedModel
+from semspeech.teachers import SequenceEncoder
+from semspeech.tokenizer import CLS, MASK, PAD, SEP, pad_tokens
+from semspeech.wavembed import WavEmbedModel, encode_frames
 
 
 def composite_linear(x, w, b):
@@ -126,26 +147,45 @@ def test_linear_input_without_grad_gets_none():
 
 
 # ---------------------------------------------------------------------------
-# attention
+# attention: packed rows against the padded composite
 # ---------------------------------------------------------------------------
 
-def _padding(b, s):
-    valid = np.ones((b, s), dtype=bool)
-    valid[0, s - 2 :] = False
-    return padding_mask(valid)
+def key_mask(valid):
+    """The padded oracle's (B, 1, 1, T) additive mask over invalid keys."""
+    return np.where(valid[:, None, None, :], 0.0, NEG_INF)
 
 
-@pytest.mark.parametrize("mask_kind", ["none", "causal", "padding"])
+def padded(x, pack, rng):
+    """Packed rows scattered into (B, T, d) with arbitrary values at the
+    invalid positions, which the padded path must mask out."""
+    junk = rng.standard_normal((pack.batch, pack.length, x.shape[-1])) * ~pack.valid[..., None]
+    return pad_rows(x, pack) + Tensor(junk)
+
+
+def oracle_attention(q, kv, params, heads, pack, kv_pack=None, mask=None):
+    """composite_attention over the padded batch, its valid query rows."""
+    kv_pack = pack if kv_pack is None else kv_pack
+    rng = np.random.default_rng(99)
+    q_pad = padded(q, pack, rng)
+    kv_pad = q_pad if kv is q else padded(kv.reshape(-1, kv.shape[-1]), kv_pack, rng)
+    if kv_pack.index is not None:
+        mask = key_mask(kv_pack.valid) if mask is None else mask + key_mask(kv_pack.valid)
+    return composite_attention(q_pad, kv_pad, params, heads, mask)[pack.valid]
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "causal", "padding", "causal-padding"])
 def test_self_attention_matches_composite(mask_kind):
     rng = np.random.default_rng(4)
-    b, t, d = 2, 5, 8
-    x = _leaf(rng, b, t, d)
+    d = 8
+    lengths = [5, 3] if mask_kind.endswith("padding") else [5, 5]
+    pack = Packing.from_lengths(lengths)
+    x = _leaf(rng, sum(lengths), d)
     params = _attention_params(rng, d)
-    mask = {"none": None, "causal": causal_mask(t), "padding": _padding(b, t)}[mask_kind]
-    upstream = Tensor(rng.standard_normal((b, t, d)))
+    mask = causal_mask(5) if mask_kind.startswith("causal") else None
+    upstream = Tensor(rng.standard_normal((sum(lengths), d)))
     _assert_matches(
-        lambda: attention(x, x, params, 2, mask),
-        lambda: composite_attention(x, x, params, 2, mask),
+        lambda: attention(x, x, params, 2, pack, mask=mask),
+        lambda: oracle_attention(x, x, params, 2, pack, mask=mask),
         [x, *params],
         upstream,
     )
@@ -154,14 +194,19 @@ def test_self_attention_matches_composite(mask_kind):
 @pytest.mark.parametrize("s", [1, 4])
 def test_cross_attention_matches_composite(s):
     rng = np.random.default_rng(5)
-    b, t, d = 3, 4, 8
-    q, kv = _leaf(rng, b, t, d), _leaf(rng, b, s, d)
+    d = 8
+    pack = Packing.from_lengths([4, 2, 3])
+    # one memory slot per sequence, or ragged keys of their own
+    kv_pack = Packing.from_lengths([1, 1, 1] if s == 1 else [4, 1, 3])
+    q = _leaf(rng, pack.rows, d)
+    # the decoder passes its memory slots as (B, 1, d)
+    kv = _leaf(rng, 3, 1, d) if s == 1 else _leaf(rng, kv_pack.rows, d)
     params = _attention_params(rng, d)
-    mask = causal_mask(t) if s == t else None
-    upstream = Tensor(rng.standard_normal((b, t, d)))
+    mask = causal_mask(4) if s == 4 else None
+    upstream = Tensor(rng.standard_normal((pack.rows, d)))
     _assert_matches(
-        lambda: attention(q, kv, params, 4, mask),
-        lambda: composite_attention(q, kv, params, 4, mask),
+        lambda: attention(q, kv, params, 4, pack, kv_pack, mask),
+        lambda: oracle_attention(q, kv, params, 4, pack, kv_pack, mask),
         [q, kv, *params],
         upstream,
     )
@@ -171,33 +216,47 @@ def test_self_attention_sums_the_input_gradient_once():
     """q_in is kv_in gives the input the sum of the query and key/value
     paths, the same gradient as two distinct tensors holding equal data."""
     rng = np.random.default_rng(6)
-    x = _leaf(rng, 2, 3, 4)
+    pack = Packing.from_lengths([3, 2])
+    x = _leaf(rng, 5, 4)
     params = _attention_params(rng, 4)
-    (g_self,) = _grads(lambda: attention(x, x, params, 2, causal_mask(3)).sum(), [x])
+    mask = causal_mask(3)
+    (g_self,) = _grads(lambda: attention(x, x, params, 2, pack, mask=mask).sum(), [x])
     q, kv = Tensor(x.data.copy(), requires_grad=True), Tensor(x.data.copy(), requires_grad=True)
-    g_q, g_kv = _grads(lambda: attention(q, kv, params, 2, causal_mask(3)).sum(), [q, kv])
+    g_q, g_kv = _grads(lambda: attention(q, kv, params, 2, pack, mask=mask).sum(), [q, kv])
     assert np.allclose(g_self, g_q + g_kv, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize(
-    "case", ["self-causal", "self-padding", "cross", "cross-frozen-memory"]
+    "case",
+    ["self-causal", "self-padding", "self-all-valid", "cross", "cross-frozen-memory"],
 )
 def test_attention_grad_check(case):
     rng = np.random.default_rng(7)
-    b, t, d = 2, 3, 4
+    d = 4
     params = _attention_params(rng, d)
-    q = _leaf(rng, b, t, d)
-    c = Tensor(rng.standard_normal((b, t, d)))
+    # a ragged batch holds a length-1 sequence; an all-valid one copies nothing
+    lengths = [3, 1, 2] if case == "self-padding" else [3, 3]
+    pack = Packing.from_lengths(lengths)
+    q = _leaf(rng, pack.rows, d)
+    c = Tensor(rng.standard_normal((pack.rows, d)))
     if case.startswith("self"):
-        mask = causal_mask(t) if case == "self-causal" else _padding(b, t)
-        err = grad_check(lambda: (attention(q, q, params, 2, mask) * c).sum(), [q, *params])
+        mask = causal_mask(3) if case == "self-causal" else None
+        if case == "self-all-valid":
+            assert pack.index is None and np.shares_memory(pack.pad(q.data), q.data)
+        err = grad_check(
+            lambda: (attention(q, q, params, 2, pack, mask=mask) * c).sum(), [q, *params],
+            eps=1e-4,
+        )
     else:
-        kv = _leaf(rng, b, 2, d)
+        kv_pack = Packing.from_lengths([2, 1])
+        kv = _leaf(rng, kv_pack.rows, d)
         wrt = [q, kv, *params]
         if case == "cross-frozen-memory":
             kv.requires_grad = False
             wrt.remove(kv)
-        err = grad_check(lambda: (attention(q, kv, params, 2) * c).sum(), wrt)
+        err = grad_check(
+            lambda: (attention(q, kv, params, 2, pack, kv_pack) * c).sum(), wrt, eps=1e-4
+        )
     assert err < 1e-5
 
 
@@ -257,10 +316,273 @@ def _tape_nodes(loss: Tensor) -> int:
 
 def test_wavembed_step_tape_nodes():
     """Default dims, dropout on: per block one layer norm, one fused node and
-    one dropout per sublayer, plus the residual adds."""
+    one dropout per sublayer, plus the residual adds; attention pooling pads
+    the packed rows in one node."""
     model = WavEmbedModel.create(d_in=8, vocab=20, encoder_cfg=EncoderConfig(), seed=0)
     rng = np.random.default_rng(0)
     frames = [rng.standard_normal((n, 8)) for n in (5, 7, 6)]
     tokens = [np.array([CLS, *rng.integers(5, 20, size=n), SEP]) for n in (3, 4, 2)]
     loss = model.batch_loss(frames, tokens, train_mode=True, rng=np.random.default_rng(1))
-    assert _tape_nodes(loss) == 59
+    assert _tape_nodes(loss) == 60
+
+
+# ---------------------------------------------------------------------------
+# packed models against the padded path
+# ---------------------------------------------------------------------------
+#
+# The padded path is the oracle: the models as they ran before packing, built
+# from the composites. Every sequence is padded to the batch's longest, keys
+# outside a sequence are masked, and dropout draws its mask for the padded
+# shape. On the valid rows a packed forward matches it bit for bit.
+
+CFG = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.1)
+LENGTHS = [5, 1, 7, 3]
+
+
+def _ln(store, name, x):
+    return layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
+
+
+def _weights(store, name, parts):
+    return [store[f"{name}.{part}.{wb}"] for part in parts for wb in "wb"]
+
+
+def padded_blocks(store, prefix, h, cfg, mask, memory, train_mode, rng):
+    def drop(t):  # inverted dropout, its mask drawn for the padded shape
+        if train_mode and cfg.dropout_rate > 0.0:
+            return t * Tensor((rng.random(t.shape) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate))
+        return t
+
+    h = drop(h)
+    for layer in range(cfg.layers):
+        name = f"{prefix}.block{layer}"
+        a = _ln(store, f"{name}.ln1", h)
+        attn = _weights(store, f"{name}.attn", "qkvo")
+        h = h + drop(composite_attention(a, a, attn, cfg.heads, mask))
+        if memory is not None:
+            a = _ln(store, f"{name}.lnx", h)
+            xattn = _weights(store, f"{name}.xattn", "qkvo")
+            h = h + drop(composite_attention(a, memory, xattn, cfg.heads))
+        a = _ln(store, f"{name}.ln2", h)
+        h = h + drop(composite_ffn(a, *_weights(store, name, ("ff1", "ff2"))))
+    return _ln(store, f"{prefix}.ln_f", h)
+
+
+def padded_encode(x, store, cfg, valid, train_mode=False, rng=None):
+    """(B, T, d_in) frames or (B, T) ids -> (B, T, d) states."""
+    if isinstance(x, Tensor):
+        h = composite_linear(x, store["enc.in.w"], store["enc.in.b"])
+    else:
+        h = take_rows(store["tok"], x)
+    h = h + Tensor(sinusoidal_positions(valid.shape[1], cfg.model_dim))
+    mask = None if valid.all() else key_mask(valid)
+    return padded_blocks(store, "enc", h, cfg, mask, None, train_mode, rng)
+
+
+def padded_pool(h, store, pooling, valid, mask=None):
+    b, t, d = h.shape
+    if pooling == "cls":
+        return h[:, 0]
+    if pooling == "self_attention":
+        scores = (h @ store["pool.W"].reshape(d, 1)).reshape(b, t)
+        weights = softmax(scores + Tensor(np.where(valid, 0.0, NEG_INF)), axis=-1)
+        return (weights.reshape(b, 1, t) @ h).reshape(b, d)
+    mask = valid if mask is None else mask
+    weights = mask / mask.sum(axis=1)[:, None]
+    return (h * Tensor(weights[:, :, None])).sum(axis=1)
+
+
+def padded_decode(tokens, z, store, cfg, mode, train_mode=False, rng=None):
+    """(B, S) ids and (B, d) z -> (B, S, vocab) logits."""
+    b, s = tokens.shape
+    h = take_rows(store["dec.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
+    memory = None
+    if mode == "add":
+        h = h + z.reshape(b, 1, z.shape[-1])
+    else:
+        memory = z.reshape(b, 1, z.shape[-1])
+    h = padded_blocks(store, "dec", h, cfg, causal_mask(s), memory, train_mode, rng)
+    return composite_linear(h, store["dec.out.w"], store["dec.out.b"])
+
+
+def padded_frames(frames, with_lead=None):
+    """The frame list padded to its longest with arbitrary values, and its
+    valid mask; ``with_lead`` is a (d_in,) frame put in front of each row."""
+    pack = Packing.from_lengths([len(f) for f in frames])
+    x, valid = padded(Tensor(np.concatenate(frames)), pack, np.random.default_rng(4)), pack.valid
+    if with_lead is not None:
+        b, _, d = x.shape
+        lead = take_rows(with_lead.reshape(1, d), np.zeros((b, 1), dtype=np.int64))
+        x = concat([lead, x], axis=1)
+        valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
+    return x, valid
+
+
+def _store_params(store, skip=()):
+    return [p for name, p in store.items() if not name.startswith(skip)]
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls", "self_attention"])
+def test_packed_frame_encoder_matches_padded_path(pooling):
+    rng = np.random.default_rng(11)
+    store = ParamStore()
+    init_encoder(store, rng, CFG, d_in=3, pooling=pooling)
+    if pooling == "self_attention":
+        store["pool.W"].data[:] = rng.standard_normal(CFG.model_dim)  # zero would pool a mean
+    frames = [rng.standard_normal((n, 3)) for n in LENGTHS]
+    pack = Packing.from_lengths(LENGTHS)
+
+    def drop():
+        return np.random.default_rng(3)
+
+    _assert_matches(
+        lambda: transformer_encode(Tensor(np.concatenate(frames)), store, CFG, True, drop(), pack),
+        lambda: padded_encode(padded_frames(frames)[0], store, CFG, pack.valid, True, drop())[
+            pack.valid
+        ],
+        _store_params(store, skip="pool."),
+        Tensor(rng.standard_normal((pack.rows, CFG.model_dim))),
+    )
+
+    def padded_pooled():
+        lead = store["pool.cls"] if pooling == "cls" else None
+        x, valid = padded_frames(frames, with_lead=lead)
+        return padded_pool(padded_encode(x, store, CFG, valid, True, drop()), store, pooling, valid)
+
+    _assert_matches(
+        lambda: encode_frames(store, CFG, pooling, frames, True, drop()),
+        padded_pooled,
+        _store_params(store),
+        Tensor(rng.standard_normal((len(LENGTHS), CFG.model_dim))),
+    )
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls", "self_attention"])
+def test_packed_id_encoder_matches_padded_path(pooling):
+    rng = np.random.default_rng(12)
+    store = ParamStore()
+    init_encoder(store, rng, CFG, vocab=11, pooling=pooling)
+    if pooling == "self_attention":
+        store["pool.W"].data[:] = rng.standard_normal(CFG.model_dim)
+    pack = Packing.from_lengths(LENGTHS)
+    ids = rng.integers(0, 11, size=pack.rows)
+    mask = None
+    if pooling == "mean":  # the teachers average content positions only
+        mask = rng.random(pack.rows) < 0.6
+        mask[pack.starts] = True
+
+    def drop():
+        return np.random.default_rng(3)
+
+    def packed():
+        h = transformer_encode(ids, store, CFG, True, drop(), pack)
+        return concat([h, pool_states(h, store, pooling, pack, mask)], axis=0)
+
+    def padded_path():
+        h = padded_encode(pack.pad(ids), store, CFG, pack.valid, True, drop())
+        mask_padded = None if mask is None else pack.pad(mask)
+        pooled = padded_pool(h, store, pooling, pack.valid, mask_padded)
+        return concat([h[pack.valid], pooled], axis=0)
+
+    _assert_matches(
+        packed, padded_path, _store_params(store),
+        Tensor(rng.standard_normal((pack.rows + len(LENGTHS), CFG.model_dim))),
+    )
+
+
+@pytest.mark.parametrize("mode", ["memory", "add"])
+def test_packed_decoder_matches_padded_path(mode):
+    rng = np.random.default_rng(13)
+    store = ParamStore()
+    init_token_decoder(store, rng, CFG, 11, condition_mode=mode)
+    pack = Packing.from_lengths(LENGTHS)
+    ids = rng.integers(0, 11, size=pack.rows)
+    z = _leaf(rng, len(LENGTHS), CFG.model_dim)
+
+    def drop():
+        return np.random.default_rng(3)
+
+    _assert_matches(
+        lambda: decode_tokens(ids, z, store, CFG, 11, mode, True, drop(), pack=pack),
+        lambda: padded_decode(pack.pad(ids), z, store, CFG, mode, True, drop())[pack.valid],
+        [*_store_params(store), z],
+        Tensor(rng.standard_normal((pack.rows, 11))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# random streams and inference bytes
+# ---------------------------------------------------------------------------
+
+def test_simcse_step_draws_as_the_padded_path():
+    """Two dropout passes over a ragged batch leave the generator where the
+    padded path leaves it, with the same loss."""
+    enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
+    rng = np.random.default_rng(14)
+    tokens = pad_tokens([np.array([CLS, *rng.integers(5, 20, size=n), SEP]) for n in (4, 1, 6)])
+    stream = np.random.default_rng(5)
+    loss = infonce_batch(enc.embed_train(tokens, stream), enc.embed_train(tokens, stream))
+    loss.backward()
+
+    ref = np.random.default_rng(5)
+    valid = tokens != PAD
+
+    def padded_embed():
+        h = padded_encode(tokens, enc.store, CFG, valid, True, ref)
+        return padded_pool(h, enc.store, "mean", valid, ~np.isin(tokens, (PAD, CLS, SEP, MASK)))
+
+    ref_loss = infonce_batch(padded_embed(), padded_embed())
+    ref_loss.backward()
+    assert stream.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(loss.data, ref_loss.data)
+
+
+def test_wavembed_step_draws_as_the_padded_path():
+    """Encoder and decoder dropout over a ragged batch leave the generator
+    where the padded path leaves it; the loss, a mean over fewer zeros, agrees
+    to 1e-12."""
+    model = WavEmbedModel.create(d_in=3, vocab=12, encoder_cfg=CFG, seed=0)
+    rng = np.random.default_rng(15)
+    frames = [rng.standard_normal((n, 3)) for n in LENGTHS]
+    tokens = [np.array([CLS, *rng.integers(5, 12, size=n), SEP]) for n in (2, 5, 1, 3)]
+    stream = np.random.default_rng(5)
+    loss = model.batch_loss(frames, tokens, train_mode=True, rng=stream)
+    loss.backward()
+
+    ref = np.random.default_rng(5)
+    x, valid = padded_frames(frames)
+    h = padded_encode(x, model.store, CFG, valid, True, ref)
+    z = padded_pool(h, model.store, "self_attention", valid)
+    inputs = pad_tokens([t[:-1] for t in tokens])
+    logits = padded_decode(inputs, z, model.store, CFG, "memory", True, ref)
+    ref_loss = nll_loss(logits, pad_tokens([t[1:] for t in tokens]), pad_id=PAD)
+    ref_loss.backward()
+    assert stream.bit_generator.state == ref.bit_generator.state
+    assert float(loss.data) == pytest.approx(float(ref_loss.data), rel=1e-12)
+
+
+# sha256 of embed_batch's float64 bytes on the batch below, taken from the
+# padded path before packing; index.semi and report.json hold these bytes
+EMBED_GOLDEN = {
+    "student-self_attention": "039c1fc7fe43b1b965a87aa7174f41902d977eaf12f19cbc0d9d1d0ddb2eb9f8",
+    "student-cls": "6d313615533f8941a661aed19a17ce351cdce15ed477f815d9d23067120b4b1c",
+    "wavembed": "9049405156afce074402b9df628e6b8276a2bcde444846318caf1fc8f9215548",
+    "teacher-mean": "5ca5e8f5fa0fdd1011061a0d770b01fae83d0ce225a54f2dc1eb47007c1d25e5",
+    "teacher-cls": "62f14dc3ccd01a17478b61c630c2ddb377f36e363c50672955531e65ab2ded6b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_GOLDEN))
+def test_packed_inference_keeps_the_padded_bytes(name):
+    rng = np.random.default_rng(2024)
+    frames = [rng.standard_normal((n, 8)) for n in (7, 3, 12, 5, 12, 1, 9)]
+    rng = np.random.default_rng(2024)
+    seqs = [[CLS, *rng.integers(5, 30, size=n), SEP] for n in (6, 1, 14, 3, 9)]
+    kind, _, pooling = name.partition("-")
+    if kind == "student":
+        embs = StudentModel.create(d_in=8, pooling=pooling, seed=3).embed_batch(frames)
+    elif kind == "wavembed":
+        embs = WavEmbedModel.create(d_in=8, vocab=12, seed=3).embed_batch(frames)
+    else:
+        embs = SequenceEncoder.create(vocab=30, pooling=pooling, seed=3).embed_batch(seqs)
+    assert hashlib.sha256(embs.tobytes()).hexdigest() == EMBED_GOLDEN[name]

@@ -24,6 +24,7 @@ from semspeech.nn.layers import (
 from semspeech.nn.losses import infonce, infonce_batch, masked_cross_entropy, mse, nll_loss
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech.nn.tensor import (
+    Packing,
     Tensor,
     concat,
     dropout,
@@ -120,7 +121,7 @@ def test_dropout_grad_with_fixed_mask():
     a = rand_t(rng, 5, 5)
 
     def loss():
-        return (dropout(a, 0.4, np.random.default_rng(77)) ** 2).sum()
+        return (dropout(a, 0.4, np.random.default_rng(77), Packing.from_lengths([5])) ** 2).sum()
 
     assert grad_check(loss, [a]) < 1e-6
 
@@ -128,7 +129,7 @@ def test_dropout_grad_with_fixed_mask():
 def test_dropout_scales_preserve_expectation():
     rng = np.random.default_rng(11)
     x = Tensor(np.ones((200, 200)))
-    y = dropout(x, 0.3, rng)
+    y = dropout(x, 0.3, rng, Packing.from_lengths([200]))
     kept = y.data[y.data > 0]
     assert kept[0] == pytest.approx(1.0 / 0.7)
     assert abs(y.data.mean() - 1.0) < 0.02
@@ -403,11 +404,13 @@ def test_attention_pool_grad():
 
 def test_attention_pool_batched_matches_loop():
     rng = np.random.default_rng(26)
-    h = rng.standard_normal((3, 5, 4))
+    lengths = [5, 2, 4]
+    h = rng.standard_normal((sum(lengths), 4))
     w = rng.standard_normal(4)
-    batched = attention_pool(Tensor(h), Tensor(w))
-    for i in range(3):
-        single = attention_pool(Tensor(h[i]), Tensor(w))
+    batched = attention_pool(Tensor(h), Tensor(w), Packing.from_lengths(lengths))
+    starts = np.cumsum(lengths) - lengths
+    for i, (start, n) in enumerate(zip(starts, lengths)):
+        single = attention_pool(Tensor(h[start : start + n]), Tensor(w))
         assert np.allclose(batched.data[i], single.data, atol=1e-12)
 
 
@@ -429,10 +432,11 @@ def test_attention_grad():
     rng = np.random.default_rng(28)
     store = ParamStore()
     init_attention(store, rng, "attn", 8)
-    x = rand_t(rng, 1, 3, 8)
+    x = rand_t(rng, 3, 8)
     params = [p for _, p in store.items()]
+    pack = Packing.from_lengths([3])
     err = grad_check(
-        lambda: (apply_attention(store, "attn", x, x, heads=2) ** 2).sum(), params + [x]
+        lambda: (apply_attention(store, "attn", x, x, 2, pack) ** 2).sum(), params + [x]
     )
     assert err < 1e-3
 
@@ -442,11 +446,14 @@ def test_encoder_shapes_and_determinism():
     cfg = EncoderConfig(layers=2, model_dim=16, heads=4, ff_dim=32, dropout_rate=0.1)
     store = ParamStore()
     init_encoder(store, rng, cfg, d_in=6)
-    x = Tensor(rng.standard_normal((1, 16, 6)))
+    x = Tensor(rng.standard_normal((16, 6)))
     h1 = transformer_encode(x, store, cfg)
     h2 = transformer_encode(x, store, cfg)
-    assert h1.shape == (1, 16, 16)
+    assert h1.shape == (16, 16)
     assert np.array_equal(h1.data, h2.data)
+    # packed rows of a ragged batch come back as packed states
+    pack = Packing.from_lengths([10, 6])
+    assert transformer_encode(x, store, cfg, pack=pack).shape == (16, 16)
     # single-row input
     x1 = Tensor(rng.standard_normal((1, 6)))
     assert transformer_encode(x1, store, cfg).shape == (1, 16)
@@ -477,15 +484,18 @@ def test_encoder_padding_mask_blocks_pad_frames():
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
     store = ParamStore()
     init_encoder(store, rng, cfg, d_in=4)
-    x = rng.standard_normal((2, 5, 4))
-    valid = np.array([[True] * 5, [True, True, True, False, False]])
-    h = transformer_encode(Tensor(x), store, cfg, valid=valid)
-    # changing PAD frame content must not affect valid positions
+    x = rng.standard_normal((8, 4))  # packed rows: 5 frames, then 3
+    pack = Packing.from_lengths([5, 3])
+    h = transformer_encode(Tensor(x), store, cfg, pack=pack)
+    # the second sequence's keys, padded to length 5 inside attention, are
+    # masked from the first: changing its frames leaves the first unchanged
     x2 = x.copy()
-    x2[1, 3:] = 99.0
-    h2 = transformer_encode(Tensor(x2), store, cfg, valid=valid)
-    assert np.allclose(h.data[1, :3], h2.data[1, :3], atol=1e-12)
-    assert np.array_equal(h.data[0], h2.data[0])
+    x2[5:] = 99.0
+    h2 = transformer_encode(Tensor(x2), store, cfg, pack=pack)
+    assert np.array_equal(h.data[:5], h2.data[:5])
+    # and the padding of the second changes nothing against encoding it alone
+    alone = transformer_encode(Tensor(x[5:]), store, cfg)
+    assert np.allclose(h.data[5:], alone.data, atol=1e-12)
 
 
 def test_config_validation():
@@ -804,11 +814,11 @@ def _encoder_decoder_grads(seed):
     store = ParamStore()
     init_encoder(store, rng, cfg, d_in=4)
     init_token_decoder(store, rng, cfg, 7, condition_mode="memory")
-    x = Tensor(rng.standard_normal((2, 5, 4)))
     valid = np.array([[True] * 5, [True, True, True, False, False]])
+    x = Tensor(rng.standard_normal((2, 5, 4))[valid])
     drop = np.random.default_rng(seed + 1)
-    h = transformer_encode(x, store, cfg, train_mode=True, rng=drop, valid=valid)
-    z = attention_pool(h[0], h[1, 0])
+    h = transformer_encode(x, store, cfg, train_mode=True, rng=drop, pack=Packing(valid))
+    z = attention_pool(h[0:5], h[5])
     logits = decode_tokens(np.array([1, 4, 2, 6]), z, store, cfg, vocab=7,
                            train_mode=True, rng=drop)
     loss = nll_loss(logits, np.array([4, 2, 6, 2]))

@@ -69,7 +69,7 @@ def test_mean_pool_single_content_token_is_its_state():
     toks = np.array([[CLS, 9, SEP]])
     states = enc.encode(toks)
     pooled = enc.pool(states, toks)
-    assert np.allclose(pooled.data[0], states.data[0, 1], atol=1e-12)
+    assert np.allclose(pooled.data[0], states.data[1], atol=1e-12)
 
 
 def test_cls_and_mean_pooling_differ():
@@ -170,7 +170,8 @@ def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
             corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
             encoder.store.zero_grad()
             logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
-            loss = masked_cross_entropy(logits, batch, mask)
+            valid = batch != PAD
+            loss = masked_cross_entropy(logits, batch[valid], mask[valid])
             loss.backward()
             adamw_step(encoder.store, lr=lr, weight_decay=0.01)
             history.append(float(loss.data))
@@ -215,13 +216,14 @@ def test_mlm_unmasked_positions_get_zero_logit_grads():
     rng = derive_rng(8, "probe")
     toks = np.array([[CLS, 7, 9, 12, 6, SEP]])
     corrupted, mask = _mask_batch(toks, 0.4, 20, rng)
-    logits = mlm_forward(enc, corrupted)
+    logits = mlm_forward(enc, corrupted)  # packed: one row per non-PAD position
     leaf = Tensor(logits.data, requires_grad=True)
-    loss = masked_cross_entropy(leaf, toks, mask)
+    valid = toks != PAD
+    loss = masked_cross_entropy(leaf, toks[valid], mask[valid])
     loss.backward()
     g = leaf.grad
-    assert np.all(g[~mask] == 0.0)
-    assert np.any(g[mask] != 0.0)
+    assert np.all(g[~mask[valid]] == 0.0)
+    assert np.any(g[mask[valid]] != 0.0)
 
 
 # ---------------------------------------------------------------------------

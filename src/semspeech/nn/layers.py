@@ -22,6 +22,7 @@ from .tensor import (
     Packing,
     Tensor,
     attention,
+    concat,
     dropout,
     ffn,
     layer_norm,
@@ -122,20 +123,23 @@ def apply_layer_norm(store: ParamStore, name: str, x: Tensor) -> Tensor:
     return layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
 
 
-def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
-    pos = np.arange(n)[:, None].astype(np.float64)
+def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
+    """The (n - start, dim) encodings of positions start .. n-1; each row
+    holds the same bytes whatever ``start`` is."""
+    pos = np.arange(start, n)[:, None].astype(np.float64)
     half = (dim + 1) // 2
     i = np.arange(half)[None, :].astype(np.float64)
     angles = pos / np.power(10000.0, 2.0 * i / dim)
-    out = np.zeros((n, dim))
+    out = np.zeros((n - start, dim))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles[:, : dim // 2])
     return out
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """(1, 1, n, n) additive mask hiding future positions."""
-    m = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), NEG_INF, 0.0)
+def causal_mask(n: int, past: int = 0) -> np.ndarray:
+    """(1, 1, n, past + n) additive mask hiding future positions from n new
+    queries that follow ``past`` earlier keys, which every query sees."""
+    m = np.where(np.triu(np.ones((n, past + n), dtype=bool), k=past + 1), NEG_INF, 0.0)
     return m[None, None, :, :]
 
 
@@ -168,11 +172,15 @@ def apply_block(
     memory: Tensor | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    cache: DecodeCache | None = None,
+    layer: int = 0,
 ) -> Tensor:
     """One pre-norm block over the packed rows ``pack`` lays out. ``memory``
     holds one cross-attention slot per sequence, as (B, 1, d): projecting it
     in that shape runs numpy's per-slot product, as the padded layout did,
-    so its bits do not move."""
+    so its bits do not move. With a ``cache``, the rows are the next
+    positions of one sequence, and self-attention reads the cached ``ln1``
+    rows of block ``layer`` before them as keys and values."""
 
     def drop(t: Tensor) -> Tensor:
         if train and cfg.dropout_rate > 0.0:
@@ -180,7 +188,12 @@ def apply_block(
         return t
 
     h = apply_layer_norm(store, f"{name}.ln1", x)
-    x = x + drop(apply_attention(store, f"{name}.attn", h, h, cfg.heads, pack, mask=self_mask))
+    kv, kv_pack = h, None
+    if cache is not None:
+        kv, kv_pack = cache.extend(layer, h)
+    x = x + drop(
+        apply_attention(store, f"{name}.attn", h, kv, cfg.heads, pack, kv_pack, self_mask)
+    )
     if memory is not None:
         slots = Packing(np.ones(memory.shape[:2], dtype=bool))
         h = apply_layer_norm(store, f"{name}.lnx", x)
@@ -214,6 +227,7 @@ def _run_blocks(
     memory: Tensor | None,
     train_mode: bool,
     rng: np.random.Generator | None,
+    cache: DecodeCache | None = None,
 ) -> Tensor:
     """Input dropout, the pre-norm blocks and the final layer norm."""
     if train_mode and cfg.dropout_rate > 0.0:
@@ -221,7 +235,7 @@ def _run_blocks(
     for layer in range(cfg.layers):
         h = apply_block(
             store, f"{prefix}.block{layer}", h, cfg, pack,
-            self_mask=mask, memory=memory, train=train_mode, rng=rng,
+            self_mask=mask, memory=memory, train=train_mode, rng=rng, cache=cache, layer=layer,
         )
     return apply_layer_norm(store, f"{prefix}.ln_f", h)
 
@@ -255,9 +269,10 @@ def init_encoder(
         store.add("pool.cls", Tensor(0.02 * rng.standard_normal(d_in)))
 
 
-def _positions(pack: Packing, dim: int) -> Tensor:
-    """The sinusoidal encoding of each packed row's position."""
-    return Tensor(sinusoidal_positions(pack.length, dim)[pack.positions])
+def _positions(pack: Packing, dim: int, start: int = 0) -> Tensor:
+    """The sinusoidal encoding of each packed row's position, counted from
+    ``start``."""
+    return Tensor(sinusoidal_positions(start + pack.length, dim, start)[pack.positions])
 
 
 def transformer_encode(
@@ -357,6 +372,31 @@ def init_token_decoder(
     init_linear(store, rng, "dec.out", cfg.model_dim, vocab, scale=0.1)
 
 
+class DecodeCache:
+    """What decoding one sequence position by position keeps between calls:
+    for each decoder block, the ``ln1`` rows of the positions already run,
+    which its self-attention re-projects to keys and values."""
+
+    def __init__(self, layers: int):
+        self.rows: list[Tensor | None] = [None] * layers
+        self._pack = Packing.from_lengths([0])
+
+    def __len__(self) -> int:
+        """Positions run so far."""
+        last = self.rows[-1]
+        return 0 if last is None else last.shape[0]
+
+    def extend(self, layer: int, rows: Tensor) -> tuple[Tensor, Packing]:
+        """Append block ``layer``'s new ``ln1`` rows; returns all of them
+        and their layout, which every block shares."""
+        past = self.rows[layer]
+        self.rows[layer] = rows if past is None else concat([past, rows])
+        n = self.rows[layer].shape[0]
+        if self._pack.length != n:
+            self._pack = Packing.from_lengths([n])
+        return self.rows[layer], self._pack
+
+
 def decode_tokens(
     tokens: np.ndarray,
     z: Tensor,
@@ -367,6 +407,7 @@ def decode_tokens(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     pack: Packing | None = None,
+    cache: DecodeCache | None = None,
 ) -> Tensor:
     """Teacher-forced forward: next-token logits at every prefix position.
 
@@ -375,19 +416,26 @@ def decode_tokens(
     sequence with a (d,) ``z``. The logits come back as packed (N, vocab)
     rows. The conditioning vector is either the sole cross-attention memory
     slot or added to every input embedding.
+
+    With a ``cache`` (one sequence, ``pack`` None), ``tokens`` are the next
+    positions after the ``len(cache)`` already run: only they go through
+    the blocks, their self-attention also sees the cached positions, and
+    the cache is extended by them.
     """
     tokens = np.asarray(tokens)
+    start = 0 if cache is None else len(cache)
     if pack is None:
         pack = Packing.from_lengths([tokens.shape[0]])
         z = z.reshape(1, *z.shape)
-    _check_sequence(pack.length, cfg, train_mode, rng)
-    h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim)
+    _check_sequence(start + pack.length, cfg, train_mode, rng)
+    h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim, start)
     memory = None
     if condition_mode == "add":
         h = h + take_rows(z, pack.segments)
     else:
         memory = z.reshape(pack.batch, 1, z.shape[-1])
-    h = _run_blocks(store, "dec", h, cfg, pack, causal_mask(pack.length), memory, train_mode, rng)
+    mask = causal_mask(pack.length, start) if pack.length > 1 else None  # one sees all
+    h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache)
     return apply_linear(store, "dec.out", h)
 
 
@@ -398,9 +446,13 @@ def decoder_step(
     cfg: EncoderConfig,
     vocab: int,
     condition_mode: str = "memory",
+    cache: DecodeCache | None = None,
 ) -> Tensor:
-    """Next-token logits given the prefix; eval mode."""
+    """Next-token logits after ``prev_tokens``; eval mode. Without a
+    ``cache`` they are the whole prefix; with one, the positions after the
+    cached ones."""
     logits = decode_tokens(
-        np.asarray(prev_tokens), z, store, cfg, vocab, condition_mode=condition_mode
+        np.asarray(prev_tokens), z, store, cfg, vocab, condition_mode=condition_mode,
+        cache=cache,
     )
     return logits[-1]

@@ -275,37 +275,65 @@ _GELU_A = 0.044715
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """The tanh term of tanh-form gelu. The cube is ``x*x*x``: numpy's float
-    ``**3`` goes through ``pow``, which is about 40x slower and can differ
-    from it in the last ulp."""
-    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    """tanh(c * (x + a * x*x*x)), the tanh term of tanh-form gelu, in one
+    buffer. The cube is ``x*x*x``: numpy's float ``**3`` goes through
+    ``pow``, which is about 40x slower and can differ from it in the last
+    ulp."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + t)
+    """0.5 * x * (1 + t)."""
+    out = x * 0.5
+    out *= t + 1.0
+    return out
 
 
 def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    """0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3a * x*x)."""
+    du = np.square(x)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    half = np.multiply(x, 0.5)
+    out *= half
+    out *= du
+    np.add(t, 1.0, out=half)
+    half *= 0.5
+    out += half
+    return out
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along ``axis``, written into ``out`` (which may be ``x``) or
+    into a new array."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out_data = _softmax(x.data, axis)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - inner))
+        grad = g * out_data
+        np.subtract(g, grad.sum(axis=axis, keepdims=True), out=grad)
+        grad *= out_data
+        x._accumulate(grad)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -315,7 +343,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     soft = np.exp(out_data)
 
     def backward(g):
-        x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        grad = soft * g.sum(axis=axis, keepdims=True)
+        x._accumulate(np.subtract(g, grad, out=grad))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -386,6 +415,15 @@ def pad_rows(x: Tensor, pack: Packing) -> Tensor:
 # numpy operations of the composite it replaces in the same order, so its
 # output keeps its bytes; the backward keeps only what it needs and sums
 # gradients in its own order.
+#
+# Every kernel, forward and backward, writes its results into arrays its own
+# call allocated, through ``out=`` or augmented assignment: a bias is added
+# into the GEMM result, the scale, mask and softmax go into the scores. Each
+# keeps the ufunc, the operands and their order of the expression it
+# replaces, so no byte moves. A kernel never writes into a parent's
+# ``.data``, a parameter, the upstream gradient or an array a closure saved.
+# tests/test_fused.py pins the bytes: embeddings and the gradients of every
+# training loss by sha256, and what each kernel may write into.
 
 def _affine_backward(
     x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray, need_dx: bool
@@ -397,6 +435,13 @@ def _affine_backward(
     if b.requires_grad:
         b._accumulate(g2.sum(axis=0))
     return g2 @ w.data.T if need_dx else None
+
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ W + b, the bias added into the GEMM result."""
+    out = x @ w.data
+    out += b.data
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -411,7 +456,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if dx is not None:
             x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._make(x.data @ w.data + b.data, (x, w, b), backward)
+    return Tensor._make(_affine(x.data, w, b), (x, w, b), backward)
 
 
 def attention(
@@ -450,18 +495,21 @@ def attention(
         return rows.reshape(b, layout.length, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(a: np.ndarray, layout: Packing) -> np.ndarray:
-        return layout.unpad(a.transpose(0, 2, 1, 3).reshape(b, layout.length, d))
+        # the valid rows straight from the (B, T, heads, dh) view, one copy
+        a = a.transpose(0, 2, 1, 3)
+        return (a if layout.index is None else a[layout.valid]).reshape(-1, d)
 
-    qh = split(q_in.data @ wq.data + bq.data, pack)
-    kh = split(kv_in.data @ wk.data + bk.data, kv_pack)
-    vh = split(kv_in.data @ wv.data + bv.data, kv_pack)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    qh = split(_affine(q_in.data, wq, bq), pack)
+    kh = split(_affine(kv_in.data, wk, bk), kv_pack)
+    vh = split(_affine(kv_in.data, wv, bv), kv_pack)
+    p = qh @ kh.transpose(0, 1, 3, 2)  # the scores, then their softmax
+    p *= scale
     key_mask = kv_pack.key_mask()
     if key_mask is not None:
         mask = key_mask if mask is None else mask + key_mask
     if mask is not None:
-        scores = scores + mask
-    p = _softmax(scores)
+        p += mask
+    _softmax(p, out=p)
     oh = p @ vh
     o = merge(oh, pack)
     self_attn = q_in is kv_in
@@ -488,14 +536,14 @@ def attention(
             q_in._accumulate(dq)
 
     parents = (q_in, *params) if self_attn else (q_in, kv_in, *params)
-    return Tensor._make(o @ wo.data + bo.data, parents, backward)
+    return Tensor._make(_affine(o, wo, bo), parents, backward)
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ W1 + b1) @ W2 + b2 as one node. It keeps the pre-activation
     and its tanh term, and recomputes the activation in the backward."""
     d_in, d_ff = w1.shape
-    a = (x.data @ w1.data + b1.data).reshape(-1, d_ff)
+    a = _affine(x.data, w1, b1).reshape(-1, d_ff)
     t = _gelu_tanh(a)
 
     def backward(g):
@@ -506,7 +554,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             x._accumulate(dx.reshape(x.shape))
 
     h = _gelu_value(a, t).reshape(*x.shape[:-1], d_ff)
-    return Tensor._make(h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+    return Tensor._make(_affine(h, w2, b2), (x, w1, b1, w2, b2), backward)
 
 
 def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -518,7 +566,7 @@ def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     scale = 1.0 / int(mask.sum())
     logp = _log_softmax(logits.data)
     out_data = -(np.take_along_axis(logp, idx, axis=-1).squeeze(-1) * weights).sum() * scale
-    soft = np.exp(logp)
+    soft = np.exp(logp, out=logp)
 
     def backward(g):
         coef = np.expand_dims(-(g * scale) * weights, -1)
@@ -531,11 +579,16 @@ def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalization over the last axis, then elementwise affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # x - mu once, for the variance (as np.var computes it) and for xhat; a
+    # mean is the sum divided by the count, as ndarray.mean computes it
+    d = x.shape[-1]
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    out_data = np.square(xhat)
+    var = out_data.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -543,11 +596,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
+            # (gh - mean(gh) - xhat * mean(gh * xhat)) * inv, gh = g * gain
             gh = g * gain.data
-            term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(
-                axis=-1, keepdims=True
-            )
-            x._accumulate(term * inv)
+            tmp = gh * xhat
+            np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+            gh -= gh.mean(axis=-1, keepdims=True)
+            gh -= tmp
+            gh *= inv
+            x._accumulate(gh)
 
     return Tensor._make(out_data, (x, gain, bias), backward)
 

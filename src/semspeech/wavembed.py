@@ -18,6 +18,7 @@ from .errors import FileFormatError, ValidationError
 from .fileformat import read_text, write_csv
 from .nn import checkpoint
 from .nn.layers import (
+    DecodeCache,
     EncoderConfig,
     decode_tokens,
     decoder_step,
@@ -239,19 +240,31 @@ class WavEmbedModel:
         )
 
     def greedy_decode(self, features, max_len: int = 64) -> np.ndarray:
+        """Ids from CLS up to SEP or ``max_len``. Each step runs the one new
+        position through the decoder, its self-attention reading the cached
+        earlier positions."""
         if max_len < 2:
             raise ValidationError("max_len must be >= 2", field="max_len")
+        # the last id is never fed back, so max_len - 1 positions are run
+        if max_len - 1 > self.decoder_cfg.max_positions:
+            raise ValidationError(
+                f"max_len {max_len} needs {max_len - 1} decoder positions, "
+                f"more than max_positions {self.decoder_cfg.max_positions}",
+                field="max_len",
+            )
         with no_grad():
             z = self._encode([features])[0]
             out = [CLS]
+            cache = DecodeCache(self.decoder_cfg.layers)
             while len(out) < max_len:
                 logits = decoder_step(
-                    np.asarray(out),
+                    np.asarray(out[-1:]),
                     z,
                     self.store,
                     self.decoder_cfg,
                     self.vocab,
                     condition_mode=self.condition_mode,
+                    cache=cache,
                 )
                 nxt = int(np.argmax(logits.data))
                 out.append(nxt)

@@ -31,6 +31,23 @@ def test_summarise_counts_wins_per_pair_and_failed_ops():
     assert s["change"]["attempted_ops"] == 15
 
 
+def _pairs(parent, change):
+    return [r for k, (p, c) in enumerate(zip(parent, change), 1)
+            for r in (_run("parent", k, p), _run("change", k, c))]
+
+
+def test_claim_holds_needs_nine_wins_in_ten_and_a_gap_past_the_parent_spread():
+    parent = [10.0 + 0.1 * k for k in range(10)]  # quartiles 10.225 and 10.675
+    s = bench_pairs.summarise(_pairs(parent, [9.0] * 9 + [11.0]))
+    assert s["pass_s_change_wins"] == "9/10" and s["pass_s_claim_holds"]
+    s = bench_pairs.summarise(_pairs(parent, [9.0] * 8 + [11.0] * 2))
+    assert s["pass_s_change_wins"] == "8/10" and not s["pass_s_claim_holds"]
+    # 10/10 pairs, but a median gap (0.3) inside the parent's spread (0.45)
+    s = bench_pairs.summarise(_pairs(parent, [p - 0.3 for p in parent]))
+    assert s["pass_s_change_wins"] == "10/10" and not s["pass_s_claim_holds"]
+    assert not s["setup_s_claim_holds"]  # ties win nothing
+
+
 def test_compare_hashes_names_every_differing_artifact():
     a = {"mlm": {"enc.semm": "x", "loss.csv": "y"}}
     b = {"mlm": {"enc.semm": "x", "loss.csv": "z"}}

@@ -4,6 +4,8 @@ packed models against the padded path they replace.
 The composites below are the oracle: each forward must match its fused node
 bit for bit, and each gradient to 1e-12 relative (the fused backward sums in
 another order). Every fused node also passes a central-difference check.
+Digests pin the bytes of inference outputs and of every training loss's
+gradients, and each kernel is checked to write only into its own buffers.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from semspeech.nn.layers import (
     sinusoidal_positions,
     transformer_encode,
 )
-from semspeech.nn.losses import infonce_batch, nll_loss
+from semspeech.nn.losses import infonce_batch, masked_cross_entropy, nll_loss
 from semspeech.nn.optim import ParamStore
 from semspeech.nn.tensor import (
     NEG_INF,
@@ -45,9 +47,9 @@ from semspeech.nn.tensor import (
     softmax,
     take_rows,
 )
-from semspeech.teachers import SequenceEncoder
+from semspeech.teachers import SequenceEncoder, mlm_forward
 from semspeech.tokenizer import CLS, MASK, PAD, SEP, pad_tokens
-from semspeech.wavembed import WavEmbedModel, encode_frames
+from semspeech.wavembed import WavEmbedModel, decode_loss, encode_frames
 
 
 def composite_linear(x, w, b):
@@ -586,3 +588,173 @@ def test_packed_inference_keeps_the_padded_bytes(name):
     else:
         embs = SequenceEncoder.create(vocab=30, pooling=pooling, seed=3).embed_batch(seqs)
     assert hashlib.sha256(embs.tobytes()).hexdigest() == EMBED_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# gradient bytes of the training losses
+# ---------------------------------------------------------------------------
+#
+# One backward() of each training loss on fixed tiny inputs, dropout on. The
+# digest covers the loss and every leaf gradient in store order, so a kernel
+# that reorders a float operation in any backward pass shows here.
+
+def _ragged_tokens(rng, lengths, vocab):
+    return [np.array([CLS, *rng.integers(5, vocab, size=n), SEP]) for n in lengths]
+
+
+def _wavembed_loss():
+    model = WavEmbedModel.create(d_in=3, vocab=12, encoder_cfg=CFG, seed=0)
+    rng = np.random.default_rng(15)
+    frames = [rng.standard_normal((n, 3)) for n in LENGTHS]
+    tokens = _ragged_tokens(rng, (2, 5, 1, 3), 12)
+    return model.store, model.batch_loss(frames, tokens, True, np.random.default_rng(5))
+
+
+def _mlm_loss():
+    enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
+    rng = np.random.default_rng(16)
+    tokens = pad_tokens(_ragged_tokens(rng, (4, 1, 6), 20))
+    chosen = (rng.random(tokens.shape) < 0.4) & (tokens >= 5)
+    chosen[0, 1] = True
+    logits = mlm_forward(enc, np.where(chosen, MASK, tokens), True, np.random.default_rng(5))
+    valid = tokens != PAD
+    return enc.store, masked_cross_entropy(logits, tokens[valid], chosen[valid])
+
+
+def _tsdae_loss():
+    enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
+    init_token_decoder(enc.store, np.random.default_rng(1), CFG, 20, condition_mode="memory")
+    rng = np.random.default_rng(17)
+    originals = _ragged_tokens(rng, (5, 2, 7), 20)
+    corrupted = pad_tokens([t[::2] for t in originals])
+    stream = np.random.default_rng(5)
+    z = enc.pool(enc.encode(corrupted, True, stream), corrupted)
+    return enc.store, decode_loss(z, originals, enc.store, CFG, 20, train_mode=True, rng=stream)
+
+
+def _simcse_loss():
+    enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
+    tokens = pad_tokens(_ragged_tokens(np.random.default_rng(14), (4, 1, 6), 20))
+    stream = np.random.default_rng(5)
+    return enc.store, infonce_batch(enc.embed_train(tokens, stream), enc.embed_train(tokens, stream))
+
+
+def _distill_loss():
+    student = StudentModel.create(d_in=3, cfg=CFG, seed=0)
+    rng = np.random.default_rng(18)
+    frames = [rng.standard_normal((n, 3)) for n in LENGTHS]
+    teacher = Tensor(rng.standard_normal((len(LENGTHS), CFG.model_dim)))
+    bank = Tensor(rng.standard_normal((6, CFG.model_dim)))
+    z = student.embed_train(frames, np.random.default_rng(5))
+    return student.store, infonce_batch(z, teacher, bank=bank)
+
+
+GRAD_LOSSES = {
+    "wavembed": _wavembed_loss,
+    "mlm": _mlm_loss,
+    "tsdae": _tsdae_loss,
+    "simcse": _simcse_loss,
+    "distill": _distill_loss,
+}
+
+# sha256 of the loss and every leaf gradient's float64 bytes, taken before the
+# kernels wrote into their own buffers
+GRAD_GOLDEN = {
+    "distill": "40dcbad63e8712a2e2e400496b65d0c354d7746671cfbdccc9f0fa1b7a888184",
+    "mlm": "a872d2ff9a658e1cfd850d8c404bd988d7663ab6443f3bb7fcf886b10cdec8d5",
+    "simcse": "b59d0eb25d1dec0de6b82aa6eab9fbd360bf1ad1bb6e2cff4b7d99d4f0211196",
+    "tsdae": "dfc4fee40857d88902307f7f006870efd1bbcb73b13455941ebfb771db292713",
+    "wavembed": "8f3bc9ed6875e89e01ee48fdd3a53726cc7e95281831f0ca0fbe16e580af8cd3",
+}
+
+
+def _grad_digest(store, loss):
+    loss.backward()
+    digest = hashlib.sha256(np.asarray(loss.data).tobytes())
+    for name, p in store.items():
+        digest.update(name.encode())
+        digest.update(b"none" if p.grad is None else p.grad.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_LOSSES))
+def test_training_gradients_keep_their_bytes(name):
+    assert _grad_digest(*GRAD_LOSSES[name]()) == GRAD_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# what a kernel may write into
+# ---------------------------------------------------------------------------
+#
+# A kernel writes only into arrays its own call allocated: never into an
+# input's .data, a parameter, or the upstream gradient it is handed.
+
+def _attention_case(kind):
+    def build(rng):
+        d = 8
+        params = _attention_params(rng, d)
+        if kind == "cross":
+            pack, kv_pack = Packing.from_lengths([4, 2]), Packing.from_lengths([3, 1])
+            q, kv = _leaf(rng, pack.rows, d), _leaf(rng, kv_pack.rows, d)
+            return (lambda: attention(q, kv, params, 2, pack, kv_pack)), [q, kv, *params]
+        lengths = [5, 3] if kind == "packed" else [4, 4]
+        pack = Packing.from_lengths(lengths)
+        x = _leaf(rng, pack.rows, d)
+        mask = causal_mask(pack.length) if kind == "masked" else None
+        return (lambda: attention(x, x, params, 2, pack, mask=mask)), [x, *params]
+
+    return build
+
+
+def _leaves_case(op, *shapes):
+    """A case calling ``op`` on fresh leaves of the given shapes."""
+
+    def build(rng):
+        leaves = [_leaf(rng, *shape) for shape in shapes]
+        return (lambda: op(*leaves)), leaves
+
+    return build
+
+
+def _nll(logits):
+    targets = np.array([[1, 0, 4], [2, 2, 3]])
+    return nll(logits, targets, np.array([[True, False, True], [True, True, True]]))
+
+
+OWNERSHIP_CASES = {
+    "linear": _leaves_case(linear, (5, 4), (4, 3), (3,)),
+    "attention-self": _attention_case("self"),
+    "attention-cross": _attention_case("cross"),
+    "attention-masked": _attention_case("masked"),
+    "attention-packed": _attention_case("packed"),
+    "ffn": _leaves_case(ffn, (5, 4), (4, 6), (6,), (6, 4), (4,)),
+    "layer_norm": _leaves_case(layer_norm, (5, 6), (6,), (6,)),
+    "softmax": _leaves_case(softmax, (3, 5)),
+    "log_softmax": _leaves_case(log_softmax, (3, 5)),
+    "nll": _leaves_case(_nll, (2, 3, 5)),
+    "pad_rows": _leaves_case(lambda x: pad_rows(x, Packing.from_lengths([4, 2])), (6, 4)),
+}
+
+
+def _forward_backward(name):
+    """Build the case on fresh leaves, run its forward and its backward with
+    a fixed upstream gradient, and check that no input or upstream byte
+    moved. Returns the output and the leaf gradients."""
+    forward, leaves = OWNERSHIP_CASES[name](np.random.default_rng(21))
+    before = [t.data.tobytes() for t in leaves]
+    out = forward()
+    upstream = np.random.default_rng(22).standard_normal(out.shape)
+    upstream_bytes = upstream.tobytes()
+    out._backward(upstream)
+    assert [t.data.tobytes() for t in leaves] == before
+    assert upstream.tobytes() == upstream_bytes
+    return out.data.copy(), [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_CASES))
+def test_kernels_write_only_into_their_own_buffers(name):
+    out, grads = _forward_backward(name)
+    again, grads_again = _forward_backward(name)
+    assert out.tobytes() == again.tobytes()
+    assert all(g is not None for g in grads)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_again]

@@ -7,6 +7,7 @@ from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
+    DecodeCache,
     EncoderConfig,
     attention_pool,
     causal_mask,
@@ -584,6 +585,45 @@ def test_decoder_nll_grad_wrt_z():
 def test_causal_mask_layout():
     m = causal_mask(3)[0, 0]
     assert m[0, 0] == 0 and m[0, 1] < -1e8 and m[2, 2] == 0 and m[1, 0] == 0
+    # two new queries after three cached keys see those keys and themselves
+    m = causal_mask(2, past=3)[0, 0]
+    assert m.shape == (2, 5)
+    assert np.all(m[:, :4] == 0) and m[0, 4] < -1e8 and m[1, 4] == 0
+
+
+@pytest.mark.parametrize("mode, first", [("memory", 1), ("add", 1), ("memory", 3), ("add", 4)])
+def test_cached_decoder_step_matches_the_full_prefix(mode, first):
+    """Fed ``first`` ids, then one at a time, a cached decoder gives the
+    logits of decoding the whole prefix at every step."""
+    rng = np.random.default_rng(38)
+    cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
+    store = ParamStore()
+    init_token_decoder(store, rng, cfg, 7, condition_mode=mode)
+    z = Tensor(rng.standard_normal(8))
+    ids = rng.integers(0, 7, size=9)
+    cache = DecodeCache(cfg.layers)
+    got = decode_tokens(ids[:first], z, store, cfg, 7, condition_mode=mode, cache=cache)
+    want = decode_tokens(ids[:first], z, store, cfg, 7, condition_mode=mode)
+    assert len(cache) == first
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12
+    for n in range(first + 1, len(ids) + 1):
+        step = decoder_step(ids[n - 1 : n], z, store, cfg, 7, condition_mode=mode, cache=cache)
+        full = decoder_step(ids[:n], z, store, cfg, 7, condition_mode=mode)
+        assert len(cache) == n
+        assert np.max(np.abs(step.data - full.data)) <= 1e-12
+
+
+def test_cached_decoder_counts_cached_positions_against_the_limit():
+    rng = np.random.default_rng(39)
+    cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, max_positions=3)
+    store = ParamStore()
+    init_token_decoder(store, rng, cfg, 7)
+    z = Tensor(rng.standard_normal(8))
+    cache = DecodeCache(cfg.layers)
+    decoder_step(np.array([1, 5, 6]), z, store, cfg, 7, cache=cache)
+    with pytest.raises(ValidationError) as e:
+        decoder_step(np.array([2]), z, store, cfg, 7, cache=cache)
+    assert e.value.field == "max_positions"
 
 
 # ---------------------------------------------------------------------------

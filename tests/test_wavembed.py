@@ -202,6 +202,39 @@ def test_greedy_decode_shape_rules():
     assert np.array_equal(out, model.greedy_decode(x, max_len=6))
 
 
+# ids greedy_decode returned when it re-ran the whole prefix for every token
+GREEDY_IDS = {
+    ("memory", 0): [1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],
+    ("memory", 1): [1, 4, 10, 10, 10, 10, 4, 4, 10, 10, 10, 2],
+    ("add", 0): [1, 11, 12, 1, 1, 11, 11, 11, 11, 1, 1, 11, 11, 11, 11, 11],
+}
+DEFAULT_DIMS_IDS = [1, 23, 23, 23, 23, 23, 23, 0, 1, 1, 23, 23, 23, 10, 10] + [23] * 49
+
+
+@pytest.mark.parametrize("mode, seed", sorted(GREEDY_IDS))
+def test_greedy_decode_keeps_its_ids(mode, seed):
+    x = np.random.default_rng(11).standard_normal((6, 4))
+    out = tiny_model(seed=seed, condition_mode=mode).greedy_decode(x, max_len=16)
+    assert out.tolist() == GREEDY_IDS[mode, seed]
+
+
+def test_greedy_decode_keeps_its_ids_at_default_dims():
+    model = WavEmbedModel.create(d_in=8, vocab=40, seed=0)
+    x = np.random.default_rng(7).standard_normal((30, 8))
+    assert model.greedy_decode(x).tolist() == DEFAULT_DIMS_IDS
+
+
+def test_greedy_decode_rejects_max_len_past_the_positions_before_encoding(monkeypatch):
+    cfg = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, max_positions=8)
+    model = WavEmbedModel.create(d_in=4, vocab=13, encoder_cfg=cfg, seed=0)
+    x = np.random.default_rng(11).standard_normal((6, 4))
+    assert len(model.greedy_decode(x, max_len=9)) <= 9  # 8 decoder positions
+    monkeypatch.setattr(model, "_encode", lambda *a, **k: pytest.fail("encoded"))
+    with pytest.raises(ValidationError) as e:
+        model.greedy_decode(x, max_len=10)
+    assert e.value.field == "max_len"
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

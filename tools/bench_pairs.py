@@ -18,6 +18,10 @@ side won, failed operations, the minor page faults of each run, and whether
 every artifact hashed the same in every pass of both sides, with each
 artifact's sha256.
 
+``<metric>_claim_holds`` applies the rule a claimed gain must meet: the
+change won at least 9 of every 10 pairs, and the parent's median exceeds
+the change's by more than the parent's interquartile range.
+
 ``--durations`` takes the output of ``pytest --durations=N`` from each side
 and records every set-up and call that took at least ``MIN_DURATION_S``
 seconds, with the suite's total time.
@@ -39,6 +43,7 @@ METRICS = ("setup_s", "pass_s", "peak_rss_mb")  # all lower-is-better
 SIDES = ("parent", "change")
 SECONDS = 10  # run length, as BENCHMARK.json's run_seconds
 MIN_DURATION_S = 5.0
+CLAIM_WINS = (9, 10)  # a claim needs at least 9 wins in every 10 pairs
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -110,6 +115,11 @@ def summarise(runs: list[dict]) -> dict:
             for k in pairs
         )
         out[f"{name}_change_wins"] = f"{wins}/{len(pairs)}"
+        parent, change = out["parent"][name], out["change"][name]
+        out[f"{name}_claim_holds"] = (
+            wins * CLAIM_WINS[1] >= CLAIM_WINS[0] * len(pairs)
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"]
+        )
     return out
 
 

@@ -141,7 +141,8 @@ def cmd_gen_corpus(cfg: PipelineConfig, args, out: Path) -> None:
 
 def cmd_quantize(cfg: PipelineConfig, args, out: Path) -> None:
     corpus = load_corpus(args.corpus)
-    frames = np.concatenate([u.features.data for u in corpus], axis=0)
+    # float64 from the start, so k-means makes no copy of its own
+    frames = np.concatenate([u.features.data for u in corpus], axis=0, dtype=np.float64)
     cap = cfg["quantizer.max_training_frames"] or None
     codebook = train_kmeans(
         frames,
@@ -310,8 +311,9 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
     model = _load_embedder(args.model)
-    corpus = load_corpus(args.corpus)
     pairs = load_scored_pairs(args.pairs, split="test")
+    scored = {utt_id for a, b, _ in pairs.pairs for utt_id in (a, b)}
+    corpus = load_corpus(args.corpus, ids=scored)
     renderings = {u.id: [u.features] for u in corpus}
     report = evaluate(
         model.embed_batch,

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -48,9 +48,14 @@ _MAX_CENTROID_TRIES = 500
 _VARIANT_PROB = 0.5
 _COPY_PROB = 0.15
 
-# candidate pairs scored per block in build_scored_pairs: at 2000 utterances a
-# block's Gram rows, keys and scores take about 2 MB each, where all 2M
-# candidates at once take about 100 MB
+# candidate pairs per block, in build_scored_pairs's scoring and in the
+# sampler's draw-to-key pass: at 2000 utterances a block's Gram rows and
+# scores take about 2 MB each and its int32 keys 1 MB, where all 2M
+# candidates at once take about 100 MB. Blocks of 2^16 cut the all-pairs
+# peak to about 9.4 MiB, but freeing only smaller arrays leaves glibc's
+# dynamic mmap threshold lower for what the process runs next: a later
+# embed_batch then maps and faults its MB-sized arrays anew (serve's minor
+# page faults rose by about 60%)
 _PAIR_BLOCK = 1 << 18
 
 
@@ -347,22 +352,55 @@ def _bin_label(idx: int, n_bins: int = 10) -> str:
     return f"[{lo:.1f}, {hi:.1f}{closer}"
 
 
+def _draw_pair_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Keys i*n + j, i < j, of a (size, 2) draw of items, in draw order,
+    self-pairs dropped. The draw becomes keys block by block, so only the
+    draw and the keys are ever whole."""
+    draw = rng.integers(n, size=(size, 2))
+    keys = np.empty(size, dtype=np.int64)
+    count = 0
+    for lo in range(0, size, _PAIR_BLOCK):
+        a, b = draw[lo : lo + _PAIR_BLOCK].T
+        block = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        keys[count : count + block.size] = block
+        count += block.size
+    return keys[:count]
+
+
+def _new_keys(keys: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The values of ``keys`` not in ``kept`` (ascending), each once, in the
+    order they first occur in ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # a value first occurs at the first of its run in the stable sort
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if kept.size:
+        for lo in range(0, keys.size, _PAIR_BLOCK):
+            part = ordered[lo : lo + _PAIR_BLOCK]
+            at = np.minimum(np.searchsorted(kept, part), kept.size - 1)
+            new[lo : lo + _PAIR_BLOCK] &= kept[at] != part
+    # each array goes as soon as it is used: a round's peak is a few of them
+    del ordered
+    firsts = order[new]
+    del order, new
+    firsts.sort()
+    return keys[firsts]
+
+
 def _sample_pair_keys(rng: np.random.Generator, n: int, max_candidates: int) -> np.ndarray:
     """``max_candidates`` distinct unordered pairs of n items as sorted keys i*n + j, i < j.
 
     Each round draws a (max_candidates, 2) block and keeps, in draw order, the
     pairs not seen before, until ``max_candidates`` are kept.
     """
-    kept = np.empty(0, dtype=np.int64)
+    kept = np.empty(0, dtype=np.int64)  # ascending
     while kept.size < max_candidates:
-        draw = rng.integers(n, size=(max_candidates, 2))
-        lo, hi = draw.min(axis=1), draw.max(axis=1)
-        keys = (lo * n + hi)[lo != hi]
-        _, first = np.unique(keys, return_index=True)
-        fresh = keys[np.sort(first)]
-        fresh = fresh[~np.isin(fresh, kept)]
-        kept = np.concatenate((kept, fresh[: max_candidates - kept.size]))
-    return np.sort(kept)
+        new = _new_keys(_draw_pair_keys(rng, n, max_candidates), kept)
+        kept = np.concatenate((kept, new[: max_candidates - kept.size]))
+        del new
+        kept.sort()
+    return kept
 
 
 def _cosines(dots: np.ndarray, sq_i: np.ndarray, sq_j: np.ndarray) -> np.ndarray:
@@ -379,16 +417,21 @@ def _candidate_blocks(
     """
     n = len(counts)
     if n * (n - 1) // 2 <= max_candidates:
+        # every key is below n*n: 5e6 at the default budget's 2236 utterances
+        key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
         cols = np.arange(n)
         rows = max(1, _PAIR_BLOCK // n)
         for lo in range(0, n - 1, rows):
             hi = min(lo + rows, n - 1)
             upper = cols > np.arange(lo, hi)[:, None]
-            yield np.flatnonzero(upper) + lo * n, (counts[lo:hi] @ counts.T)[upper]
+            keys = (np.flatnonzero(upper) + lo * n).astype(key_type)
+            yield keys, (counts[lo:hi] @ counts.T)[upper]
     else:
         keys = _sample_pair_keys(rng, n, max_candidates)
-        for lo in range(0, keys.size, _PAIR_BLOCK):
-            block = keys[lo : lo + _PAIR_BLOCK]
+        # a block's two gathers of count rows take as much as _PAIR_BLOCK scores
+        step = max(1, _PAIR_BLOCK // counts.shape[1])
+        for lo in range(0, keys.size, step):
+            block = keys[lo : lo + step]
             yield block, np.einsum("ij,ij->i", counts[block // n], counts[block % n])
 
 
@@ -437,9 +480,12 @@ def build_scored_pairs(
     parts: list[list[np.ndarray]] = [[] for _ in range(n_bins)]
     for keys, dots in _candidate_blocks(counts, rng, max_candidates):
         scores = _cosines(dots, sq[keys // n], sq[keys % n])
-        bin_of = np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
-        for k in range(n_bins):
-            parts[k].append(keys[bin_of == k])
+        bin_of = np.minimum((scores * n_bins).astype(np.int8), n_bins - 1)
+        # a stable sort by bin keeps each bin's keys ascending
+        order = np.argsort(bin_of, kind="stable")
+        bounds = np.cumsum(np.bincount(bin_of, minlength=n_bins))[:-1]
+        for k, part in enumerate(np.split(keys[order], bounds)):
+            parts[k].append(part)
     bins = []
     for part in parts:
         bins.append(np.concatenate(part))
@@ -568,12 +614,16 @@ def _manifest_fault(rec) -> str | None:
     return None
 
 
-def load_corpus(corpus_dir: str | Path) -> Corpus:
+def load_corpus(corpus_dir: str | Path, ids: Collection[str] | None = None) -> Corpus:
+    """The corpus a manifest describes. Every manifest line is parsed and
+    checked and ids must be unique; with ``ids``, only those utterances are
+    kept, in manifest order, and only their feature files are read."""
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.jsonl"
     if not manifest.exists():
         raise FileFormatError(f"no manifest.jsonl in {corpus_dir}")
     utterances = []
+    seen: set[str] = set()
     for line_no, line in enumerate(read_text(manifest).split("\n"), 1):
         line = line.strip()
         if not line:
@@ -585,6 +635,11 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
         fault = _manifest_fault(rec)
         if fault:
             raise FileFormatError(f"manifest line {line_no} {fault}")
+        if rec["id"] in seen:
+            raise ValidationError("utterance ids must be unique", field="id")
+        seen.add(rec["id"])
+        if ids is not None and rec["id"] not in ids:
+            continue
         utterances.append(
             Utterance(
                 id=rec["id"],

@@ -174,13 +174,15 @@ def apply_block(
     rng: np.random.Generator | None = None,
     cache: DecodeCache | None = None,
     layer: int = 0,
+    slots: Packing | None = None,
 ) -> Tensor:
     """One pre-norm block over the packed rows ``pack`` lays out. ``memory``
-    holds one cross-attention slot per sequence, as (B, 1, d): projecting it
-    in that shape runs numpy's per-slot product, as the padded layout did,
-    so its bits do not move. With a ``cache``, the rows are the next
-    positions of one sequence, and self-attention reads the cached ``ln1``
-    rows of block ``layer`` before them as keys and values."""
+    holds one cross-attention slot per sequence, as (B, 1, d), and ``slots``
+    is its layout: projecting it in that shape runs numpy's per-slot
+    product, as the padded layout did, so its bits do not move. With a
+    ``cache``, the rows are the next positions of one sequence, and
+    self-attention reads the cached ``ln1`` rows of block ``layer`` before
+    them as keys and values."""
 
     def drop(t: Tensor) -> Tensor:
         if train and cfg.dropout_rate > 0.0:
@@ -195,7 +197,6 @@ def apply_block(
         apply_attention(store, f"{name}.attn", h, kv, cfg.heads, pack, kv_pack, self_mask)
     )
     if memory is not None:
-        slots = Packing(np.ones(memory.shape[:2], dtype=bool))
         h = apply_layer_norm(store, f"{name}.lnx", x)
         x = x + drop(apply_attention(store, f"{name}.xattn", h, memory, cfg.heads, pack, slots))
     h = apply_layer_norm(store, f"{name}.ln2", x)
@@ -228,6 +229,7 @@ def _run_blocks(
     train_mode: bool,
     rng: np.random.Generator | None,
     cache: DecodeCache | None = None,
+    slots: Packing | None = None,
 ) -> Tensor:
     """Input dropout, the pre-norm blocks and the final layer norm."""
     if train_mode and cfg.dropout_rate > 0.0:
@@ -236,6 +238,7 @@ def _run_blocks(
         h = apply_block(
             store, f"{prefix}.block{layer}", h, cfg, pack,
             self_mask=mask, memory=memory, train=train_mode, rng=rng, cache=cache, layer=layer,
+            slots=slots,
         )
     return apply_layer_norm(store, f"{prefix}.ln_f", h)
 
@@ -429,13 +432,14 @@ def decode_tokens(
         z = z.reshape(1, *z.shape)
     _check_sequence(start + pack.length, cfg, train_mode, rng)
     h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim, start)
-    memory = None
+    memory = slots = None
     if condition_mode == "add":
         h = h + take_rows(z, pack.segments)
     else:
         memory = z.reshape(pack.batch, 1, z.shape[-1])
+        slots = Packing(np.ones((pack.batch, 1), dtype=bool))
     mask = causal_mask(pack.length, start) if pack.length > 1 else None  # one sees all
-    h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache)
+    h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache, slots)
     return apply_linear(store, "dec.out", h)
 
 

@@ -22,6 +22,9 @@ CODEBOOK_VERSION = 1
 # frames per block of the Lloyd assignment pass: a (block, k) float64 distance
 # matrix stays in cache at k of a few hundred
 _LLOYD_BLOCK = 1024
+# frames per block of the centroid sums: 2048 rows of 16 dimensions take
+# 0.25 MiB of bin ids
+_SUM_BLOCK = 2048
 
 
 @dataclass
@@ -67,22 +70,73 @@ class UnitSequence:
                 )
 
 
-def _row_terms(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centroid-free terms of |x-c|^2 = |x|^2 - 2 x.c + |c|^2, per row: (2x, |x|^2)."""
-    return 2.0 * frames, np.einsum("ij,ij->i", frames, frames)
+def _centroid_terms(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame-free terms of |x-c|^2 = |x|^2 - 2 x.c + |c|^2: (2c transposed, |c|^2).
+
+    The product takes the doubled centroids, not doubled frames: scaling one
+    operand by two scales every product and partial sum of the same kernel
+    exactly, so each distance has the bits of (2x).c without a doubled copy
+    of the frames. That holds while no product leaves the normal float64
+    range, which values read from float32 features cannot.
+    """
+    return (2.0 * centroids).T, np.einsum("ij,ij->i", centroids, centroids)
 
 
-def _sq_dists(twice: np.ndarray, sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # rows given as _row_terms; clamp tiny negatives from cancellation
-    d2 = twice @ centroids.T
+def _sq_dists(
+    frames: np.ndarray, sq: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    # rows with |x|^2 ``sq``, centroids as _centroid_terms; clamp tiny
+    # negatives from cancellation
+    twice_t, c_sq = terms
+    d2 = frames @ twice_t
     np.subtract(sq[:, None], d2, out=d2)
-    np.add(d2, np.einsum("ij,ij->i", centroids, centroids), out=d2)
+    np.add(d2, c_sq, out=d2)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def _count_distinct_rows(frames: np.ndarray) -> int:
+    """``np.unique(frames, axis=0).shape[0]`` without a copy of the frames:
+    each row is viewed as a record of float fields, which sort and compare
+    as ``np.unique`` compares them (so -0.0 equals 0.0), and neighbours in
+    sorted order are compared a block at a time."""
+    n, dim = frames.shape
+    if dim == 0:
+        return min(n, 1)  # a record view needs a field; every row is the empty row
+    records = np.ascontiguousarray(frames).view([("", frames.dtype)] * dim).ravel()
+    order = np.argsort(records)
+    repeats = 0
+    for lo in range(1, n, _LLOYD_BLOCK):
+        here = order[lo : lo + _LLOYD_BLOCK]
+        before = order[lo - 1 : lo - 1 + here.size]
+        repeats += int(np.count_nonzero(records[here] == records[before]))
+    return n - repeats
+
+
+def _cluster_sums(frames: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) sums of the frames per cluster, each cell added in row order
+    from 0.0, as one np.bincount over all n*d cells adds them.
+
+    Rows go in blocks, so the bin ids take one block's memory. Each block's
+    bincount takes the running sums as its first weights: 0.0 + s == s for
+    any sum that starts at 0.0 (it is never -0.0), so every cell keeps the
+    one sequential order.
+    """
+    dim = frames.shape[1]
+    cells = np.arange(k * dim)
+    sums = np.zeros(k * dim)
+    for lo in range(0, frames.shape[0], _SUM_BLOCK):
+        rows = slice(lo, lo + _SUM_BLOCK)
+        bins = (labels[rows, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(
+            np.concatenate((cells, bins)),
+            weights=np.concatenate((sums, frames[rows].ravel())),
+            minlength=k * dim,
+        )
+    return sums.reshape(k, dim)
 
 
 def _kmeans_pp_init(
     frames: np.ndarray,
-    twice: np.ndarray,
     sq: np.ndarray,
     k: int,
     rng: np.random.Generator,
@@ -91,7 +145,7 @@ def _kmeans_pp_init(
     centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = frames[first]
-    closest = _sq_dists(twice, sq, centroids[:1]).ravel()
+    closest = _sq_dists(frames, sq, _centroid_terms(centroids[:1])).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -100,7 +154,7 @@ def _kmeans_pp_init(
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[c] = frames[idx]
-        d_new = _sq_dists(twice, sq, centroids[c : c + 1]).ravel()
+        d_new = _sq_dists(frames, sq, _centroid_terms(centroids[c : c + 1])).ravel()
         closest = np.minimum(closest, d_new)
     return centroids
 
@@ -133,15 +187,15 @@ def train_kmeans(
         pick = rng.choice(frames.shape[0], size=max_training_frames, replace=False)
         frames = frames[np.sort(pick)]
 
-    n_distinct = np.unique(frames, axis=0).shape[0]
+    n_distinct = _count_distinct_rows(frames)
     if n_distinct < k:
         raise ValidationError(
             f"need at least {k} distinct frames, got {n_distinct}", field="frames"
         )
 
-    n, dim = frames.shape
-    twice, sq = _row_terms(frames)
-    centroids = _kmeans_pp_init(frames, twice, sq, k, rng)
+    n = frames.shape[0]
+    sq = np.einsum("ij,ij->i", frames, frames)
+    centroids = _kmeans_pp_init(frames, sq, k, rng)
     labels = np.empty(n, dtype=np.intp)
     assigned_d2 = np.empty(n, dtype=np.float64)
     history: list[float] = []
@@ -149,9 +203,10 @@ def train_kmeans(
     for _ in range(max_iters):
         # row blocks keep each (block, k) distance matrix in cache; every
         # row's values are the same as from one (n, k) pass
+        terms = _centroid_terms(centroids)
         for lo in range(0, n, _LLOYD_BLOCK):
             rows = slice(lo, lo + _LLOYD_BLOCK)
-            block_labels = np.argmin(_sq_dists(twice[rows], sq[rows], centroids), axis=1)
+            block_labels = np.argmin(_sq_dists(frames[rows], sq[rows], terms), axis=1)
             labels[rows] = block_labels
             # direct differences: the expanded form suffers cancellation
             resid = centroids[block_labels]
@@ -170,9 +225,7 @@ def train_kmeans(
 
         # per-(cluster, dimension) sums, added in row order like a mean over axis 0
         counts = np.bincount(labels, minlength=k)
-        bins = (labels[:, None] * dim + np.arange(dim)).ravel()
-        sums = np.bincount(bins, weights=frames.ravel(), minlength=k * dim).reshape(k, dim)
-        centroids = sums / np.maximum(counts, 1)[:, None]
+        centroids = _cluster_sums(frames, labels, k) / np.maximum(counts, 1)[:, None]
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(assigned_d2))
             logger.info("kmeans: reseeding empty cluster %d to frame %d", c, far)
@@ -193,7 +246,8 @@ def assign(fs: FeatureSequence | np.ndarray, cb: Codebook) -> np.ndarray:
             field="dim",
         )
     # np.argmin returns the first minimum, which is the lowest centroid index
-    return np.argmin(_sq_dists(*_row_terms(frames), cb.centroids), axis=1)
+    sq = np.einsum("ij,ij->i", frames, frames)
+    return np.argmin(_sq_dists(frames, sq, _centroid_terms(cb.centroids)), axis=1)
 
 
 def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequence:

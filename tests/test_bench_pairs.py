@@ -1,7 +1,8 @@
-"""The pure parts of tools/bench_pairs.py: pair summaries, hash agreement and
-pytest --durations parsing."""
+"""The pure parts of tools/bench_pairs.py: pair summaries, hash agreement,
+pytest --durations parsing and a record of the durations alone."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,24 @@ def test_parse_durations_keeps_slow_entries_and_the_total():
     got = bench_pairs.parse_durations(text, min_s=5.0)
     assert got["total_s"] == 264.31 and got["summary"] == "1 failed, 333 passed"
     assert [(e["seconds"], e["when"]) for e in got["slow"]] == [(88.12, "setup"), (44.0, "call")]
+
+
+def test_durations_alone_then_appended_to(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    sides = []
+    for side, total in (("parent", 20.0), ("change", 15.0)):
+        path = tmp_path / f"{side}.txt"
+        path.write_text(f"9.00s call     tests/test_a.py::test_x\n1 failed, 3 passed in {total}s\n")
+        sides.append(str(path))
+    out = tmp_path / "BENCH_suite.json"
+    argv = ["--parent", str(tmp_path), "--area", "suite", "--workloads", "--durations", *sides]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["workloads"] == {}
+    assert record["env"]["nproc"] >= 1 and record["env"]["numpy"]
+    assert record["suite_durations"]["change"]["total_s"] == 15.0
+    # --append keeps what the file holds
+    record["workloads"] = {"units": {"0": {"runs": []}}}
+    out.write_text(json.dumps(record))
+    assert bench_pairs.main(argv + ["--append"]) == 0
+    assert json.loads(out.read_text())["workloads"] == {"units": {"0": {"runs": []}}}

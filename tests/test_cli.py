@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a toy configuration."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -167,6 +168,37 @@ def test_evaluate_writes_report(pipeline, capsys):
     assert report.metadata["model_kind"] == "wavembed"
     per_pair = (out / "per_pair.tsv").read_text().splitlines()
     assert len(per_pair) == 21  # header + rows
+
+
+@pytest.mark.parametrize("scored", [True, False], ids=["scored", "unscored"])
+def test_evaluate_reads_only_the_scored_feature_files(pipeline, tmp_path, capsys, scored):
+    root, c = pipeline
+    data = root / "data"
+    pairs = (data / "pairs.test.tsv").read_text().splitlines()[1:]
+    in_pairs = {utt_id for line in pairs for utt_id in line.split("\t")[:2]}
+    ids = [u.id for u in load_corpus(data / "corpus")]
+    damaged = next(i for i in ids if (i in in_pairs) == scored)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(data / "corpus", corpus)
+    (corpus / "features" / f"{damaged}.semf").write_bytes(b"damaged")
+
+    def evaluate(corpus_dir, out):
+        return main([
+            "evaluate", "--config", c, "--out", str(out),
+            "--model", str(root / "wavembed" / "wavembed.semm"),
+            "--corpus", str(corpus_dir), "--pairs", str(data / "pairs.test.tsv"),
+        ])
+
+    rc = evaluate(corpus, tmp_path / "o")
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    if scored:
+        assert rc == 1
+        assert len(errors) == 1 and errors[0].startswith("error\tFileFormatError\t")
+    else:
+        assert rc == 0 and not errors
+        assert evaluate(data / "corpus", tmp_path / "ref") == 0
+        for name in ("report.json", "per_pair.tsv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_index_and_search(pipeline, capsys):

@@ -362,8 +362,10 @@ def test_scored_pairs_match_reference_at_any_block_size(monkeypatch, block):
 
 # The all-pairs path once held the (n, n) Gram matrix and five arrays over all
 # candidates (92 MiB at 2000 utterances), the sampled one (n_candidates, symbols)
-# gathers of the count matrix (687 MiB at 3000); each must stay under half.
-@pytest.mark.parametrize("n_utterances, limit_mib", [(2000, 46), (3000, 343)],
+# gathers of the count matrix (687 MiB at 3000). Blocked scoring brought them
+# to 20.3 and 243.1 MiB; int32 all-pairs keys and a sampler that turns its
+# draw into keys block by block to 15.7 and 84.1 MiB. Each bound adds 25%.
+@pytest.mark.parametrize("n_utterances, limit_mib", [(2000, 19.5), (3000, 105)],
                          ids=["all-pairs", "sampled"])
 def test_scored_pairs_peak_memory(n_utterances, limit_mib):
     corpus = generate_corpus(SyntheticSpec(n_utterances=n_utterances, seed=0))
@@ -497,6 +499,33 @@ def test_corpus_save_load_round_trip(tmp_path):
         assert u1.symbols == u2.symbols
         assert np.array_equal(u1.features.data, u2.features.data)
     assert back.has_ground_truth
+
+
+def test_corpus_load_reads_only_the_named_feature_files(tmp_path):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=6, seed=6))
+    save_corpus(corpus, tmp_path)
+    (tmp_path / "features" / "utt-1.semf").write_bytes(b"damaged")
+    back = load_corpus(tmp_path, ids={"utt-4", "utt-0"})
+    assert [u.id for u in back] == ["utt-0", "utt-4"]  # manifest order
+    for u in back:
+        assert np.array_equal(u.features.data, corpus[u.id].features.data)
+        assert u.symbols == corpus[u.id].symbols
+    with pytest.raises(FileFormatError):
+        load_corpus(tmp_path, ids={"utt-1"})
+    with pytest.raises(FileFormatError):
+        load_corpus(tmp_path)
+
+
+def test_corpus_load_checks_every_manifest_line(tmp_path):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=3, seed=6))
+    manifest = save_corpus(corpus, tmp_path)
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(ValidationError, match="unique"):
+        load_corpus(tmp_path, ids={"utt-0"})
+    manifest.write_text("\n".join(lines + ["5"]) + "\n")
+    with pytest.raises(FileFormatError, match="manifest line 4 is not a JSON object"):
+        load_corpus(tmp_path, ids={"utt-0"})
 
 
 def test_corpus_load_missing_manifest(tmp_path):

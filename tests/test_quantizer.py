@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -94,6 +95,40 @@ def test_kmeans_subsampling_budget():
     # deterministic under the same budget
     cb2 = train_kmeans(frames, k=4, seed=2, max_training_frames=200)
     assert np.array_equal(cb.centroids, cb2.centroids)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0]],
+        # -0.0 and 0.0 compare equal, as np.unique compares them
+        [[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]],
+        np.random.default_rng(3).integers(-1, 2, size=(400, 3)) * np.array([0.0, 1.0, -1.0]),
+    ],
+    ids=["duplicates", "signed-zeros", "many-duplicates"],
+)
+def test_kmeans_counts_distinct_frames_as_np_unique(rows):
+    frames = np.asarray(rows, dtype=np.float64)
+    distinct = np.unique(frames, axis=0).shape[0]
+    with pytest.raises(ValidationError, match=f"got {distinct}$"):
+        train_kmeans(frames, k=distinct + 1)
+    assert train_kmeans(frames, k=distinct, max_iters=2).k == distinct
+
+
+# Besides the frames (5.4 MiB at 2000 utterances), k-means once held a doubled
+# copy of them, np.unique's copies and flat bin ids: a 17.9 MiB peak. Now only
+# per-frame vectors and blocks remain, 2.0 MiB; the bound adds 25%.
+def test_kmeans_peak_memory():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=2000, seed=0))
+    frames = np.concatenate([u.features.data for u in corpus], axis=0, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        cb = train_kmeans(frames, k=100, max_iters=40, tol=0.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cb.inertia_history) == 40
+    assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_kmeans_purity_on_synthetic_corpus():

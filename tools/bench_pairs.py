@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --area train \\
         --workloads train --seeds 0 7919 --pairs 10 \\
-        [--durations parent_pytest.txt change_pytest.txt]
+        [--durations parent_pytest.txt change_pytest.txt] [--append]
 
 Each pair runs the unchanged benchmark command
 
@@ -24,13 +24,17 @@ the change's by more than the parent's interquartile range.
 
 ``--durations`` takes the output of ``pytest --durations=N`` from each side
 and records every set-up and call that took at least ``MIN_DURATION_S``
-seconds, with the suite's total time.
+seconds, with the suite's total time; with ``--workloads`` and no names it
+records only that. ``--append`` adds to an existing ``BENCH_<area>.json``,
+so one file can hold workloads run on different seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import resource
 import statistics
@@ -138,15 +142,31 @@ def parse_durations(text: str, min_s: float) -> dict:
     }
 
 
+def machine() -> dict:
+    """The machine and numpy build, for a record that runs no benchmark."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": platform.processor() or platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--area", required=True, help="names the output file BENCH_<area>.json")
-    ap.add_argument("--workloads", nargs="+", default=["train"])
+    ap.add_argument("--workloads", nargs="*", default=["train"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--durations", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
+    ap.add_argument("--append", action="store_true", help="add to an existing record")
     args = ap.parse_args(argv)
+    out = ROOT / f"BENCH_{args.area}.json"
 
     roots = {"parent": args.parent.resolve(), "change": ROOT}
     report = {
@@ -155,6 +175,8 @@ def main(argv=None) -> int:
         "env": None,
         "workloads": {},
     }
+    if args.append and out.exists():
+        report = json.loads(out.read_text())
     for workload in args.workloads:
         for seed in args.seeds:
             runs, hashes = [], {side: [] for side in SIDES}
@@ -173,16 +195,15 @@ def main(argv=None) -> int:
                 "artifact_hashes": compare_hashes(hashes),
                 "runs": runs,
             }
-    env = dict(report["env"])
+    env = dict(report["env"] or {})
     for key in ("workload", "seed", "seconds", "trace", "size"):
         env.pop(key, None)
-    report["env"] = env
+    report["env"] = env or machine()
     if args.durations:
         report["suite_durations"] = {
             side: parse_durations(path.read_text(), MIN_DURATION_S)
             for side, path in zip(SIDES, args.durations)
         }
-    out = ROOT / f"BENCH_{args.area}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
     return 0

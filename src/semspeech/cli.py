@@ -30,7 +30,7 @@ from .corpus import (
 from .distill import DistillConfig, StudentModel, distill_train, save_paired_manifest
 from .errors import SemspeechError, ValidationError
 from .evaluation import evaluate, save_pair_predictions, save_report
-from .fileformat import write_csv
+from .fileformat import write_csv, write_text
 from .index import build_index, load_index, save_index, search
 from .nn import checkpoint
 from .nn.layers import EncoderConfig
@@ -202,10 +202,9 @@ def cmd_train_wavembed(cfg: PipelineConfig, args, out: Path) -> None:
     corpus = load_corpus(args.corpus)
     targets, vocab = _load_targets(args, cfg)
     model = WavEmbedModel.create(
-        d_in=corpus.spec.feature_dim if corpus.spec else corpus.utterances[0].features.data.shape[1],
+        d_in=corpus.utterances[0].features.dim,
         vocab=vocab,
         encoder_cfg=_encoder_config(cfg),
-        condition_mode=cfg["wavembed.condition_mode"],
         max_target_len=cfg["wavembed.max_target_len"],
         seed=cfg["run.seed"],
     )
@@ -281,7 +280,7 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
     teacher = Teacher.load(args.teacher)
     dev_pairs = load_scored_pairs(args.pairs, split="dev")
     student = StudentModel.create(
-        d_in=corpus.utterances[0].features.data.shape[1],
+        d_in=corpus.utterances[0].features.dim,
         cfg=_encoder_config(cfg),
         pooling=cfg["distill.pooling"],
         seed=cfg["run.seed"],
@@ -361,7 +360,7 @@ def cmd_search(cfg: PipelineConfig, args, out: Path) -> None:
         query = model.embed(read_features(args.query_features))
     results = search(index, query, k=args.k)
     lines = [f"{utt_id}\t{score:.6f}" for utt_id, score in results]
-    (out / "results.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "results.tsv", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
 

@@ -12,7 +12,7 @@ import io
 from pathlib import Path
 
 from .errors import ConfigError
-from .fileformat import read_text
+from .fileformat import read_text, write_text
 
 # key -> (type tag, default); type tags: int, float, str
 SCHEMA: dict[str, tuple[str, object]] = {
@@ -46,7 +46,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "wavembed.batch_size": ("int", 16),
     "wavembed.weight_decay": ("float", 0.01),
     "wavembed.dev_fraction": ("float", 0.1),
-    "wavembed.condition_mode": ("str", "memory"),
     "wavembed.max_target_len": ("int", 256),
     "mlm.steps": ("int", 500),
     "mlm.lr": ("float", 5e-4),
@@ -127,7 +126,7 @@ class PipelineConfig:
         return out.getvalue()
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        write_text(path, self.to_text())
 
 
 def default_config() -> PipelineConfig:

@@ -27,7 +27,7 @@ from .errors import (
     PairBinningError,
     ValidationError,
 )
-from .fileformat import BinaryReader, read_rows, read_text, write_binary
+from .fileformat import BinaryReader, read_rows, read_text, write_binary, write_text
 from .random_utils import derive_rng
 
 FEATURE_MAGIC = b"SEMF"
@@ -584,15 +584,16 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for u in corpus.utterances:
+        rel = f"features/{u.id}.semf"
+        write_features(out_dir / rel, u.features)
+        record = {"id": u.id, "speaker": u.speaker_id, "path": rel}
+        if u.symbols is not None:
+            record["symbols"] = u.symbols
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     manifest = out_dir / "manifest.jsonl"
-    with open(manifest, "w", encoding="utf-8") as f:
-        for u in corpus.utterances:
-            rel = f"features/{u.id}.semf"
-            write_features(out_dir / rel, u.features)
-            record = {"id": u.id, "speaker": u.speaker_id, "path": rel}
-            if u.symbols is not None:
-                record["symbols"] = u.symbols
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    write_text(manifest, "".join(lines))
     return manifest
 
 
@@ -616,8 +617,9 @@ def _manifest_fault(rec) -> str | None:
 
 def load_corpus(corpus_dir: str | Path, ids: Collection[str] | None = None) -> Corpus:
     """The corpus a manifest describes. Every manifest line is parsed and
-    checked and ids must be unique; with ``ids``, only those utterances are
-    kept, in manifest order, and only their feature files are read."""
+    checked, ids must be unique and there must be at least one; with
+    ``ids``, only those utterances are kept, in manifest order, and only
+    their feature files are read."""
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.jsonl"
     if not manifest.exists():
@@ -648,6 +650,8 @@ def load_corpus(corpus_dir: str | Path, ids: Collection[str] | None = None) -> C
                 symbols=rec.get("symbols"),
             )
         )
+    if not seen:
+        raise FileFormatError(f"{manifest} lists no utterances")
     return Corpus(utterances=utterances)
 
 
@@ -655,10 +659,8 @@ _PAIRS_HEADER = ("id_a", "id_b", "score")
 
 
 def save_scored_pairs(pairs: ScoredPairSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(_PAIRS_HEADER) + "\n")
-        for a, b, s in pairs.pairs:
-            f.write(f"{a}\t{b}\t{s:.6f}\n")
+    lines = ["\t".join(_PAIRS_HEADER)] + [f"{a}\t{b}\t{s:.6f}" for a, b, s in pairs.pairs]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_scored_pairs(path: str | Path, split: str = "dev") -> ScoredPairSet:

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Corpus, ScoredPairSet
 from .errors import FileFormatError, ValidationError
 from .evaluation import pair_spearman
-from .fileformat import read_rows
+from .fileformat import read_rows, write_text
 from .nn import checkpoint
 from .nn.layers import EncoderConfig, apply_linear, init_encoder, init_linear
 from .nn.losses import _normalize_rows, infonce_batch, mse
@@ -303,7 +303,7 @@ def distill_train(
 def save_paired_manifest(pairs: Sequence[tuple[str, int]], path: str | Path) -> None:
     """TSV rows of utterance id and the line index of its target sequence."""
     lines = [f"{utt_id}\t{line_ref}" for utt_id, line_ref in pairs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_paired_manifest(path: str | Path) -> list[tuple[str, int]]:

@@ -1,4 +1,4 @@
-"""Embedding-quality measurement: rank correlation, geometry, retrieval.
+"""Embedding-quality measurement: rank correlation and geometry.
 
 Everything here is a pure function over vectors; models enter only through an
 `embed` callable, so any encoder can be scored the same way.
@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import ScoredPairSet
 from .errors import MissingGroundTruthError, ValidationError
-from .fileformat import read_text
+from .fileformat import read_text, write_text
 
 POSITIVE_THRESHOLD = 4.0
 
@@ -157,7 +157,6 @@ class EvalReport:
     n_pairs: int
     alignment: float
     uniformity: float
-    recall_at_k: dict[int, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     per_pair: list[PairPrediction] = field(default_factory=list)
 
@@ -168,9 +167,6 @@ class EvalReport:
             raise ValidationError("report needs at least one pair", field="n_pairs")
         if self.alignment < 0:
             raise ValidationError("alignment must be >= 0", field="alignment")
-        for k, v in self.recall_at_k.items():
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"recall@{k} must lie in [0, 1]", field="recall_at_k")
 
     def to_json(self) -> str:
         payload = {
@@ -178,20 +174,19 @@ class EvalReport:
             "n_pairs": self.n_pairs,
             "alignment": self.alignment,
             "uniformity": self.uniformity,
-            "recall_at_k": {str(k): v for k, v in self.recall_at_k.items()},
             "metadata": self.metadata,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """The report ``to_json`` wrote; keys it no longer writes are ignored."""
         raw = json.loads(text)
         return cls(
             spearman=raw["spearman"],
             n_pairs=raw["n_pairs"],
             alignment=raw["alignment"],
             uniformity=raw["uniformity"],
-            recall_at_k={int(k): v for k, v in raw.get("recall_at_k", {}).items()},
             metadata=raw.get("metadata", {}),
         )
 
@@ -261,45 +256,12 @@ def evaluate(
     )
 
 
-def recall_at_k(
-    queries: np.ndarray,
-    index_embeddings: np.ndarray,
-    index_ids: Sequence[str],
-    true_ids: Sequence[str],
-    ks: Sequence[int],
-) -> dict[int, float]:
-    """Fraction of queries whose true id lands in the cosine top-k."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    index_embeddings = np.asarray(index_embeddings, dtype=np.float64)
-    n = index_embeddings.shape[0]
-    if len(index_ids) != n:
-        raise ValidationError("index ids and embeddings disagree in length", field="index_ids")
-    if len(true_ids) != queries.shape[0]:
-        raise ValidationError("one true id per query required", field="true_ids")
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValidationError(f"k={k} outside [1, {n}]", field="ks")
-    qn = l2_normalize(queries)
-    xn = l2_normalize(index_embeddings)
-    scores = qn @ xn.T  # (Q, N)
-    ids_arr = np.asarray(index_ids)
-    hits = {k: 0 for k in ks}
-    for qi in range(queries.shape[0]):
-        # ties broken by id so rankings are reproducible
-        order = np.lexsort((ids_arr, -scores[qi]))
-        ranked = ids_arr[order]
-        for k in ks:
-            if true_ids[qi] in ranked[:k]:
-                hits[k] += 1
-    return {k: hits[k] / queries.shape[0] for k in ks}
-
-
 # ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(report.to_json(), encoding="utf-8")
+    write_text(path, report.to_json())
 
 
 def load_report(path: str | Path) -> EvalReport:
@@ -312,5 +274,5 @@ def save_pair_predictions(report: EvalReport, path: str | Path) -> None:
         lines.append(
             f"{p.id_a}\t{p.id_b}\t{p.human_score:.6f}\t{p.predicted:.10f}\t{p.n_combinations}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 

@@ -11,6 +11,7 @@ its byte offset where one is known.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -130,20 +131,24 @@ def read_rows(
         yield line_no, fields
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """``text`` as UTF-8, its line ends written as they are."""
+    Path(path).write_bytes(text.encode("utf-8"))
+
+
 def write_id_ints(path: str | Path, rows: Iterable[tuple[str, Sequence[int]]]) -> None:
     """One ``<id><TAB><space-separated ints>`` line per row."""
-    with open(path, "w", encoding="utf-8") as f:
-        for row_id, ints in rows:
-            f.write(f"{row_id}\t{' '.join(str(i) for i in ints)}\n")
+    write_text(path, "".join(f"{row_id}\t{' '.join(map(str, ints))}\n" for row_id, ints in rows))
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A UTF-8 CSV table with ``csv.writer``'s CRLF line ends. It writes a
     float as its shortest round-tripping digits, so it reads back the same."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def read_id_ints(path: str | Path, make: Callable[[list[int], str], object]) -> list:

@@ -1,19 +1,2 @@
 """Minimal differentiable compute core: tensors with reverse-mode autodiff,
 transformer layers, losses, AdamW, gradient checking, and checkpoints."""
-
-from .tensor import Tensor, concat, gather_last, no_grad, softmax, log_softmax, take_rows
-from .optim import ParamStore, adamw_step
-from .gradcheck import grad_check
-
-__all__ = [
-    "ParamStore",
-    "Tensor",
-    "adamw_step",
-    "concat",
-    "gather_last",
-    "grad_check",
-    "log_softmax",
-    "no_grad",
-    "softmax",
-    "take_rows",
-]

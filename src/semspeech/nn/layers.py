@@ -352,24 +352,11 @@ def pool_states(
 
 # -- autoregressive decoder over tokens ---------------------------------------
 
-def init_token_decoder(
-    store: ParamStore,
-    rng: np.random.Generator,
-    cfg: EncoderConfig,
-    vocab: int,
-    condition_mode: str = "memory",
-):
+def init_token_decoder(store: ParamStore, rng: np.random.Generator, cfg: EncoderConfig, vocab: int):
     cfg.validate()
-    if condition_mode not in ("memory", "add"):
-        raise ValidationError(
-            f"condition_mode must be 'memory' or 'add', got {condition_mode!r}",
-            field="condition_mode",
-        )
     init_embedding(store, rng, "dec.tok", vocab, cfg.model_dim)
     for layer in range(cfg.layers):
-        init_block(
-            store, rng, f"dec.block{layer}", cfg, cross_attention=condition_mode == "memory"
-        )
+        init_block(store, rng, f"dec.block{layer}", cfg, cross_attention=True)
     init_layer_norm(store, "dec.ln_f", cfg.model_dim)
     # small output head keeps initial logits near uniform (loss starts at ~ln V)
     init_linear(store, rng, "dec.out", cfg.model_dim, vocab, scale=0.1)
@@ -406,7 +393,6 @@ def decode_tokens(
     store: ParamStore,
     cfg: EncoderConfig,
     vocab: int,
-    condition_mode: str = "memory",
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     pack: Packing | None = None,
@@ -417,8 +403,8 @@ def decode_tokens(
     ``tokens`` holds packed (N,) ids laid out by ``pack`` with one (d,) row
     of the (B, d) ``z`` per sequence; or, when ``pack`` is None, one (S,)
     sequence with a (d,) ``z``. The logits come back as packed (N, vocab)
-    rows. The conditioning vector is either the sole cross-attention memory
-    slot or added to every input embedding.
+    rows. Each sequence's row of ``z`` is the one slot its cross-attention
+    reads.
 
     With a ``cache`` (one sequence, ``pack`` None), ``tokens`` are the next
     positions after the ``len(cache)`` already run: only they go through
@@ -432,12 +418,8 @@ def decode_tokens(
         z = z.reshape(1, *z.shape)
     _check_sequence(start + pack.length, cfg, train_mode, rng)
     h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim, start)
-    memory = slots = None
-    if condition_mode == "add":
-        h = h + take_rows(z, pack.segments)
-    else:
-        memory = z.reshape(pack.batch, 1, z.shape[-1])
-        slots = Packing(np.ones((pack.batch, 1), dtype=bool))
+    memory = z.reshape(pack.batch, 1, z.shape[-1])
+    slots = Packing(np.ones((pack.batch, 1), dtype=bool))
     mask = causal_mask(pack.length, start) if pack.length > 1 else None  # one sees all
     h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache, slots)
     return apply_linear(store, "dec.out", h)
@@ -449,14 +431,10 @@ def decoder_step(
     store: ParamStore,
     cfg: EncoderConfig,
     vocab: int,
-    condition_mode: str = "memory",
     cache: DecodeCache | None = None,
 ) -> Tensor:
     """Next-token logits after ``prev_tokens``; eval mode. Without a
     ``cache`` they are the whole prefix; with one, the positions after the
     cached ones."""
-    logits = decode_tokens(
-        np.asarray(prev_tokens), z, store, cfg, vocab, condition_mode=condition_mode,
-        cache=cache,
-    )
+    logits = decode_tokens(np.asarray(prev_tokens), z, store, cfg, vocab, cache=cache)
     return logits[-1]

@@ -144,9 +144,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -174,9 +171,6 @@ class Tensor:
                 )
 
         return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):

@@ -338,21 +338,15 @@ def train_tsdae(
     encoder: SequenceEncoder,
     corpus: Sequence[TokenSequence],
     cfg: TeacherConfig,
-    decoder_cfg: EncoderConfig | None = None,
 ) -> tuple[Teacher, list[CurvePoint]]:
     """Denoising autoencoder: embed a corrupted sequence, decode the original."""
     cfg.validate()
     seqs = [TokenSequence(list(token_array(s)), getattr(s, "source_id", "")) for s in corpus]
     if not seqs:
         raise ValidationError("corpus is empty", field="corpus")
-    decoder_cfg = decoder_cfg or encoder.cfg
-    if decoder_cfg.model_dim != encoder.cfg.model_dim:
-        raise ValidationError("decoder must share the encoder model_dim", field="model_dim")
     if "dec.tok" not in encoder.store:
         dec_rng = derive_rng(cfg.seed, "tsdae", "decoder-init")
-        init_token_decoder(
-            encoder.store, dec_rng, decoder_cfg, encoder.vocab, condition_mode="memory"
-        )
+        init_token_decoder(encoder.store, dec_rng, encoder.cfg, encoder.vocab)
 
     split_rng = derive_rng(cfg.seed, "tsdae", "split")
     train_seqs, dev_seqs = split_dev(seqs, cfg.dev_fraction, split_rng)
@@ -369,10 +363,7 @@ def train_tsdae(
         corrupted, originals = zip(*examples)
         tokens = pad_tokens(corrupted)
         z = encoder.pool(encoder.encode(tokens, train_mode=train_mode, rng=rng), tokens)
-        return decode_loss(
-            z, originals, encoder.store, decoder_cfg, encoder.vocab,
-            train_mode=train_mode, rng=rng,
-        )
+        return decode_loss(z, originals, encoder.store, encoder.cfg, encoder.vocab, train_mode, rng)
 
     def step(chunk) -> float:
         loss = batch_loss(corrupt(chunk, rng), True, rng)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .fileformat import read_id_ints, read_text, write_id_ints
+from .fileformat import read_id_ints, read_text, write_id_ints, write_text
 from .quantizer import UnitSequence
 
 PAD, CLS, SEP, UNK, MASK = 0, 1, 2, 3, 4
@@ -239,9 +239,7 @@ def save_bpe_model(model: BpeModel, path: str | Path) -> None:
         "merges": [list(p) for p in model.merges],
         "specials": SPECIALS,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_bpe_model(path: str | Path) -> BpeModel:

@@ -7,7 +7,7 @@ reads encoder and pooling parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -110,7 +110,6 @@ def decode_loss(
     store: ParamStore,
     cfg: EncoderConfig,
     vocab: int,
-    condition_mode: str = "memory",
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -121,7 +120,6 @@ def decode_loss(
         store,
         cfg,
         vocab,
-        condition_mode=condition_mode,
         train_mode=train_mode,
         rng=rng,
         pack=Packing.from_lengths([len(t) - 1 for t in token_list]),
@@ -130,7 +128,9 @@ def decode_loss(
 
 
 class WavEmbedModel:
-    """Feature encoder + attention pooling + token decoder in one store."""
+    """Feature encoder + attention pooling + token decoder in one store. The
+    decoder has the encoder's shape and reads the pooled vector as the one
+    slot of its cross-attention."""
 
     KIND = "wavembed"
 
@@ -138,18 +138,14 @@ class WavEmbedModel:
         self,
         store: ParamStore,
         encoder_cfg: EncoderConfig,
-        decoder_cfg: EncoderConfig,
         d_in: int,
         vocab: int,
-        condition_mode: str = "memory",
         max_target_len: int = DEFAULT_MAX_TARGET_LEN,
     ):
         self.store = store
         self.encoder_cfg = encoder_cfg
-        self.decoder_cfg = decoder_cfg
         self.d_in = d_in
         self.vocab = vocab
-        self.condition_mode = condition_mode
         self.max_target_len = max_target_len
 
     @classmethod
@@ -158,8 +154,6 @@ class WavEmbedModel:
         d_in: int,
         vocab: int,
         encoder_cfg: EncoderConfig | None = None,
-        decoder_cfg: EncoderConfig | None = None,
-        condition_mode: str = "memory",
         max_target_len: int = DEFAULT_MAX_TARGET_LEN,
         seed: int = 0,
     ) -> "WavEmbedModel":
@@ -168,24 +162,11 @@ class WavEmbedModel:
                 "vocabulary must cover the 5 special ids plus content", field="vocab"
             )
         encoder_cfg = encoder_cfg or EncoderConfig()
-        decoder_cfg = decoder_cfg or replace(encoder_cfg)
-        if decoder_cfg.model_dim != encoder_cfg.model_dim:
-            raise ValidationError(
-                "encoder and decoder must share model_dim", field="model_dim"
-            )
         rng = derive_rng(seed, "wavembed", "init")
         store = ParamStore()
         init_encoder(store, rng, encoder_cfg, d_in=d_in, pooling="self_attention")
-        init_token_decoder(store, rng, decoder_cfg, vocab, condition_mode=condition_mode)
-        return cls(
-            store,
-            encoder_cfg,
-            decoder_cfg,
-            d_in,
-            vocab,
-            condition_mode=condition_mode,
-            max_target_len=max_target_len,
-        )
+        init_token_decoder(store, rng, encoder_cfg, vocab)
+        return cls(store, encoder_cfg, d_in, vocab, max_target_len=max_target_len)
 
     # -- embedding ----------------------------------------------------------
 
@@ -234,10 +215,7 @@ class WavEmbedModel:
         for t in tokens:
             self._check_target_len(len(t))
         z = self._encode(frame_list, train_mode, rng)
-        return decode_loss(
-            z, tokens, self.store, self.decoder_cfg, self.vocab,
-            condition_mode=self.condition_mode, train_mode=train_mode, rng=rng,
-        )
+        return decode_loss(z, tokens, self.store, self.encoder_cfg, self.vocab, train_mode, rng)
 
     def greedy_decode(self, features, max_len: int = 64) -> np.ndarray:
         """Ids from CLS up to SEP or ``max_len``. Each step runs the one new
@@ -246,25 +224,20 @@ class WavEmbedModel:
         if max_len < 2:
             raise ValidationError("max_len must be >= 2", field="max_len")
         # the last id is never fed back, so max_len - 1 positions are run
-        if max_len - 1 > self.decoder_cfg.max_positions:
+        cfg = self.encoder_cfg
+        if max_len - 1 > cfg.max_positions:
             raise ValidationError(
                 f"max_len {max_len} needs {max_len - 1} decoder positions, "
-                f"more than max_positions {self.decoder_cfg.max_positions}",
+                f"more than max_positions {cfg.max_positions}",
                 field="max_len",
             )
         with no_grad():
             z = self._encode([features])[0]
             out = [CLS]
-            cache = DecodeCache(self.decoder_cfg.layers)
+            cache = DecodeCache(cfg.layers)
             while len(out) < max_len:
                 logits = decoder_step(
-                    np.asarray(out[-1:]),
-                    z,
-                    self.store,
-                    self.decoder_cfg,
-                    self.vocab,
-                    condition_mode=self.condition_mode,
-                    cache=cache,
+                    np.asarray(out[-1:]), z, self.store, cfg, self.vocab, cache=cache
                 )
                 nxt = int(np.argmax(logits.data))
                 out.append(nxt)
@@ -277,21 +250,28 @@ class WavEmbedModel:
     def config_dict(self) -> dict:
         return {
             "encoder": self.encoder_cfg.to_dict(),
-            "decoder": self.decoder_cfg.to_dict(),
             "d_in": self.d_in,
             "vocab": self.vocab,
-            "condition_mode": self.condition_mode,
             "max_target_len": self.max_target_len,
         }
 
     @classmethod
     def from_config(cls, config: dict) -> "WavEmbedModel":
+        """Rebuild from a header. Older headers also name the decoder's shape
+        and how it reads the pooled vector; they load only if those are what
+        the decoder now always is: the encoder's shape, one memory slot."""
+        legacy = {"decoder": config["encoder"], "condition_mode": "memory"}
+        found = {key: config[key] for key in legacy if key in config}
+        if any(found[key] != legacy[key] for key in found):
+            raise ValidationError(
+                f"header names a decoder other than the encoder's shape reading one "
+                f"memory slot: {found}",
+                field="decoder",
+            )
         return cls.create(
             d_in=int(config["d_in"]),
             vocab=int(config["vocab"]),
             encoder_cfg=EncoderConfig.from_dict(config["encoder"]),
-            decoder_cfg=EncoderConfig.from_dict(config["decoder"]),
-            condition_mode=config["condition_mode"],
             max_target_len=int(config["max_target_len"]),
         )
 

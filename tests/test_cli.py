@@ -280,6 +280,37 @@ def test_invalid_config_key_exits_nonzero(tmp_path, capsys):
     assert "quantizer.clusterz" in err
 
 
+def test_config_setting_the_decoder_conditioning_exits_with_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("[wavembed]\ncondition_mode = memory\n")
+    rc = main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error\tConfigError\tunknown config key 'wavembed.condition_mode'"]
+
+
+@pytest.mark.parametrize("stage", ["quantize", "train-wavembed", "distill"])
+def test_empty_manifest_exits_with_one_line_error(pipeline, tmp_path, capsys, stage):
+    root, c = pipeline
+    data = root / "data"
+    empty = tmp_path / "corpus"
+    empty.mkdir()
+    (empty / "manifest.jsonl").write_text("\n")
+    inputs = {
+        "quantize": [],
+        "train-wavembed": ["--units", str(data / "units.tsv")],
+        "distill": [
+            "--units", str(data / "units.tsv"), "--pairs", str(data / "pairs.dev.tsv"),
+            "--teacher", str(root / "teacher" / "teacher.semm"),
+        ],
+    }[stage]
+    rc = main([stage, "--config", c, "--out", str(tmp_path / "o"), "--corpus", str(empty), *inputs])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tFileFormatError\t") and "lists no utterances" in errors[0]
+
+
 def test_missing_input_exits_with_one_line_error(tmp_path, capsys):
     rc = main([
         "quantize", "--out", str(tmp_path / "o"), "--corpus", str(tmp_path / "nowhere"),

@@ -533,6 +533,15 @@ def test_corpus_load_missing_manifest(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_manifest_without_utterances_is_a_format_error(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text("\n  \n")
+    with pytest.raises(FileFormatError, match="lists no utterances"):
+        load_corpus(tmp_path)
+    # a manifest with utterances, none of them asked for, is an empty corpus
+    save_corpus(generate_corpus(SyntheticSpec(n_utterances=3, seed=6)), tmp_path)
+    assert len(load_corpus(tmp_path, ids={"utt-9"})) == 0
+
+
 @pytest.mark.parametrize(
     "line, fault",
     [

@@ -13,7 +13,6 @@ from semspeech.evaluation import (
     evaluate,
     l2_normalize,
     load_report,
-    recall_at_k,
     save_pair_predictions,
     save_report,
     spearman,
@@ -275,51 +274,6 @@ def test_evaluate_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
-# recall
-# ---------------------------------------------------------------------------
-
-def test_recall_self_query():
-    rng = np.random.default_rng(9)
-    index = rng.standard_normal((20, 8))
-    ids = [f"x{i}" for i in range(20)]
-    got = recall_at_k(index[[3]], index, ids, ["x3"], ks=[1])
-    assert got[1] == 1.0
-
-
-def test_recall_monotone_and_full():
-    rng = np.random.default_rng(10)
-    index = rng.standard_normal((15, 6))
-    ids = [f"x{i}" for i in range(15)]
-    queries = rng.standard_normal((10, 6))
-    true = [ids[int(rng.integers(0, 15))] for _ in range(10)]
-    got = recall_at_k(queries, index, ids, true, ks=[1, 3, 7, 15])
-    assert got[1] <= got[3] <= got[7] <= got[15]
-    assert got[15] == 1.0
-
-
-def test_recall_chance_baseline():
-    rng = np.random.default_rng(11)
-    n = 50
-    index = rng.standard_normal((n, 16))
-    ids = [f"x{i}" for i in range(n)]
-    trials = 400
-    queries = rng.standard_normal((trials, 16))
-    true = [ids[int(rng.integers(0, n))] for _ in range(trials)]
-    got = recall_at_k(queries, index, ids, true, ks=[1])
-    assert abs(got[1] - 1.0 / n) < 3.0 / n
-
-
-def test_recall_k_out_of_range():
-    rng = np.random.default_rng(12)
-    index = rng.standard_normal((5, 4))
-    ids = list("abcde")
-    with pytest.raises(ValidationError):
-        recall_at_k(index[[0]], index, ids, ["a"], ks=[6])
-    with pytest.raises(ValidationError):
-        recall_at_k(index[[0]], index, ids, ["a"], ks=[0])
-
-
-# ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
 
@@ -329,15 +283,25 @@ def test_report_round_trip(tmp_path):
         n_pairs=200,
         alignment=0.4,
         uniformity=-2.2,
-        recall_at_k={1: 0.5, 5: 0.9},
         metadata={"model": "m1", "split": "test"},
     )
     path = tmp_path / "report.json"
     save_report(report, path)
     back = load_report(path)
     assert back.spearman == report.spearman
-    assert back.recall_at_k == {1: 0.5, 5: 0.9}
     assert back.metadata["model"] == "m1"
+
+
+def test_report_written_with_a_recall_key_still_loads(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(
+        '{"alignment": 0.4, "metadata": {"model": "m1"}, "n_pairs": 200,'
+        ' "recall_at_k": {}, "spearman": 0.61, "uniformity": -2.2}\n'
+    )
+    back = load_report(path)
+    assert (back.spearman, back.n_pairs, back.alignment, back.uniformity) == (0.61, 200, 0.4, -2.2)
+    assert back.metadata == {"model": "m1"}
+    assert "recall_at_k" not in back.to_json()
 
 
 def test_report_validation():

@@ -31,6 +31,7 @@ from semspeech.corpus import (
 )
 from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, SemspeechError
+from semspeech.evaluation import EvalReport, save_report
 from semspeech.fileformat import BinaryReader, read_rows, read_text, write_binary
 from semspeech.index import EmbeddingIndex, load_index, save_index
 from semspeech.nn import checkpoint
@@ -71,7 +72,8 @@ def _tiny_student(path):
 
 
 # writer of a fixed tiny input, per binary format, per text format that
-# shares the <id>\t<ints> rows, and for the CSV tables
+# shares the <id>\t<ints> rows, for the CSV tables, and for the BPE model,
+# the pairs TSV and the evaluation report
 WRITERS = {
     "semf": lambda p: write_features(p, FeatureSequence(np.arange(6.0).reshape(3, 2))),
     "semk": lambda p: write_codebook(p, Codebook(centroids=np.arange(6.0).reshape(3, 2))),
@@ -86,6 +88,11 @@ WRITERS = {
     "curve.csv": lambda p: save_loss_curve(
         p, [CurvePoint(0, 2.5, 2.6), CurvePoint(10, 1.25, float("nan"))]
     ),
+    "bpe.json": lambda p: save_bpe_model(train_bpe(UNITS * 2, vocab_size=14), p),
+    "pairs.tsv": lambda p: save_scored_pairs(ScoredPairSet([("a", "b", 1.5), ("a", "c", 4.0)]), p),
+    "report.json": lambda p: save_report(
+        EvalReport(0.61, 2, 0.4, -2.2, metadata={"model_kind": "student"}), p
+    ),
 }
 
 # sha256 of each writer's output: a change here is a change of byte layout,
@@ -98,6 +105,9 @@ GOLDEN = {
     "units.tsv": "4e0100e8e65128561f7f568b491ee8b5c54143f9c7a490ee036b5e15299f5cb9",
     "tokens.tsv": "aab378cc74c7fb7197a020ae9de56835d723e4481a9edf0b9b96169ba6cbb8e2",
     "curve.csv": "93ce3a0981e66fc0b8287e4daaf5fef29ce9dcb74b2f05189c96d7efc9ee3b59",
+    "bpe.json": "099417edc9f812cc62ee608df4996410e42b38f72d2a40e298475993495a7e41",
+    "pairs.tsv": "e43215792628063e3dc2fd35df746dc99eddeb1834cc6ef8946cef4acdca034f",
+    "report.json": "902e5c88b4d78b739c34de9d59cdef0140c3f77c809efdacb6eaa0334f134aa6",
 }
 
 
@@ -150,12 +160,9 @@ def _write_config(p):
 TEXT = {
     "units.tsv": (WRITERS["units.tsv"], load_unit_corpus),
     "tokens.tsv": (WRITERS["tokens.tsv"], load_token_corpus),
-    "pairs.tsv": (
-        lambda p: save_scored_pairs(ScoredPairSet([("a", "b", 1.5), ("a", "c", 4.0)]), p),
-        load_scored_pairs,
-    ),
+    "pairs.tsv": (WRITERS["pairs.tsv"], load_scored_pairs),
     "manifest.jsonl": (_write_manifest, lambda p: load_corpus(p.parent)),
-    "bpe.json": (lambda p: save_bpe_model(train_bpe(UNITS * 2, vocab_size=14), p), load_bpe_model),
+    "bpe.json": (WRITERS["bpe.json"], load_bpe_model),
     "config": (_write_config, load_config),
     "curve.csv": (WRITERS["curve.csv"], load_loss_curve),
 }

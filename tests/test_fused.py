@@ -394,15 +394,11 @@ def padded_pool(h, store, pooling, valid, mask=None):
     return (h * Tensor(weights[:, :, None])).sum(axis=1)
 
 
-def padded_decode(tokens, z, store, cfg, mode, train_mode=False, rng=None):
+def padded_decode(tokens, z, store, cfg, train_mode=False, rng=None):
     """(B, S) ids and (B, d) z -> (B, S, vocab) logits."""
     b, s = tokens.shape
     h = take_rows(store["dec.tok"], tokens) + Tensor(sinusoidal_positions(s, cfg.model_dim))
-    memory = None
-    if mode == "add":
-        h = h + z.reshape(b, 1, z.shape[-1])
-    else:
-        memory = z.reshape(b, 1, z.shape[-1])
+    memory = z.reshape(b, 1, z.shape[-1])
     h = padded_blocks(store, "dec", h, cfg, causal_mask(s), memory, train_mode, rng)
     return composite_linear(h, store["dec.out.w"], store["dec.out.b"])
 
@@ -492,11 +488,10 @@ def test_packed_id_encoder_matches_padded_path(pooling):
     )
 
 
-@pytest.mark.parametrize("mode", ["memory", "add"])
-def test_packed_decoder_matches_padded_path(mode):
+def test_packed_decoder_matches_padded_path():
     rng = np.random.default_rng(13)
     store = ParamStore()
-    init_token_decoder(store, rng, CFG, 11, condition_mode=mode)
+    init_token_decoder(store, rng, CFG, 11)
     pack = Packing.from_lengths(LENGTHS)
     ids = rng.integers(0, 11, size=pack.rows)
     z = _leaf(rng, len(LENGTHS), CFG.model_dim)
@@ -505,8 +500,8 @@ def test_packed_decoder_matches_padded_path(mode):
         return np.random.default_rng(3)
 
     _assert_matches(
-        lambda: decode_tokens(ids, z, store, CFG, 11, mode, True, drop(), pack=pack),
-        lambda: padded_decode(pack.pad(ids), z, store, CFG, mode, True, drop())[pack.valid],
+        lambda: decode_tokens(ids, z, store, CFG, 11, True, drop(), pack=pack),
+        lambda: padded_decode(pack.pad(ids), z, store, CFG, True, drop())[pack.valid],
         [*_store_params(store), z],
         Tensor(rng.standard_normal((pack.rows, 11))),
     )
@@ -556,7 +551,7 @@ def test_wavembed_step_draws_as_the_padded_path():
     h = padded_encode(x, model.store, CFG, valid, True, ref)
     z = padded_pool(h, model.store, "self_attention", valid)
     inputs = pad_tokens([t[:-1] for t in tokens])
-    logits = padded_decode(inputs, z, model.store, CFG, "memory", True, ref)
+    logits = padded_decode(inputs, z, model.store, CFG, True, ref)
     ref_loss = nll_loss(logits, pad_tokens([t[1:] for t in tokens]), pad_id=PAD)
     ref_loss.backward()
     assert stream.bit_generator.state == ref.bit_generator.state
@@ -623,7 +618,7 @@ def _mlm_loss():
 
 def _tsdae_loss():
     enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
-    init_token_decoder(enc.store, np.random.default_rng(1), CFG, 20, condition_mode="memory")
+    init_token_decoder(enc.store, np.random.default_rng(1), CFG, 20)
     rng = np.random.default_rng(17)
     originals = _ragged_tokens(rng, (5, 2, 7), 20)
     corrupted = pad_tokens([t[::2] for t in originals])

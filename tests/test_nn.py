@@ -520,10 +520,10 @@ def test_sinusoidal_positions_shape_and_range():
 # decoder
 # ---------------------------------------------------------------------------
 
-def make_decoder(rng, vocab=7, mode="memory", dropout_rate=0.0):
+def make_decoder(rng, vocab=7, dropout_rate=0.0):
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=dropout_rate)
     store = ParamStore()
-    init_token_decoder(store, rng, cfg, vocab, condition_mode=mode)
+    init_token_decoder(store, rng, cfg, vocab)
     return store, cfg
 
 
@@ -546,14 +546,13 @@ def test_decoder_rejects_bad_token():
 
 def test_decoder_sensitive_to_z():
     rng = np.random.default_rng(35)
-    for mode in ("memory", "add"):
-        store, cfg = make_decoder(rng, mode=mode)
-        prefix = np.array([1, 5, 2])
-        z1 = Tensor(rng.standard_normal(8))
-        z2 = Tensor(rng.standard_normal(8))
-        l1 = decoder_step(prefix, z1, store, cfg, vocab=7, condition_mode=mode)
-        l2 = decoder_step(prefix, z2, store, cfg, vocab=7, condition_mode=mode)
-        assert np.linalg.norm(l1.data - l2.data) > 0
+    store, cfg = make_decoder(rng)
+    prefix = np.array([1, 5, 2])
+    z1 = Tensor(rng.standard_normal(8))
+    z2 = Tensor(rng.standard_normal(8))
+    l1 = decoder_step(prefix, z1, store, cfg, vocab=7)
+    l2 = decoder_step(prefix, z2, store, cfg, vocab=7)
+    assert np.linalg.norm(l1.data - l2.data) > 0
 
 
 def test_decoder_causal():
@@ -569,17 +568,15 @@ def test_decoder_causal():
 
 def test_decoder_nll_grad_wrt_z():
     rng = np.random.default_rng(37)
-    for mode in ("memory", "add"):
-        store, cfg = make_decoder(rng, mode=mode)
-        z = rand_t(rng, 8)
-        tokens = np.array([1, 4, 2])
-        targets = np.array([4, 2, 2])
+    store, cfg = make_decoder(rng)
+    z = rand_t(rng, 8)
+    tokens = np.array([1, 4, 2])
+    targets = np.array([4, 2, 2])
 
-        def loss():
-            logits = decode_tokens(tokens, z, store, cfg, vocab=7, condition_mode=mode)
-            return nll_loss(logits, targets)
+    def loss():
+        return nll_loss(decode_tokens(tokens, z, store, cfg, vocab=7), targets)
 
-        assert grad_check(loss, [z]) < 1e-3
+    assert grad_check(loss, [z]) < 1e-3
 
 
 def test_causal_mask_layout():
@@ -591,24 +588,24 @@ def test_causal_mask_layout():
     assert np.all(m[:, :4] == 0) and m[0, 4] < -1e8 and m[1, 4] == 0
 
 
-@pytest.mark.parametrize("mode, first", [("memory", 1), ("add", 1), ("memory", 3), ("add", 4)])
-def test_cached_decoder_step_matches_the_full_prefix(mode, first):
+@pytest.mark.parametrize("first", [1, 3, 4], ids=lambda first: f"memory-{first}")
+def test_cached_decoder_step_matches_the_full_prefix(first):
     """Fed ``first`` ids, then one at a time, a cached decoder gives the
     logits of decoding the whole prefix at every step."""
     rng = np.random.default_rng(38)
     cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
     store = ParamStore()
-    init_token_decoder(store, rng, cfg, 7, condition_mode=mode)
+    init_token_decoder(store, rng, cfg, 7)
     z = Tensor(rng.standard_normal(8))
     ids = rng.integers(0, 7, size=9)
     cache = DecodeCache(cfg.layers)
-    got = decode_tokens(ids[:first], z, store, cfg, 7, condition_mode=mode, cache=cache)
-    want = decode_tokens(ids[:first], z, store, cfg, 7, condition_mode=mode)
+    got = decode_tokens(ids[:first], z, store, cfg, 7, cache=cache)
+    want = decode_tokens(ids[:first], z, store, cfg, 7)
     assert len(cache) == first
     assert np.max(np.abs(got.data - want.data)) <= 1e-12
     for n in range(first + 1, len(ids) + 1):
-        step = decoder_step(ids[n - 1 : n], z, store, cfg, 7, condition_mode=mode, cache=cache)
-        full = decoder_step(ids[:n], z, store, cfg, 7, condition_mode=mode)
+        step = decoder_step(ids[n - 1 : n], z, store, cfg, 7, cache=cache)
+        full = decoder_step(ids[:n], z, store, cfg, 7)
         assert len(cache) == n
         assert np.max(np.abs(step.data - full.data)) <= 1e-12
 
@@ -853,7 +850,7 @@ def _encoder_decoder_grads(seed):
     cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.2)
     store = ParamStore()
     init_encoder(store, rng, cfg, d_in=4)
-    init_token_decoder(store, rng, cfg, 7, condition_mode="memory")
+    init_token_decoder(store, rng, cfg, 7)
     valid = np.array([[True] * 5, [True, True, True, False, False]])
     x = Tensor(rng.standard_normal((2, 5, 4))[valid])
     drop = np.random.default_rng(seed + 1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,18 +205,17 @@ def test_greedy_decode_shape_rules():
 
 # ids greedy_decode returned when it re-ran the whole prefix for every token
 GREEDY_IDS = {
-    ("memory", 0): [1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],
-    ("memory", 1): [1, 4, 10, 10, 10, 10, 4, 4, 10, 10, 10, 2],
-    ("add", 0): [1, 11, 12, 1, 1, 11, 11, 11, 11, 1, 1, 11, 11, 11, 11, 11],
+    0: [1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],
+    1: [1, 4, 10, 10, 10, 10, 4, 4, 10, 10, 10, 2],
 }
 DEFAULT_DIMS_IDS = [1, 23, 23, 23, 23, 23, 23, 0, 1, 1, 23, 23, 23, 10, 10] + [23] * 49
 
 
-@pytest.mark.parametrize("mode, seed", sorted(GREEDY_IDS))
-def test_greedy_decode_keeps_its_ids(mode, seed):
+@pytest.mark.parametrize("seed", sorted(GREEDY_IDS), ids=lambda seed: f"memory-{seed}")
+def test_greedy_decode_keeps_its_ids(seed):
     x = np.random.default_rng(11).standard_normal((6, 4))
-    out = tiny_model(seed=seed, condition_mode=mode).greedy_decode(x, max_len=16)
-    assert out.tolist() == GREEDY_IDS[mode, seed]
+    out = tiny_model(seed=seed).greedy_decode(x, max_len=16)
+    assert out.tolist() == GREEDY_IDS[seed]
 
 
 def test_greedy_decode_keeps_its_ids_at_default_dims():
@@ -310,7 +310,7 @@ def test_save_load_round_trip(tmp_path):
     # float32 persistence: compare at float32 resolution
     assert np.allclose(loaded.embed(x), z, atol=1e-5)
     assert loaded.vocab == model.vocab
-    assert loaded.condition_mode == model.condition_mode
+    assert loaded.config_dict() == model.config_dict()
 
 
 def test_load_accepts_checkpoint_with_target_mode(tmp_path):
@@ -353,18 +353,54 @@ def test_encoder_only_checkpoint_is_one_format_error(tmp_path):
     assert e.value.offset == 10  # where the JSON header starts
 
 
-def test_condition_mode_add_trains_too():
-    model = tiny_model(condition_mode="add", seed=4)
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((4, 4))
-    target = np.array([CLS, 6, 8, SEP])
-    first = float(model.batch_loss([x], [target]).data)
-    for _ in range(60):
-        model.store.zero_grad()
-        loss = model.batch_loss([x], [target])
-        loss.backward()
-        adamw_step(model.store, lr=5e-3)
-    assert float(loss.data) < first
+def _saved_with_decoder_keys(path, model, store, **keys):
+    """``model`` saved as older files held it: the header also names the
+    decoder's shape and its conditioning, and ``store`` is the parameters."""
+    config = dict(model.config_dict(), decoder=model.encoder_cfg.to_dict(), condition_mode="memory")
+    save_checkpoint(path, kind="wavembed", config=dict(config, **keys), store=store)
+
+
+def test_load_accepts_header_naming_the_one_decoder(tmp_path):
+    model = tiny_model(seed=8)
+    _saved_with_decoder_keys(tmp_path / "old.semm", model, model.store)
+    model.save(tmp_path / "new.semm")
+    old, new = (WavEmbedModel.load(tmp_path / name) for name in ("old.semm", "new.semm"))
+    assert old.config_dict() == model.config_dict()
+    x = np.random.default_rng(12).standard_normal((5, 4))
+    assert np.array_equal(old.embed(x), new.embed(x))
+    assert old.greedy_decode(x, max_len=8).tolist() == new.greedy_decode(x, max_len=8).tolist()
+
+
+def test_load_rejects_a_deeper_decoder(tmp_path):
+    # a 2-layer decoder under a 1-layer encoder: loading it as the one
+    # decoder would drop dec.block1.* without a word
+    model = tiny_model(seed=8)
+    deep = WavEmbedModel.create(d_in=4, vocab=13, encoder_cfg=replace(TINY, layers=2), seed=8)
+    store = ParamStore()
+    for name, p in model.store.items():
+        if not name.startswith("dec."):
+            store.add(name, p)
+    for name, p in deep.store.items():
+        if name.startswith("dec."):
+            store.add(name, p)
+    path = tmp_path / "model.semm"
+    _saved_with_decoder_keys(path, model, store, decoder=deep.encoder_cfg.to_dict())
+    with pytest.raises(FileFormatError, match="decoder") as e:
+        WavEmbedModel.load(path)
+    assert e.value.offset == 10
+
+
+def test_load_rejects_an_added_conditioning(tmp_path):
+    model = tiny_model(seed=8)
+    store = ParamStore()
+    for name, p in model.store.items():
+        if ".lnx." not in name and ".xattn." not in name:
+            store.add(name, p)
+    path = tmp_path / "model.semm"
+    _saved_with_decoder_keys(path, model, store, condition_mode="add")
+    with pytest.raises(FileFormatError, match="memory slot") as e:
+        WavEmbedModel.load(path)
+    assert e.value.offset == 10
 
 
 def test_loss_curve_round_trip(tmp_path):

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import ScoredPairSet
-from .errors import MissingGroundTruthError, ValidationError
+from .errors import FileFormatError, MissingGroundTruthError, ValidationError
 from .fileformat import read_text, write_text
 
 POSITIVE_THRESHOLD = 4.0
@@ -182,13 +182,10 @@ class EvalReport:
     def from_json(cls, text: str) -> "EvalReport":
         """The report ``to_json`` wrote; keys it no longer writes are ignored."""
         raw = json.loads(text)
-        return cls(
-            spearman=raw["spearman"],
-            n_pairs=raw["n_pairs"],
-            alignment=raw["alignment"],
-            uniformity=raw["uniformity"],
-            metadata=raw.get("metadata", {}),
-        )
+        fields = {key: raw[key] for key in ("spearman", "n_pairs", "alignment", "uniformity")}
+        if {type(v) for v in fields.values()} - {int, float} or type(raw["n_pairs"]) is not int:
+            raise TypeError("a report value is not a number")
+        return cls(**fields, metadata=raw.get("metadata", {}))
 
 
 def evaluate(
@@ -265,7 +262,12 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_json(read_text(path))
+    """The report ``save_report`` wrote; a damaged one is a ``FileFormatError``."""
+    text = read_text(path)
+    try:
+        return EvalReport.from_json(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise FileFormatError(f"{path}: not an evaluation report: {e}") from e
 
 
 def save_pair_predictions(report: EvalReport, path: str | Path) -> None:

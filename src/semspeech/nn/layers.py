@@ -92,8 +92,12 @@ def init_embedding(store: ParamStore, rng: np.random.Generator, name: str, vocab
 
 
 def init_attention(store: ParamStore, rng: np.random.Generator, name: str, dim: int):
-    for proj in ("q", "k", "v", "o"):
-        init_linear(store, rng, f"{name}.{proj}", dim, dim)
+    # K has no bias: it would add the same score to every key of a query,
+    # which the softmax cancels
+    init_linear(store, rng, f"{name}.q", dim, dim)
+    store.add(f"{name}.k.w", Tensor(xavier_uniform(rng, dim, dim)))
+    init_linear(store, rng, f"{name}.v", dim, dim)
+    init_linear(store, rng, f"{name}.o", dim, dim)
 
 
 def init_block(
@@ -106,8 +110,13 @@ def init_block(
     init_layer_norm(store, f"{name}.ln1", cfg.model_dim)
     init_attention(store, rng, f"{name}.attn", cfg.model_dim)
     if cross_attention:
-        init_layer_norm(store, f"{name}.lnx", cfg.model_dim)
-        init_attention(store, rng, f"{name}.xattn", cfg.model_dim)
+        # Cross-attention to one memory slot: its softmax is 1, so only the V
+        # and output projections act. Q and K are still drawn, and dropped,
+        # so every later parameter keeps its initial bytes.
+        for _ in ("q", "k"):
+            xavier_uniform(rng, cfg.model_dim, cfg.model_dim)
+        for proj in ("v", "o"):
+            init_linear(store, rng, f"{name}.xattn.{proj}", cfg.model_dim, cfg.model_dim)
     init_layer_norm(store, f"{name}.ln2", cfg.model_dim)
     init_linear(store, rng, f"{name}.ff1", cfg.model_dim, cfg.ff_dim)
     init_linear(store, rng, f"{name}.ff2", cfg.ff_dim, cfg.model_dim)
@@ -153,7 +162,7 @@ def apply_attention(
     kv_pack: Packing | None = None,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    params = [store[f"{name}.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
+    params = [store[f"{name}.{p}"] for p in ("q.w", "q.b", "k.w", "v.w", "v.b", "o.w", "o.b")]
     return attention(q_in, kv_in, params, heads, pack, kv_pack, mask)
 
 
@@ -174,12 +183,11 @@ def apply_block(
     rng: np.random.Generator | None = None,
     cache: DecodeCache | None = None,
     layer: int = 0,
-    slots: Packing | None = None,
 ) -> Tensor:
-    """One pre-norm block over the packed rows ``pack`` lays out. ``memory``
-    holds one cross-attention slot per sequence, as (B, 1, d), and ``slots``
-    is its layout: projecting it in that shape runs numpy's per-slot
-    product, as the padded layout did, so its bits do not move. With a
+    """One pre-norm block over the packed rows ``pack`` lays out. Attention
+    to the one (B, 1, d) ``memory`` slot of each sequence is o(v(slot)) at
+    every query: that row is added to the sequence's rows. V projects the
+    (B, 1, d) slots, numpy's per-slot product, as full attention did. With a
     ``cache``, the rows are the next positions of one sequence, and
     self-attention reads the cached ``ln1`` rows of block ``layer`` before
     them as keys and values."""
@@ -197,8 +205,8 @@ def apply_block(
         apply_attention(store, f"{name}.attn", h, kv, cfg.heads, pack, kv_pack, self_mask)
     )
     if memory is not None:
-        h = apply_layer_norm(store, f"{name}.lnx", x)
-        x = x + drop(apply_attention(store, f"{name}.xattn", h, memory, cfg.heads, pack, slots))
+        v = apply_linear(store, f"{name}.xattn.v", memory).reshape(pack.batch, cfg.model_dim)
+        x = x + drop(take_rows(apply_linear(store, f"{name}.xattn.o", v), pack.segments))
     h = apply_layer_norm(store, f"{name}.ln2", x)
     x = x + drop(apply_ffn(store, name, h))
     return x
@@ -229,7 +237,6 @@ def _run_blocks(
     train_mode: bool,
     rng: np.random.Generator | None,
     cache: DecodeCache | None = None,
-    slots: Packing | None = None,
 ) -> Tensor:
     """Input dropout, the pre-norm blocks and the final layer norm."""
     if train_mode and cfg.dropout_rate > 0.0:
@@ -238,7 +245,6 @@ def _run_blocks(
         h = apply_block(
             store, f"{prefix}.block{layer}", h, cfg, pack,
             self_mask=mask, memory=memory, train=train_mode, rng=rng, cache=cache, layer=layer,
-            slots=slots,
         )
     return apply_layer_norm(store, f"{prefix}.ln_f", h)
 
@@ -419,9 +425,8 @@ def decode_tokens(
     _check_sequence(start + pack.length, cfg, train_mode, rng)
     h = take_rows(store["dec.tok"], tokens) + _positions(pack, cfg.model_dim, start)
     memory = z.reshape(pack.batch, 1, z.shape[-1])
-    slots = Packing(np.ones((pack.batch, 1), dtype=bool))
     mask = causal_mask(pack.length, start) if pack.length > 1 else None  # one sees all
-    h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache, slots)
+    h = _run_blocks(store, "dec", h, cfg, pack, mask, memory, train_mode, rng, cache)
     return apply_linear(store, "dec.out", h)
 
 

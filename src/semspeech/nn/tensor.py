@@ -420,13 +420,13 @@ def pad_rows(x: Tensor, pack: Packing) -> Tensor:
 # training loss by sha256, and what each kernel may write into.
 
 def _affine_backward(
-    x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray, need_dx: bool
+    x2: np.ndarray, w: Tensor, b: Tensor | None, g2: np.ndarray, need_dx: bool
 ) -> np.ndarray | None:
-    """For y = x@W + b over (N, d_in) rows: accumulate dW = XᵀG and
-    db = colsum(G), and return dX = GWᵀ when ``need_dx``."""
+    """For y = x@W + b over (N, d_in) rows: accumulate dW = XᵀG and, when
+    there is a bias, db = colsum(G); return dX = GWᵀ when ``need_dx``."""
     if w.requires_grad:
         w._accumulate(x2.T @ g2)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         b._accumulate(g2.sum(axis=0))
     return g2 @ w.data.T if need_dx else None
 
@@ -464,28 +464,28 @@ def attention(
 ) -> Tensor:
     """Multi-head attention over packed rows as one node: the Q/K/V
     projections, the scaled and additively masked softmax, P@V, the head
-    merge and the output projection. ``params`` is (Wq, bq, Wk, bk, Wv, bv,
-    Wo, bo).
+    merge and the output projection. ``params`` is (Wq, bq, Wk, Wv, bv, Wo,
+    bo): K has no bias, since a key bias adds the same q·b to every score
+    of a query, which the softmax cancels.
 
-    ``q_in`` holds the packed (N, d) query rows ``pack`` lays out, ``kv_in``
-    the key/value rows ``kv_pack`` lays out (``pack`` when None), packed or,
-    for a layout with no invalid position, as (B, S, d). The projections run
-    on the rows as given; Q, K and V are scattered into padded
-    (B, heads, T, dh) arrays, keys at invalid positions are masked on top of
-    ``mask``, and the output rows are gathered back.
+    ``q_in`` holds the packed (N, d) query rows ``pack`` lays out, and
+    ``kv_in`` the packed key/value rows ``kv_pack`` lays out (``pack`` when
+    None). The projections run on the packed rows; Q, K and V are scattered
+    into padded (B, heads, T, dh) arrays, keys at invalid positions are
+    masked on top of ``mask``, and the output rows are gathered back.
 
     The backward follows FlashAttention (Dao et al., 2022) without tiling:
     dS = P∘(dP − rowsum(dO∘O)). With ``q_in is kv_in`` the three input
     gradients are summed and accumulated once.
     """
-    wq, bq, wk, bk, wv, bv, wo, bo = params
+    wq, bq, wk, wv, bv, wo, bo = params
     kv_pack = pack if kv_pack is None else kv_pack
     b, d = pack.batch, q_in.shape[-1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(rows: np.ndarray, layout: Packing) -> np.ndarray:
-        rows = layout.pad(rows.reshape(-1, d))
+        rows = layout.pad(rows)
         return rows.reshape(b, layout.length, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(a: np.ndarray, layout: Packing) -> np.ndarray:
@@ -494,7 +494,7 @@ def attention(
         return (a if layout.index is None else a[layout.valid]).reshape(-1, d)
 
     qh = split(_affine(q_in.data, wq, bq), pack)
-    kh = split(_affine(kv_in.data, wk, bk), kv_pack)
+    kh = split(kv_in.data @ wk.data, kv_pack)
     vh = split(_affine(kv_in.data, wv, bv), kv_pack)
     p = qh @ kh.transpose(0, 1, 3, 2)  # the scores, then their softmax
     p *= scale
@@ -516,16 +516,14 @@ def attention(
         ds *= p
         ds *= scale
         dq = _affine_backward(q_in.data, wq, bq, merge(ds @ kh, pack), q_in.requires_grad)
-        x_kv = kv_in.data.reshape(-1, d)
-        dk = _affine_backward(
-            x_kv, wk, bk, merge(ds.transpose(0, 1, 3, 2) @ qh, kv_pack), kv_in.requires_grad
-        )
-        dkv = _affine_backward(x_kv, wv, bv, merge(dv, kv_pack), kv_in.requires_grad)
+        dk = merge(ds.transpose(0, 1, 3, 2) @ qh, kv_pack)
+        dk = _affine_backward(kv_in.data, wk, None, dk, kv_in.requires_grad)
+        dkv = _affine_backward(kv_in.data, wv, bv, merge(dv, kv_pack), kv_in.requires_grad)
         if dkv is not None:
             dkv += dk
             if self_attn:
                 dkv += dq
-            kv_in._accumulate(dkv.reshape(kv_in.shape))
+            kv_in._accumulate(dkv)
         if dq is not None and not self_attn:
             q_in._accumulate(dq)
 

@@ -32,7 +32,7 @@ from .nn.losses import infonce_batch, masked_cross_entropy
 from .nn.optim import ParamStore
 from .nn.tensor import Packing, Tensor, no_grad
 from .random_utils import derive_rng
-from .tokenizer import CLS, MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
+from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
 from .training import fit, mean_loss, optimizer_step, split_dev
 from .wavembed import CurvePoint, decode_loss
@@ -40,12 +40,9 @@ from .wavembed import CurvePoint, decode_loss
 logger = logging.getLogger(__name__)
 
 # positions that carry content for pooling and masking purposes; UNK counts
-# as content, the structural specials do not
-_STRUCTURAL = (PAD, CLS, SEP, MASK)
-
-
+# as content, the structural specials (PAD, CLS, SEP, MASK) do not
 def _content_mask(tokens: np.ndarray) -> np.ndarray:
-    return ~np.isin(tokens, _STRUCTURAL)
+    return (tokens > SEP) & (tokens != MASK)
 
 
 def _packing(tokens: np.ndarray) -> Packing:
@@ -166,8 +163,9 @@ def _mask_batch(
     """Corrupt a padded batch in place-copy; returns (corrupted, mask_bool)."""
     corrupted = tokens.copy()
     chosen = np.zeros_like(tokens, dtype=bool)
+    content = _content_mask(tokens)
     for row in range(tokens.shape[0]):
-        eligible = np.flatnonzero(_content_mask(tokens[row]))
+        eligible = np.flatnonzero(content[row])
         if len(eligible) == 0:
             continue
         n_mask = max(1, int(round(mask_rate * len(eligible))))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semspeech.corpus import ScoredPairSet
-from semspeech.errors import MissingGroundTruthError, ValidationError
+from semspeech.errors import FileFormatError, MissingGroundTruthError, ValidationError
 from semspeech.evaluation import (
     EvalReport,
     alignment,
@@ -302,6 +302,25 @@ def test_report_written_with_a_recall_key_still_loads(tmp_path):
     assert (back.spearman, back.n_pairs, back.alignment, back.uniformity) == (0.61, 200, 0.4, -2.2)
     assert back.metadata == {"model": "m1"}
     assert "recall_at_k" not in back.to_json()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"alignment": 0.4, "n_pairs": 200, "spe',
+        '{"alignment": 0.4, "n_pairs": 200, "uniformity": -2.2}',
+        '{"alignment": 0.4, "n_pairs": 200, "spearman": 0.61, "uniformity": "-2.2"}',
+        '{"alignment": 0.4, "n_pairs": 2.5, "spearman": 0.61, "uniformity": -2.2}',
+        '{"alignment": 0.4, "n_pairs": 200, "spearman": 7.0, "uniformity": -2.2}',
+        '[0.4, 200, 0.61, -2.2]',
+    ],
+    ids=["truncated", "missing-key", "string-field", "fractional-count", "out-of-range", "list"],
+)
+def test_a_damaged_report_is_one_format_error(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match="not an evaluation report"):
+        load_report(path)
 
 
 def test_report_validation():

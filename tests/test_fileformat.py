@@ -31,7 +31,7 @@ from semspeech.corpus import (
 )
 from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, SemspeechError
-from semspeech.evaluation import EvalReport, save_report
+from semspeech.evaluation import EvalReport, load_report, save_report
 from semspeech.fileformat import BinaryReader, read_rows, read_text, write_binary
 from semspeech.index import EmbeddingIndex, load_index, save_index
 from semspeech.nn import checkpoint
@@ -165,6 +165,7 @@ TEXT = {
     "bpe.json": (WRITERS["bpe.json"], load_bpe_model),
     "config": (_write_config, load_config),
     "curve.csv": (WRITERS["curve.csv"], load_loss_curve),
+    "report.json": (WRITERS["report.json"], load_report),
 }
 
 

@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 from semspeech.distill import StudentModel
+from semspeech.nn import checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
     EncoderConfig,
+    apply_block,
     causal_mask,
     decode_tokens,
+    init_block,
     init_encoder,
     init_token_decoder,
     pool_states,
@@ -47,7 +50,7 @@ from semspeech.nn.tensor import (
     softmax,
     take_rows,
 )
-from semspeech.teachers import SequenceEncoder, mlm_forward
+from semspeech.teachers import SequenceEncoder, Teacher, mlm_forward
 from semspeech.tokenizer import CLS, MASK, PAD, SEP, pad_tokens
 from semspeech.wavembed import WavEmbedModel, decode_loss, encode_frames
 
@@ -56,13 +59,16 @@ def composite_linear(x, w, b):
     return x @ w + b
 
 
-def composite_attention(q_in, kv_in, params, heads, mask=None):
-    wq, bq, wk, bk, wv, bv, wo, bo = params
+def composite_attention(q_in, kv_in, params, heads, mask=None, key_bias=None):
+    """Padded attention over (Wq, bq, Wk, Wv, bv, Wo, bo); ``key_bias`` is
+    a bias for the key projection, which the fused node has not."""
+    wq, bq, wk, wv, bv, wo, bo = params
     b, t, d = q_in.shape
     s = kv_in.shape[1]
     dh = d // heads
     q = composite_linear(q_in, wq, bq).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    k = composite_linear(kv_in, wk, bk).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+    k = kv_in @ wk if key_bias is None else composite_linear(kv_in, wk, key_bias)
+    k = k.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
     v = composite_linear(kv_in, wv, bv).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
     if mask is not None:
@@ -95,8 +101,12 @@ def _leaf(rng, *shape, scale=1.0):
     return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
 
 
+ATTENTION_PARTS = ("q.w", "q.b", "k.w", "v.w", "v.b", "o.w", "o.b")
+
+
 def _attention_params(rng, d):
-    return [_leaf(rng, *shape, scale=0.5) for _ in range(4) for shape in ((d, d), (d,))]
+    shapes = [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]
+    return [_leaf(rng, *shape, scale=0.5) for shape in shapes]
 
 
 def _grads(loss_fn, leaves):
@@ -109,14 +119,20 @@ def _grads(loss_fn, leaves):
     return grads
 
 
-def _assert_matches(fused, composite, leaves, upstream):
-    """Bit-equal forwards, gradients within 1e-12 relative of the oracle."""
-    assert np.array_equal(fused().data, composite().data)
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _assert_matches(fused, composite, leaves, upstream, exact=True):
+    """Bit-equal forwards (within 1e-12 relative when not ``exact``),
+    gradients within 1e-12 relative of the oracle."""
+    got, want = fused().data, composite().data
+    assert np.array_equal(got, want) if exact else _close(got, want)
     got = _grads(lambda: (fused() * upstream).sum(), leaves)
     want = _grads(lambda: (composite() * upstream).sum(), leaves)
     for g, w in zip(got, want):
         assert g is not None and w is not None
-        assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+        assert _close(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +180,15 @@ def padded(x, pack, rng):
     return pad_rows(x, pack) + Tensor(junk)
 
 
-def oracle_attention(q, kv, params, heads, pack, kv_pack=None, mask=None):
+def oracle_attention(q, kv, params, heads, pack, kv_pack=None, mask=None, key_bias=None):
     """composite_attention over the padded batch, its valid query rows."""
     kv_pack = pack if kv_pack is None else kv_pack
     rng = np.random.default_rng(99)
     q_pad = padded(q, pack, rng)
-    kv_pad = q_pad if kv is q else padded(kv.reshape(-1, kv.shape[-1]), kv_pack, rng)
+    kv_pad = q_pad if kv is q else padded(kv, kv_pack, rng)
     if kv_pack.index is not None:
         mask = key_mask(kv_pack.valid) if mask is None else mask + key_mask(kv_pack.valid)
-    return composite_attention(q_pad, kv_pad, params, heads, mask)[pack.valid]
+    return composite_attention(q_pad, kv_pad, params, heads, mask, key_bias)[pack.valid]
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "causal", "padding", "causal-padding"])
@@ -193,18 +209,14 @@ def test_self_attention_matches_composite(mask_kind):
     )
 
 
-@pytest.mark.parametrize("s", [1, 4])
-def test_cross_attention_matches_composite(s):
+def test_cross_attention_matches_composite():
     rng = np.random.default_rng(5)
     d = 8
     pack = Packing.from_lengths([4, 2, 3])
-    # one memory slot per sequence, or ragged keys of their own
-    kv_pack = Packing.from_lengths([1, 1, 1] if s == 1 else [4, 1, 3])
-    q = _leaf(rng, pack.rows, d)
-    # the decoder passes its memory slots as (B, 1, d)
-    kv = _leaf(rng, 3, 1, d) if s == 1 else _leaf(rng, kv_pack.rows, d)
+    kv_pack = Packing.from_lengths([4, 1, 3])  # ragged keys of their own
+    q, kv = _leaf(rng, pack.rows, d), _leaf(rng, kv_pack.rows, d)
     params = _attention_params(rng, d)
-    mask = causal_mask(4) if s == 4 else None
+    mask = causal_mask(4)
     upstream = Tensor(rng.standard_normal((pack.rows, d)))
     _assert_matches(
         lambda: attention(q, kv, params, 4, pack, kv_pack, mask),
@@ -226,6 +238,31 @@ def test_self_attention_sums_the_input_gradient_once():
     q, kv = Tensor(x.data.copy(), requires_grad=True), Tensor(x.data.copy(), requires_grad=True)
     g_q, g_kv = _grads(lambda: attention(q, kv, params, 2, pack, mask=mask).sum(), [q, kv])
     assert np.allclose(g_self, g_q + g_kv, rtol=1e-12, atol=1e-14)
+
+
+def test_a_key_bias_changes_no_attention_output():
+    """Why attention has no key bias: it adds the same q·b to every score
+    of a query, which the softmax cancels. With a random one the output and
+    the gradients match the fused node's to 1e-12, and the bias's own
+    gradient is rounding residue."""
+    rng = np.random.default_rng(30)
+    pack = Packing.from_lengths([5, 3])
+    x = _leaf(rng, pack.rows, 8)
+    params = _attention_params(rng, 8)
+    key_bias = _leaf(rng, 8)
+    mask = causal_mask(5)
+    _assert_matches(
+        lambda: attention(x, x, params, 2, pack, mask=mask),
+        lambda: oracle_attention(x, x, params, 2, pack, mask=mask, key_bias=key_bias),
+        [x, *params],
+        Tensor(rng.standard_normal((pack.rows, 8))),
+        exact=False,
+    )
+    (g,) = _grads(
+        lambda: oracle_attention(x, x, params, 2, pack, mask=mask, key_bias=key_bias).sum(),
+        [key_bias],
+    )
+    assert np.max(np.abs(g)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -318,14 +355,15 @@ def _tape_nodes(loss: Tensor) -> int:
 
 def test_wavembed_step_tape_nodes():
     """Default dims, dropout on: per block one layer norm, one fused node and
-    one dropout per sublayer, plus the residual adds; attention pooling pads
-    the packed rows in one node."""
+    one dropout per sublayer, plus the residual adds; a decoder block's
+    cross-attention is its V linear, a reshape, its O linear and the row
+    gather. Attention pooling pads the packed rows in one node."""
     model = WavEmbedModel.create(d_in=8, vocab=20, encoder_cfg=EncoderConfig(), seed=0)
     rng = np.random.default_rng(0)
     frames = [rng.standard_normal((n, 8)) for n in (5, 7, 6)]
     tokens = [np.array([CLS, *rng.integers(5, 20, size=n), SEP]) for n in (3, 4, 2)]
     loss = model.batch_loss(frames, tokens, train_mode=True, rng=np.random.default_rng(1))
-    assert _tape_nodes(loss) == 60
+    assert _tape_nodes(loss) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +384,30 @@ def _ln(store, name, x):
 
 
 def _weights(store, name, parts):
-    return [store[f"{name}.{part}.{wb}"] for part in parts for wb in "wb"]
+    return [store[f"{name}.{part}"] for part in parts]
+
+
+def one_slot_attention(store, name, h, memory):
+    """The decoder's attention to its one memory slot: o(v(z)) at every
+    position."""
+    b, t, d = h.shape
+    v = composite_linear(memory, *_weights(store, f"{name}.xattn", ("v.w", "v.b")))
+    row = composite_linear(v.reshape(b, d), *_weights(store, f"{name}.xattn", ("o.w", "o.b")))
+    return row.reshape(b, 1, d) * Tensor(np.ones((1, t, 1)))
+
+
+def padded_block(store, name, h, cfg, mask, memory, drop, cross=one_slot_attention):
+    """One pre-norm block; self-attention also reads the key bias of a store
+    that holds one."""
+    a = _ln(store, f"{name}.ln1", h)
+    attn = _weights(store, f"{name}.attn", ATTENTION_PARTS)
+    key_bias = store[f"{name}.attn.k.b"] if f"{name}.attn.k.b" in store else None
+    h = h + drop(composite_attention(a, a, attn, cfg.heads, mask, key_bias))
+    if memory is not None:
+        h = h + drop(cross(store, name, h, memory))
+    a = _ln(store, f"{name}.ln2", h)
+    ffn_params = _weights(store, name, ("ff1.w", "ff1.b", "ff2.w", "ff2.b"))
+    return h + drop(composite_ffn(a, *ffn_params))
 
 
 def padded_blocks(store, prefix, h, cfg, mask, memory, train_mode, rng):
@@ -357,16 +418,7 @@ def padded_blocks(store, prefix, h, cfg, mask, memory, train_mode, rng):
 
     h = drop(h)
     for layer in range(cfg.layers):
-        name = f"{prefix}.block{layer}"
-        a = _ln(store, f"{name}.ln1", h)
-        attn = _weights(store, f"{name}.attn", "qkvo")
-        h = h + drop(composite_attention(a, a, attn, cfg.heads, mask))
-        if memory is not None:
-            a = _ln(store, f"{name}.lnx", h)
-            xattn = _weights(store, f"{name}.xattn", "qkvo")
-            h = h + drop(composite_attention(a, memory, xattn, cfg.heads))
-        a = _ln(store, f"{name}.ln2", h)
-        h = h + drop(composite_ffn(a, *_weights(store, name, ("ff1", "ff2"))))
+        h = padded_block(store, f"{prefix}.block{layer}", h, cfg, mask, memory, drop)
     return _ln(store, f"{prefix}.ln_f", h)
 
 
@@ -507,6 +559,39 @@ def test_packed_decoder_matches_padded_path():
     )
 
 
+def test_one_slot_cross_attention_folds_to_its_value_row():
+    """Why a decoder block has no lnx norm and no cross-attention Q or K:
+    attention to one memory slot has softmax 1 at every query, so with any
+    lnx, Q, K and key bias it returns o(v(z)). The block as it was, those
+    drawn at random, matches the folded block to 1e-12, forward and in the
+    gradients to its input rows and to z."""
+    rng = np.random.default_rng(31)
+    d = CFG.model_dim
+    store = ParamStore()
+    init_block(store, rng, "b", CFG, cross_attention=True)
+    pack = Packing.from_lengths([4, 1, 3])
+    x, z = _leaf(rng, pack.rows, d), _leaf(rng, pack.batch, 1, d)
+    lnx = [_leaf(rng, d), _leaf(rng, d)]
+    wq, bq, wk, bk = _leaf(rng, d, d), _leaf(rng, d), _leaf(rng, d, d), _leaf(rng, d)
+    mask = causal_mask(pack.length)
+
+    def unfolded(store, name, h, memory):
+        v_o = _weights(store, f"{name}.xattn", ("v.w", "v.b", "o.w", "o.b"))
+        return composite_attention(layer_norm(h, *lnx), memory, [wq, bq, wk, *v_o], CFG.heads,
+                                   key_bias=bk)
+
+    _assert_matches(
+        lambda: apply_block(store, "b", x, CFG, pack, mask, memory=z),
+        lambda: padded_block(
+            store, "b", padded(x, pack, np.random.default_rng(4)), CFG, mask, z, lambda t: t,
+            cross=unfolded,
+        )[pack.valid],
+        [x, z],
+        Tensor(rng.standard_normal((pack.rows, d))),
+        exact=False,
+    )
+
+
 # ---------------------------------------------------------------------------
 # random streams and inference bytes
 # ---------------------------------------------------------------------------
@@ -569,20 +654,94 @@ EMBED_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EMBED_GOLDEN))
-def test_packed_inference_keeps_the_padded_bytes(name):
+def _golden_batch():
     rng = np.random.default_rng(2024)
     frames = [rng.standard_normal((n, 8)) for n in (7, 3, 12, 5, 12, 1, 9)]
     rng = np.random.default_rng(2024)
     seqs = [[CLS, *rng.integers(5, 30, size=n), SEP] for n in (6, 1, 14, 3, 9)]
+    return frames, seqs
+
+
+def _golden_model(name):
     kind, _, pooling = name.partition("-")
     if kind == "student":
-        embs = StudentModel.create(d_in=8, pooling=pooling, seed=3).embed_batch(frames)
-    elif kind == "wavembed":
-        embs = WavEmbedModel.create(d_in=8, vocab=12, seed=3).embed_batch(frames)
-    else:
-        embs = SequenceEncoder.create(vocab=30, pooling=pooling, seed=3).embed_batch(seqs)
+        return StudentModel.create(d_in=8, pooling=pooling, seed=3)
+    if kind == "wavembed":
+        return WavEmbedModel.create(d_in=8, vocab=12, seed=3)
+    return SequenceEncoder.create(vocab=30, pooling=pooling, seed=3)
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_GOLDEN))
+def test_packed_inference_keeps_the_padded_bytes(name):
+    frames, seqs = _golden_batch()
+    embs = _golden_model(name).embed_batch(seqs if name.startswith("teacher") else frames)
     assert hashlib.sha256(embs.tobytes()).hexdigest() == EMBED_GOLDEN[name]
+
+
+def _with_dead_parameters(store, rng, key_bias):
+    """``store``'s parameters laid out as a checkpoint held them before the
+    dead ones went: each attention's K weight followed by a key bias of
+    ``key_bias`` times normal draws, and in each decoder block an lnx norm
+    and cross-attention Q and K, all random, before its V."""
+    out = ParamStore()
+    for name, p in store.items():
+        d = p.shape[-1]
+        if name.endswith(".xattn.v.w"):
+            block = name[: -len("xattn.v.w")]
+            for dead in ("lnx.g", "lnx.b", "xattn.q.w", "xattn.q.b", "xattn.k.w", "xattn.k.b"):
+                shape = (d, d) if dead.endswith(".w") else (d,)
+                out.add(block + dead, Tensor(rng.standard_normal(shape)))
+        out.add(name, Tensor(p.data.copy()))
+        if name.endswith(".attn.k.w"):
+            out.add(name[:-1] + "b", Tensor(key_bias * rng.standard_normal(d)))
+    return out
+
+
+def _padded_embed(kind, store, frames, seqs):
+    """The padded oracle's embeddings of the golden batch at default dims,
+    reading the key biases ``store`` holds. Frames run in ``embed_batch``'s
+    length order."""
+    cfg = EncoderConfig()
+    if kind == "teacher":
+        tokens = pad_tokens([np.array(s) for s in seqs])
+        valid = tokens != PAD
+        h = padded_encode(tokens, store, cfg, valid)
+        return padded_pool(h, store, "mean", valid, ~np.isin(tokens, (PAD, CLS, SEP, MASK))).data
+    order = np.argsort([len(f) for f in frames], kind="stable")
+    x, valid = padded_frames([frames[i] for i in order])
+    z = padded_pool(padded_encode(x, store, cfg, valid), store, "self_attention", valid)
+    if kind == "student":
+        z = composite_linear(z, store["proj.w"], store["proj.b"])
+    out = np.empty_like(z.data)
+    out[order] = z.data
+    return out
+
+
+@pytest.mark.parametrize("key_bias", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["wavembed", "teacher", "student"])
+def test_a_checkpoint_with_the_dead_parameters_loads(tmp_path, kind, key_bias):
+    """A .semm that still holds key biases, lnx norms and cross-attention Q
+    and K loads with those names dropped. Its embeddings are the ones the
+    file's parameters gave with them, by the padded oracle: exactly when the
+    key biases are zero, and to 1e-12 otherwise."""
+    name = {"wavembed": "wavembed", "teacher": "teacher-mean", "student": "student-self_attention"}
+    model = _golden_model(name[kind])
+    cls, config = type(model), model.config_dict()
+    if kind == "teacher":
+        cls, config["teacher_kind"] = Teacher, "tsdae"
+    path = tmp_path / "old.semm"
+    old = _with_dead_parameters(model.store, np.random.default_rng(6), key_bias)
+    checkpoint.save_checkpoint(path, cls.KIND, config, old)
+    loaded = checkpoint.load(path, cls)
+    assert loaded.store.names() == model.store.names()
+    frames, seqs = _golden_batch()
+    got = loaded.embed_batch(seqs if kind == "teacher" else frames)
+    _, _, params = checkpoint.load_checkpoint(path)
+    want = _padded_embed(kind, {n: Tensor(a) for n, a in params.items()}, frames, seqs)
+    if key_bias == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +812,15 @@ GRAD_LOSSES = {
 }
 
 # sha256 of the loss and every leaf gradient's float64 bytes, taken before the
-# kernels wrote into their own buffers
+# kernels wrote into their own buffers; mlm, simcse and distill less the
+# deleted key biases' entries. The one-slot fold sums each sequence's rows in
+# another order, which moved wavembed's and tsdae's gradients by <= 2.4e-17.
 GRAD_GOLDEN = {
-    "distill": "40dcbad63e8712a2e2e400496b65d0c354d7746671cfbdccc9f0fa1b7a888184",
-    "mlm": "a872d2ff9a658e1cfd850d8c404bd988d7663ab6443f3bb7fcf886b10cdec8d5",
-    "simcse": "b59d0eb25d1dec0de6b82aa6eab9fbd360bf1ad1bb6e2cff4b7d99d4f0211196",
-    "tsdae": "dfc4fee40857d88902307f7f006870efd1bbcb73b13455941ebfb771db292713",
-    "wavembed": "8f3bc9ed6875e89e01ee48fdd3a53726cc7e95281831f0ca0fbe16e580af8cd3",
+    "distill": "e98fd5eb57080cb280e1225d90346172313ef136293353e5bc964724550326dd",
+    "mlm": "34d8a5a2ae864c9f5c4cb5fd45f4c4d2b5cd3a3ad5e93abb2e9b2567d82d6038",
+    "simcse": "2ad1a141e4caa8cf894b7d319f6dbe2f42f2efbebf22fd57ddd212e0124dd0bd",
+    "tsdae": "2f599cba4bf09a737ae2cfed2caf5ee7c37fe66c7c754fe2663ffadbbcc2a002",
+    "wavembed": "a8e35ae72239a0afbd6bf267b3ab73b641df581a051f090a5eb3f75c7db4b41c",
 }
 
 
@@ -675,6 +836,16 @@ def _grad_digest(store, loss):
 @pytest.mark.parametrize("name", sorted(GRAD_LOSSES))
 def test_training_gradients_keep_their_bytes(name):
     assert _grad_digest(*GRAD_LOSSES[name]()) == GRAD_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_LOSSES))
+def test_every_parameter_gets_a_gradient(name):
+    """No parameter is dead: each one's gradient is more than rounding
+    residue."""
+    store, loss = GRAD_LOSSES[name]()
+    loss.backward()
+    for pname, p in store.items():
+        assert p.grad is not None and np.max(np.abs(p.grad)) > 1e-10, pname
 
 
 # ---------------------------------------------------------------------------

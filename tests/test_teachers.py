@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -27,7 +28,7 @@ from semspeech.teachers import (
     train_simcse,
     train_tsdae,
 )
-from semspeech.tokenizer import CLS, MASK, PAD, SEP, TokenSequence, pad_tokens
+from semspeech.tokenizer import CLS, MASK, PAD, SEP, UNK, TokenSequence, pad_tokens
 
 TINY = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
 
@@ -123,6 +124,20 @@ def test_mask_count_contract():
         # never a structural token
         assert not mask[0, 0] and not mask[0, -1]
     assert min(lengths_seen) <= 3  # short sequences exercised the max(1,...) rule
+
+
+def test_mask_batch_keeps_its_draws():
+    """One content mask per batch picks and draws as the per-row masks did:
+    the digest of the corrupted ids, the picks and the generator's next
+    draws was taken from the per-row version. UNK is content; PAD, CLS, SEP
+    and MASK are not."""
+    rng = np.random.default_rng(40)
+    seqs = [np.array([CLS, *rng.integers(3, 30, size=n), SEP]) for n in (9, 1, 0, 14, 5)]
+    seqs[3][4:7] = (MASK, UNK, PAD)
+    stream = np.random.default_rng(41)
+    corrupted, chosen = _mask_batch(pad_tokens(seqs), 0.3, 30, stream)
+    digest = hashlib.sha256(corrupted.tobytes() + chosen.tobytes() + stream.random(4).tobytes())
+    assert digest.hexdigest() == "01eb54864dd67c659f3de788f1e4e4a6d7a9c1a3872af3c88a3cd9497bbdaadb"
 
 
 def test_mask_split_statistics():

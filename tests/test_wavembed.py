@@ -437,3 +437,13 @@ def test_wrap_units_layout():
         wrap_units([9], alphabet_size=8)
     with pytest.raises(ValidationError):
         wrap_units([], alphabet_size=8)
+
+
+def test_default_dims_hold_no_dead_parameter():
+    """No key bias, no lnx norm and no cross-attention Q or K: each would
+    only get rounding residue as its gradient."""
+    model = WavEmbedModel.create(d_in=16, vocab=400)
+    names = model.store.names()
+    dead = (".k.b", ".lnx.", ".xattn.q.", ".xattn.k.")
+    assert not [n for n in names if any(part in n for part in dead)]
+    assert sum(p.size for _, p in model.store.items()) == 203_280

@@ -313,11 +313,10 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: Path) -> None:
     pairs = load_scored_pairs(args.pairs, split="test")
     scored = {utt_id for a, b, _ in pairs.pairs for utt_id in (a, b)}
     corpus = load_corpus(args.corpus, ids=scored)
-    renderings = {u.id: [u.features] for u in corpus}
     report = evaluate(
         model.embed_batch,
         pairs,
-        renderings,
+        {u.id: u.features for u in corpus},
         pos_threshold=cfg["eval.pos_threshold"],
         metadata={"model_kind": model.KIND, "checkpoint_sha256": _sha256(args.model)},
     )

@@ -145,9 +145,7 @@ class SyntheticSpec:
 @dataclass
 class Corpus:
     utterances: list[Utterance]
-    spec: SyntheticSpec | None = None
     centroids: np.ndarray | None = None  # (S, d); synthetic corpora only
-    speaker_offsets: np.ndarray | None = None  # (n_speakers, d)
     _by_id: dict[str, Utterance] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -322,12 +320,7 @@ def generate_corpus(spec: SyntheticSpec) -> Corpus:
                 frame_symbols=frame_symbols,
             )
         )
-    return Corpus(
-        utterances=utterances,
-        spec=spec,
-        centroids=centroids,
-        speaker_offsets=speaker_offsets,
-    )
+    return Corpus(utterances=utterances, centroids=centroids)
 
 
 def ground_truth_similarity(a: Utterance, b: Utterance) -> float:

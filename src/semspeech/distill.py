@@ -244,7 +244,9 @@ def distill_train(
     """Epochs of distillation with keep-best on dev rank correlation.
 
     Returns (history of (step, dev_spearman), info); the student is left at
-    its best checkpoint. The bank persists across epoch boundaries.
+    its best checkpoint. ``info`` holds ``best_dev_spearman`` and the mean
+    student-teacher dev cosine at step 0 (``cosine_start``) and at the kept
+    evaluation (``cosine_best``). The bank persists across epoch boundaries.
     """
     cfg.validate()
     _check_dims(student, teacher)
@@ -264,16 +266,17 @@ def distill_train(
                 )
 
     dev_ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
+    dev_frames = {i: corpus[i].features.data for i in dev_ids}
+    # the frozen teacher's unit dev targets, in the sorted order pair_vectors embeds
+    t = teacher.embed_batch([targets[i] for i in dev_ids])
+    t = t / np.linalg.norm(t, axis=1, keepdims=True)
+    teacher_cosines: list[float] = []  # mean student-teacher cosine per evaluation
 
-    def frames_of(utt_id: str) -> np.ndarray:
-        return corpus[utt_id].features.data
-
-    def mean_teacher_cosine() -> float:
-        s = student.embed_batch([frames_of(i) for i in dev_ids])
-        t = teacher.embed_batch([targets[i] for i in dev_ids])
-        s = s / np.linalg.norm(s, axis=1, keepdims=True)
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        return float((s * t).sum(axis=1).mean())
+    def embed_dev(frames) -> np.ndarray:
+        s = student.embed_batch(frames)
+        unit = s / np.linalg.norm(s, axis=1, keepdims=True)
+        teacher_cosines.append(float((unit * t).sum(axis=1).mean()))
+        return s
 
     rng = derive_rng(cfg.seed, "distill", "train")
     if bank is None:
@@ -282,17 +285,21 @@ def distill_train(
     def step(chunk) -> float | None:
         if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
             return None  # nothing to contrast against yet
-        batch = [(frames_of(i), targets[i]) for i in chunk]
+        batch = [(corpus[i].features.data, targets[i]) for i in chunk]
         return distill_step(student, teacher, batch, bank, cfg, rng)
 
-    info = {"cosine_start": mean_teacher_cosine()}
     evals, _, best_metric = fit(
         student.store, ids, cfg.batch_size, rng, step,
-        evaluate=lambda: pair_spearman(student.embed_batch, dev_pairs, frames_of),
+        evaluate=lambda: pair_spearman(embed_dev, dev_pairs, dev_frames),
         epochs=cfg.epochs, maximize=True,
     )
-    info["cosine_best"] = mean_teacher_cosine()
-    info["best_dev_spearman"] = best_metric
+    # fit keeps the first evaluation that reached the best value
+    best = [v for _, _, v in evals].index(best_metric)
+    info = {
+        "cosine_start": teacher_cosines[0],
+        "cosine_best": teacher_cosines[best],
+        "best_dev_spearman": best_metric,
+    }
     return [(s, v) for s, _, v in evals], info
 
 

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -68,16 +68,6 @@ def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine undefined for a zero vector", field="vectors")
-    return float(a @ b) / (na * nb)
-
-
 def alignment(
     embeddings: Mapping[str, np.ndarray],
     pairs: ScoredPairSet,
@@ -121,25 +111,43 @@ def uniformity(embeddings) -> float:
     return math.log(total / (n * (n - 1) // 2))
 
 
+def pair_vectors(
+    embed_batch: Callable[[list], np.ndarray],
+    pairs: ScoredPairSet,
+    items: Mapping[str, object],
+) -> dict[str, np.ndarray]:
+    """One vector per id in ``pairs``, keyed in sorted id order.
+
+    ``embed_batch`` maps a list of items to an (N, d) array; it is called
+    once, over ``items[id]`` for the sorted ids, so each id is embedded once.
+    """
+    ids = sorted({i for a, b, _ in pairs.pairs for i in (a, b)})
+    for utt_id in ids:
+        if utt_id not in items:
+            raise MissingGroundTruthError(f"no item available for id {utt_id!r}")
+    embs = np.asarray(embed_batch([items[i] for i in ids]), dtype=np.float64)
+    if embs.ndim != 2 or embs.shape[0] != len(ids):
+        raise ValidationError("embed_batch must return one vector per item", field="embed_batch")
+    return {i: embs[k] for k, i in enumerate(ids)}
+
+
+def pair_cosines(vectors: Mapping[str, np.ndarray], pairs: ScoredPairSet) -> list[float]:
+    """The cosine of each pair's two vectors, in pair order."""
+    out = []
+    for id_a, id_b, _ in pairs.pairs:
+        a, b = vectors[id_a], vectors[id_b]
+        out.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
+    return out
+
+
 def pair_spearman(
     embed_batch: Callable[[list], np.ndarray],
     pairs: ScoredPairSet,
-    item_of: Callable[[str], object],
+    items: Mapping[str, object],
 ) -> float:
-    """Rank correlation of pair cosines with the human scores.
-
-    Each id in ``pairs`` is embedded once, in one ``embed_batch`` call over
-    ``item_of(id)`` for the sorted ids.
-    """
-    ids = sorted({i for a, b, _ in pairs.pairs for i in (a, b)})
-    embs = embed_batch([item_of(i) for i in ids])
-    vec = {i: embs[k] for k, i in enumerate(ids)}
-    preds, human = [], []
-    for id_a, id_b, score in pairs.pairs:
-        a, b = vec[id_a], vec[id_b]
-        preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
-        human.append(score)
-    return spearman(preds, human)
+    """Rank correlation of pair cosines with the human scores."""
+    cosines = pair_cosines(pair_vectors(embed_batch, pairs, items), pairs)
+    return spearman(cosines, [score for _, _, score in pairs.pairs])
 
 
 @dataclass
@@ -148,7 +156,6 @@ class PairPrediction:
     id_b: str
     human_score: float
     predicted: float
-    n_combinations: int
 
 
 @dataclass
@@ -191,63 +198,29 @@ class EvalReport:
 def evaluate(
     embed_batch: Callable[[list], np.ndarray],
     pairs: ScoredPairSet,
-    renderings: Mapping[str, Sequence[object]],
+    items: Mapping[str, object],
     pos_threshold: float = POSITIVE_THRESHOLD,
     metadata: dict | None = None,
 ) -> EvalReport:
     """Score an embedder against human-scored pairs.
 
-    Each utterance id maps to one or more renderings (e.g. the same content
-    spoken by different speakers). Every rendering combination of a pair is
-    scored and the cosines averaged before rank correlation, so multi-speaker
-    sets follow the same protocol as single-rendering ones. ``embed_batch``
-    maps a list of renderings to an (N, d) array, one row per rendering; it
-    is called once, over every rendering of the sorted ids.
+    Each utterance id maps to one item. ``embed_batch`` embeds every scored
+    id once, in one call (``pair_vectors``); the pair cosines, alignment and
+    uniformity are all read from those vectors.
     """
     if not pairs.pairs:
         raise ValidationError("no pairs to evaluate", field="pairs")
-    ids = sorted({i for a, b, _ in pairs.pairs for i in (a, b)})
-    for utt_id in ids:
-        if utt_id not in renderings or not renderings[utt_id]:
-            raise MissingGroundTruthError(f"no rendering available for id {utt_id!r}")
-    flat = [r for utt_id in ids for r in renderings[utt_id]]
-    embs = np.asarray(embed_batch(flat), dtype=np.float64)
-    if embs.ndim != 2 or embs.shape[0] != len(flat):
-        raise ValidationError(
-            "embed_batch must return one vector per rendering", field="embed_batch"
-        )
-    embedded: dict[str, list[np.ndarray]] = {}
-    start = 0
-    for utt_id in ids:
-        stop = start + len(renderings[utt_id])
-        embedded[utt_id] = list(embs[start:stop])
-        start = stop
-
-    per_pair: list[PairPrediction] = []
-    for id_a, id_b, score in pairs.pairs:
-        sims = [cosine(ea, eb) for ea in embedded[id_a] for eb in embedded[id_b]]
-        per_pair.append(
-            PairPrediction(
-                id_a=id_a,
-                id_b=id_b,
-                human_score=score,
-                predicted=float(np.mean(sims)),
-                n_combinations=len(sims),
-            )
-        )
-
+    vectors = pair_vectors(embed_batch, pairs, items)
+    per_pair = [
+        PairPrediction(id_a=id_a, id_b=id_b, human_score=score, predicted=cos)
+        for (id_a, id_b, score), cos in zip(pairs.pairs, pair_cosines(vectors, pairs))
+    ]
     rho = spearman([p.predicted for p in per_pair], [p.human_score for p in per_pair])
-    # geometry over one representative embedding per id (mean of renderings),
-    # plus all renderings for the dispersion term
-    rep = {i: np.mean(np.stack(vs), axis=0) for i, vs in embedded.items()}
-    align = alignment(rep, pairs, pos_threshold=pos_threshold)
-    all_vecs = np.stack([v for vs in embedded.values() for v in vs])
-    uniform = uniformity(all_vecs)
     return EvalReport(
         spearman=rho,
         n_pairs=len(per_pair),
-        alignment=align,
-        uniformity=uniform,
+        alignment=alignment(vectors, pairs, pos_threshold=pos_threshold),
+        uniformity=uniformity(np.stack(list(vectors.values()))),
         metadata=metadata or {},
         per_pair=per_pair,
     )
@@ -271,10 +244,8 @@ def load_report(path: str | Path) -> EvalReport:
 
 
 def save_pair_predictions(report: EvalReport, path: str | Path) -> None:
-    lines = ["id_a\tid_b\thuman_score\tpredicted\tn_combinations"]
+    lines = ["id_a\tid_b\thuman_score\tpredicted"]
     for p in report.per_pair:
-        lines.append(
-            f"{p.id_a}\t{p.id_b}\t{p.human_score:.6f}\t{p.predicted:.10f}\t{p.n_combinations}"
-        )
+        lines.append(f"{p.id_a}\t{p.id_b}\t{p.human_score:.6f}\t{p.predicted:.10f}")
     write_text(path, "\n".join(lines) + "\n")
 

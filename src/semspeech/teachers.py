@@ -429,7 +429,7 @@ def train_simcse(
     try:
         evals, _, best_metric = fit(
             encoder.store, seqs, cfg.batch_size, rng, step,
-            evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id.__getitem__),
+            evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id),
             epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
             patience=cfg.patience,
         )

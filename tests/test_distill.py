@@ -550,6 +550,55 @@ def test_distill_train_mse_mode_runs():
     assert np.isfinite(info["cosine_best"])
 
 
+def test_distill_train_embeds_the_dev_set_once_per_evaluation():
+    corpus, targets = toy_corpus(n=12, seed=16)
+    dev = toy_dev_pairs(corpus, n_pairs=6, seed=16)
+    dev_ids = sorted({i for a, b, _ in dev.pairs for i in (a, b)})
+    student, teacher = make_student(seed=16), make_teacher(seed=16)
+    student_calls, teacher_dev_calls = [], 0
+
+    def student_embed_batch(frames, own=student.embed_batch):
+        student_calls.append([id(f) for f in frames])
+        return own(frames)
+
+    def teacher_embed_batch(seqs, own=teacher.embed_batch):
+        nonlocal teacher_dev_calls
+        teacher_dev_calls += [id(x) for x in seqs] == [id(targets[i]) for i in dev_ids]
+        return own(seqs)
+
+    student.embed_batch, teacher.embed_batch = student_embed_batch, teacher_embed_batch
+    cfg = DistillConfig(loss="infonce", lr=1e-3, batch_size=5, epochs=3, seed=16)
+    history, _ = distill_train(student, teacher, corpus, targets, cfg, dev)
+    assert len(history) == 4
+    assert student_calls == [[id(corpus[i].features.data) for i in dev_ids]] * len(history)
+    assert teacher_dev_calls == 1
+
+
+def mean_teacher_cosine(student, teacher, corpus, targets, dev_pairs) -> float:
+    """The mean cosine of student and teacher dev embeddings, computed afresh."""
+    dev_ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
+    s = student.embed_batch([corpus[i].features.data for i in dev_ids])
+    t = teacher.embed_batch([targets[i] for i in dev_ids])
+    s = s / np.linalg.norm(s, axis=1, keepdims=True)
+    t = t / np.linalg.norm(t, axis=1, keepdims=True)
+    return float((s * t).sum(axis=1).mean())
+
+
+# the infonce run keeps a later evaluation, the mse run its step-0 one
+@pytest.mark.parametrize("loss, seed, best_at_start", [("infonce", 2, False), ("mse", 10, True)])
+def test_distill_train_teacher_cosines_are_those_of_the_kept_states(loss, seed, best_at_start):
+    corpus, targets = toy_corpus(n=24, seed=10)
+    dev = toy_dev_pairs(corpus, n_pairs=10, seed=10)
+    teacher = make_teacher(seed=seed)
+    student = make_student(seed=seed)
+    cfg = DistillConfig(loss=loss, lr=3e-3, batch_size=8, epochs=2, seed=seed)
+    history, info = distill_train(student, teacher, corpus, targets, cfg, dev)
+    assert (info["best_dev_spearman"] == history[0][1]) == best_at_start
+    start = mean_teacher_cosine(make_student(seed=seed), teacher, corpus, targets, dev)
+    assert info["cosine_start"] == start
+    assert info["cosine_best"] == mean_teacher_cosine(student, teacher, corpus, targets, dev)
+
+
 # ---------------------------------------------------------------------------
 # helpers and formats
 # ---------------------------------------------------------------------------

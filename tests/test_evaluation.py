@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from semspeech.evaluation import (
     EvalReport,
     alignment,
     average_ranks,
-    cosine,
     evaluate,
     l2_normalize,
     load_report,
+    pair_cosines,
     save_pair_predictions,
     save_report,
     spearman,
@@ -192,60 +193,34 @@ def batched(embed):
     return lambda items: np.stack([embed(item) for item in items])
 
 
+def oracle_cosine(a, b):
+    return float(a @ b) / (math.sqrt(float(a @ a)) * math.sqrt(float(b @ b)))
+
+
 def test_evaluate_single_rendering_reduces_to_cosine():
     rng = np.random.default_rng(5)
     vecs = {f"u{i}": rng.standard_normal(8) for i in range(6)}
-    renderings = {i: [i] for i in vecs}  # rendering key = id itself
+    items = {i: i for i in vecs}  # item = id itself
     entries = [("u0", "u1", 5.0), ("u2", "u3", 2.0), ("u4", "u5", 4.2)]
-    report = evaluate(batched(lambda key: vecs[key]), pairset(entries), renderings)
+    report = evaluate(batched(lambda key: vecs[key]), pairset(entries), items)
     for p in report.per_pair:
-        assert p.n_combinations == 1
-        assert p.predicted == pytest.approx(cosine(vecs[p.id_a], vecs[p.id_b]), abs=1e-12)
+        assert p.predicted == pytest.approx(oracle_cosine(vecs[p.id_a], vecs[p.id_b]), abs=1e-12)
     # rho equals spearman recomputed from the assembled vectors
     rho = spearman([p.predicted for p in report.per_pair], [e[2] for e in entries])
     assert report.spearman == pytest.approx(rho, abs=1e-15)
 
 
-def test_evaluate_two_by_two_renderings_average_four_combinations():
-    rng = np.random.default_rng(6)
-    store = {
-        ("a", 0): rng.standard_normal(4),
-        ("a", 1): rng.standard_normal(4),
-        ("b", 0): rng.standard_normal(4),
-        ("b", 1): rng.standard_normal(4),
-        ("c", 0): rng.standard_normal(4),
-        ("d", 0): rng.standard_normal(4),
-    }
-    renderings = {
-        "a": [("a", 0), ("a", 1)],
-        "b": [("b", 0), ("b", 1)],
-        "c": [("c", 0)],
-        "d": [("d", 0)],
-    }
-    entries = [("a", "b", 4.5), ("c", "d", 1.0)]
-    report = evaluate(batched(lambda key: store[key]), pairset(entries), renderings)
-    first = report.per_pair[0]
-    assert first.n_combinations == 4
-    manual = np.mean(
-        [cosine(store[("a", i)], store[("b", j)]) for i in (0, 1) for j in (0, 1)]
-    )
-    assert first.predicted == pytest.approx(manual, abs=1e-12)
-    assert report.per_pair[1].n_combinations == 1
-
-
 def test_evaluate_missing_rendering_names_id():
-    renderings = {"a": [0]}
+    items = {"a": 0}
     with pytest.raises(MissingGroundTruthError) as e:
-        evaluate(
-            batched(lambda key: np.ones(3)), pairset([("a", "missing-one", 3.0)]), renderings
-        )
+        evaluate(batched(lambda key: np.ones(3)), pairset([("a", "missing-one", 3.0)]), items)
     assert "missing-one" in str(e.value)
 
 
 def test_evaluate_embeds_every_rendering_in_one_batch():
     rng = np.random.default_rng(8)
     vecs = {f"u{i}": rng.standard_normal(4) for i in range(4)}
-    renderings = {i: [i] for i in vecs}
+    items = {i: i for i in vecs}
     entries = [("u0", "u1", 5.0), ("u2", "u3", 1.0), ("u1", "u2", 3.0)]
     calls = []
 
@@ -253,24 +228,59 @@ def test_evaluate_embeds_every_rendering_in_one_batch():
         calls.append(list(items))
         return np.stack([vecs[k] for k in items])
 
-    evaluate(embed_batch, pairset(entries), renderings)
+    evaluate(embed_batch, pairset(entries), items)
     assert calls == [["u0", "u1", "u2", "u3"]]
-    with pytest.raises(ValidationError, match="one vector per rendering"):
-        evaluate(lambda items: np.ones((1, 4)), pairset(entries), renderings)
+    with pytest.raises(ValidationError, match="one vector per item"):
+        evaluate(lambda batch: np.ones((1, 4)), pairset(entries), items)
 
 
 def test_evaluate_scale_invariance():
     rng = np.random.default_rng(7)
     vecs = {f"u{i}": rng.standard_normal(5) for i in range(4)}
-    renderings = {i: [i] for i in vecs}
+    items = {i: i for i in vecs}
     entries = [("u0", "u1", 5.0), ("u2", "u3", 1.0), ("u0", "u2", 3.0)]
-    base = evaluate(batched(lambda k: vecs[k]), pairset(entries), renderings)
+    base = evaluate(batched(lambda k: vecs[k]), pairset(entries), items)
     # power-of-two per-id rescaling leaves every cosine bit-identical
     scales = {"u0": 4.0, "u1": 0.5, "u2": 16.0, "u3": 2.0}
-    scaled = evaluate(batched(lambda k: scales[k] * vecs[k]), pairset(entries), renderings)
+    scaled = evaluate(batched(lambda k: scales[k] * vecs[k]), pairset(entries), items)
     assert scaled.spearman == base.spearman
     for p, q in zip(base.per_pair, scaled.per_pair):
         assert p.predicted == q.predicted
+
+
+def test_pair_cosines_are_bit_equal_to_the_scalar_formula():
+    rng = np.random.default_rng(9)
+    vecs = {f"u{i}": rng.standard_normal(16) * rng.uniform(0.1, 10.0) for i in range(100)}
+    entries = [(f"u{i}", f"u{j}", 1.0) for i in range(100) for j in range(i + 1, 100, 7)]
+    got = pair_cosines(vecs, pairset(entries))
+    assert got == [oracle_cosine(vecs[a], vecs[b]) for a, b, _ in entries]
+
+
+def test_evaluate_files_keep_their_bytes(tmp_path):
+    # digests of the files written when each id could carry several renderings;
+    # per_pair.tsv's is that file's with its always-1 n_combinations column cut
+    rng = np.random.default_rng(20)
+    ids = [f"u{i:02d}" for i in range(12)]
+    vecs = {i: rng.standard_normal(6) for i in ids}
+    entries = [
+        (ids[i], ids[(i + step) % 12], float(rng.uniform(0.0, 5.0)))
+        for step in (1, 3)
+        for i in range(12)
+    ]
+    report = evaluate(
+        batched(lambda k: vecs[k]), pairset(entries), {i: i for i in ids},
+        metadata={"model_kind": "fixed"},
+    )
+    save_report(report, tmp_path / "report.json")
+    save_pair_predictions(report, tmp_path / "per_pair.tsv")
+    digest = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "per_pair.tsv")
+    }
+    assert digest == {
+        "report.json": "9f05bc7a0fa8622b4912d2319df2e9905d020145de6151e158ee398cb43fa134",
+        "per_pair.tsv": "50c499887952f98cad0b1111e9c8902427cf477a3ba246c7c602779f9d3f5717",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +343,13 @@ def test_report_validation():
 def test_pair_predictions_file(tmp_path):
     rng = np.random.default_rng(13)
     vecs = {f"u{i}": rng.standard_normal(4) for i in range(4)}
-    renderings = {i: [i] for i in vecs}
+    items = {i: i for i in vecs}
     entries = [("u0", "u1", 5.0), ("u2", "u3", 1.5)]
-    report = evaluate(batched(lambda k: vecs[k]), pairset(entries), renderings)
+    report = evaluate(batched(lambda k: vecs[k]), pairset(entries), items)
     path = tmp_path / "pairs.tsv"
     save_pair_predictions(report, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "id_a\tid_b\thuman_score\tpredicted\tn_combinations"
+    assert lines[0] == "id_a\tid_b\thuman_score\tpredicted"
     assert len(lines) == 3
 
 

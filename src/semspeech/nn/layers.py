@@ -188,9 +188,9 @@ def apply_block(
     to the one (B, 1, d) ``memory`` slot of each sequence is o(v(slot)) at
     every query: that row is added to the sequence's rows. V projects the
     (B, 1, d) slots, numpy's per-slot product, as full attention did. With a
-    ``cache``, the rows are the next positions of one sequence, and
+    ``cache``, the rows are the next positions of one sequence,
     self-attention reads the cached ``ln1`` rows of block ``layer`` before
-    them as keys and values."""
+    them as keys and values, and o(v(slot)) is computed once and kept."""
 
     def drop(t: Tensor) -> Tensor:
         if train and cfg.dropout_rate > 0.0:
@@ -205,8 +205,13 @@ def apply_block(
         apply_attention(store, f"{name}.attn", h, kv, cfg.heads, pack, kv_pack, self_mask)
     )
     if memory is not None:
-        v = apply_linear(store, f"{name}.xattn.v", memory).reshape(pack.batch, cfg.model_dim)
-        x = x + drop(take_rows(apply_linear(store, f"{name}.xattn.o", v), pack.segments))
+        folded = None if cache is None else cache.folded[layer]
+        if folded is None:
+            v = apply_linear(store, f"{name}.xattn.v", memory).reshape(pack.batch, cfg.model_dim)
+            folded = apply_linear(store, f"{name}.xattn.o", v)
+            if cache is not None:
+                cache.folded[layer] = folded
+        x = x + drop(take_rows(folded, pack.segments))
     h = apply_layer_norm(store, f"{name}.ln2", x)
     x = x + drop(apply_ffn(store, name, h))
     return x
@@ -371,10 +376,13 @@ def init_token_decoder(store: ParamStore, rng: np.random.Generator, cfg: Encoder
 class DecodeCache:
     """What decoding one sequence position by position keeps between calls:
     for each decoder block, the ``ln1`` rows of the positions already run,
-    which its self-attention re-projects to keys and values."""
+    which its self-attention re-projects to keys and values, and the folded
+    cross-attention row o(v(z)) of the sequence's one ``z``, made by the
+    first call."""
 
     def __init__(self, layers: int):
         self.rows: list[Tensor | None] = [None] * layers
+        self.folded: list[Tensor | None] = [None] * layers
         self._pack = Packing.from_lengths([0])
 
     def __len__(self) -> int:

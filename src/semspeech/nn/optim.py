@@ -18,7 +18,12 @@ class ParamStore:
     first. The buffers are (re)built lazily: an added parameter, or a
     ``.data`` rebound to a fresh array, is copied in by ``_sync`` before the
     next optimizer step or state load, and m and v are made by the first
-    optimizer step.
+    ``zero_grad`` or optimizer step.
+
+    Gradients live in a fourth flat buffer: ``zero_grad`` zeroes it and binds
+    every parameter's ``.grad`` to its view, so backward accumulates into it
+    in place. ``adamw_step`` consumes them: it reuses the buffer as scratch
+    and leaves every ``.grad`` None.
     """
 
     def __init__(self):
@@ -31,7 +36,7 @@ class ParamStore:
         # a store that only runs inference holds the parameter buffer alone
         self._m = np.zeros(0)
         self._v = np.zeros(0)
-        self._grad = np.zeros(0)  # gathered gradients
+        self._grad = np.zeros(0)  # the gradients, then the update's denominator
         self._tmp = np.zeros(0)
         self._grad_views: list[np.ndarray] = []
 
@@ -58,8 +63,12 @@ class ParamStore:
         return self._params.items()
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
+        """Zero the flat gradient buffer and bind each ``.grad`` to its view."""
+        self._sync()
+        grad = self._adam_buffers()[2]
+        grad.fill(0.0)
+        for p, view in zip(self._params.values(), self._grad_views):
+            p.grad = view
 
     def _cut(self, buf: np.ndarray) -> list[np.ndarray]:
         bounds = zip(self._bounds[:-1], self._bounds[1:])
@@ -118,8 +127,11 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update over every parameter.
 
-    A parameter without a gradient counts as a zero gradient: its moments
-    still decay and it still moves. The update runs as in-place ufuncs over
+    The gradients are the ``.grad`` views ``zero_grad`` bound; a ``.grad``
+    rebound to another array is copied in, and a parameter whose ``.grad`` is
+    None counts as a zero gradient: its moments still decay and it still
+    moves. The step consumes the gradients: the buffer becomes scratch, and
+    every ``.grad`` is left None. The update runs as in-place ufuncs over
     the store's flat buffers, in the operand order of the per-parameter form
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so every element is
@@ -132,11 +144,11 @@ def adamw_step(
     for p, view in zip(store._params.values(), store._grad_views):
         if p.grad is None:
             view.fill(0.0)
-        else:
+        elif p.grad is not view:
             np.copyto(view, p.grad)
     if not np.isfinite(g).all():
-        for name, p in store.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
+        for (name, p), view in zip(store.items(), store._grad_views):
+            if not np.isfinite(view).all():
                 raise ValidationError(
                     f"non-finite gradient for parameter {name!r}; "
                     f"step {store.step_count + 1} aborted",
@@ -164,3 +176,5 @@ def adamw_step(
     np.multiply(tmp, lr, out=tmp)
     np.divide(tmp, g, out=tmp)
     np.subtract(flat, tmp, out=flat)
+    for p in store._params.values():
+        p.grad = None

@@ -90,8 +90,13 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Fill the leaves' .grad; a non-leaf's .grad is freed once its closure
-        has run."""
+        """Fill the leaves' .grad, consuming the graph as it goes.
+
+        Once a node's closure has run, its .grad, its closure and its parents
+        are dropped, so the arrays it saved are freed as soon as backward has
+        passed them and the caller's scalar no longer pins the graph. A graph
+        therefore takes one backward(); no caller runs two on it.
+        """
         if self.size != 1:
             raise ValidationError("backward() requires a scalar", field="shape")
         topo: list[Tensor] = []
@@ -110,10 +115,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -475,8 +485,9 @@ def attention(
     masked on top of ``mask``, and the output rows are gathered back.
 
     The backward follows FlashAttention (Dao et al., 2022) without tiling:
-    dS = P∘(dP − rowsum(dO∘O)). With ``q_in is kv_in`` the three input
-    gradients are summed and accumulated once.
+    dS = P∘(dP − rowsum(dO∘O)), with the padded O = P@V recomputed rather
+    than kept. With ``q_in is kv_in`` the three input gradients are summed
+    and accumulated once.
     """
     wq, bq, wk, wv, bv, wo, bo = params
     kv_pack = pack if kv_pack is None else kv_pack
@@ -504,15 +515,14 @@ def attention(
     if mask is not None:
         p += mask
     _softmax(p, out=p)
-    oh = p @ vh
-    o = merge(oh, pack)
+    o = merge(p @ vh, pack)
     self_attn = q_in is kv_in
 
     def backward(g):
         do = split(_affine_backward(o, wo, bo, g, True), pack)
         dv = p.transpose(0, 1, 3, 2) @ do
         ds = do @ vh.transpose(0, 1, 3, 2)
-        ds -= (do * oh).sum(axis=-1, keepdims=True)
+        ds -= (do * (p @ vh)).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         dq = _affine_backward(q_in.data, wq, bq, merge(ds @ kh, pack), q_in.requires_grad)
@@ -533,19 +543,19 @@ def attention(
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ W1 + b1) @ W2 + b2 as one node. It keeps the pre-activation
-    and its tanh term, and recomputes the activation in the backward."""
+    alone, and recomputes its tanh term and the activation in the backward."""
     d_in, d_ff = w1.shape
     a = _affine(x.data, w1, b1).reshape(-1, d_ff)
-    t = _gelu_tanh(a)
 
     def backward(g):
+        t = _gelu_tanh(a)
         dh = _affine_backward(_gelu_value(a, t), w2, b2, g.reshape(-1, w2.shape[1]), True)
         dh *= _gelu_slope(a, t)
         dx = _affine_backward(x.data.reshape(-1, d_in), w1, b1, dh, x.requires_grad)
         if dx is not None:
             x._accumulate(dx.reshape(x.shape))
 
-    h = _gelu_value(a, t).reshape(*x.shape[:-1], d_ff)
+    h = _gelu_value(a, _gelu_tanh(a)).reshape(*x.shape[:-1], d_ff)
     return Tensor._make(_affine(h, w2, b2), (x, w1, b1, w2, b2), backward)
 
 
@@ -652,16 +662,16 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, pack: Packing) -> 
     """Inverted dropout of the packed rows ``pack`` lays out, with a mask
     drawn once from the supplied generator. The mask is drawn for the padded
     (B, T, d) batch and its valid rows kept, so the stream advances as it
-    would for the padded batch."""
+    would for the padded batch. It keeps the boolean mask and rebuilds the
+    scaled one in the backward."""
     if not 0.0 <= rate < 1.0:
         raise ValidationError("dropout rate must be in [0, 1)", field="rate")
     if rate == 0.0:
         return x
     keep = pack.unpad(rng.random((pack.batch, pack.length, x.shape[-1])) >= rate)
-    mask = keep / (1.0 - rate)
-    out_data = x.data * mask
+    out_data = x.data * (keep / (1.0 - rate))
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * (keep / (1.0 - rate)))
 
     return Tensor._make(out_data, (x,), backward)

@@ -421,20 +421,25 @@ def test_c03_quantizer_recovers_symbols():
 # 4. deletion-ratio ordering
 # ---------------------------------------------------------------------------
 
-def test_c04_deletion_free_denoiser_beats_deletion(world, mlm_bases):
+def test_c04_deletion_free_denoiser_beats_deletion(world, mlm_bases, denoise_teacher):
     margins = []
     lines = []
     for seed in (0, 1, 2):
         rho = {}
         for ratio in (0.0, 0.6):
-            enc = SequenceEncoder.create(vocab=VOCAB, cfg=TEACHER_CFG, pooling="mean", seed=seed)
-            enc.store.load_state_dict(mlm_bases[seed])
-            teacher, _ = train_tsdae(
-                enc, world.corpus_tokens,
-                TeacherConfig(
-                    deletion_ratio=ratio, epochs=4, batch_size=32, lr=5e-4, seed=seed
-                ),
-            )
+            if (seed, ratio) == (0, 0.0):
+                teacher = denoise_teacher  # the same run: seed-0 base, ratio 0
+            else:
+                enc = SequenceEncoder.create(
+                    vocab=VOCAB, cfg=TEACHER_CFG, pooling="mean", seed=seed
+                )
+                enc.store.load_state_dict(mlm_bases[seed])
+                teacher, _ = train_tsdae(
+                    enc, world.corpus_tokens,
+                    TeacherConfig(
+                        deletion_ratio=ratio, epochs=4, batch_size=32, lr=5e-4, seed=seed
+                    ),
+                )
             rho[ratio], _, _ = _pair_spearman(
                 lambda s: teacher.embed_batch([s])[0], world.dev, lambda i: world.tokens[i]
             )

@@ -90,4 +90,8 @@ def test_durations_alone_then_appended_to(tmp_path, monkeypatch):
     record["workloads"] = {"units": {"0": {"runs": []}}}
     out.write_text(json.dumps(record))
     assert bench_pairs.main(argv + ["--append"]) == 0
-    assert json.loads(out.read_text())["workloads"] == {"units": {"0": {"runs": []}}}
+    appended = json.loads(out.read_text())
+    assert appended["workloads"] == {"units": {"0": {"runs": []}}}
+    # the earlier durations pair is kept, not overwritten
+    assert appended["earlier_suite_durations"] == [record["suite_durations"]]
+    assert appended["suite_durations"] == record["suite_durations"]

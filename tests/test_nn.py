@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from semspeech import training
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
 from semspeech.nn.gradcheck import grad_check
@@ -778,9 +780,10 @@ def test_rebound_param_data_is_still_trained():
         if t == 3:
             w.data = w.data + 10.0  # rebinding replaces the array the store made
             ref_w = ref_w + 10.0
-        w.grad, u.grad = np.array([0.3, -0.1 * t]), np.array([t * 1.0])
+        gw, gu = np.array([0.3, -0.1 * t]), np.array([t * 1.0])
+        w.grad, u.grad = gw, gu  # the step consumes .grad, so keep the arrays
         adamw_step(store, lr=0.1, weight_decay=0.01)
-        reference_adamw([(ref_w, w.grad), (ref_u, u.grad)], state, 0.1, t, weight_decay=0.01)
+        reference_adamw([(ref_w, gw), (ref_u, gu)], state, 0.1, t, weight_decay=0.01)
         assert w.data.tobytes() == ref_w.tobytes() and u.data.tobytes() == ref_u.tobytes()
         assert np.shares_memory(w.data, store._flat)
 
@@ -789,14 +792,14 @@ def test_parameter_added_after_a_step_keeps_earlier_moments():
     store = ParamStore()
     a = store.add("a", Tensor(np.array([1.0, 2.0])))
     ref_a, state = a.data.copy(), {}
-    a.grad = np.array([0.5, -0.5])
+    a.grad = ga = np.array([0.5, -0.5])  # the step consumes .grad
     adamw_step(store, lr=0.1)
-    reference_adamw([(ref_a, a.grad)], state, 0.1, 1)
+    reference_adamw([(ref_a, ga)], state, 0.1, 1)
     b = store.add("b", Tensor(np.array([3.0])))
     ref_b = b.data.copy()
-    a.grad, b.grad = np.array([0.1, 0.2]), np.array([-1.0])
+    a.grad, b.grad = ga, gb = np.array([0.1, 0.2]), np.array([-1.0])
     adamw_step(store, lr=0.1)
-    reference_adamw([(ref_a, a.grad), (ref_b, b.grad)], state, 0.1, 2)
+    reference_adamw([(ref_a, ga), (ref_b, gb)], state, 0.1, 2)
     assert a.data.tobytes() == ref_a.tobytes() and b.data.tobytes() == ref_b.tobytes()
 
 
@@ -845,7 +848,15 @@ def _former_backward(self):
             node._backward(node.grad)
 
 
-def _encoder_decoder_grads(seed):
+def _former_zero_grad(self):
+    for p in self._params.values():
+        p.grad = None
+
+
+def _encoder_decoder_step(seed, monkeypatch):
+    """One optimizer_step on a small encoder-decoder loss: the leaf
+    gradients as adamw_step received them, the logits and the updated
+    parameter bytes."""
     rng = np.random.default_rng(seed)
     cfg = EncoderConfig(layers=2, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.2)
     store = ParamStore()
@@ -859,22 +870,70 @@ def _encoder_decoder_grads(seed):
     logits = decode_tokens(np.array([1, 4, 2, 6]), z, store, cfg, vocab=7,
                            train_mode=True, rng=drop)
     loss = nll_loss(logits, np.array([4, 2, 6, 2]))
-    loss.backward()
-    return {name: p.grad for name, p in store.items()}, logits
+    grads = {}
+
+    def step(store, **kw):
+        # the step spends the flat gradient buffer, so keep a copy of each
+        grads.update((name, p.grad.copy(order="K")) for name, p in store.items())
+        adamw_step(store, **kw)
+
+    monkeypatch.setattr(training, "adamw_step", step)
+    training.optimizer_step(store, loss, lr=1e-2, weight_decay=0.01)
+    return grads, logits, {name: p.data.tobytes() for name, p in store.items()}
 
 
 def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
-    grads, logits = _encoder_decoder_grads(63)
+    grads, logits, params = _encoder_decoder_step(63, monkeypatch)
     assert logits.grad is None  # the tape frees non-leaf gradients
     with monkeypatch.context() as m:
+        # fresh leaf gradients that adamw_step copies into its buffer
         m.setattr(Tensor, "_accumulate", _former_accumulate)
         m.setattr(Tensor, "backward", _former_backward)
-        ref, ref_logits = _encoder_decoder_grads(63)
+        m.setattr(ParamStore, "zero_grad", _former_zero_grad)
+        ref, ref_logits, ref_params = _encoder_decoder_step(63, m)
     assert ref_logits.grad is not None
     assert grads.keys() == ref.keys()
     for name, g in grads.items():
         assert g is not None and g.strides == ref[name].strides, name
         assert g.tobytes(order="A") == ref[name].tobytes(order="A"), name
+    assert params == ref_params
+
+
+def _intermediate_loss():
+    """A loss, and a weak reference to the output array of an intermediate
+    Tensor that only the loss's graph holds."""
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    h = w * 2.0
+    return (h * h).sum(), weakref.ref(h.data), w
+
+
+def test_backward_frees_the_graph_the_loss_held():
+    loss, h, w = _intermediate_loss()
+    assert h() is not None  # the graph keeps it alive until backward
+    loss.backward()
+    assert h() is None
+    assert loss._parents == () and loss._backward is None
+    assert np.array_equal(w.grad, 8.0 * w.data)
+
+
+def test_optimizer_step_accumulates_into_the_flat_buffer_and_consumes_it(monkeypatch):
+    rng = np.random.default_rng(64)
+    cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
+    store = ParamStore()
+    init_encoder(store, rng, cfg, d_in=4)
+    seen = []
+
+    def step(store, **kw):
+        seen.extend(np.shares_memory(p.grad, store._grad) for _, p in store.items())
+        adamw_step(store, **kw)
+
+    monkeypatch.setattr(training, "adamw_step", step)
+    for _ in range(2):
+        x = Tensor(rng.standard_normal((5, 4)))
+        h = transformer_encode(x, store, cfg, pack=Packing.from_lengths([5]))
+        training.optimizer_step(store, (h * h).mean(), lr=1e-2, weight_decay=0.0)
+        assert all(p.grad is None for _, p in store.items())
+    assert len(seen) == 2 * len(store) and all(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from semspeech.corpus import SyntheticSpec, generate_corpus
 from semspeech.errors import FileFormatError, ValidationError
+from semspeech.nn import layers
 from semspeech.nn.checkpoint import save_checkpoint
 from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig
@@ -222,6 +223,24 @@ def test_greedy_decode_keeps_its_ids_at_default_dims():
     model = WavEmbedModel.create(d_in=8, vocab=40, seed=0)
     x = np.random.default_rng(7).standard_normal((30, 8))
     assert model.greedy_decode(x).tolist() == DEFAULT_DIMS_IDS
+
+
+def test_greedy_decode_folds_the_cross_attention_row_once_per_block(monkeypatch):
+    cfg = replace(TINY, layers=2)
+    model = WavEmbedModel.create(d_in=4, vocab=13, encoder_cfg=cfg, seed=0)
+    x = np.random.default_rng(11).standard_normal((6, 4))
+    calls = []
+    apply_linear = layers.apply_linear
+
+    def counted(store, name, t):
+        calls.append(name)
+        return apply_linear(store, name, t)
+
+    monkeypatch.setattr(layers, "apply_linear", counted)
+    out = model.greedy_decode(x, max_len=16)
+    # one dec.out per position run, but xattn.v once per block for the call
+    assert calls.count("dec.out") == len(out) - 1 > 1
+    assert sum(n.endswith(".xattn.v") for n in calls) == cfg.layers
 
 
 def test_greedy_decode_rejects_max_len_past_the_positions_before_encoding(monkeypatch):

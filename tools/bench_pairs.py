@@ -26,7 +26,9 @@ the change's by more than the parent's interquartile range.
 and records every set-up and call that took at least ``MIN_DURATION_S``
 seconds, with the suite's total time; with ``--workloads`` and no names it
 records only that. ``--append`` adds to an existing ``BENCH_<area>.json``,
-so one file can hold workloads run on different seeds.
+so one file can hold workloads run on different seeds, and durations pairs
+run at different commits: the earlier pairs move to
+``earlier_suite_durations``, oldest first.
 """
 
 from __future__ import annotations
@@ -200,6 +202,8 @@ def main(argv=None) -> int:
         env.pop(key, None)
     report["env"] = env or machine()
     if args.durations:
+        if "suite_durations" in report:  # only with --append: keep the earlier pairs
+            report.setdefault("earlier_suite_durations", []).append(report["suite_durations"])
         report["suite_durations"] = {
             side: parse_durations(path.read_text(), MIN_DURATION_S)
             for side, path in zip(SIDES, args.durations)

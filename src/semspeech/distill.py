@@ -15,18 +15,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, ScoredPairSet
-from .errors import FileFormatError, ValidationError
+from .errors import ValidationError
 from .evaluation import pair_spearman
-from .fileformat import read_rows, write_text
+from .fileformat import write_text
 from .nn import checkpoint
 from .nn.layers import EncoderConfig, apply_linear, init_encoder, init_linear
 from .nn.losses import _normalize_rows, infonce_batch, mse
 from .nn.optim import ParamStore
-from .nn.tensor import Tensor, no_grad
+from .nn.tensor import Tensor
 from .random_utils import derive_rng
 from .teachers import Teacher
 from .training import fit, optimizer_step
-from .wavembed import _embed_by_length, encode_frames
+from .wavembed import _embed_frames, encode_frames
 
 DEFAULT_BANK_CAPACITY = 256
 
@@ -130,14 +130,10 @@ class StudentModel:
         return self._forward(frame_list, True, rng)
 
     def embed(self, features) -> np.ndarray:
-        with no_grad():
-            return self._forward([features]).data[0].copy()
+        return self.embed_batch([features])[0]
 
     def embed_batch(self, features: Sequence) -> np.ndarray:
-        with no_grad():
-            return _embed_by_length(
-                lambda frames: self._forward(frames).data, features, self.cfg.model_dim
-            )
+        return _embed_frames(lambda frames: self._forward(frames).data, features, self.cfg.model_dim)
 
     def config_dict(self) -> dict:
         return {
@@ -192,35 +188,32 @@ class DistillConfig:
             raise ValidationError("weight_decay must be >= 0", field="weight_decay")
 
 
-def _check_dims(student: StudentModel, teacher: Teacher) -> None:
-    if student.cfg.model_dim != teacher.encoder.cfg.model_dim:
-        raise ValidationError(
-            f"student dim {student.cfg.model_dim} != teacher dim "
-            f"{teacher.encoder.cfg.model_dim}",
-            field="model_dim",
-        )
-
-
 def distill_step(
     student: StudentModel,
-    teacher: Teacher,
-    batch: Sequence[tuple[object, object]],
+    frames: Sequence[np.ndarray],
+    teacher_embs: np.ndarray,
     bank: MemoryBank,
     cfg: DistillConfig,
     rng: np.random.Generator,
 ) -> float:
-    """One optimization step; banks this batch's teacher embeddings afterwards."""
+    """One optimization step of the student on a batch of frame sequences
+    toward the frozen teacher's (B, d) embeddings of their targets, which
+    are banked afterwards."""
     cfg.validate()
-    _check_dims(student, teacher)
-    if not batch:
+    if not frames:
         raise ValidationError("batch is empty", field="batch")
-    teacher_embs = teacher.embed_batch([t for _, t in batch])
-    if cfg.loss == "infonce" and len(batch) == 1 and len(bank) == 0:
+    if teacher_embs.shape != (len(frames), student.cfg.model_dim):
+        raise ValidationError(
+            f"teacher embeddings of shape {teacher_embs.shape} for {len(frames)} sequences "
+            f"and a student of dim {student.cfg.model_dim}",
+            field="model_dim",
+        )
+    if cfg.loss == "infonce" and len(frames) == 1 and len(bank) == 0:
         raise ValidationError(
             "a single-item batch with an empty bank leaves no negatives",
             field="batch_size",
         )
-    z = student.embed_train([x for x, _ in batch], rng)
+    z = student.embed_train(frames, rng)
     if cfg.loss == "infonce":
         bank_tensor = Tensor(bank.contents()) if len(bank) else None
         loss = infonce_batch(z, Tensor(teacher_embs), tau=cfg.tau, bank=bank_tensor)
@@ -247,9 +240,16 @@ def distill_train(
     its best checkpoint. ``info`` holds ``best_dev_spearman`` and the mean
     student-teacher dev cosine at step 0 (``cosine_start``) and at the kept
     evaluation (``cosine_best``). The bank persists across epoch boundaries.
+    The frozen teacher embeds every target once, into a table the steps,
+    the bank and the dev cosines read.
     """
     cfg.validate()
-    _check_dims(student, teacher)
+    if student.cfg.model_dim != teacher.encoder.cfg.model_dim:
+        raise ValidationError(
+            f"student dim {student.cfg.model_dim} != teacher dim "
+            f"{teacher.encoder.cfg.model_dim}",
+            field="model_dim",
+        )
     ids = [u.id for u in corpus]
     if not ids:
         raise ValidationError("corpus is empty", field="corpus")
@@ -265,10 +265,12 @@ def distill_train(
                     f"dev pair references unknown utterance {utt_id!r}", field=utt_id
                 )
 
+    table = teacher.embed_batch([targets[i] for i in ids])
+    row = {utt_id: k for k, utt_id in enumerate(ids)}
     dev_ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
     dev_frames = {i: corpus[i].features.data for i in dev_ids}
-    # the frozen teacher's unit dev targets, in the sorted order pair_vectors embeds
-    t = teacher.embed_batch([targets[i] for i in dev_ids])
+    # the unit dev targets, in the sorted order pair_vectors embeds
+    t = table[[row[i] for i in dev_ids]]
     t = t / np.linalg.norm(t, axis=1, keepdims=True)
     teacher_cosines: list[float] = []  # mean student-teacher cosine per evaluation
 
@@ -285,8 +287,8 @@ def distill_train(
     def step(chunk) -> float | None:
         if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
             return None  # nothing to contrast against yet
-        batch = [(corpus[i].features.data, targets[i]) for i in chunk]
-        return distill_step(student, teacher, batch, bank, cfg, rng)
+        frames = [corpus[i].features.data for i in chunk]
+        return distill_step(student, frames, table[[row[i] for i in chunk]], bank, cfg, rng)
 
     evals, _, best_metric = fit(
         student.store, ids, cfg.batch_size, rng, step,
@@ -311,13 +313,3 @@ def save_paired_manifest(pairs: Sequence[tuple[str, int]], path: str | Path) -> 
     """TSV rows of utterance id and the line index of its target sequence."""
     lines = [f"{utt_id}\t{line_ref}" for utt_id, line_ref in pairs]
     write_text(path, "\n".join(lines) + "\n")
-
-
-def load_paired_manifest(path: str | Path) -> list[tuple[str, int]]:
-    out = []
-    for line_no, (utt_id, ref) in read_rows(path, 2):
-        try:
-            out.append((utt_id, int(ref)))
-        except ValueError as e:
-            raise FileFormatError(f"{path} line {line_no}: line_ref {ref!r} is not an int") from e
-    return out

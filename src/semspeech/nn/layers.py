@@ -186,8 +186,7 @@ def apply_block(
 ) -> Tensor:
     """One pre-norm block over the packed rows ``pack`` lays out. Attention
     to the one (B, 1, d) ``memory`` slot of each sequence is o(v(slot)) at
-    every query: that row is added to the sequence's rows. V projects the
-    (B, 1, d) slots, numpy's per-slot product, as full attention did. With a
+    every query: that row is added to the sequence's rows. With a
     ``cache``, the rows are the next positions of one sequence,
     self-attention reads the cached ``ln1`` rows of block ``layer`` before
     them as keys and values, and o(v(slot)) is computed once and kept."""
@@ -333,7 +332,7 @@ def attention_pool(h: Tensor, w: Tensor, pack: Packing | None = None) -> Tensor:
     if layout.index is not None:
         scores = scores + Tensor(np.where(layout.valid, 0.0, NEG_INF))
     weights = softmax(scores, axis=-1)
-    z = (weights.reshape(b, 1, t) @ padded).reshape(b, d)
+    z = (padded * weights.reshape(b, t, 1)).sum(axis=1)
     return z.reshape(d) if pack is None else z
 
 

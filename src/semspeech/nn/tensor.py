@@ -315,12 +315,25 @@ def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_in_order(e: np.ndarray, axis: int) -> np.ndarray:
+    """The sum along ``axis``, kept as a length-1 axis, its terms added first
+    to last, so trailing zeros add exactly whatever their number. numpy sums
+    a contiguous axis pairwise, grouping the terms by its length; moved
+    outermost in a contiguous copy, the axis is added row after row. A lone
+    sum would be pairwise again, so it accumulates."""
+    t = np.moveaxis(e, axis, 0)
+    s = np.cumsum(t, axis=0)[-1] if t[0].size == 1 else np.ascontiguousarray(t).sum(axis=0)
+    return np.expand_dims(s, axis)
+
+
 def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along ``axis``, written into ``out`` (which may be ``x``) or
-    into a new array."""
+    into a new array. Columns masked with NEG_INF exp to exactly 0 and the
+    denominator adds in order, so padding a row leaves its probabilities'
+    bytes as they are alone."""
     e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= _sum_in_order(e, axis)
     return e
 
 
@@ -441,11 +454,20 @@ def _affine_backward(
     return g2 @ w.data.T if need_dx else None
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    """x @ W + b, the bias added into the GEMM result."""
-    out = x @ w.data
-    out += b.data
-    return out
+def _affine(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """x @ W (+ b) over the rows of x, whatever its leading axes: one 2-D
+    GEMM, the bias added into its result. A lone row runs as a pair, since
+    numpy sends a one-row product to a matrix-vector kernel whose sums
+    differ from the GEMM's; so every row gets the bytes it gets among
+    others."""
+    rows = x.reshape(-1, x.shape[-1])
+    if len(rows) == 1:
+        out = (np.concatenate([rows, rows]) @ w.data)[:1]
+    else:
+        out = rows @ w.data
+    if b is not None:
+        out += b.data
+    return out.reshape(*x.shape[:-1], w.shape[1])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -505,7 +527,7 @@ def attention(
         return (a if layout.index is None else a[layout.valid]).reshape(-1, d)
 
     qh = split(_affine(q_in.data, wq, bq), pack)
-    kh = split(kv_in.data @ wk.data, kv_pack)
+    kh = split(_affine(kv_in.data, wk, None), kv_pack)
     vh = split(_affine(kv_in.data, wv, bv), kv_pack)
     p = qh @ kh.transpose(0, 1, 3, 2)  # the scores, then their softmax
     p *= scale

@@ -30,12 +30,12 @@ from .nn.layers import (
 )
 from .nn.losses import infonce_batch, masked_cross_entropy
 from .nn.optim import ParamStore
-from .nn.tensor import Packing, Tensor, no_grad
+from .nn.tensor import Packing, Tensor
 from .random_utils import derive_rng
 from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
 from .training import fit, mean_loss, optimizer_step, split_dev
-from .wavembed import CurvePoint, decode_loss
+from .wavembed import CurvePoint, _embed_by_length, decode_loss
 
 logger = logging.getLogger(__name__)
 
@@ -118,12 +118,12 @@ class SequenceEncoder:
         return self.pool(self.encode(tokens, train_mode=True, rng=rng), tokens)
 
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
+        def forward(chunk) -> np.ndarray:
+            tokens = pad_tokens(chunk)
+            return self.pool(self.encode(tokens), tokens).data
+
         arrs = [token_array(s) for s in seqs]
-        if not arrs:
-            return np.zeros((0, self.cfg.model_dim))
-        tokens = pad_tokens(arrs)
-        with no_grad():
-            return self.pool(self.encode(tokens), tokens).data.copy()
+        return _embed_by_length(forward, arrs, [len(a) for a in arrs], self.cfg.model_dim)
 
     def config_dict(self) -> dict:
         return {

@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FeatureSequence
-from .errors import FileFormatError, ValidationError
-from .fileformat import read_text, write_csv
+from .errors import ValidationError
+from .fileformat import write_csv
 from .nn import checkpoint
 from .nn.layers import (
     DecodeCache,
@@ -181,14 +181,12 @@ class WavEmbedModel:
         )
 
     def embed(self, features) -> np.ndarray:
-        with no_grad():
-            return self._encode([features]).data[0].copy()
+        return self.embed_batch([features])[0]
 
     def embed_batch(self, features: Iterable) -> np.ndarray:
-        with no_grad():
-            return _embed_by_length(
-                lambda frames: self._encode(frames).data, features, self.encoder_cfg.model_dim
-            )
+        return _embed_frames(
+            lambda frames: self._encode(frames).data, features, self.encoder_cfg.model_dim
+        )
 
     # -- reconstruction -----------------------------------------------------
 
@@ -231,8 +229,8 @@ class WavEmbedModel:
                 f"more than max_positions {cfg.max_positions}",
                 field="max_len",
             )
+        z = Tensor(self.embed(features))
         with no_grad():
-            z = self._encode([features])[0]
             out = [CLS]
             cache = DecodeCache(cfg.layers)
             while len(out) < max_len:
@@ -291,26 +289,33 @@ def _pack_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(frame_list), np.array([f.shape[0] for f in frame_list])
 
 
-def _embed_by_length(forward, features: Iterable, dim: int) -> np.ndarray:
-    """Embed feature sequences in length-sorted chunks; rows keep input order.
+def _embed_by_length(forward, items: Sequence, lengths: Sequence[int], dim: int) -> np.ndarray:
+    """Embed items in length-sorted chunks, off the tape; rows keep input order.
 
-    Padding every sequence to the longest one in the whole input wastes most
-    of the forward pass, so inputs are sorted by frame count (stably) and run
-    ``EMBED_CHUNK`` at a time through ``forward``, which maps a list of
-    float64 frame matrices to one (len, dim) array. Frames are converted per
-    chunk, never for the whole input at once.
+    Padding every item to the longest one in the whole input wastes most of
+    the forward pass, so items are sorted by ``lengths`` (stably) and run
+    ``EMBED_CHUNK`` at a time through ``forward``, which maps a list of items
+    to one (len, dim) array. The forward is batch-invariant, so a row has
+    the bytes it has alone, whatever its chunk.
     """
+    order = sorted(range(len(items)), key=lambda i: lengths[i])
+    out = np.zeros((len(items), dim))
+    with no_grad():
+        for chunk in _chunks(order, EMBED_CHUNK):
+            out[chunk] = forward([items[i] for i in chunk])
+    return out
+
+
+def _embed_frames(forward, features: Iterable, dim: int) -> np.ndarray:
+    """``_embed_by_length`` over (T, d) feature matrices, which must share d;
+    each is converted to float64 frames in its chunk's forward."""
     seqs = list(features)
     shapes = [np.shape(f.data if isinstance(f, FeatureSequence) else f) for f in seqs]
     if any(len(shape) != 2 for shape in shapes):
         raise ValidationError("features must be a 2-D (T, d) matrix", field="features")
     if len({shape[1] for shape in shapes}) > 1:
         raise ValidationError("inconsistent feature dimensions in batch", field="batch")
-    order = sorted(range(len(seqs)), key=lambda i: shapes[i][0])
-    out = np.zeros((len(seqs), dim))
-    for chunk in _chunks(order, EMBED_CHUNK):
-        out[chunk] = forward([_as_frames(seqs[i]) for i in chunk])
-    return out
+    return _embed_by_length(forward, seqs, [shape[0] for shape in shapes], dim)
 
 
 def train_wavembed(
@@ -369,27 +374,3 @@ _CURVE_HEADER = ["step", "train_loss", "dev_loss"]
 
 def save_loss_curve(path: str | Path, curve: Sequence[CurvePoint]) -> None:
     write_csv(path, _CURVE_HEADER, ((p.step, p.train_loss, p.dev_loss) for p in curve))
-
-
-def load_loss_curve(path: str | Path) -> list[CurvePoint]:
-    """The points ``save_loss_curve`` wrote; a malformed line is a
-    ``FileFormatError`` naming it."""
-    lines = read_text(path).split("\n")
-    if lines[0].split(",") != _CURVE_HEADER:
-        raise FileFormatError(
-            f"{path} line 1: loss curve header {lines[0]!r}, expected {','.join(_CURVE_HEADER)!r}"
-        )
-    points = []
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise FileFormatError(
-                f"{path} line {line_no}: {len(fields)} comma-separated fields, expected 3"
-            )
-        try:
-            points.append(CurvePoint(int(fields[0]), float(fields[1]), float(fields[2])))
-        except ValueError as e:
-            raise FileFormatError(f"{path} line {line_no}: {e}") from e
-    return points

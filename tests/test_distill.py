@@ -20,10 +20,9 @@ from semspeech.distill import (
     StudentModel,
     distill_step,
     distill_train,
-    load_paired_manifest,
     save_paired_manifest,
 )
-from semspeech.errors import FileFormatError, ValidationError
+from semspeech.errors import ValidationError
 from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.losses import infonce_batch
@@ -78,6 +77,12 @@ def toy_dev_pairs(corpus: Corpus, n_pairs: int = 10, seed: int = 0) -> ScoredPai
 
 def make_student(seed: int = 0, pooling: str = "self_attention") -> StudentModel:
     return StudentModel.create(d_in=8, cfg=TINY, pooling=pooling, seed=seed)
+
+
+def batch_of(corpus, targets, teacher, ids):
+    """distill_step's frames and teacher embeddings for the given ids."""
+    frames = [corpus[i].features.data for i in ids]
+    return frames, teacher.embed_batch([targets[i] for i in ids])
 
 
 def store_hash(store) -> str:
@@ -181,7 +186,7 @@ def test_student_batch_matches_single(pooling):
     frames = [rng.standard_normal((t, 8)) for t in (3, 7, 5)]
     batch = student.embed_batch(frames)
     for i, f in enumerate(frames):
-        np.testing.assert_allclose(batch[i], student.embed(f), atol=1e-10)
+        assert np.array_equal(batch[i], student.embed(f))
 
 
 @pytest.mark.parametrize("pooling", ["self_attention", "cls"])
@@ -193,7 +198,7 @@ def test_student_batch_spanning_chunks_keeps_input_order(pooling):
     batch = student.embed_batch(frames)
     assert batch.shape == (len(frames), 16)
     for i, f in enumerate(frames):
-        assert np.max(np.abs(batch[i] - student.embed(f))) <= 1e-12
+        assert np.array_equal(batch[i], student.embed(f))
 
 
 @pytest.mark.parametrize("pooling", ["self_attention", "cls"])
@@ -252,9 +257,9 @@ def test_first_step_loss_near_log_k_plus_one():
         student = make_student(seed=seed)
         bank = MemoryBank(capacity=64)
         bank.push(teacher.embed_batch([targets[i] for i in ids[8:24]]))
-        batch = [(corpus[i].features.data, targets[i]) for i in ids[:8]]
+        frames, t = batch_of(corpus, targets, teacher, ids[:8])
         cfg = DistillConfig(loss="infonce", tau=0.05, lr=1e-4, batch_size=8, seed=seed)
-        loss = distill_step(student, teacher, batch, bank, cfg, derive_rng(seed, "t"))
+        loss = distill_step(student, frames, t, bank, cfg, derive_rng(seed, "t"))
         target = math.log(24)
         assert abs(loss - target) / target < 0.2, loss
 
@@ -283,8 +288,8 @@ def test_denominator_counts_batch_and_bank():
     expected = total / 3
 
     cfg = DistillConfig(loss="infonce", tau=tau, lr=1e-4, seed=4)
-    batch = [(corpus[i].features.data, targets[i]) for i in batch_ids]
-    loss = distill_step(student, teacher, batch, bank, cfg, derive_rng(4, "t"))
+    frames = [corpus[i].features.data for i in batch_ids]
+    loss = distill_step(student, frames, t, bank, cfg, derive_rng(4, "t"))
     assert abs(loss - expected) < 1e-9 * max(1.0, abs(expected))
 
 
@@ -294,13 +299,13 @@ def test_infonce_needs_negatives():
     teacher = make_teacher(seed=5)
     student = make_student(seed=5)
     cfg = DistillConfig(loss="infonce", seed=5)
-    batch = [(corpus[ids[0]].features.data, targets[ids[0]])]
+    frames, t = batch_of(corpus, targets, teacher, ids[:1])
     with pytest.raises(ValidationError):
-        distill_step(student, teacher, batch, MemoryBank(4), cfg, derive_rng(5, "t"))
+        distill_step(student, frames, t, MemoryBank(4), cfg, derive_rng(5, "t"))
     # the same singleton batch works once the bank holds a negative
     bank = MemoryBank(4)
     bank.push(teacher.embed_batch([targets[ids[1]]]))
-    loss = distill_step(student, teacher, batch, bank, cfg, derive_rng(5, "t"))
+    loss = distill_step(student, frames, t, bank, cfg, derive_rng(5, "t"))
     assert np.isfinite(loss)
 
 
@@ -320,8 +325,8 @@ def test_mse_ignores_bank_but_updates_it():
     expected = float(((zn - tn) ** 2).mean())
 
     cfg = DistillConfig(loss="mse", seed=6)
-    batch = [(corpus[i].features.data, targets[i]) for i in batch_ids]
-    loss = distill_step(student, teacher, batch, bank, cfg, derive_rng(6, "t"))
+    frames = [corpus[i].features.data for i in batch_ids]
+    loss = distill_step(student, frames, t, bank, cfg, derive_rng(6, "t"))
     assert abs(loss - expected) < 1e-9
     assert len(bank) == 9  # the batch was still banked
 
@@ -346,8 +351,8 @@ def test_bank_updated_only_after_the_loss():
 
     bank = MemoryBank(capacity=8)
     cfg = DistillConfig(loss="infonce", tau=tau, seed=7)
-    batch = [(corpus[i].features.data, targets[i]) for i in batch_ids]
-    loss = distill_step(student, teacher, batch, bank, cfg, derive_rng(7, "t"))
+    frames = [corpus[i].features.data for i in batch_ids]
+    loss = distill_step(student, frames, t, bank, cfg, derive_rng(7, "t"))
     assert abs(loss - expected) < 1e-9
     assert len(bank) == 2
     np.testing.assert_allclose(bank.contents(), tn, atol=1e-12)
@@ -366,8 +371,7 @@ def test_hundred_steps_leave_teacher_bit_identical():
     rng = derive_rng(8, "t")
     for step in range(100):
         chunk = [ids[(step * 4 + k) % len(ids)] for k in range(4)]
-        batch = [(corpus[i].features.data, targets[i]) for i in chunk]
-        loss = distill_step(student, teacher, batch, bank, cfg, rng)
+        loss = distill_step(student, *batch_of(corpus, targets, teacher, chunk), bank, cfg, rng)
         assert np.isfinite(loss)
     assert store_hash(teacher.encoder.store) == before_teacher
     assert store_hash(student.store) != before_student
@@ -379,16 +383,21 @@ def test_step_dimension_mismatch_errors():
     wide = EncoderConfig(layers=1, model_dim=32, heads=2, ff_dim=24, dropout_rate=0.0)
     student = StudentModel.create(d_in=8, cfg=wide, seed=1)
     teacher = make_teacher(seed=1)
-    batch = [(corpus[i].features.data, targets[i]) for i in ids[:2]]
+    frames, t = batch_of(corpus, targets, teacher, ids[:2])
     with pytest.raises(ValidationError):
-        distill_step(student, teacher, batch, MemoryBank(4), DistillConfig(), derive_rng(1, "t"))
+        distill_step(student, frames, t, MemoryBank(4), DistillConfig(), derive_rng(1, "t"))
+    # distill_train refuses the pair before the teacher embeds anything
+    dev = toy_dev_pairs(corpus, n_pairs=2, seed=1)
+    with pytest.raises(ValidationError, match="student dim 32 != teacher dim 16"):
+        distill_train(student, teacher, corpus, targets, DistillConfig(epochs=1), dev)
 
 
 def test_step_empty_batch_errors():
-    teacher = make_teacher(seed=0)
     student = make_student(seed=0)
     with pytest.raises(ValidationError):
-        distill_step(student, teacher, [], MemoryBank(4), DistillConfig(), derive_rng(0, "t"))
+        distill_step(
+            student, [], np.zeros((0, 16)), MemoryBank(4), DistillConfig(), derive_rng(0, "t")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +479,14 @@ def test_distill_train_bank_persists_across_epochs():
     assert len(bank) == 30  # every utterance banked once per epoch, never reset
 
 
-def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs):
-    """distill_train's own loop before it ran on the shared fit loop."""
+def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs, bank):
+    """distill_train's own loop before it ran on the shared fit loop, and
+    before it embedded the teacher once per run: the teacher embeds each
+    batch's targets when its step runs, and the dev targets apart."""
     ids = [u.id for u in corpus]
     dev_ids = sorted({i for a, b, _ in dev_pairs.pairs for i in (a, b)})
+    t = teacher.embed_batch([targets[i] for i in dev_ids])
+    t = t / np.linalg.norm(t, axis=1, keepdims=True)
 
     def dev_metric():
         embs = student.embed_batch([corpus[i].features.data for i in dev_ids])
@@ -483,32 +496,34 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs):
             a, b = vec[id_a], vec[id_b]
             preds.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
             human.append(score)
-        return spearman(preds, human)
+        unit = embs / np.linalg.norm(embs, axis=1, keepdims=True)
+        return spearman(preds, human), float((unit * t).sum(axis=1).mean())
 
     rng = derive_rng(cfg.seed, "distill", "train")
-    bank = MemoryBank(cfg.bank_capacity)
-    init_metric = dev_metric()
+    init_metric, cosine = dev_metric()
     history = [(0, init_metric)]
     best_metric = init_metric
     best_state = student.store.state_dict()
+    info = {"cosine_start": cosine, "cosine_best": cosine}
     step = 0
     for _epoch in range(cfg.epochs):
         order = rng.permutation(len(ids))
         chunked = [ids[i] for i in order]
         for start in range(0, len(chunked), cfg.batch_size):
             chunk = chunked[start : start + cfg.batch_size]
-            batch = [(corpus[i].features.data, targets[i]) for i in chunk]
-            if cfg.loss == "infonce" and len(batch) == 1 and len(bank) == 0:
+            if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
                 continue
-            distill_step(student, teacher, batch, bank, cfg, rng)
+            distill_step(student, *batch_of(corpus, targets, teacher, chunk), bank, cfg, rng)
             step += 1
-        metric = dev_metric()
+        metric, cosine = dev_metric()
         history.append((step, metric))
         if metric > best_metric:
             best_metric = metric
             best_state = student.store.state_dict()
+            info["cosine_best"] = cosine
     student.store.load_state_dict(best_state)
-    return history, best_metric
+    info["best_dev_spearman"] = best_metric
+    return history, info
 
 
 # batches of one under InfoNCE are all skipped while the bank is empty, and
@@ -516,6 +531,8 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs):
 # items in batches of 4 or 2 end in a singleton that is trained on
 @pytest.mark.parametrize("loss, batch_size", [("infonce", 1), ("infonce", 4), ("mse", 2)])
 def test_distill_train_matches_reference_loop(loss, batch_size):
+    """Bit for bit, including the bank and both teacher cosines: the table
+    of teacher embeddings holds the rows each batch would embed."""
     corpus, targets = toy_corpus(n=9, seed=18)
     dev = toy_dev_pairs(corpus, n_pairs=10, seed=18)
     cfg = DistillConfig(loss=loss, lr=3e-3, batch_size=batch_size, epochs=3, seed=18)
@@ -525,11 +542,13 @@ def test_distill_train_matches_reference_loop(loss, batch_size):
         with pytest.raises(ValidationError, match="took no optimizer step"):
             distill_train(student, teacher, corpus, targets, cfg, dev)
         return
-    history, info = distill_train(student, teacher, corpus, targets, cfg, dev)
-    ref_history, ref_best = distill_reference(ref, teacher, corpus, targets, cfg, dev)
+    bank, ref_bank = MemoryBank(cfg.bank_capacity), MemoryBank(cfg.bank_capacity)
+    history, info = distill_train(student, teacher, corpus, targets, cfg, dev, bank=bank)
+    ref_history, ref_info = distill_reference(ref, teacher, corpus, targets, cfg, dev, ref_bank)
     assert history == ref_history
-    assert info["best_dev_spearman"] == ref_best
+    assert info == ref_info
     assert store_hash(student.store) == store_hash(ref.store)
+    assert np.array_equal(bank.contents(), ref_bank.contents())
     assert history[-1][0] > 0
     # keep-best chose a trained state, so the parameters compare training
     assert info["best_dev_spearman"] > history[0][1]
@@ -555,15 +574,14 @@ def test_distill_train_embeds_the_dev_set_once_per_evaluation():
     dev = toy_dev_pairs(corpus, n_pairs=6, seed=16)
     dev_ids = sorted({i for a, b, _ in dev.pairs for i in (a, b)})
     student, teacher = make_student(seed=16), make_teacher(seed=16)
-    student_calls, teacher_dev_calls = [], 0
+    student_calls, teacher_calls = [], []
 
     def student_embed_batch(frames, own=student.embed_batch):
         student_calls.append([id(f) for f in frames])
         return own(frames)
 
     def teacher_embed_batch(seqs, own=teacher.embed_batch):
-        nonlocal teacher_dev_calls
-        teacher_dev_calls += [id(x) for x in seqs] == [id(targets[i]) for i in dev_ids]
+        teacher_calls.append([id(x) for x in seqs])
         return own(seqs)
 
     student.embed_batch, teacher.embed_batch = student_embed_batch, teacher_embed_batch
@@ -571,7 +589,8 @@ def test_distill_train_embeds_the_dev_set_once_per_evaluation():
     history, _ = distill_train(student, teacher, corpus, targets, cfg, dev)
     assert len(history) == 4
     assert student_calls == [[id(corpus[i].features.data) for i in dev_ids]] * len(history)
-    assert teacher_dev_calls == 1
+    # the frozen teacher embeds every target once per run, the dev ones included
+    assert teacher_calls == [[id(targets[u.id]) for u in corpus]]
 
 
 def mean_teacher_cosine(student, teacher, corpus, targets, dev_pairs) -> float:
@@ -603,22 +622,10 @@ def test_distill_train_teacher_cosines_are_those_of_the_kept_states(loss, seed, 
 # helpers and formats
 # ---------------------------------------------------------------------------
 
-def test_paired_manifest_round_trip(tmp_path):
-    pairs = [("utt-00", 0), ("utt-01", 17), ("utt-02", 3)]
+def test_paired_manifest_writes_one_tsv_row_per_pair(tmp_path):
     path = tmp_path / "paired.tsv"
-    save_paired_manifest(pairs, path)
-    assert path.read_text().endswith("\n")
-    assert load_paired_manifest(path) == pairs
-
-
-def test_paired_manifest_malformed_lines_error(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("utt-00\t1\t2\n")
-    with pytest.raises(FileFormatError):
-        load_paired_manifest(path)
-    path.write_text("utt-00\tseven\n")
-    with pytest.raises(FileFormatError):
-        load_paired_manifest(path)
+    save_paired_manifest([("utt-00", 0), ("utt-01", 17), ("utt-02", 3)], path)
+    assert path.read_bytes() == b"utt-00\t0\nutt-01\t17\nutt-02\t3\n"
 
 
 def test_distill_config_validation():

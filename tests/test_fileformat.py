@@ -54,7 +54,7 @@ from semspeech.tokenizer import (
     save_token_corpus,
     train_bpe,
 )
-from semspeech.wavembed import CurvePoint, load_loss_curve, save_loss_curve
+from semspeech.wavembed import CurvePoint, save_loss_curve
 
 UNITS = [UnitSequence([3, 1, 4], "u0"), UnitSequence([5], "u1"), UnitSequence([2, 6], "u2")]
 
@@ -164,7 +164,6 @@ TEXT = {
     "manifest.jsonl": (_write_manifest, lambda p: load_corpus(p.parent)),
     "bpe.json": (WRITERS["bpe.json"], load_bpe_model),
     "config": (_write_config, load_config),
-    "curve.csv": (WRITERS["curve.csv"], load_loss_curve),
     "report.json": (WRITERS["report.json"], load_report),
 }
 

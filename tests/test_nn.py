@@ -27,8 +27,10 @@ from semspeech.nn.layers import (
 from semspeech.nn.losses import infonce, infonce_batch, masked_cross_entropy, mse, nll_loss
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech.nn.tensor import (
+    NEG_INF,
     Packing,
     Tensor,
+    _softmax,
     concat,
     dropout,
     gather_last,
@@ -95,6 +97,22 @@ def test_softmax_grads_and_rows():
     w = Tensor(rng.standard_normal((3, 7)))
     assert grad_check(lambda: (softmax(a, -1) * w).sum(), [a]) < 1e-5
     assert grad_check(lambda: (log_softmax(a, -1) * w).sum(), [a]) < 1e-5
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 16, 17, 40, 129])
+def test_softmax_of_a_padded_row_keeps_its_bytes(length):
+    """A row of scores padded with NEG_INF columns, to any length, alone or
+    among other rows, has the bytes it has unpadded on its valid columns,
+    and exact zeros on the others."""
+    rng = np.random.default_rng(length)
+    row = 4.0 * rng.standard_normal(length)
+    alone = _softmax(row)
+    for pad in (1, 3, 8, 23, 64, 200):
+        padded = np.concatenate([row, np.full(pad, NEG_INF)])
+        batch = np.stack([rng.standard_normal(length + pad), padded, padded[::-1]])
+        for probs in (_softmax(padded), _softmax(batch)[1], _softmax(batch.T, axis=0)[:, 1]):
+            assert np.array_equal(probs[:length], alone)
+            assert not probs[length:].any()
 
 
 def test_layer_norm_grads():
@@ -414,7 +432,7 @@ def test_attention_pool_batched_matches_loop():
     starts = np.cumsum(lengths) - lengths
     for i, (start, n) in enumerate(zip(starts, lengths)):
         single = attention_pool(Tensor(h[start : start + n]), Tensor(w))
-        assert np.allclose(batched.data[i], single.data, atol=1e-12)
+        assert np.array_equal(batched.data[i], single.data)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +516,7 @@ def test_encoder_padding_mask_blocks_pad_frames():
     assert np.array_equal(h.data[:5], h2.data[:5])
     # and the padding of the second changes nothing against encoding it alone
     alone = transformer_encode(Tensor(x[5:]), store, cfg)
-    assert np.allclose(h.data[5:], alone.data, atol=1e-12)
+    assert np.array_equal(h.data[5:], alone.data)
 
 
 def test_config_validation():

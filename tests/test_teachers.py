@@ -85,7 +85,7 @@ def test_embed_batch_matches_single():
     seqs = make_seqs(5, seed=3)
     batched = enc.embed_batch(seqs)
     for i, s in enumerate(seqs):
-        assert np.allclose(batched[i], enc.embed_batch([s])[0], atol=1e-10)
+        assert np.array_equal(batched[i], enc.embed_batch([s])[0])
 
 
 def test_mean_pool_rejects_no_content():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .tensor import Tensor, concat, gather_last, log_softmax, nll
+from .tensor import Tensor, concat, nll
 
 
 def nll_loss(logits: Tensor, targets: np.ndarray, pad_id: int = 0) -> Tensor:
@@ -58,19 +58,6 @@ def _normalize_rows(x: Tensor, what: str) -> Tensor:
     return x / norms_sq.sqrt()
 
 
-def infonce(z: Tensor, pos: Tensor, negatives: list[Tensor], tau: float = 0.05) -> Tensor:
-    """-log( e^{cos(z,pos)/tau} / (e^{cos(z,pos)/tau} + sum_j e^{cos(z,neg_j)/tau}) )."""
-    if tau <= 0:
-        raise ValidationError("tau must be > 0", field="tau")
-    if not negatives:
-        raise ValidationError("at least one negative is required", field="negatives")
-    zn = _normalize_rows(z.reshape(1, -1), "z")
-    others = concat([pos.reshape(1, -1)] + [n.reshape(1, -1) for n in negatives], axis=0)
-    on = _normalize_rows(others, "pos/negatives")
-    sims = (zn @ on.transpose(1, 0)).reshape(-1) * (1.0 / tau)
-    return -log_softmax(sims, axis=-1)[0]
-
-
 def infonce_batch(
     anchors: Tensor,
     positives: Tensor,
@@ -79,7 +66,8 @@ def infonce_batch(
 ) -> Tensor:
     """Mean InfoNCE over a batch: positives[i] pairs with anchors[i]; the
     denominator for row i holds its positive, the other in-batch positives,
-    and every bank entry."""
+    and every bank entry. It is the cross-entropy (``nll``) of each row's
+    scores at its positive's column."""
     if tau <= 0:
         raise ValidationError("tau must be > 0", field="tau")
     b = anchors.shape[0]
@@ -95,6 +83,4 @@ def infonce_batch(
     if bank is not None and bank.shape[0] > 0:
         cols = concat([pn, _normalize_rows(bank, "bank")], axis=0)
     sims = (an @ cols.transpose(1, 0)) * (1.0 / tau)
-    logp = log_softmax(sims, axis=-1)
-    picked = gather_last(logp, np.arange(b))
-    return -picked.mean()
+    return nll(sims, np.arange(b), np.ones(b, dtype=bool))

@@ -355,17 +355,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    out_data = _log_softmax(x.data, axis)
-    soft = np.exp(out_data)
-
-    def backward(g):
-        grad = soft * g.sum(axis=axis, keepdims=True)
-        x._accumulate(np.subtract(g, grad, out=grad))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 # -- packed rows -------------------------------------------------------------
 
 class Packing:
@@ -394,6 +383,12 @@ class Packing:
         """Sequences of the given lengths, each starting at position 0."""
         lengths = np.asarray(lengths, dtype=np.int64)
         return cls(np.arange(lengths.max()) < lengths[:, None])
+
+    @classmethod
+    def of(cls, seqs) -> tuple[np.ndarray, "Packing"]:
+        """A batch of sequences (id arrays or (T, d) frame matrices) as one
+        array of their rows, stacked in order, and its layout."""
+        return np.concatenate(seqs), cls.from_lengths([len(s) for s in seqs])
 
     def pad(self, rows: np.ndarray) -> np.ndarray:
         """(rows, ...) -> (B, T, ...), zeros where a position is not valid."""
@@ -647,22 +642,6 @@ def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
         table._accumulate(full)
 
     return Tensor._make(out_data, (table,), backward)
-
-
-def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis: out[...] = x[..., idx[...]]."""
-    idx = np.asarray(idx)
-    if idx.shape != x.shape[:-1]:
-        raise ValidationError("index shape must match all but the last axis", field="idx")
-    expanded = np.expand_dims(idx, -1)
-    out_data = np.take_along_axis(x.data, expanded, axis=-1).squeeze(-1)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-        x._accumulate(full)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

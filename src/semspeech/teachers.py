@@ -32,7 +32,7 @@ from .nn.losses import infonce_batch, masked_cross_entropy
 from .nn.optim import ParamStore
 from .nn.tensor import Packing, Tensor
 from .random_utils import derive_rng
-from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, pad_tokens, token_array
+from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
 from .training import fit, mean_loss, optimizer_step, split_dev
 from .wavembed import CurvePoint, _embed_by_length, decode_loss
@@ -43,11 +43,6 @@ logger = logging.getLogger(__name__)
 # as content, the structural specials (PAD, CLS, SEP, MASK) do not
 def _content_mask(tokens: np.ndarray) -> np.ndarray:
     return (tokens > SEP) & (tokens != MASK)
-
-
-def _packing(tokens: np.ndarray) -> Packing:
-    """The non-PAD positions of a padded (B, S) id matrix as packed rows."""
-    return Packing(tokens != PAD)
 
 
 class SequenceEncoder:
@@ -91,39 +86,41 @@ class SequenceEncoder:
 
     def encode(
         self,
-        tokens: np.ndarray,
+        ids: np.ndarray,
+        pack: Packing,
         train_mode: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Contextual states of a padded (B, S) id matrix, as packed (N, d)
-        rows: one per non-PAD position, row by row."""
-        tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-        pack = _packing(tokens)
-        return transformer_encode(
-            tokens[pack.valid], self.store, self.cfg, train_mode=train_mode, rng=rng, pack=pack
-        )
+        """Contextual states of a batch of id sequences packed by
+        ``Packing.of``, as packed (N, d) rows. A sequence holding PAD is
+        refused."""
+        if (ids == PAD).any():
+            raise ValidationError("an id sequence holds PAD", field="tokens")
+        return transformer_encode(ids, self.store, self.cfg, train_mode, rng, pack)
 
-    def pool(self, states: Tensor, tokens: np.ndarray) -> Tensor:
-        """One vector per row of ``tokens`` from its packed ``states``: the CLS
-        state or the mean over content positions."""
-        tokens = np.atleast_2d(tokens)
-        pack = _packing(tokens)
-        content = _content_mask(tokens[pack.valid])
-        return pool_states(states, self.store, self.pooling, pack, content)
+    def pool(self, states: Tensor, ids: np.ndarray, pack: Packing) -> Tensor:
+        """One vector per sequence from its packed ``states``: the CLS state
+        or the mean over content positions."""
+        return pool_states(states, self.store, self.pooling, pack, _content_mask(ids))
 
-    def embed_train(
-        self, tokens: np.ndarray, rng: np.random.Generator
+    def _embed(
+        self,
+        ids: np.ndarray,
+        pack: Packing,
+        train_mode: bool = False,
+        rng: np.random.Generator | None = None,
     ) -> Tensor:
-        tokens = np.atleast_2d(tokens)
-        return self.pool(self.encode(tokens, train_mode=True, rng=rng), tokens)
+        return self.pool(self.encode(ids, pack, train_mode, rng), ids, pack)
+
+    def embed_train(self, seqs: Sequence[np.ndarray], rng: np.random.Generator) -> Tensor:
+        return self._embed(*Packing.of(seqs), True, rng)
 
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
-        def forward(chunk) -> np.ndarray:
-            tokens = pad_tokens(chunk)
-            return self.pool(self.encode(tokens), tokens).data
-
         arrs = [token_array(s) for s in seqs]
-        return _embed_by_length(forward, arrs, [len(a) for a in arrs], self.cfg.model_dim)
+        return _embed_by_length(
+            lambda chunk: self._embed(*Packing.of(chunk)).data,
+            arrs, [len(a) for a in arrs], self.cfg.model_dim,
+        )
 
     def config_dict(self) -> dict:
         return {
@@ -155,44 +152,47 @@ class SequenceEncoder:
 # ---------------------------------------------------------------------------
 
 def _mask_batch(
-    tokens: np.ndarray,
+    ids: np.ndarray,
+    pack: Packing,
     mask_rate: float,
     vocab: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt a padded batch in place-copy; returns (corrupted, mask_bool)."""
-    corrupted = tokens.copy()
-    chosen = np.zeros_like(tokens, dtype=bool)
-    content = _content_mask(tokens)
-    for row in range(tokens.shape[0]):
-        eligible = np.flatnonzero(content[row])
+    """Corrupt a batch of id sequences packed by ``Packing.of``; returns the
+    corrupted ids and the mask of the positions picked, both packed."""
+    corrupted = ids.copy()
+    chosen = np.zeros(len(ids), dtype=bool)
+    content = _content_mask(ids)
+    for start, n in zip(pack.starts.tolist(), pack.counts.tolist()):
+        eligible = start + np.flatnonzero(content[start : start + n])
         if len(eligible) == 0:
             continue
         n_mask = max(1, int(round(mask_rate * len(eligible))))
         picks = rng.choice(eligible, size=min(n_mask, len(eligible)), replace=False)
         for p in picks:
-            chosen[row, p] = True
+            chosen[p] = True
             u = rng.random()
             if u < 0.8:
-                corrupted[row, p] = MASK
+                corrupted[p] = MASK
             elif u < 0.9:
-                corrupted[row, p] = rng.integers(N_SPECIALS, vocab)
+                corrupted[p] = rng.integers(N_SPECIALS, vocab)
             # else: keep the original token, loss still applies
     return corrupted, chosen
 
 
-def mlm_forward(encoder: SequenceEncoder, tokens: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None, seed: int = 0) -> Tensor:
-    """Vocabulary logits at each non-PAD position of ``tokens``, as packed
-    rows; creates the prediction head on first use, drawn from the run
-    ``seed``."""
+def mlm_forward(encoder: SequenceEncoder, ids: np.ndarray, pack: Packing,
+                train_mode: bool = False, rng: np.random.Generator | None = None,
+                seed: int = 0) -> Tensor:
+    """Vocabulary logits at each position of a batch packed by
+    ``Packing.of``, as packed rows; creates the prediction head on first
+    use, drawn from the run ``seed``."""
     if "mlm.out.w" not in encoder.store:
         head_rng = derive_rng(seed, "mlm", "head", encoder.vocab)
         init_linear(
             encoder.store, head_rng, "mlm.out", encoder.cfg.model_dim, encoder.vocab,
             scale=0.1,
         )
-    h = encoder.encode(tokens, train_mode=train_mode, rng=rng)
+    h = encoder.encode(ids, pack, train_mode=train_mode, rng=rng)
     return apply_linear(encoder.store, "mlm.out", h)
 
 
@@ -226,11 +226,10 @@ def mlm_pretrain(
     rng = derive_rng(seed, "mlm", "train")
 
     def step(chunk) -> float:
-        batch = pad_tokens(chunk)
-        corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
-        logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
-        valid = batch != PAD
-        loss = masked_cross_entropy(logits, batch[valid], mask[valid])
+        ids, pack = Packing.of(chunk)
+        corrupted, mask = _mask_batch(ids, pack, mask_rate, encoder.vocab, rng)
+        logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
+        loss = masked_cross_entropy(logits, ids, mask)
         return optimizer_step(encoder.store, loss, lr, 0.01)
 
     _, history, _ = fit(encoder.store, arrs, batch_size, rng, step, max_steps=steps)
@@ -359,8 +358,7 @@ def train_tsdae(
 
     def batch_loss(examples, train_mode=False, rng=None) -> Tensor:
         corrupted, originals = zip(*examples)
-        tokens = pad_tokens(corrupted)
-        z = encoder.pool(encoder.encode(tokens, train_mode=train_mode, rng=rng), tokens)
+        z = encoder._embed(*Packing.of(corrupted), train_mode, rng)
         return decode_loss(z, originals, encoder.store, encoder.cfg, encoder.vocab, train_mode, rng)
 
     def step(chunk) -> float:
@@ -417,9 +415,9 @@ def train_simcse(
     def step(chunk) -> float | None:
         if len(chunk) < 2:
             return None  # a lone trailing sequence has no in-batch negatives
-        tokens = pad_tokens([np.asarray(s.tokens) for s in chunk])
-        z1 = encoder.embed_train(tokens, rng)
-        z2 = encoder.embed_train(tokens, rng)
+        ids, pack = Packing.of([np.asarray(s.tokens) for s in chunk])
+        z1 = encoder._embed(ids, pack, True, rng)
+        z2 = encoder._embed(ids, pack, True, rng)
         loss = infonce_batch(z1, z2, tau=cfg.tau)
         return optimizer_step(encoder.store, loss, cfg.lr, 0.01)
 

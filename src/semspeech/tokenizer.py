@@ -50,14 +50,6 @@ def token_array(seq) -> np.ndarray:
     return arr
 
 
-def pad_tokens(seqs) -> np.ndarray:
-    """(len(seqs), longest) int64 matrix of the id arrays, PAD after each."""
-    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
-
-
 @dataclass
 class BpeModel:
     alphabet: list[int]  # sorted base unit ids

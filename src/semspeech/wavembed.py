@@ -27,9 +27,8 @@ from .nn.layers import (
     pool_states,
     transformer_encode,
 )
-from .nn.losses import nll_loss
 from .nn.optim import ParamStore
-from .nn.tensor import Packing, Tensor, concat, no_grad, take_rows
+from .nn.tensor import Packing, Tensor, concat, nll, no_grad, take_rows
 from .random_utils import derive_rng
 from .tokenizer import CLS, PAD, SEP, token_array
 from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
@@ -87,16 +86,18 @@ def encode_frames(
     """Pack frame sequences into one batch of rows, encode it and pool each
     sequence to one (B, d) vector; cls pooling first puts ``pool.cls`` in
     front of each sequence."""
-    x, lengths = _pack_frames([_as_frames(f) for f in frame_list])
+    frames = [_as_frames(f) for f in frame_list]
     d_in = store["enc.in.w"].shape[0]
-    if x.shape[1] != d_in:
-        raise ValidationError(
-            f"features have {x.shape[1]} dimensions, the model takes {d_in}", field="features"
-        )
-    pack = Packing.from_lengths(lengths + (pooling == "cls"))
-    x = Tensor(x)
+    for f in frames:
+        if f.shape[1] != d_in:
+            raise ValidationError(
+                f"features have {f.shape[1]} dimensions, the model takes {d_in}", field="features"
+            )
+    # cls pooling makes each sequence one row longer: the pseudo-frame heads it
+    pack = Packing.from_lengths([len(f) + (pooling == "cls") for f in frames])
+    x = Tensor(np.concatenate(frames))
     if pooling == "cls":
-        # the table's row 0, the pseudo-frame, heads every sequence
+        # row 0 of the table is the pseudo-frame
         rows = np.arange(pack.rows) - pack.segments
         rows[pack.starts] = 0
         x = take_rows(concat([store["pool.cls"].reshape(1, d_in), x], axis=0), rows)
@@ -113,18 +114,16 @@ def decode_loss(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean NLL of decoding each token sequence from its row of ``z``."""
-    logits = decode_tokens(
-        np.concatenate([t[:-1] for t in token_list]),
-        z,
-        store,
-        cfg,
-        vocab,
-        train_mode=train_mode,
-        rng=rng,
-        pack=Packing.from_lengths([len(t) - 1 for t in token_list]),
-    )
-    return nll_loss(logits, np.concatenate([t[1:] for t in token_list]), pad_id=PAD)
+    """Mean NLL of decoding each token sequence from its row of ``z``. A
+    sequence holding PAD is refused."""
+    inputs, pack = Packing.of([t[:-1] for t in token_list])
+    targets = np.concatenate([t[1:] for t in token_list])
+    if (inputs == PAD).any() or (targets == PAD).any():
+        raise ValidationError("a target sequence holds PAD", field="tokens")
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
+    logits = decode_tokens(inputs, z, store, cfg, vocab, train_mode, rng, pack)
+    return nll(logits, targets, np.ones(len(targets), dtype=bool))
 
 
 class WavEmbedModel:
@@ -279,14 +278,6 @@ class WavEmbedModel:
     @classmethod
     def load(cls, path: str | Path) -> "WavEmbedModel":
         return checkpoint.load(path, cls)
-
-
-def _pack_frames(frame_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of every sequence stacked as (N, d) rows, and the lengths."""
-    d = frame_list[0].shape[1]
-    if any(f.shape[1] != d for f in frame_list):
-        raise ValidationError("inconsistent feature dimensions in batch", field="batch")
-    return np.concatenate(frame_list), np.array([f.shape[0] for f in frame_list])
 
 
 def _embed_by_length(forward, items: Sequence, lengths: Sequence[int], dim: int) -> np.ndarray:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
-from .tensor import Tensor, no_grad
+from semspeech.errors import ValidationError
+from semspeech.nn.tensor import Tensor, no_grad
 
 # relative-error denominator floor: keeps noise in near-zero gradients from
 # registering as huge relative errors

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from semspeech.cli import main as cli_main
 from semspeech.corpus import (
     ScoredPairSet,
@@ -33,7 +34,6 @@ from semspeech.corpus import (
 from semspeech.distill import DistillConfig, MemoryBank, StudentModel, distill_train
 from semspeech.evaluation import alignment, spearman, uniformity
 from semspeech.index import EmbeddingIndex, search_batch
-from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
     EncoderConfig,
     apply_attention,
@@ -44,7 +44,7 @@ from semspeech.nn.layers import (
     init_embedding,
     init_linear,
 )
-from semspeech.nn.losses import infonce, nll_loss
+from semspeech.nn.losses import infonce_batch, nll_loss
 from semspeech.nn.optim import ParamStore
 from semspeech.nn.tensor import Packing, Tensor, take_rows
 from semspeech.quantizer import train_kmeans, quantize_corpus
@@ -301,7 +301,9 @@ def test_c02_losses_match_brute_force_oracles():
         z = rng.standard_normal(d)
         pos = rng.standard_normal(d)
         negs = [rng.standard_normal(d) for _ in range(n_neg)]
-        got = float(infonce(Tensor(z), Tensor(pos), [Tensor(n) for n in negs], tau=tau).data)
+        # the loss training uses, for one anchor with the negatives as its bank
+        bank = Tensor(np.stack(negs))
+        got = float(infonce_batch(Tensor(z[None]), Tensor(pos[None]), tau=tau, bank=bank).data)
         want = _brute_infonce(z, pos, negs, tau)
         assert _agree(got, want, 1e-6), f"infonce instance {i}: {got} vs {want}"
 

@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from semspeech.distill import StudentModel
 from semspeech.nn import checkpoint
-from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
     EncoderConfig,
     apply_block,
@@ -38,20 +38,19 @@ from semspeech.nn.tensor import (
     _gelu_slope,
     _gelu_tanh,
     _gelu_value,
+    _log_softmax,
     attention,
     concat,
     ffn,
-    gather_last,
     layer_norm,
     linear,
-    log_softmax,
     nll,
     pad_rows,
     softmax,
     take_rows,
 )
 from semspeech.teachers import SequenceEncoder, Teacher, mlm_forward
-from semspeech.tokenizer import CLS, MASK, PAD, SEP, pad_tokens
+from semspeech.tokenizer import CLS, MASK, PAD, SEP
 from semspeech.wavembed import WavEmbedModel, decode_loss, encode_frames
 
 
@@ -90,6 +89,30 @@ def gelu(x):
 
 def composite_ffn(x, w1, b1, w2, b2):
     return composite_linear(gelu(composite_linear(x, w1, b1)), w2, b2)
+
+
+def log_softmax(x, axis=-1):
+    """log softmax along ``axis`` as its own node."""
+    out_data = _log_softmax(x.data, axis)
+    soft = np.exp(out_data)
+
+    def backward(g):
+        grad = soft * g.sum(axis=axis, keepdims=True)
+        x._accumulate(np.subtract(g, grad, out=grad))
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def gather_last(x, idx):
+    """One entry along the last axis: out[...] = x[..., idx[...]]."""
+    expanded = np.expand_dims(idx, -1)
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
+        x._accumulate(full)
+
+    return Tensor._make(np.take_along_axis(x.data, expanded, axis=-1).squeeze(-1), (x,), backward)
 
 
 def composite_nll(logits, targets, mask):
@@ -310,6 +333,16 @@ def test_gelu_oracle_grad_check():
     assert grad_check(lambda: gelu(a).sum(), [a]) < 1e-5
 
 
+def test_nll_oracle_nodes_grad_check():
+    # likewise composite_nll's log_softmax and gather_last nodes
+    rng = np.random.default_rng(6)
+    a = _leaf(rng, 3, 7)
+    w = Tensor(rng.standard_normal((3, 7)))
+    assert grad_check(lambda: (log_softmax(a, -1) * w).sum(), [a]) < 1e-5
+    x = _leaf(rng, 3, 5)
+    assert grad_check(lambda: (gather_last(x, np.array([0, 4, 2])) ** 2).sum(), [x]) < 1e-6
+
+
 def test_ffn_matches_composite_and_grad_checks():
     rng = np.random.default_rng(8)
     x = _leaf(rng, 2, 3, 4)
@@ -453,6 +486,14 @@ def padded_decode(tokens, z, store, cfg, train_mode=False, rng=None):
     memory = z.reshape(b, 1, z.shape[-1])
     h = padded_blocks(store, "dec", h, cfg, causal_mask(s), memory, train_mode, rng)
     return composite_linear(h, store["dec.out.w"], store["dec.out.b"])
+
+
+def pad_ids(seqs):
+    """The id sequences as one (B, S) matrix, PAD after each."""
+    ids, pack = Packing.of(seqs)
+    out = np.full((pack.batch, pack.length), PAD)
+    out[pack.valid] = ids
+    return out
 
 
 def padded_frames(frames, with_lead=None):
@@ -601,12 +642,13 @@ def test_simcse_step_draws_as_the_padded_path():
     padded path leaves it, with the same loss."""
     enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
     rng = np.random.default_rng(14)
-    tokens = pad_tokens([np.array([CLS, *rng.integers(5, 20, size=n), SEP]) for n in (4, 1, 6)])
+    seqs = [np.array([CLS, *rng.integers(5, 20, size=n), SEP]) for n in (4, 1, 6)]
     stream = np.random.default_rng(5)
-    loss = infonce_batch(enc.embed_train(tokens, stream), enc.embed_train(tokens, stream))
+    loss = infonce_batch(enc.embed_train(seqs, stream), enc.embed_train(seqs, stream))
     loss.backward()
 
     ref = np.random.default_rng(5)
+    tokens = pad_ids(seqs)
     valid = tokens != PAD
 
     def padded_embed():
@@ -635,9 +677,9 @@ def test_wavembed_step_draws_as_the_padded_path():
     x, valid = padded_frames(frames)
     h = padded_encode(x, model.store, CFG, valid, True, ref)
     z = padded_pool(h, model.store, "self_attention", valid)
-    inputs = pad_tokens([t[:-1] for t in tokens])
+    inputs = pad_ids([t[:-1] for t in tokens])
     logits = padded_decode(inputs, z, model.store, CFG, True, ref)
-    ref_loss = nll_loss(logits, pad_tokens([t[1:] for t in tokens]), pad_id=PAD)
+    ref_loss = nll_loss(logits, pad_ids([t[1:] for t in tokens]), pad_id=PAD)
     ref_loss.backward()
     assert stream.bit_generator.state == ref.bit_generator.state
     assert float(loss.data) == pytest.approx(float(ref_loss.data), rel=1e-12)
@@ -728,7 +770,7 @@ def _padded_embed(kind, store, frames, seqs):
     length order."""
     cfg = EncoderConfig()
     if kind == "teacher":
-        tokens = pad_tokens([np.array(s) for s in seqs])
+        tokens = pad_ids([np.array(s) for s in seqs])
         valid = tokens != PAD
         h = padded_encode(tokens, store, cfg, valid)
         return padded_pool(h, store, "mean", valid, ~np.isin(tokens, (PAD, CLS, SEP, MASK))).data
@@ -792,12 +834,13 @@ def _wavembed_loss():
 def _mlm_loss():
     enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
     rng = np.random.default_rng(16)
-    tokens = pad_tokens(_ragged_tokens(rng, (4, 1, 6), 20))
-    chosen = (rng.random(tokens.shape) < 0.4) & (tokens >= 5)
-    chosen[0, 1] = True
-    logits = mlm_forward(enc, np.where(chosen, MASK, tokens), True, np.random.default_rng(5))
-    valid = tokens != PAD
-    return enc.store, masked_cross_entropy(logits, tokens[valid], chosen[valid])
+    seqs = _ragged_tokens(rng, (4, 1, 6), 20)
+    ids, pack = Packing.of(seqs)
+    # picks drawn for the padded (B, S) batch, as they were pinned
+    chosen = pack.unpad(rng.random((pack.batch, pack.length)) < 0.4) & (ids >= 5)
+    chosen[1] = True
+    logits = mlm_forward(enc, np.where(chosen, MASK, ids), pack, True, np.random.default_rng(5))
+    return enc.store, masked_cross_entropy(logits, ids, chosen)
 
 
 def _tsdae_loss():
@@ -805,17 +848,18 @@ def _tsdae_loss():
     init_token_decoder(enc.store, np.random.default_rng(1), CFG, 20)
     rng = np.random.default_rng(17)
     originals = _ragged_tokens(rng, (5, 2, 7), 20)
-    corrupted = pad_tokens([t[::2] for t in originals])
+    corrupted = [t[::2] for t in originals]
     stream = np.random.default_rng(5)
-    z = enc.pool(enc.encode(corrupted, True, stream), corrupted)
+    ids, pack = Packing.of(corrupted)
+    z = enc.pool(enc.encode(ids, pack, True, stream), ids, pack)
     return enc.store, decode_loss(z, originals, enc.store, CFG, 20, train_mode=True, rng=stream)
 
 
 def _simcse_loss():
     enc = SequenceEncoder.create(vocab=20, cfg=CFG, seed=0)
-    tokens = pad_tokens(_ragged_tokens(np.random.default_rng(14), (4, 1, 6), 20))
+    seqs = _ragged_tokens(np.random.default_rng(14), (4, 1, 6), 20)
     stream = np.random.default_rng(5)
-    return enc.store, infonce_batch(enc.embed_train(tokens, stream), enc.embed_train(tokens, stream))
+    return enc.store, infonce_batch(enc.embed_train(seqs, stream), enc.embed_train(seqs, stream))
 
 
 def _distill_loss():

@@ -4,10 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from semspeech import training
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn.checkpoint import load, load_checkpoint, save_checkpoint
-from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import (
     DecodeCache,
     EncoderConfig,
@@ -24,7 +24,7 @@ from semspeech.nn.layers import (
     apply_linear,
     transformer_encode,
 )
-from semspeech.nn.losses import infonce, infonce_batch, masked_cross_entropy, mse, nll_loss
+from semspeech.nn.losses import infonce_batch, masked_cross_entropy, mse, nll_loss
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech.nn.tensor import (
     NEG_INF,
@@ -33,9 +33,7 @@ from semspeech.nn.tensor import (
     _softmax,
     concat,
     dropout,
-    gather_last,
     layer_norm,
-    log_softmax,
     no_grad,
     softmax,
     take_rows,
@@ -96,7 +94,6 @@ def test_softmax_grads_and_rows():
     assert np.all(s.data >= 0)
     w = Tensor(rng.standard_normal((3, 7)))
     assert grad_check(lambda: (softmax(a, -1) * w).sum(), [a]) < 1e-5
-    assert grad_check(lambda: (log_softmax(a, -1) * w).sum(), [a]) < 1e-5
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 16, 17, 40, 129])
@@ -126,9 +123,6 @@ def test_gather_ops_grads():
     table = rand_t(rng, 10, 4)
     idx = np.array([[1, 3, 3], [0, 9, 2]])
     assert grad_check(lambda: (take_rows(table, idx) ** 2).sum(), [table]) < 1e-6
-    x = rand_t(rng, 3, 5)
-    j = np.array([0, 4, 2])
-    assert grad_check(lambda: (gather_last(x, j) ** 2).sum(), [x]) < 1e-6
 
 
 def test_concat_grads():
@@ -275,6 +269,13 @@ def test_mse_examples_and_grad():
 # infonce
 # ---------------------------------------------------------------------------
 
+def infonce(z, pos, negatives, tau=0.05):
+    """InfoNCE of one anchor: a one-row infonce_batch whose bank is the
+    negatives."""
+    bank = concat([n.reshape(1, -1) for n in negatives], axis=0) if negatives else None
+    return infonce_batch(z.reshape(1, -1), pos.reshape(1, -1), tau=tau, bank=bank)
+
+
 def test_infonce_positive_is_anchor_orthogonal_negatives():
     d = 64
     z = Tensor(np.eye(d)[0])
@@ -347,18 +348,25 @@ def test_infonce_grad():
 
 
 def test_infonce_batch_matches_single():
+    """The batched loss is the mean of each anchor's single-anchor InfoNCE,
+    computed here in plain Python: its positive against the other in-batch
+    positives and the bank."""
     rng = np.random.default_rng(20)
-    b, d, k = 5, 8, 7
+    b, d, k, tau = 5, 8, 7, 0.05
     anchors = rng.standard_normal((b, d))
     positives = rng.standard_normal((b, d))
     bank = rng.standard_normal((k, d))
-    batch_loss = infonce_batch(Tensor(anchors), Tensor(positives), tau=0.05, bank=Tensor(bank))
+    batch_loss = infonce_batch(Tensor(anchors), Tensor(positives), tau=tau, bank=Tensor(bank))
+
+    def cos(u, v):
+        return float(u @ v) / math.sqrt(float(u @ u) * float(v @ v))
+
     singles = []
     for i in range(b):
-        negs = [Tensor(positives[j]) for j in range(b) if j != i] + [
-            Tensor(bank[j]) for j in range(k)
-        ]
-        singles.append(float(infonce(Tensor(anchors[i]), Tensor(positives[i]), negs).data))
+        negs = [positives[j] for j in range(b) if j != i] + list(bank)
+        sims = [cos(anchors[i], positives[i]) / tau] + [cos(anchors[i], n) / tau for n in negs]
+        m = max(sims)
+        singles.append(m + math.log(sum(math.exp(s - m) for s in sims)) - sims[0])
     assert batch_loss.data == pytest.approx(np.mean(singles), abs=1e-9)
 
 

@@ -14,7 +14,7 @@ from semspeech.nn.layers import EncoderConfig, init_linear
 from semspeech.nn.losses import infonce_batch, masked_cross_entropy
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech import teachers
-from semspeech.nn.tensor import Tensor
+from semspeech.nn.tensor import Packing, Tensor
 from semspeech.random_utils import derive_rng
 from semspeech.teachers import (
     EarlyStopper,
@@ -28,7 +28,7 @@ from semspeech.teachers import (
     train_simcse,
     train_tsdae,
 )
-from semspeech.tokenizer import CLS, MASK, PAD, SEP, UNK, TokenSequence, pad_tokens
+from semspeech.tokenizer import CLS, MASK, PAD, SEP, UNK, TokenSequence
 
 TINY = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
 
@@ -67,9 +67,10 @@ def test_embed_dimension_and_determinism():
 
 def test_mean_pool_single_content_token_is_its_state():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=1)
-    toks = np.array([[CLS, 9, SEP]])
-    states = enc.encode(toks)
-    pooled = enc.pool(states, toks)
+    toks = [np.array([CLS, 9, SEP])]
+    ids, pack = Packing.of(toks)
+    states = enc.encode(ids, pack)
+    pooled = enc.pool(states, ids, pack)
     assert np.allclose(pooled.data[0], states.data[1], atol=1e-12)
 
 
@@ -86,6 +87,36 @@ def test_embed_batch_matches_single():
     batched = enc.embed_batch(seqs)
     for i, s in enumerate(seqs):
         assert np.array_equal(batched[i], enc.embed_batch([s])[0])
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls"])
+def test_a_list_of_id_sequences_is_the_one_input(pooling):
+    """encode and pool take the list embed_batch takes, packed by
+    Packing.of, and embed_train takes the list itself: ragged, with a
+    2-token sequence and as a batch of one. The states pooled are
+    embed_batch's rows, bit for bit, and without dropout so is embed_train."""
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, pooling=pooling, seed=9)
+    still = SequenceEncoder(enc.store, replace(TINY, dropout_rate=0.0), 20, pooling=pooling)
+    rng = np.random.default_rng(9)
+    seqs = [np.array([CLS, *rng.integers(5, 20, size=n - 1)]) for n in (6, 2, 11, 3)]
+    for batch in (seqs, seqs[1:2], seqs[2:3]):
+        want = enc.embed_batch(batch)
+        ids, pack = Packing.of(batch)
+        assert np.array_equal(enc.pool(enc.encode(ids, pack), ids, pack).data, want)
+        assert np.array_equal(still.embed_train(batch, np.random.default_rng(0)).data, want)
+        assert enc.embed_train(batch, np.random.default_rng(0)).shape == want.shape
+
+
+def test_an_id_sequence_holding_pad_is_refused():
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=9)
+    seqs = [np.array([CLS, 7, 9, SEP]), np.array([CLS, 8, PAD, SEP])]
+    for call in (
+        lambda: enc.encode(*Packing.of(seqs)),
+        lambda: enc.embed_batch(seqs),
+        lambda: enc.embed_train(seqs, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValidationError, match="holds PAD"):
+            call()
 
 
 def test_mean_pool_rejects_no_content():
@@ -116,13 +147,13 @@ def test_mask_count_contract():
     for trial in range(200):
         n = int(rng.integers(1, 30))
         lengths_seen.add(n)
-        toks = np.array([[CLS] + [7] * n + [SEP]])
-        _, mask = _mask_batch(toks, 0.15, 20, rng)
+        toks = [np.array([CLS] + [7] * n + [SEP])]
+        _, mask = _mask_batch(*Packing.of(toks), 0.15, 20, rng)
         n_masked = int(mask.sum())
         assert abs(n_masked - round(0.15 * n)) <= 1
         assert n_masked >= 1
         # never a structural token
-        assert not mask[0, 0] and not mask[0, -1]
+        assert not mask[0] and not mask[-1]
     assert min(lengths_seen) <= 3  # short sequences exercised the max(1,...) rule
 
 
@@ -135,15 +166,22 @@ def test_mask_batch_keeps_its_draws():
     seqs = [np.array([CLS, *rng.integers(3, 30, size=n), SEP]) for n in (9, 1, 0, 14, 5)]
     seqs[3][4:7] = (MASK, UNK, PAD)
     stream = np.random.default_rng(41)
-    corrupted, chosen = _mask_batch(pad_tokens(seqs), 0.3, 30, stream)
-    digest = hashlib.sha256(corrupted.tobytes() + chosen.tobytes() + stream.random(4).tobytes())
+    ids, pack = Packing.of(seqs)
+    corrupted, chosen = _mask_batch(ids, pack, 0.3, 30, stream)
+    assert corrupted.shape == chosen.shape == ids.shape
+    # pinned on the padded (B, S) layout, PAD after each sequence
+    padded = np.full((pack.batch, pack.length), PAD)
+    padded[pack.valid] = corrupted
+    digest = hashlib.sha256(padded.tobytes() + pack.pad(chosen).tobytes())
+    digest.update(stream.random(4).tobytes())
     assert digest.hexdigest() == "01eb54864dd67c659f3de788f1e4e4a6d7a9c1a3872af3c88a3cd9497bbdaadb"
 
 
 def test_mask_split_statistics():
     rng = derive_rng(1, "test-mask-split")
-    toks = np.tile(np.array([[CLS] + [9] * 40 + [SEP]]), (200, 1))
-    corrupted, mask = _mask_batch(toks, 0.5, 20, rng)
+    seqs = [np.array([CLS] + [9] * 40 + [SEP])] * 200
+    toks, pack = Packing.of(seqs)
+    corrupted, mask = _mask_batch(toks, pack, 0.5, 20, rng)
     picked = mask.sum()
     became_mask = ((corrupted == MASK) & mask).sum()
     changed_other = ((corrupted != MASK) & (corrupted != toks) & mask).sum()
@@ -181,12 +219,12 @@ def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
         for chunk in batches(list(order), batch_size):
             if step >= steps:
                 break
-            batch = pad_tokens([arrs[i] for i in chunk])
-            corrupted, mask = _mask_batch(batch, mask_rate, encoder.vocab, rng)
+            batch = [arrs[i] for i in chunk]
+            ids, pack = Packing.of(batch)
+            corrupted, mask = _mask_batch(ids, pack, mask_rate, encoder.vocab, rng)
             encoder.store.zero_grad()
-            logits = mlm_forward(encoder, corrupted, train_mode=True, rng=rng, seed=seed)
-            valid = batch != PAD
-            loss = masked_cross_entropy(logits, batch[valid], mask[valid])
+            logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
+            loss = masked_cross_entropy(logits, ids, mask)
             loss.backward()
             adamw_step(encoder.store, lr=lr, weight_decay=0.01)
             history.append(float(loss.data))
@@ -213,9 +251,9 @@ def _mlm_head_init(seed: int, vocab: int) -> np.ndarray:
 
 
 def test_mlm_head_draws_from_the_run_seed():
-    toks = np.array([[CLS, 7, 9, 12, 6, SEP]])
+    toks = [np.array([CLS, 7, 9, 12, 6, SEP])]
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=8)
-    mlm_forward(enc, toks)
+    mlm_forward(enc, *Packing.of(toks))
     # seed 0, the default, keeps the draws of the head it made before
     assert np.array_equal(enc.store["mlm.out.w"].data, _mlm_head_init(0, 20))
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=8)
@@ -229,16 +267,16 @@ def test_mlm_head_draws_from_the_run_seed():
 def test_mlm_unmasked_positions_get_zero_logit_grads():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=8)
     rng = derive_rng(8, "probe")
-    toks = np.array([[CLS, 7, 9, 12, 6, SEP]])
-    corrupted, mask = _mask_batch(toks, 0.4, 20, rng)
-    logits = mlm_forward(enc, corrupted)  # packed: one row per non-PAD position
+    toks = np.array([CLS, 7, 9, 12, 6, SEP])
+    pack = Packing.from_lengths([len(toks)])
+    corrupted, mask = _mask_batch(toks, pack, 0.4, 20, rng)
+    logits = mlm_forward(enc, corrupted, pack)  # packed: one row per position
     leaf = Tensor(logits.data, requires_grad=True)
-    valid = toks != PAD
-    loss = masked_cross_entropy(leaf, toks[valid], mask[valid])
+    loss = masked_cross_entropy(leaf, toks, mask)
     loss.backward()
     g = leaf.grad
-    assert np.all(g[~mask[valid]] == 0.0)
-    assert np.any(g[mask[valid]] != 0.0)
+    assert np.all(g[~mask] == 0.0)
+    assert np.any(g[mask] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +401,7 @@ def test_simcse_initial_loss_near_log_batch():
     for seed in range(3):
         enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=seed)
         seqs = make_seqs(16, seed=seed)
-        tokens = pad_tokens([np.asarray(s.tokens) for s in seqs])
+        tokens = [np.asarray(s.tokens) for s in seqs]
         rng = derive_rng(seed, "probe")
         loss = infonce_batch(enc.embed_train(tokens, rng), enc.embed_train(tokens, rng), tau=0.05)
         losses.append(float(loss.data))
@@ -447,7 +485,7 @@ def simcse_reference(encoder, seqs, cfg, dev_pairs):
         for chunk in batches([seqs[i] for i in order], cfg.batch_size):
             if len(chunk) < 2:
                 continue
-            tokens = pad_tokens([np.asarray(s.tokens) for s in chunk])
+            tokens = [np.asarray(s.tokens) for s in chunk]
             encoder.store.zero_grad()
             z1 = encoder.embed_train(tokens, rng)
             z2 = encoder.embed_train(tokens, rng)

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from semspeech.corpus import SyntheticSpec, generate_corpus
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.nn import layers
 from semspeech.nn.checkpoint import save_checkpoint
-from semspeech.nn.gradcheck import grad_check
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.optim import ParamStore, adamw_step
-from semspeech.tokenizer import CLS, SEP, wrap_units
+from semspeech.tokenizer import CLS, PAD, SEP, wrap_units
 from semspeech.wavembed import (
     TrainRunConfig,
     WavEmbedModel,
@@ -130,6 +130,16 @@ def test_reconstruction_rejects_overlong_target():
     x = rng.standard_normal((3, 4))
     with pytest.raises(ValidationError):
         model.batch_loss([x], [np.array([CLS, 5, 6, 7, SEP])])
+
+
+def test_reconstruction_refuses_a_target_holding_pad():
+    model = tiny_model()
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 4))
+    model.batch_loss([x], [np.array([CLS, 7, 8, 9, SEP])])
+    for target in ([CLS, 7, PAD, 9, SEP], [PAD, 7, 8, 9, SEP], [CLS, 7, 8, 9, PAD]):
+        with pytest.raises(ValidationError, match="holds PAD"):
+            model.batch_loss([x, x], [np.array([CLS, 5, SEP]), np.array(target)])
 
 
 def test_batch_loss_matches_singles_equal_lengths():

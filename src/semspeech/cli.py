@@ -205,7 +205,6 @@ def cmd_train_wavembed(cfg: PipelineConfig, args, out: Path) -> None:
         d_in=corpus.utterances[0].features.dim,
         vocab=vocab,
         encoder_cfg=_encoder_config(cfg),
-        max_target_len=cfg["wavembed.max_target_len"],
         seed=cfg["run.seed"],
     )
     run_cfg = TrainRunConfig(
@@ -224,6 +223,11 @@ def cmd_train_wavembed(cfg: PipelineConfig, args, out: Path) -> None:
 
 
 def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
+    if args.kind == "mlm" and not args.base:
+        # an mlm teacher is the pretrain-mlm encoder; this stage trains nothing
+        raise ValidationError(
+            "an mlm teacher needs --base, the pretrain-mlm encoder", field="base"
+        )
     seqs = load_token_corpus(args.tokens)
     if args.base:
         encoder = SequenceEncoder.load(args.base)

@@ -46,7 +46,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "wavembed.batch_size": ("int", 16),
     "wavembed.weight_decay": ("float", 0.01),
     "wavembed.dev_fraction": ("float", 0.1),
-    "wavembed.max_target_len": ("int", 256),
     "mlm.steps": ("int", 500),
     "mlm.lr": ("float", 5e-4),
     "mlm.batch_size": ("int", 16),

@@ -208,11 +208,6 @@ def distill_step(
             f"and a student of dim {student.cfg.model_dim}",
             field="model_dim",
         )
-    if cfg.loss == "infonce" and len(frames) == 1 and len(bank) == 0:
-        raise ValidationError(
-            "a single-item batch with an empty bank leaves no negatives",
-            field="batch_size",
-        )
     z = student.embed_train(frames, rng)
     if cfg.loss == "infonce":
         bank_tensor = Tensor(bank.contents()) if len(bank) else None

@@ -1,4 +1,5 @@
-"""Training objectives: masked NLL, masked cross-entropy, InfoNCE, MSE."""
+"""Training objectives besides token cross-entropy (``tensor.nll``): InfoNCE,
+scored through ``nll``, and MSE."""
 
 from __future__ import annotations
 
@@ -6,40 +7,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from .tensor import Tensor, concat, nll
-
-
-def nll_loss(logits: Tensor, targets: np.ndarray, pad_id: int = 0) -> Tensor:
-    """Mean negative log-likelihood of targets; PAD positions are masked out."""
-    targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise ValidationError(
-            f"target shape {targets.shape} does not match logits {logits.shape[:-1]}",
-            field="targets",
-        )
-    vocab = logits.shape[-1]
-    if targets.min() < 0 or targets.max() >= vocab:
-        raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
-    mask = targets != pad_id
-    n_live = int(mask.sum())
-    if n_live == 0:
-        raise ValidationError("all target positions are PAD", field="targets")
-    return nll(logits, targets, mask)
-
-
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean cross-entropy over exactly the positions where mask is True."""
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=bool)
-    if targets.shape != logits.shape[:-1] or mask.shape != targets.shape:
-        raise ValidationError("logits, targets, and mask shapes must agree", field="mask")
-    n_live = int(mask.sum())
-    if n_live == 0:
-        raise ValidationError("mask selects no positions", field="mask")
-    vocab = logits.shape[-1]
-    safe = np.where(mask, targets, 0)
-    if safe.min() < 0 or safe.max() >= vocab:
-        raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
-    return nll(logits, safe, mask)
 
 
 def mse(z: Tensor, target: Tensor) -> Tensor:

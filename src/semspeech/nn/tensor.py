@@ -579,7 +579,24 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean of -log softmax(logits)[..., target] over the positions where
     ``mask`` is True, as one node that keeps only the softmax. ``targets``
-    must be valid ids at every position, masked ones included."""
+    and ``mask`` have the shape ``logits.shape[:-1]``, the mask selects at
+    least one position, and every target, masked ones included, is an id in
+    ``[0, vocab)``; anything else is a ``ValidationError``."""
+    targets, mask = np.asarray(targets), np.asarray(mask, dtype=bool)
+    vocab = logits.shape[-1]
+    if targets.shape != logits.shape[:-1]:
+        raise ValidationError(
+            f"target shape {targets.shape} does not match logits {logits.shape[:-1]}",
+            field="targets",
+        )
+    if mask.shape != targets.shape:
+        raise ValidationError(
+            f"mask shape {mask.shape} does not match targets {targets.shape}", field="mask"
+        )
+    if not mask.any():
+        raise ValidationError("mask selects no positions", field="mask")
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
     idx = np.expand_dims(targets, -1)
     weights = mask.astype(np.float64)
     scale = 1.0 / int(mask.sum())

@@ -28,9 +28,9 @@ from .nn.layers import (
     pool_states,
     transformer_encode,
 )
-from .nn.losses import infonce_batch, masked_cross_entropy
+from .nn.losses import infonce_batch
 from .nn.optim import ParamStore
-from .nn.tensor import Packing, Tensor
+from .nn.tensor import Packing, Tensor, nll
 from .random_utils import derive_rng
 from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
@@ -229,7 +229,7 @@ def mlm_pretrain(
         ids, pack = Packing.of(chunk)
         corrupted, mask = _mask_batch(ids, pack, mask_rate, encoder.vocab, rng)
         logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
-        loss = masked_cross_entropy(logits, ids, mask)
+        loss = nll(logits, ids, mask)
         return optimizer_step(encoder.store, loss, lr, 0.01)
 
     _, history, _ = fit(encoder.store, arrs, batch_size, rng, step, max_steps=steps)

@@ -33,7 +33,6 @@ from .random_utils import derive_rng
 from .tokenizer import CLS, PAD, SEP, token_array
 from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
 
-DEFAULT_MAX_TARGET_LEN = 256
 EMBED_CHUNK = 32  # sequences per forward pass in embed_batch
 
 
@@ -120,8 +119,6 @@ def decode_loss(
     targets = np.concatenate([t[1:] for t in token_list])
     if (inputs == PAD).any() or (targets == PAD).any():
         raise ValidationError("a target sequence holds PAD", field="tokens")
-    if targets.min() < 0 or targets.max() >= vocab:
-        raise ValidationError(f"target id outside vocabulary of size {vocab}", field="targets")
     logits = decode_tokens(inputs, z, store, cfg, vocab, train_mode, rng, pack)
     return nll(logits, targets, np.ones(len(targets), dtype=bool))
 
@@ -133,19 +130,11 @@ class WavEmbedModel:
 
     KIND = "wavembed"
 
-    def __init__(
-        self,
-        store: ParamStore,
-        encoder_cfg: EncoderConfig,
-        d_in: int,
-        vocab: int,
-        max_target_len: int = DEFAULT_MAX_TARGET_LEN,
-    ):
+    def __init__(self, store: ParamStore, encoder_cfg: EncoderConfig, d_in: int, vocab: int):
         self.store = store
         self.encoder_cfg = encoder_cfg
         self.d_in = d_in
         self.vocab = vocab
-        self.max_target_len = max_target_len
 
     @classmethod
     def create(
@@ -153,7 +142,6 @@ class WavEmbedModel:
         d_in: int,
         vocab: int,
         encoder_cfg: EncoderConfig | None = None,
-        max_target_len: int = DEFAULT_MAX_TARGET_LEN,
         seed: int = 0,
     ) -> "WavEmbedModel":
         if vocab < 6:
@@ -165,7 +153,7 @@ class WavEmbedModel:
         store = ParamStore()
         init_encoder(store, rng, encoder_cfg, d_in=d_in, pooling="self_attention")
         init_token_decoder(store, rng, encoder_cfg, vocab)
-        return cls(store, encoder_cfg, d_in, vocab, max_target_len=max_target_len)
+        return cls(store, encoder_cfg, d_in, vocab)
 
     # -- embedding ----------------------------------------------------------
 
@@ -189,13 +177,6 @@ class WavEmbedModel:
 
     # -- reconstruction -----------------------------------------------------
 
-    def _check_target_len(self, n: int) -> None:
-        if n > self.max_target_len:
-            raise ValidationError(
-                f"target length {n} exceeds max_target_len {self.max_target_len}",
-                field="max_target_len",
-            )
-
     def batch_loss(
         self,
         frame_list: Sequence[np.ndarray],
@@ -209,8 +190,6 @@ class WavEmbedModel:
                 field="batch",
             )
         tokens = [token_array(t) for t in token_list]
-        for t in tokens:
-            self._check_target_len(len(t))
         z = self._encode(frame_list, train_mode, rng)
         return decode_loss(z, tokens, self.store, self.encoder_cfg, self.vocab, train_mode, rng)
 
@@ -249,7 +228,6 @@ class WavEmbedModel:
             "encoder": self.encoder_cfg.to_dict(),
             "d_in": self.d_in,
             "vocab": self.vocab,
-            "max_target_len": self.max_target_len,
         }
 
     @classmethod
@@ -269,7 +247,6 @@ class WavEmbedModel:
             d_in=int(config["d_in"]),
             vocab=int(config["vocab"]),
             encoder_cfg=EncoderConfig.from_dict(config["encoder"]),
-            max_target_len=int(config["max_target_len"]),
         )
 
     def save(self, path: str | Path) -> None:
@@ -329,7 +306,13 @@ def train_wavembed(
         if u.id not in targets:
             raise ValidationError(f"no target sequence for utterance {u.id!r}", field=u.id)
         t = token_array(targets[u.id])
-        model._check_target_len(len(t))
+        # the decoder reads every id but the last, one position each
+        if len(t) - 1 > model.encoder_cfg.max_positions:
+            raise ValidationError(
+                f"target for {u.id!r} needs {len(t) - 1} decoder positions, "
+                f"more than max_positions {model.encoder_cfg.max_positions}",
+                field=u.id,
+            )
         if t.min() < 0 or t.max() >= model.vocab:
             raise ValidationError(
                 f"target for {u.id!r} contains ids outside vocab {model.vocab}",

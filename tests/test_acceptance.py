@@ -44,9 +44,9 @@ from semspeech.nn.layers import (
     init_embedding,
     init_linear,
 )
-from semspeech.nn.losses import infonce_batch, nll_loss
+from semspeech.nn.losses import infonce_batch
 from semspeech.nn.optim import ParamStore
-from semspeech.nn.tensor import Packing, Tensor, take_rows
+from semspeech.nn.tensor import Packing, Tensor, nll, take_rows
 from semspeech.quantizer import train_kmeans, quantize_corpus
 from semspeech.teachers import (
     SequenceEncoder,
@@ -54,7 +54,7 @@ from semspeech.teachers import (
     mlm_pretrain,
     train_tsdae,
 )
-from semspeech.tokenizer import CLS, SEP, N_SPECIALS, wrap_units
+from semspeech.tokenizer import CLS, PAD, SEP, N_SPECIALS, wrap_units
 from semspeech.wavembed import TrainRunConfig, WavEmbedModel, train_wavembed
 
 # Model/optimizer settings shared by the training checks. Teacher-side runs
@@ -313,7 +313,7 @@ def test_c02_losses_match_brute_force_oracles():
         targets = rng.integers(1, v, size=(b, s))
         targets[rng.random((b, s)) < 0.3] = 0
         targets[0, 0] = max(1, int(targets[0, 0]))  # at least one scored position
-        got = float(nll_loss(Tensor(logits), targets).data)
+        got = float(nll(Tensor(logits), targets, targets != PAD).data)
         want = _brute_nll(logits, targets)
         assert _agree(got, want, 1e-6), f"nll instance {i}: {got} vs {want}"
 

@@ -7,8 +7,10 @@ import struct
 import numpy as np
 import pytest
 
-from semspeech.cli import main
+from semspeech.cli import build_parser, cmd_train_teacher, main
+from semspeech.config import default_config
 from semspeech.corpus import load_corpus
+from semspeech.errors import ValidationError
 from semspeech.evaluation import load_report
 from semspeech.index import load_index
 from semspeech.nn.layers import EncoderConfig
@@ -354,6 +356,28 @@ def test_search_rejects_ambiguous_query(pipeline, tmp_path, capsys):
     ])
     assert rc == 1
     assert "query" in capsys.readouterr().err
+
+
+def test_mlm_teacher_without_base_exits_before_building_a_model(pipeline, tmp_path, capsys):
+    """An mlm teacher is the pretrained encoder as it stands, so without
+    ``--base`` there is nothing to save; a fresh tsdae teacher still runs."""
+    root, c = pipeline
+    data = root / "data"
+    inputs = ["--tokens", str(data / "tokens.tsv"), "--bpe", str(data / "bpe.json")]
+    out = tmp_path / "mlm"
+    rc = main(["train-teacher", "--config", c, "--out", str(out), "--kind", "mlm", *inputs])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tValidationError\t") and "--base" in errors[0]
+    assert not (out / "teacher.semm").exists()
+    args = build_parser().parse_args(["train-teacher", "--out", str(out), "--kind", "mlm", *inputs])
+    with pytest.raises(ValidationError) as e:
+        cmd_train_teacher(default_config(), args, out)
+    assert e.value.field == "base"
+    fresh = tmp_path / "tsdae"
+    rc = main(["train-teacher", "--config", c, "--out", str(fresh), "--kind", "tsdae", *inputs])
+    assert rc == 0 and (fresh / "teacher.semm").is_file()
 
 
 def test_model_of_another_feature_dim_exits_with_one_line_error(pipeline, tmp_path, capsys):

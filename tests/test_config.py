@@ -1,7 +1,11 @@
 """Config document: strict schema, typed values, canonical rendering."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from semspeech import cli
 from semspeech.config import SCHEMA, default_config, load_config, parse_config
 from semspeech.errors import ConfigError
 
@@ -12,6 +16,13 @@ def test_defaults_cover_schema():
     assert cfg["run.seed"] == 0
     assert cfg["corpus.n_utterances"] == 2000
     assert cfg["distill.loss"] == "infonce"
+
+
+def test_every_schema_key_is_read_by_a_stage():
+    """A key no stage handler reads would be a knob that changes nothing."""
+    read = set(re.findall(r'cfg\["([^"]+)"\]', Path(cli.__file__).read_text()))
+    assert sorted(set(SCHEMA) - read) == []
+    assert sorted(read - set(SCHEMA)) == []
 
 
 def test_text_round_trip_is_exact():

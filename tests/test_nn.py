@@ -24,7 +24,7 @@ from semspeech.nn.layers import (
     apply_linear,
     transformer_encode,
 )
-from semspeech.nn.losses import infonce_batch, masked_cross_entropy, mse, nll_loss
+from semspeech.nn.losses import infonce_batch, mse
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech.nn.tensor import (
     NEG_INF,
@@ -34,14 +34,22 @@ from semspeech.nn.tensor import (
     concat,
     dropout,
     layer_norm,
+    nll,
     no_grad,
     softmax,
     take_rows,
 )
+from semspeech.tokenizer import PAD
 
 
 def rand_t(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def pad_nll(logits, targets):
+    """``nll`` over the positions whose target is not PAD."""
+    targets = np.asarray(targets)
+    return nll(logits, targets, targets != PAD)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +179,7 @@ def test_nll_uniform_logits_is_log_vocab():
     vocab = 11
     logits = Tensor(np.zeros((6, vocab)))
     targets = np.array([1, 2, 3, 4, 5, 6])
-    loss = nll_loss(logits, targets)
+    loss = pad_nll(logits, targets)
     assert loss.data == pytest.approx(math.log(vocab), abs=1e-12)
 
 
@@ -181,13 +189,13 @@ def test_nll_confident_logits_near_zero():
     logits_np = np.zeros((3, vocab))
     for i, t in enumerate(targets):
         logits_np[i, t] = 20.0
-    loss = nll_loss(Tensor(logits_np), targets)
+    loss = pad_nll(Tensor(logits_np), targets)
     # exact closed form at gap 20: ln(1 + 99 e^-20) per position
     assert loss.data == pytest.approx(math.log(1 + 99 * math.exp(-20.0)), rel=1e-9)
     assert loss.data < 1e-6
     # gap 40 (one-hot +-20) drives the loss below 1e-8
     wide = np.where(logits_np > 0, 20.0, -20.0)
-    assert nll_loss(Tensor(wide), targets).data < 1e-8
+    assert pad_nll(Tensor(wide), targets).data < 1e-8
 
 
 def test_nll_masks_pad():
@@ -196,7 +204,7 @@ def test_nll_masks_pad():
     logits = Tensor(rng.standard_normal((4, vocab)))
     # positions 2,3 are PAD and must not contribute
     targets = np.array([2, 3, 0, 0])
-    full = nll_loss(logits, targets)
+    full = pad_nll(logits, targets)
     manual = 0.0
     for i in (0, 1):
         row = logits.data[i]
@@ -207,20 +215,20 @@ def test_nll_masks_pad():
 def test_nll_pad_only_errors():
     logits = Tensor(np.zeros((3, 4)))
     with pytest.raises(ValidationError):
-        nll_loss(logits, np.array([0, 0, 0]))
+        pad_nll(logits, np.array([0, 0, 0]))
 
 
 def test_nll_length_mismatch_errors():
     logits = Tensor(np.zeros((3, 4)))
     with pytest.raises(ValidationError):
-        nll_loss(logits, np.array([1, 2]))
+        pad_nll(logits, np.array([1, 2]))
 
 
 def test_nll_grad():
     rng = np.random.default_rng(13)
     logits = rand_t(rng, 4, 6)
     targets = np.array([1, 0, 3, 5])
-    assert grad_check(lambda: nll_loss(logits, targets), [logits]) < 1e-5
+    assert grad_check(lambda: pad_nll(logits, targets), [logits]) < 1e-5
 
 
 def test_nll_matches_brute_force():
@@ -229,7 +237,7 @@ def test_nll_matches_brute_force():
         s, v = int(rng.integers(2, 8)), int(rng.integers(3, 10))
         logits = rng.standard_normal((s, v))
         targets = rng.integers(1, v, size=s)
-        loss = nll_loss(Tensor(logits), targets)
+        loss = pad_nll(Tensor(logits), targets)
         brute = 0.0
         for i in range(s):
             p = np.exp(logits[i]) / np.exp(logits[i]).sum()
@@ -237,20 +245,43 @@ def test_nll_matches_brute_force():
         assert loss.data == pytest.approx(brute / s, abs=1e-9)
 
 
-def test_masked_cross_entropy_selects_positions():
+def test_nll_mask_selects_positions():
     rng = np.random.default_rng(15)
     logits = rand_t(rng, 2, 5, 7)
     targets = rng.integers(0, 7, size=(2, 5))
     mask = np.zeros((2, 5), dtype=bool)
     mask[0, 1] = mask[1, 4] = True
-    loss = masked_cross_entropy(logits, targets, mask)
+    loss = nll(logits, targets, mask)
     # gradient w.r.t. unmasked logits rows is exactly zero
     loss.backward()
     g = logits.grad.copy()
     assert np.all(g[0, 0] == 0) and np.all(g[0, 2:] == 0) and np.all(g[1, :4] == 0)
     assert np.any(g[0, 1] != 0) and np.any(g[1, 4] != 0)
     with pytest.raises(ValidationError):
-        masked_cross_entropy(logits, targets, np.zeros((2, 5), dtype=bool))
+        nll(logits, targets, np.zeros((2, 5), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "targets, mask, field",
+    [
+        ([[1, 2], [3, 4]], None, "targets"),
+        ([[1, 2, 3], [4, 0, 1]], np.ones((3, 2), dtype=bool), "mask"),
+        ([[1, 2, 3], [4, 0, 1]], np.zeros((2, 3), dtype=bool), "mask"),
+        ([[1, 2, 3], [4, -1, 1]], None, "targets"),
+        ([[1, 2, 3], [4, 5, 1]], None, "targets"),
+        ([[1, 2, 3], [4, -1, 1]], np.array([[1, 1, 1], [1, 0, 1]], dtype=bool), "targets"),
+    ],
+    ids=["targets-shape", "mask-shape", "empty-mask", "negative-id", "id-at-vocab",
+         "masked-negative-id"],
+)
+def test_nll_refuses_malformed_input(targets, mask, field):
+    """Each malformed input is one ValidationError from the kernel itself,
+    checked at every position, masked ones included."""
+    logits = Tensor(np.zeros((2, 3, 5)))
+    targets = np.asarray(targets)
+    with pytest.raises(ValidationError) as e:
+        nll(logits, targets, np.ones(targets.shape, dtype=bool) if mask is None else mask)
+    assert e.value.field == field
 
 
 def test_mse_examples_and_grad():
@@ -602,7 +633,7 @@ def test_decoder_nll_grad_wrt_z():
     targets = np.array([4, 2, 2])
 
     def loss():
-        return nll_loss(decode_tokens(tokens, z, store, cfg, vocab=7), targets)
+        return pad_nll(decode_tokens(tokens, z, store, cfg, vocab=7), targets)
 
     assert grad_check(loss, [z]) < 1e-3
 
@@ -895,7 +926,7 @@ def _encoder_decoder_step(seed, monkeypatch):
     z = attention_pool(h[0:5], h[5])
     logits = decode_tokens(np.array([1, 4, 2, 6]), z, store, cfg, vocab=7,
                            train_mode=True, rng=drop)
-    loss = nll_loss(logits, np.array([4, 2, 6, 2]))
+    loss = pad_nll(logits, np.array([4, 2, 6, 2]))
     grads = {}
 
     def step(store, **kw):

@@ -11,10 +11,10 @@ from semspeech.corpus import ScoredPairSet
 from semspeech.errors import ValidationError
 from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig, init_linear
-from semspeech.nn.losses import infonce_batch, masked_cross_entropy
+from semspeech.nn.losses import infonce_batch
 from semspeech.nn.optim import ParamStore, adamw_step
 from semspeech import teachers
-from semspeech.nn.tensor import Packing, Tensor
+from semspeech.nn.tensor import Packing, Tensor, nll
 from semspeech.random_utils import derive_rng
 from semspeech.teachers import (
     EarlyStopper,
@@ -224,7 +224,7 @@ def mlm_reference(encoder, arrs, mask_rate, steps, seed, lr, batch_size):
             corrupted, mask = _mask_batch(ids, pack, mask_rate, encoder.vocab, rng)
             encoder.store.zero_grad()
             logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
-            loss = masked_cross_entropy(logits, ids, mask)
+            loss = nll(logits, ids, mask)
             loss.backward()
             adamw_step(encoder.store, lr=lr, weight_decay=0.01)
             history.append(float(loss.data))
@@ -272,7 +272,7 @@ def test_mlm_unmasked_positions_get_zero_logit_grads():
     corrupted, mask = _mask_batch(toks, pack, 0.4, 20, rng)
     logits = mlm_forward(enc, corrupted, pack)  # packed: one row per position
     leaf = Tensor(logits.data, requires_grad=True)
-    loss = masked_cross_entropy(leaf, toks, mask)
+    loss = nll(leaf, toks, mask)
     loss.backward()
     g = leaf.grad
     assert np.all(g[~mask] == 0.0)

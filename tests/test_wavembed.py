@@ -21,8 +21,8 @@ from semspeech.wavembed import (
 TINY = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
 
 
-def tiny_model(vocab=13, seed=0, **kw):
-    return WavEmbedModel.create(d_in=4, vocab=vocab, encoder_cfg=TINY, seed=seed, **kw)
+def tiny_model(vocab=13, seed=0, encoder_cfg=TINY):
+    return WavEmbedModel.create(d_in=4, vocab=vocab, encoder_cfg=encoder_cfg, seed=seed)
 
 
 def toy_corpus(n=50, seed=0):
@@ -125,11 +125,14 @@ def test_untrained_loss_near_log_vocab():
 
 
 def test_reconstruction_rejects_overlong_target():
-    model = tiny_model(max_target_len=4)
+    # the decoder reads every target id but the last, one position each
+    model = tiny_model(encoder_cfg=replace(TINY, max_positions=3))
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4))
-    with pytest.raises(ValidationError):
+    model.batch_loss([x], [np.array([CLS, 5, 6, SEP])])
+    with pytest.raises(ValidationError) as e:
         model.batch_loss([x], [np.array([CLS, 5, 6, 7, SEP])])
+    assert e.value.field == "max_positions"
 
 
 def test_reconstruction_refuses_a_target_holding_pad():
@@ -300,6 +303,20 @@ def test_train_missing_target_names_id():
     assert victim in str(e.value)
 
 
+def test_train_refuses_an_overlong_target_before_its_first_step():
+    corpus, targets = toy_corpus(n=10)
+    victim = corpus[list(targets)[4]].id
+    targets[victim] = [CLS, *[5] * 64, SEP]  # 65 decoder positions
+    # the toy utterances have at most 30 frames
+    model = tiny_model(encoder_cfg=replace(TINY, max_positions=64))
+    before = model.store.state_dict()
+    with pytest.raises(ValidationError) as e:
+        train_wavembed(model, corpus, targets, TrainRunConfig(epochs=1))
+    assert e.value.field == victim and repr(victim) in str(e.value)
+    after = model.store.state_dict()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
 def test_train_rerun_is_bit_identical():
     corpus, targets = toy_corpus(n=20)
     states = []
@@ -363,6 +380,20 @@ def test_load_accepts_checkpoint_with_has_decoder_key(tmp_path):
     x = np.random.default_rng(12).standard_normal((5, 4))
     assert np.allclose(loaded.embed(x), model.embed(x), atol=1e-5)
     assert loaded.config_dict() == model.config_dict()
+
+
+def test_load_accepts_checkpoint_with_max_target_len(tmp_path):
+    # checkpoints written while the target length had its own limit carry it
+    model = tiny_model(seed=7)
+    old, new = tmp_path / "old.semm", tmp_path / "new.semm"
+    save_checkpoint(old, kind="wavembed", config=dict(model.config_dict(), max_target_len=256),
+                    store=model.store)
+    model.save(new)
+    rng = np.random.default_rng(13)
+    frames = [rng.standard_normal((n, 4)) for n in (3, 7, 1)]
+    loaded = WavEmbedModel.load(old)
+    assert loaded.config_dict() == model.config_dict()
+    assert np.array_equal(loaded.embed_batch(frames), WavEmbedModel.load(new).embed_batch(frames))
 
 
 def test_encoder_only_checkpoint_is_one_format_error(tmp_path):

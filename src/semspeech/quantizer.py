@@ -25,6 +25,11 @@ _LLOYD_BLOCK = 1024
 # frames per block of the centroid sums: 2048 rows of 16 dimensions take
 # 0.25 MiB of bin ids
 _SUM_BLOCK = 2048
+# rows of the prefix whose distinct count settles the k-distinct-frames check
+_DISTINCT_PREFIX_PER_K = 8
+_EPS = np.finfo(np.float64).eps
+# the smallest normal float64: covers the absolute error of underflowed terms
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -85,10 +90,17 @@ def _centroid_terms(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sq_dists(
     frames: np.ndarray, sq: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    # rows with |x|^2 ``sq``, centroids as _centroid_terms; clamp tiny
-    # negatives from cancellation
+    """(n, k) squared distances of rows with |x|^2 ``sq`` to centroids given
+    as _centroid_terms, tiny negatives from cancellation clamped to 0.
+
+    A lone row runs as a pair: numpy sends a one-row product to a
+    matrix-vector kernel whose sums differ from the GEMM's, so a row gets the
+    bits it gets as one row of a larger product."""
     twice_t, c_sq = terms
-    d2 = frames @ twice_t
+    if frames.shape[0] == 1:
+        d2 = (np.concatenate([frames, frames]) @ twice_t)[:1]
+    else:
+        d2 = frames @ twice_t
     np.subtract(sq[:, None], d2, out=d2)
     np.add(d2, c_sq, out=d2)
     return np.maximum(d2, 0.0, out=d2)
@@ -119,19 +131,23 @@ def _cluster_sums(frames: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     Rows go in blocks, so the bin ids take one block's memory. Each block's
     bincount takes the running sums as its first weights: 0.0 + s == s for
     any sum that starts at 0.0 (it is never -0.0), so every cell keeps the
-    one sequential order.
+    one sequential order. Every block writes its bin ids and weights into
+    two buffers made once per call; fresh arrays per block took 2.4 times as
+    long at k=100 over 16 dimensions.
     """
     dim = frames.shape[1]
-    cells = np.arange(k * dim)
-    sums = np.zeros(k * dim)
+    cells = k * dim
+    bins = np.empty(cells + _SUM_BLOCK * dim, dtype=np.intp)
+    bins[:cells] = np.arange(cells)
+    weights = np.empty(bins.size)
+    sums = np.zeros(cells)
     for lo in range(0, frames.shape[0], _SUM_BLOCK):
         rows = slice(lo, lo + _SUM_BLOCK)
-        bins = (labels[rows, None] * dim + np.arange(dim)).ravel()
-        sums = np.bincount(
-            np.concatenate((cells, bins)),
-            weights=np.concatenate((sums, frames[rows].ravel())),
-            minlength=k * dim,
-        )
+        end = cells + frames[rows].size
+        np.add(labels[rows, None] * dim, np.arange(dim), out=bins[cells:end].reshape(-1, dim))
+        weights[:cells] = sums
+        weights[cells:end] = frames[rows].ravel()
+        sums = np.bincount(bins[:end], weights=weights[:end], minlength=cells)
     return sums.reshape(k, dim)
 
 
@@ -159,6 +175,44 @@ def _kmeans_pp_init(
     return centroids
 
 
+def _direct_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    # direct differences: the expanded form suffers cancellation
+    resid = centroids[labels]
+    np.subtract(x, resid, out=resid)
+    return np.einsum("ij,ij->i", resid, resid)
+
+
+def _assign_block(
+    x: np.ndarray,
+    sq: np.ndarray,
+    centroids: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
+    err: np.ndarray,
+    labels: np.ndarray,
+    lower: np.ndarray,
+    assigned_d2: np.ndarray,
+) -> int:
+    """One block of the bounded assignment pass, in place on the block's
+    ``labels``, ``lower`` bounds and ``assigned_d2``. ``err`` bounds each
+    frame's expanded-form distance error. Returns how many frames took the
+    full pass."""
+    d2 = _direct_sq_dists(x, centroids, labels)
+    # with the margin, no other centroid's computed distance can reach the
+    # frame's own, so neither the clamp at 0 nor a tie can move its label
+    redo = np.flatnonzero(d2 + 2.0 * err >= np.square(lower))
+    if redo.size:
+        dists = _sq_dists(x[redo], sq[redo], terms)
+        near = np.argmin(dists, axis=1)
+        dists[np.arange(redo.size), near] = np.inf
+        lower[redo] = np.sqrt(np.maximum(dists.min(axis=1) - err[redo], 0.0))
+        del dists
+        moved = redo[near != labels[redo]]
+        labels[redo] = near
+        d2[moved] = _direct_sq_dists(x[moved], centroids, labels[moved])
+    assigned_d2[:] = d2
+    return redo.size
+
+
 def train_kmeans(
     frames: np.ndarray,
     k: int,
@@ -171,6 +225,19 @@ def train_kmeans(
 
     Stops at max_iters or when relative inertia improvement drops below tol.
     Empty clusters are reseeded to the point farthest from its centroid.
+
+    The assignment pass is bounded, as in Hamerly, "Making k-means even
+    faster" (SDM 2010). Each frame keeps a lower bound on its distance to
+    every centroid but its own, which shrinks by the largest centroid move
+    after each update. A frame keeps its label without the distance product
+    when its direct squared distance to its own centroid, plus twice the
+    error bound of the computed distances, is below the square of that
+    bound; any other frame takes the full pass, which also renews its bound.
+    The first pass takes every frame. Labels, centroids and inertia are
+    plain Lloyd's bit for bit, as long as the BLAS gives a row the same bits
+    in every product of two or more rows (OpenBLAS does at the corpus's 16
+    dimensions). An INFO line logs the share of frame assignments that took
+    the full pass.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -181,37 +248,51 @@ def train_kmeans(
         raise ValidationError("tol must be >= 0", field="tol")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1", field="max_iters")
+    sq = np.einsum("ij,ij->i", frames, frames)
+    if not np.all(np.isfinite(sq)):
+        bad = int(np.flatnonzero(~np.isfinite(sq))[0])
+        raise ValidationError(
+            f"frame {bad} or its squared norm is not finite", field="frames"
+        )
 
     rng = derive_rng(seed, "kmeans", k)
     if max_training_frames is not None and frames.shape[0] > max_training_frames:
-        pick = rng.choice(frames.shape[0], size=max_training_frames, replace=False)
-        frames = frames[np.sort(pick)]
+        pick = np.sort(rng.choice(frames.shape[0], size=max_training_frames, replace=False))
+        frames, sq = frames[pick], sq[pick]
 
-    n_distinct = _count_distinct_rows(frames)
-    if n_distinct < k:
-        raise ValidationError(
-            f"need at least {k} distinct frames, got {n_distinct}", field="frames"
-        )
+    # k distinct rows in a prefix settle it; only a shortfall counts them all
+    if _count_distinct_rows(frames[: _DISTINCT_PREFIX_PER_K * k]) < k:
+        n_distinct = _count_distinct_rows(frames)
+        if n_distinct < k:
+            raise ValidationError(
+                f"need at least {k} distinct frames, got {n_distinct}", field="frames"
+            )
 
-    n = frames.shape[0]
-    sq = np.einsum("ij,ij->i", frames, frames)
+    n, dim = frames.shape
     centroids = _kmeans_pp_init(frames, sq, k, rng)
-    labels = np.empty(n, dtype=np.intp)
+    labels = np.zeros(n, dtype=np.int32)
+    lower = np.zeros(n)  # 0 sends every frame through the first full pass
     assigned_d2 = np.empty(n, dtype=np.float64)
+    # The expanded form's error is at most about (d+2)*eps*(|x|^2 + max|c|^2)
+    # (Higham's bound for the dot products and norms, plus the two additions).
+    # 64 times that also covers the rounding of the direct distance, of a
+    # fresh bound and of the skip test, none of which exceeds a few ulps of
+    # 2*(|x|^2 + max|c|^2).
+    rel = 64 * (dim + 2) * _EPS
     history: list[float] = []
     prev_inertia = np.inf
+    full_rows = 0
     for _ in range(max_iters):
-        # row blocks keep each (block, k) distance matrix in cache; every
-        # row's values are the same as from one (n, k) pass
+        # row blocks keep each (block, k) distance matrix in cache
         terms = _centroid_terms(centroids)
+        c_sq_max = terms[1].max()
         for lo in range(0, n, _LLOYD_BLOCK):
             rows = slice(lo, lo + _LLOYD_BLOCK)
-            block_labels = np.argmin(_sq_dists(frames[rows], sq[rows], terms), axis=1)
-            labels[rows] = block_labels
-            # direct differences: the expanded form suffers cancellation
-            resid = centroids[block_labels]
-            np.subtract(frames[rows], resid, out=resid)
-            assigned_d2[rows] = np.einsum("ij,ij->i", resid, resid)
+            err = rel * (sq[rows] + c_sq_max) + _TINY
+            full_rows += _assign_block(
+                frames[rows], sq[rows], centroids, terms, err,
+                labels[rows], lower[rows], assigned_d2[rows],
+            )
         inertia = float(assigned_d2.sum())
         history.append(inertia)
 
@@ -225,13 +306,32 @@ def train_kmeans(
 
         # per-(cluster, dimension) sums, added in row order like a mean over axis 0
         counts = np.bincount(labels, minlength=k)
-        centroids = _cluster_sums(frames, labels, k) / np.maximum(counts, 1)[:, None]
+        new = _cluster_sums(frames, labels, k) / np.maximum(counts, 1)[:, None]
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(assigned_d2))
             logger.info("kmeans: reseeding empty cluster %d to frame %d", c, far)
-            centroids[c] = frames[far]
+            new[c] = frames[far]
+        # every bound shrinks by the largest centroid move, rounded up, and is
+        # then rounded down itself; a negative bound would square to a positive
+        move = new - centroids
+        step = np.sqrt(np.einsum("ij,ij->i", move, move).max() + dim * _TINY)
+        np.subtract(lower, step * (1.0 + rel), out=lower)
+        np.multiply(lower, 1.0 - _EPS, out=lower)
+        np.maximum(lower, 0.0, out=lower)
+        centroids = new
 
+    logger.info(
+        "kmeans: %d iterations over %d frames; %.1f%% of frame assignments "
+        "took the full distance pass",
+        len(history), n, 100.0 * full_rows / (n * len(history)),
+    )
     return Codebook(centroids=centroids, inertia_history=history)
+
+
+def _nearest(frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # np.argmin returns the first minimum, which is the lowest centroid index
+    sq = np.einsum("ij,ij->i", frames, frames)
+    return np.argmin(_sq_dists(frames, sq, terms), axis=1)
 
 
 def assign(fs: FeatureSequence | np.ndarray, cb: Codebook) -> np.ndarray:
@@ -245,9 +345,7 @@ def assign(fs: FeatureSequence | np.ndarray, cb: Codebook) -> np.ndarray:
             f"feature dim {frames.shape[1]} does not match codebook dim {cb.dim}",
             field="dim",
         )
-    # np.argmin returns the first minimum, which is the lowest centroid index
-    sq = np.einsum("ij,ij->i", frames, frames)
-    return np.argmin(_sq_dists(frames, sq, _centroid_terms(cb.centroids)), axis=1)
+    return _nearest(frames, _centroid_terms(cb.centroids))
 
 
 def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequence:
@@ -263,13 +361,33 @@ def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequ
 
 
 def quantize_corpus(corpus: Corpus, cb: Codebook) -> list[UnitSequence]:
+    """Each utterance's frames labelled as ``assign`` labels them, with runs
+    merged. Consecutive utterances share one distance product of about
+    _LLOYD_BLOCK frames; only one block's frames are copied at a time."""
+    terms = _centroid_terms(cb.centroids)
+    utts = corpus.utterances
     out = []
-    for u in corpus.utterances:
-        try:
-            labels = assign(u.features, cb)
-            out.append(deduplicate(labels, source_id=u.id))
-        except ValidationError as e:
-            raise ValidationError(f"utterance {u.id!r}: {e}", field=e.field) from e
+    start = 0
+    while start < len(utts):
+        stop, n_frames = start, 0
+        while stop < len(utts) and n_frames < _LLOYD_BLOCK:
+            u = utts[stop]
+            if u.features.dim != cb.dim:
+                raise ValidationError(
+                    f"utterance {u.id!r}: feature dim {u.features.dim} does not "
+                    f"match codebook dim {cb.dim}",
+                    field="dim",
+                )
+            n_frames += u.features.n_frames
+            stop += 1
+        block = utts[start:stop]
+        frames = np.concatenate([u.features.data for u in block], axis=0, dtype=np.float64)
+        labels = _nearest(frames, terms)
+        ends = np.cumsum([u.features.n_frames for u in block[:-1]])
+        out.extend(
+            deduplicate(lab, source_id=u.id) for u, lab in zip(block, np.split(labels, ends))
+        )
+        start = stop
     return out
 
 

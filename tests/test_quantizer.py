@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semspeech.corpus import FeatureSequence, SyntheticSpec, generate_corpus
+from semspeech import quantizer
+from semspeech.corpus import Corpus, FeatureSequence, SyntheticSpec, Utterance, generate_corpus
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.quantizer import (
     Codebook,
     UnitSequence,
+    _centroid_terms,
+    _sq_dists,
     assign,
     deduplicate,
     load_unit_corpus,
@@ -157,9 +160,11 @@ def reference_sq_dists(frames, centroids):
     return np.maximum(d2, 0.0)
 
 
-def reference_kmeans(frames, k, max_iters, tol, seed):
+def reference_kmeans(frames, k, max_iters, tol, seed, max_training_frames=None):
     frames = np.asarray(frames, dtype=np.float64)
     rng = derive_rng(seed, "kmeans", k)
+    if max_training_frames is not None and frames.shape[0] > max_training_frames:
+        frames = frames[np.sort(rng.choice(frames.shape[0], max_training_frames, replace=False))]
     n = frames.shape[0]
     centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
     centroids[0] = frames[int(rng.integers(n))]
@@ -190,9 +195,14 @@ def reference_kmeans(frames, k, max_iters, tol, seed):
     return centroids, history
 
 
-def assert_kmeans_matches_reference(frames, k, max_iters, tol, seed):
-    cb = train_kmeans(frames, k=k, max_iters=max_iters, tol=tol, seed=seed)
-    ref_centroids, ref_history = reference_kmeans(frames, k, max_iters, tol, seed)
+def assert_kmeans_matches_reference(frames, k, max_iters, tol, seed, max_training_frames=None):
+    cb = train_kmeans(
+        frames, k=k, max_iters=max_iters, tol=tol, seed=seed,
+        max_training_frames=max_training_frames,
+    )
+    ref_centroids, ref_history = reference_kmeans(
+        frames, k, max_iters, tol, seed, max_training_frames
+    )
     assert cb.centroids.tobytes() == ref_centroids.tobytes()
     assert cb.inertia_history == ref_history
 
@@ -215,6 +225,92 @@ def test_kmeans_reseeds_empty_cluster_like_reference(caplog):
     with caplog.at_level(logging.INFO, logger="semspeech.quantizer"):
         assert_kmeans_matches_reference(frames, k=3, max_iters=20, tol=0.0, seed=1069)
     assert any("reseeding empty cluster" in r.getMessage() for r in caplog.records)
+
+
+def _corpus_frames(n_utterances, seed):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=n_utterances, seed=seed))
+    return np.concatenate([u.features.data for u in corpus], axis=0, dtype=np.float64)
+
+
+def _lattice(n, seed):
+    # small integers: every distance is exact, so ties are exact and frequent
+    return np.random.default_rng(seed).integers(0, 4, size=(n, 3)).astype(np.float64)
+
+
+# The bounded pass skips most frames; each case checks that the result is
+# still plain Lloyd's, bit for bit.
+@pytest.mark.parametrize(
+    "make, k, max_iters, tol, budget",
+    [
+        (lambda: np.random.default_rng(21).standard_normal((2500, 16)), 30, 25, 0.0, None),
+        (lambda: _lattice(900, 22), 9, 30, 0.0, None),
+        (lambda: np.repeat(_lattice(40, 23), 7, axis=0)[::-1], 1, 10, 0.0, None),
+        # k equal to the distinct rows of the lattice
+        (lambda: _lattice(900, 24), np.unique(_lattice(900, 24), axis=0).shape[0], 30, 0.0, None),
+        (lambda: _corpus_frames(200, 25)[:2048], 100, 20, 0.0, None),
+        (lambda: _corpus_frames(200, 25)[:2049], 100, 20, 0.0, None),
+        (lambda: np.random.default_rng(26).standard_normal((3000, 4)) ** 3, 15, 200, 1e-3, None),
+        (lambda: _corpus_frames(200, 27), 40, 15, 0.0, 1500),
+    ],
+    ids=["gaussian", "lattice-ties", "k-1", "k-distinct", "n-2048", "n-2049", "tol",
+         "max-training-frames"],
+)
+def test_bounded_kmeans_matches_reference(make, k, max_iters, tol, budget):
+    assert_kmeans_matches_reference(make(), k, max_iters, tol, seed=7, max_training_frames=budget)
+
+
+def test_kmeans_prunes_most_frame_assignments(monkeypatch, caplog):
+    frames = _corpus_frames(2000, 0)
+    rows = []
+
+    def counting(x, sq, terms):
+        if terms[1].size == 100:  # the assignment pass, not k-means++
+            rows.append(x.shape[0])
+        return _sq_dists(x, sq, terms)
+
+    monkeypatch.setattr(quantizer, "_sq_dists", counting)
+    with caplog.at_level(logging.INFO, logger="semspeech.quantizer"):
+        cb = train_kmeans(frames, k=100, max_iters=40, tol=0.0, seed=0)
+    assert len(cb.inertia_history) == 40
+    share = sum(rows) / (frames.shape[0] * 40)
+    assert share < 0.5, share
+    assert any(
+        f"{100 * share:.1f}% of frame assignments took the full distance pass" in r.getMessage()
+        for r in caplog.records
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("budget", [None, 3000])
+def test_kmeans_refuses_a_non_finite_frame(bad, budget):
+    # 1e200 is finite, but its square is not
+    frames = np.random.default_rng(9).standard_normal((6979, 4))
+    frames[4321, 2] = bad
+    with pytest.raises(ValidationError, match="frame 4321") as e:
+        train_kmeans(frames, k=5, max_training_frames=budget)
+    assert e.value.field == "frames"
+
+
+def test_kmeans_counts_every_row_when_a_prefix_is_short_of_k_distinct():
+    rng = np.random.default_rng(10)
+    frames = np.concatenate([np.zeros((500, 3)), rng.standard_normal((6, 3))])
+    assert train_kmeans(frames, k=7, max_iters=3).k == 7
+    with pytest.raises(ValidationError, match="got 7$"):
+        train_kmeans(frames, k=8)
+
+
+def test_sq_dists_rows_have_their_bits_in_any_product():
+    # the corpus's 16 dimensions and the default 100 centroids
+    rng = np.random.default_rng(11)
+    frames = rng.standard_normal((1024, 16))
+    sq = np.einsum("ij,ij->i", frames, frames)
+    terms = _centroid_terms(rng.standard_normal((100, 16)))
+    block = _sq_dists(frames, sq, terms)
+    for i in range(0, 1024, 37):
+        assert _sq_dists(frames[i : i + 1], sq[i : i + 1], terms).tobytes() == block[i].tobytes()
+    for m in (2, 3, 17, 300):
+        rows = np.sort(rng.choice(1024, m, replace=False))
+        assert _sq_dists(frames[rows], sq[rows], terms).tobytes() == block[rows].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +424,38 @@ def test_quantize_error_names_utterance():
     with pytest.raises(ValidationError) as e:
         quantize_corpus(corpus, cb)
     assert "bad-dim" in str(e.value)
+
+
+def test_quantize_error_names_utterance_within_a_block():
+    good = FeatureSequence(np.ones((4, 3), dtype=np.float32))
+    bad = FeatureSequence(np.zeros((2, 5), dtype=np.float32))
+    corpus = Corpus(utterances=[
+        Utterance(id="good", speaker_id=0, features=good),
+        Utterance(id="bad-dim", speaker_id=0, features=bad),
+    ])
+    with pytest.raises(ValidationError, match="'bad-dim'") as e:
+        quantize_corpus(corpus, Codebook(centroids=np.zeros((2, 3))))
+    assert e.value.field == "dim"
+
+
+def test_quantize_labels_every_frame_as_one_pass_over_all_frames():
+    # utterances of 1 to 60 frames, lone frames among them and last, across
+    # several blocks of the distance product
+    rng = np.random.default_rng(13)
+    lengths = [*rng.integers(1, 61, size=90), 1, 1, 5, 1]
+    utts = [
+        Utterance(id=f"u{i}", speaker_id=0,
+                  features=FeatureSequence(rng.standard_normal((t, 16)).astype(np.float32)))
+        for i, t in enumerate(lengths)
+    ]
+    cb = Codebook(centroids=rng.standard_normal((100, 16)))
+    units = quantize_corpus(Corpus(utterances=utts), cb)
+    everything = assign(np.concatenate([u.features.data for u in utts]), cb)
+    ends = np.cumsum(lengths[:-1])
+    for u, seq, labels in zip(utts, units, np.split(everything, ends)):
+        assert seq.source_id == u.id
+        assert seq.units == deduplicate(labels).units
+        assert seq.units == deduplicate(assign(u.features, cb)).units
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,6 @@ def cmd_pretrain_mlm(cfg: PipelineConfig, args, out: Path) -> None:
     encoder = SequenceEncoder.create(
         vocab=model.vocab_size,
         cfg=_encoder_config(cfg),
-        pooling="mean",
         seed=cfg["run.seed"],
     )
     history = mlm_pretrain(
@@ -240,7 +239,6 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
         encoder = SequenceEncoder.create(
             vocab=load_bpe_model(args.bpe).vocab_size,
             cfg=_encoder_config(cfg),
-            pooling="mean",
             seed=cfg["run.seed"],
         )
     if args.kind == "mlm":
@@ -256,7 +254,7 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
         )
         teacher, curve = train_tsdae(encoder, seqs, tcfg)
         save_loss_curve(out / "tsdae_curve.csv", curve)
-        logger.info("best dev loss %.4f", teacher.info["best_dev_loss"])
+        logger.info("best dev loss %.4f", min(p.dev_loss for p in curve))
     else:  # simcse
         if not args.pairs:
             raise ValidationError("simcse needs --pairs for dev evaluation", field="pairs")
@@ -273,7 +271,7 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
         )
         teacher, history = train_simcse(encoder, seqs, tcfg, dev_pairs)
         write_csv(out / "simcse_history.csv", ["step", "dev_spearman"], history)
-        logger.info("best dev spearman %.4f", teacher.info["best_dev_spearman"])
+        logger.info("best dev spearman %.4f", max(v for _, v in history))
     teacher.save(out / "teacher.semm")
     logger.info("saved %s teacher", args.kind)
 

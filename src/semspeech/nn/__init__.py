@@ -1,2 +1,2 @@
 """Minimal differentiable compute core: tensors with reverse-mode autodiff,
-transformer layers, losses, AdamW, gradient checking, and checkpoints."""
+transformer layers, losses, AdamW and checkpoints."""

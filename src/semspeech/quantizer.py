@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, FeatureSequence
+from .corpus import Corpus
 from .errors import FileFormatError, ValidationError
 from .fileformat import BinaryReader, read_id_ints, write_binary, write_id_ints
 from .random_utils import derive_rng
@@ -248,6 +248,10 @@ def train_kmeans(
         raise ValidationError("tol must be >= 0", field="tol")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1", field="max_iters")
+    if max_training_frames is not None and max_training_frames < 1:
+        raise ValidationError(
+            "max_training_frames must be >= 1", field="max_training_frames"
+        )
     sq = np.einsum("ij,ij->i", frames, frames)
     if not np.all(np.isfinite(sq)):
         bad = int(np.flatnonzero(~np.isfinite(sq))[0])
@@ -334,20 +338,6 @@ def _nearest(frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.nda
     return np.argmin(_sq_dists(frames, sq, terms), axis=1)
 
 
-def assign(fs: FeatureSequence | np.ndarray, cb: Codebook) -> np.ndarray:
-    """Nearest-centroid label per frame; ties break to the lowest index."""
-    frames = fs.data if isinstance(fs, FeatureSequence) else np.asarray(fs)
-    frames = frames.astype(np.float64)
-    if frames.ndim != 2:
-        raise ValidationError("frames must be a (T, d) matrix", field="frames")
-    if frames.shape[1] != cb.dim:
-        raise ValidationError(
-            f"feature dim {frames.shape[1]} does not match codebook dim {cb.dim}",
-            field="dim",
-        )
-    return _nearest(frames, _centroid_terms(cb.centroids))
-
-
 def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequence:
     """Collapse runs of equal adjacent ids, preserving order."""
     seq = [int(x) for x in labels]
@@ -361,9 +351,10 @@ def deduplicate(labels: np.ndarray | list[int], source_id: str = "") -> UnitSequ
 
 
 def quantize_corpus(corpus: Corpus, cb: Codebook) -> list[UnitSequence]:
-    """Each utterance's frames labelled as ``assign`` labels them, with runs
-    merged. Consecutive utterances share one distance product of about
-    _LLOYD_BLOCK frames; only one block's frames are copied at a time."""
+    """Each utterance's frames labelled with their nearest centroid, ties
+    going to the lowest index, with runs merged. Consecutive utterances
+    share one distance product of about _LLOYD_BLOCK frames; only one
+    block's frames are copied at a time."""
     terms = _centroid_terms(cb.centroids)
     utts = corpus.utterances
     out = []

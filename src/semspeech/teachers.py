@@ -9,7 +9,7 @@ forward pass of the same sequence is the positive.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -46,33 +46,19 @@ def _content_mask(tokens: np.ndarray) -> np.ndarray:
 
 
 class SequenceEncoder:
-    """Token embedding + transformer + pooling into one vector per sequence."""
+    """Token embedding + transformer + mean pooling over content positions
+    into one vector per sequence."""
 
     KIND = "seq-encoder"
 
-    def __init__(
-        self,
-        store: ParamStore,
-        cfg: EncoderConfig,
-        vocab: int,
-        pooling: str = "mean",
-    ):
-        if pooling not in ("mean", "cls"):
-            raise ValidationError(
-                f"pooling must be 'mean' or 'cls', got {pooling!r}", field="pooling"
-            )
+    def __init__(self, store: ParamStore, cfg: EncoderConfig, vocab: int):
         self.store = store
         self.cfg = cfg
         self.vocab = vocab
-        self.pooling = pooling
 
     @classmethod
     def create(
-        cls,
-        vocab: int,
-        cfg: EncoderConfig | None = None,
-        pooling: str = "mean",
-        seed: int = 0,
+        cls, vocab: int, cfg: EncoderConfig | None = None, seed: int = 0
     ) -> "SequenceEncoder":
         if vocab <= N_SPECIALS:
             raise ValidationError(
@@ -81,8 +67,8 @@ class SequenceEncoder:
         cfg = cfg or EncoderConfig()
         rng = derive_rng(seed, "seq-encoder", "init")
         store = ParamStore()
-        init_encoder(store, rng, cfg, vocab=vocab, pooling=pooling)
-        return cls(store, cfg, vocab, pooling=pooling)
+        init_encoder(store, rng, cfg, vocab=vocab)
+        return cls(store, cfg, vocab)
 
     def encode(
         self,
@@ -99,9 +85,9 @@ class SequenceEncoder:
         return transformer_encode(ids, self.store, self.cfg, train_mode, rng, pack)
 
     def pool(self, states: Tensor, ids: np.ndarray, pack: Packing) -> Tensor:
-        """One vector per sequence from its packed ``states``: the CLS state
-        or the mean over content positions."""
-        return pool_states(states, self.store, self.pooling, pack, _content_mask(ids))
+        """One vector per sequence from its packed ``states``: the mean over
+        content positions."""
+        return pool_states(states, self.store, "mean", pack, _content_mask(ids))
 
     def _embed(
         self,
@@ -112,9 +98,6 @@ class SequenceEncoder:
     ) -> Tensor:
         return self.pool(self.encode(ids, pack, train_mode, rng), ids, pack)
 
-    def embed_train(self, seqs: Sequence[np.ndarray], rng: np.random.Generator) -> Tensor:
-        return self._embed(*Packing.of(seqs), True, rng)
-
     def embed_batch(self, seqs: Sequence) -> np.ndarray:
         arrs = [token_array(s) for s in seqs]
         return _embed_by_length(
@@ -123,27 +106,35 @@ class SequenceEncoder:
         )
 
     def config_dict(self) -> dict:
-        return {
-            "encoder": self.cfg.to_dict(),
-            "vocab": self.vocab,
-            "pooling": self.pooling,
-        }
+        return {"encoder": self.cfg.to_dict(), "vocab": self.vocab}
 
     @classmethod
     def from_config(cls, config: dict) -> "SequenceEncoder":
+        """Rebuild from a header. Older headers also name the pooling; they
+        load only if it is the mean pooling every token encoder now uses."""
+        if config.get("pooling", "mean") != "mean":
+            raise ValidationError(
+                f"header names pooling {config['pooling']!r}; token encoders mean-pool",
+                field="pooling",
+            )
         return cls.create(
-            vocab=int(config["vocab"]),
-            cfg=EncoderConfig.from_dict(config["encoder"]),
-            pooling=config["pooling"],
+            vocab=int(config["vocab"]), cfg=EncoderConfig.from_dict(config["encoder"])
         )
 
-    def save(self, path: str | Path) -> None:
-        checkpoint.save_checkpoint(path, self.KIND, self.config_dict(), self.store)
+    def save(self, path: str | Path, kind: str = KIND, **config) -> None:
+        """Write the encoder alone: a TSDAE decoder (``dec.*``) or MLM head
+        (``mlm.*``) in the store is left out. ``kind`` and the ``config``
+        entries added to the header let ``Teacher`` save through here."""
+        slim = ParamStore()
+        for name, p in self.store.items():
+            if not name.startswith(("dec.", "mlm.")):
+                slim.add(name, p)
+        checkpoint.save_checkpoint(path, kind, {**self.config_dict(), **config}, slim)
 
     @classmethod
     def load(cls, path: str | Path) -> "SequenceEncoder":
-        """Rebuild from a checkpoint; auxiliary heads (mlm/decoder) in the
-        file are dropped, only the embedding-relevant parameters survive."""
+        """Rebuild from a checkpoint; parameters of an older file that the
+        encoder lacks (an MLM head) are dropped."""
         return checkpoint.load(path, cls)
 
 
@@ -212,6 +203,10 @@ def mlm_pretrain(
         )
     if steps < 1:
         raise ValidationError("steps must be >= 1", field="steps")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be >= 1", field="batch_size")
+    if lr <= 0:
+        raise ValidationError("lr must be positive", field="lr")
     arrs = []
     for seq in corpus:
         arr = token_array(seq)
@@ -300,7 +295,6 @@ class TeacherConfig:
 class Teacher:
     encoder: SequenceEncoder
     kind: str
-    info: dict = field(default_factory=dict)
 
     KIND = "teacher"
 
@@ -312,15 +306,7 @@ class Teacher:
         return self.encoder.embed_batch(seqs)
 
     def save(self, path: str | Path) -> None:
-        # only what embedding needs survives: the decoder and any pretraining
-        # head are discarded
-        slim = ParamStore()
-        for name, p in self.encoder.store.items():
-            if not name.startswith(("dec.", "mlm.")):
-                slim.add(name, Tensor(p.data.copy()))
-        config = self.encoder.config_dict()
-        config["teacher_kind"] = self.kind
-        checkpoint.save_checkpoint(path, self.KIND, config, slim)
+        self.encoder.save(path, self.KIND, teacher_kind=self.kind)
 
     @classmethod
     def from_config(cls, config: dict) -> "Teacher":
@@ -370,13 +356,13 @@ def train_tsdae(
     init_train = mean_loss(
         batch_loss, corrupt(train_seqs, derive_rng(cfg.seed, "tsdae", "init-eval")), cfg.batch_size
     )
-    evals, _, best_dev = fit(
+    evals, _, _ = fit(
         encoder.store, train_seqs, cfg.batch_size, rng, step,
         evaluate=lambda: mean_loss(batch_loss, dev_examples, cfg.batch_size),
         epochs=cfg.epochs,
     )
     curve = [CurvePoint(s, init_train if t is None else t, d) for s, t, d in evals]
-    return Teacher(encoder=encoder, kind="tsdae", info={"best_dev_loss": best_dev}), curve
+    return Teacher(encoder=encoder, kind="tsdae"), curve
 
 
 def train_simcse(
@@ -425,7 +411,7 @@ def train_simcse(
     own_cfg = encoder.cfg
     encoder.cfg = replace(own_cfg, dropout_rate=cfg.dropout_rate)
     try:
-        evals, _, best_metric = fit(
+        evals, _, _ = fit(
             encoder.store, seqs, cfg.batch_size, rng, step,
             evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id),
             epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
@@ -433,5 +419,4 @@ def train_simcse(
         )
     finally:
         encoder.cfg = own_cfg
-    teacher = Teacher(encoder=encoder, kind="simcse", info={"best_dev_spearman": best_metric})
-    return teacher, [(s, v) for s, _, v in evals]
+    return Teacher(encoder=encoder, kind="simcse"), [(s, v) for s, _, v in evals]

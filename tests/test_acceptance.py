@@ -121,7 +121,7 @@ def mlm_bases(world):
     """Masked-LM pretrained encoder states, one per seed."""
     states = {}
     for seed in (0, 1, 2):
-        enc = SequenceEncoder.create(vocab=VOCAB, cfg=TEACHER_CFG, pooling="mean", seed=seed)
+        enc = SequenceEncoder.create(vocab=VOCAB, cfg=TEACHER_CFG, seed=seed)
         mlm_pretrain(
             enc, world.corpus_tokens,
             mask_rate=0.15, steps=MLM_STEPS, seed=seed, lr=5e-4, batch_size=16,
@@ -133,7 +133,7 @@ def mlm_bases(world):
 @pytest.fixture(scope="module")
 def denoise_teacher(world, mlm_bases):
     """Denoising teacher at deletion ratio 0, from the seed-0 pretrained base."""
-    enc = SequenceEncoder.create(vocab=VOCAB, cfg=TEACHER_CFG, pooling="mean", seed=0)
+    enc = SequenceEncoder.create(vocab=VOCAB, cfg=TEACHER_CFG, seed=0)
     enc.store.load_state_dict(mlm_bases[0])
     teacher, _ = train_tsdae(
         enc, world.corpus_tokens,
@@ -433,7 +433,7 @@ def test_c04_deletion_free_denoiser_beats_deletion(world, mlm_bases, denoise_tea
                 teacher = denoise_teacher  # the same run: seed-0 base, ratio 0
             else:
                 enc = SequenceEncoder.create(
-                    vocab=VOCAB, cfg=TEACHER_CFG, pooling="mean", seed=seed
+                    vocab=VOCAB, cfg=TEACHER_CFG, seed=seed
                 )
                 enc.store.load_state_dict(mlm_bases[seed])
                 teacher, _ = train_tsdae(

@@ -13,6 +13,7 @@ from semspeech.corpus import load_corpus
 from semspeech.errors import ValidationError
 from semspeech.evaluation import load_report
 from semspeech.index import load_index
+from semspeech.nn.checkpoint import load_checkpoint
 from semspeech.nn.layers import EncoderConfig
 from semspeech.wavembed import WavEmbedModel
 
@@ -151,6 +152,13 @@ def test_training_artifacts(pipeline):
     assert (root / "student" / "distill_history.csv").is_file()
     paired = (root / "student" / "paired.tsv").read_text().splitlines()
     assert len(paired) == 60
+
+
+def test_mlm_encoder_checkpoint_holds_no_prediction_head(pipeline):
+    root, _ = pipeline
+    kind, config, params = load_checkpoint(root / "data" / "encoder-mlm.semm")
+    assert kind == "seq-encoder" and "pooling" not in config
+    assert params and not any(name.startswith("mlm.") for name in params)
 
 
 def test_evaluate_writes_report(pipeline, capsys):
@@ -311,6 +319,36 @@ def test_empty_manifest_exits_with_one_line_error(pipeline, tmp_path, capsys, st
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert len(errors) == 1
     assert errors[0].startswith("error\tFileFormatError\t") and "lists no utterances" in errors[0]
+
+
+@pytest.mark.parametrize("knob", ["batch_size = 0", "lr = -0.0005"])
+def test_mlm_knob_out_of_range_exits_with_one_line_error(pipeline, tmp_path, capsys, knob):
+    root, _ = pipeline
+    data = root / "data"
+    cfg = tmp_path / "mlm.cfg"
+    cfg.write_text(f"[mlm]\nsteps = 3\n{knob}\n")
+    out = tmp_path / "o"
+    rc = main([
+        "pretrain-mlm", "--config", str(cfg), "--out", str(out),
+        "--tokens", str(data / "tokens.tsv"), "--bpe", str(data / "bpe.json"),
+    ])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith("error\tValidationError\t")
+    assert not list(out.glob("*.semm"))
+
+
+def test_negative_kmeans_frame_budget_exits_with_one_line_error(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("[quantizer]\nclusters = 8\nmax_training_frames = -3\n")
+    rc = main([
+        "quantize", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        "--corpus", str(root / "data" / "corpus"),
+    ])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error\tValidationError\tmax_training_frames must be >= 1"]
 
 
 def test_missing_input_exits_with_one_line_error(tmp_path, capsys):

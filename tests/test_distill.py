@@ -41,7 +41,7 @@ def _unit_rows(n: int, d: int, seed: int = 0) -> np.ndarray:
 
 
 def make_teacher(vocab: int = 13, seed: int = 0) -> Teacher:
-    enc = SequenceEncoder.create(vocab=vocab, cfg=TINY, pooling="mean", seed=seed)
+    enc = SequenceEncoder.create(vocab=vocab, cfg=TINY, seed=seed)
     return Teacher(encoder=enc, kind="mlm")
 
 

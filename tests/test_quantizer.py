@@ -14,8 +14,8 @@ from semspeech.quantizer import (
     Codebook,
     UnitSequence,
     _centroid_terms,
+    _nearest,
     _sq_dists,
-    assign,
     deduplicate,
     load_unit_corpus,
     quantize_corpus,
@@ -25,6 +25,20 @@ from semspeech.quantizer import (
     write_codebook,
 )
 from semspeech.random_utils import derive_rng
+
+
+def nearest(frames, cb):
+    """The nearest centroid of each frame, as quantize_corpus labels a block."""
+    return _nearest(np.asarray(frames, dtype=np.float64), _centroid_terms(cb.centroids))
+
+
+def quantize_frames(frames, cb):
+    """quantize_corpus's label of each frame, every frame its own utterance."""
+    utts = [
+        Utterance(id=f"u{i}", speaker_id=0, features=FeatureSequence(f[None].astype(np.float32)))
+        for i, f in enumerate(frames)
+    ]
+    return [seq.units[0] for seq in quantize_corpus(Corpus(utterances=utts), cb)]
 
 
 def cluster_purity(labels, truths):
@@ -100,6 +114,14 @@ def test_kmeans_subsampling_budget():
     assert np.array_equal(cb.centroids, cb2.centroids)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_kmeans_rejects_a_frame_budget_below_one(budget):
+    with pytest.raises(ValidationError) as e:
+        train_kmeans(np.random.default_rng(8).standard_normal((50, 3)), k=4,
+                     max_training_frames=budget)
+    assert e.value.field == "max_training_frames"
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -143,7 +165,7 @@ def test_kmeans_purity_on_synthetic_corpus():
     frames = np.concatenate([u.features.data for u in corpus.utterances]).astype(np.float64)
     truths = np.concatenate([u.frame_symbols for u in corpus.utterances])
     cb = train_kmeans(frames, k=8, seed=6)
-    labels = assign(frames, cb)
+    labels = nearest(frames, cb)
     assert cluster_purity(labels, truths) >= 0.95
 
 
@@ -319,8 +341,7 @@ def test_sq_dists_rows_have_their_bits_in_any_product():
 
 def test_assign_frame_at_centroid():
     cb = Codebook(centroids=np.eye(4))
-    labels = assign(np.eye(4)[[3]], cb)
-    assert labels.tolist() == [3]
+    assert quantize_frames(np.eye(4)[[3]], cb) == [3]
 
 
 def test_assign_tie_breaks_low_index():
@@ -332,15 +353,15 @@ def test_assign_tie_breaks_low_index():
     cents[2, 1] = 2.0
     cents[3, 1] = 2.0
     cb = Codebook(centroids=cents)
-    labels = assign(np.zeros((1, 3)), cb)
-    assert labels.tolist() == [1]
+    assert quantize_frames(np.zeros((1, 3)), cb) == [1]
 
 
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(12)
-    frames = rng.standard_normal((10, 6))
+    # the frames as the float32 features hold them
+    frames = rng.standard_normal((10, 6)).astype(np.float32).astype(np.float64)
     cb = Codebook(centroids=rng.standard_normal((7, 6)))
-    labels = assign(frames, cb)
+    labels = quantize_frames(frames, cb)
     for t in range(10):
         dists = [np.sum((frames[t] - c) ** 2) for c in cb.centroids]
         best = min(range(7), key=lambda i: (dists[i], i))
@@ -349,8 +370,9 @@ def test_assign_matches_brute_force():
 
 def test_assign_dim_mismatch():
     cb = Codebook(centroids=np.zeros((3, 4)))
-    with pytest.raises(ValidationError):
-        assign(np.zeros((2, 5)), cb)
+    with pytest.raises(ValidationError) as e:
+        quantize_frames(np.zeros((2, 5)), cb)
+    assert e.value.field == "dim"
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +472,12 @@ def test_quantize_labels_every_frame_as_one_pass_over_all_frames():
     ]
     cb = Codebook(centroids=rng.standard_normal((100, 16)))
     units = quantize_corpus(Corpus(utterances=utts), cb)
-    everything = assign(np.concatenate([u.features.data for u in utts]), cb)
+    everything = nearest(np.concatenate([u.features.data for u in utts]), cb)
     ends = np.cumsum(lengths[:-1])
     for u, seq, labels in zip(utts, units, np.split(everything, ends)):
         assert seq.source_id == u.id
         assert seq.units == deduplicate(labels).units
-        assert seq.units == deduplicate(assign(u.features, cb)).units
+        assert seq.units == deduplicate(nearest(u.features.data, cb)).units
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from semspeech.corpus import ScoredPairSet
-from semspeech.errors import ValidationError
-from semspeech.evaluation import spearman
+from semspeech.errors import FileFormatError, ValidationError
+from semspeech.evaluation import pair_spearman, spearman
+from semspeech.nn.checkpoint import load_checkpoint, save_checkpoint
 from semspeech.nn.layers import EncoderConfig, init_linear
 from semspeech.nn.losses import infonce_batch
 from semspeech.nn.optim import ParamStore, adamw_step
@@ -74,13 +75,6 @@ def test_mean_pool_single_content_token_is_its_state():
     assert np.allclose(pooled.data[0], states.data[1], atol=1e-12)
 
 
-def test_cls_and_mean_pooling_differ():
-    mean_enc = SequenceEncoder.create(vocab=20, cfg=TINY, pooling="mean", seed=2)
-    cls_enc = SequenceEncoder(mean_enc.store, TINY, 20, pooling="cls")
-    seq = TokenSequence([CLS, 6, 11, 14, SEP])
-    assert np.linalg.norm(mean_enc.embed_batch([seq]) - cls_enc.embed_batch([seq])) > 0
-
-
 def test_embed_batch_matches_single():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=3)
     seqs = make_seqs(5, seed=3)
@@ -89,22 +83,21 @@ def test_embed_batch_matches_single():
         assert np.array_equal(batched[i], enc.embed_batch([s])[0])
 
 
-@pytest.mark.parametrize("pooling", ["mean", "cls"])
-def test_a_list_of_id_sequences_is_the_one_input(pooling):
-    """encode and pool take the list embed_batch takes, packed by
-    Packing.of, and embed_train takes the list itself: ragged, with a
-    2-token sequence and as a batch of one. The states pooled are
-    embed_batch's rows, bit for bit, and without dropout so is embed_train."""
-    enc = SequenceEncoder.create(vocab=20, cfg=TINY, pooling=pooling, seed=9)
-    still = SequenceEncoder(enc.store, replace(TINY, dropout_rate=0.0), 20, pooling=pooling)
+def test_a_list_of_id_sequences_is_the_one_input():
+    """encode, pool and the training forward _embed take the list
+    embed_batch takes, packed by Packing.of: ragged, with a 2-token sequence
+    and as a batch of one. The states pooled are embed_batch's rows, bit for
+    bit, and without dropout so is the training forward."""
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=9)
+    still = SequenceEncoder(enc.store, replace(TINY, dropout_rate=0.0), 20)
     rng = np.random.default_rng(9)
     seqs = [np.array([CLS, *rng.integers(5, 20, size=n - 1)]) for n in (6, 2, 11, 3)]
     for batch in (seqs, seqs[1:2], seqs[2:3]):
         want = enc.embed_batch(batch)
         ids, pack = Packing.of(batch)
         assert np.array_equal(enc.pool(enc.encode(ids, pack), ids, pack).data, want)
-        assert np.array_equal(still.embed_train(batch, np.random.default_rng(0)).data, want)
-        assert enc.embed_train(batch, np.random.default_rng(0)).shape == want.shape
+        assert np.array_equal(still._embed(ids, pack, True, np.random.default_rng(0)).data, want)
+        assert enc._embed(ids, pack, True, np.random.default_rng(0)).shape == want.shape
 
 
 def test_an_id_sequence_holding_pad_is_refused():
@@ -113,7 +106,7 @@ def test_an_id_sequence_holding_pad_is_refused():
     for call in (
         lambda: enc.encode(*Packing.of(seqs)),
         lambda: enc.embed_batch(seqs),
-        lambda: enc.embed_train(seqs, np.random.default_rng(0)),
+        lambda: enc._embed(*Packing.of(seqs), True, np.random.default_rng(0)),
     ):
         with pytest.raises(ValidationError, match="holds PAD"):
             call()
@@ -139,6 +132,20 @@ def test_mask_rate_zero_rejected():
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
     with pytest.raises(ValidationError):
         mlm_pretrain(enc, make_seqs(4), mask_rate=0.0, steps=1)
+
+
+@pytest.mark.parametrize(
+    "knobs, field",
+    [({"batch_size": 0}, "batch_size"), ({"batch_size": -2}, "batch_size"),
+     ({"lr": 0.0}, "lr"), ({"lr": -5e-4}, "lr")],
+)
+def test_mlm_rejects_a_batch_size_below_one_and_a_non_positive_lr(knobs, field):
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
+    before = enc.store.names()
+    with pytest.raises(ValidationError) as e:
+        mlm_pretrain(enc, make_seqs(4), steps=1, **knobs)
+    assert e.value.field == field
+    assert enc.store.names() == before  # refused before the head is made
 
 
 def test_mask_count_contract():
@@ -363,7 +370,6 @@ def test_tsdae_keep_best_and_determinism():
     for (name, p), (_, q) in zip(t1.encoder.store.items(), t2.encoder.store.items()):
         assert np.array_equal(p.data, q.data), name
     assert [p.dev_loss for p in c1] == [p.dev_loss for p in c2]
-    assert min(p.dev_loss for p in c1) == t1.info["best_dev_loss"]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +409,9 @@ def test_simcse_initial_loss_near_log_batch():
         seqs = make_seqs(16, seed=seed)
         tokens = [np.asarray(s.tokens) for s in seqs]
         rng = derive_rng(seed, "probe")
-        loss = infonce_batch(enc.embed_train(tokens, rng), enc.embed_train(tokens, rng), tau=0.05)
+        ids, pack = Packing.of(tokens)
+        z1, z2 = enc._embed(ids, pack, True, rng), enc._embed(ids, pack, True, rng)
+        loss = infonce_batch(z1, z2, tau=0.05)
         losses.append(float(loss.data))
     target = math.log(16)
     for value in losses:
@@ -428,8 +436,9 @@ def test_simcse_trains_and_keeps_best():
     teacher, history = train_simcse(enc, seqs, cfg, pairs)
     assert teacher.kind == "simcse"
     assert len(history) >= 2
-    best = max(m for _, m in history)
-    assert teacher.info["best_dev_spearman"] == best
+    # the returned encoder holds the parameters of the best evaluation
+    by_id = {s.source_id: np.asarray(s.tokens) for s in seqs}
+    assert pair_spearman(teacher.embed_batch, pairs, by_id) == max(m for _, m in history)
 
 
 def test_simcse_leaves_the_callers_encoder_config_alone(tmp_path):
@@ -485,10 +494,10 @@ def simcse_reference(encoder, seqs, cfg, dev_pairs):
         for chunk in batches([seqs[i] for i in order], cfg.batch_size):
             if len(chunk) < 2:
                 continue
-            tokens = [np.asarray(s.tokens) for s in chunk]
+            ids, pack = Packing.of([np.asarray(s.tokens) for s in chunk])
             encoder.store.zero_grad()
-            z1 = encoder.embed_train(tokens, rng)
-            z2 = encoder.embed_train(tokens, rng)
+            z1 = encoder._embed(ids, pack, True, rng)
+            z2 = encoder._embed(ids, pack, True, rng)
             loss = infonce_batch(z1, z2, tau=cfg.tau)
             loss.backward()
             adamw_step(encoder.store, lr=cfg.lr, weight_decay=0.01)
@@ -529,9 +538,8 @@ def test_simcse_matches_reference_loop_through_a_mid_epoch_early_stop():
     enc = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
     ref = SequenceEncoder.create(vocab=13, cfg=TINY, seed=seed)
     teacher, history = train_simcse(enc, seqs, cfg, pairs)
-    ref_history, ref_best = simcse_reference(ref, seqs, cfg, pairs)
+    ref_history, _ = simcse_reference(ref, seqs, cfg, pairs)
     assert history == ref_history
-    assert teacher.info["best_dev_spearman"] == ref_best
     assert_same_params(enc.store, ref.store)
     last_step = history[-1][0]
     assert last_step < cfg.epochs * 3, "early stopping never fired"
@@ -589,3 +597,51 @@ def test_teacher_save_load_round_trip(tmp_path):
     assert np.allclose(loaded.embed_batch(seqs[:1]), z, atol=1e-5)  # float32 storage
     # decoder params were discarded with the checkpoint
     assert not any(n.startswith("dec.") for n in loaded.encoder.store.names())
+
+
+def _mlm_trained_encoder():
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=13)
+    mlm_pretrain(enc, make_seqs(8, seed=13), steps=2, seed=13, batch_size=4)
+    assert "mlm.out.w" in enc.store
+    return enc
+
+
+def test_an_encoder_checkpoint_holds_the_encoder_alone(tmp_path):
+    enc = _mlm_trained_encoder()
+    enc.save(tmp_path / "enc.semm")
+    kind, config, params = load_checkpoint(tmp_path / "enc.semm")
+    assert kind == SequenceEncoder.KIND and "pooling" not in config
+    assert list(params) == [n for n in enc.store.names() if not n.startswith("mlm.")]
+    for name, arr in params.items():
+        assert arr.tobytes() == enc.store[name].data.astype(np.float32).tobytes(), name
+
+
+def test_files_in_the_older_format_load_and_embed_bit_equal(tmp_path):
+    """Older versions saved the MLM head with the encoder and named mean
+    pooling in both headers; such files load, and embed as the new files
+    do, bit for bit."""
+    enc = _mlm_trained_encoder()
+    legacy = {**enc.config_dict(), "pooling": "mean"}
+    encoder_only = {n: p for n, p in enc.store.items() if not n.startswith("mlm.")}
+    old = {SequenceEncoder: tmp_path / "old-enc.semm", Teacher: tmp_path / "old-teacher.semm"}
+    save_checkpoint(old[SequenceEncoder], SequenceEncoder.KIND, legacy, enc.store)
+    save_checkpoint(old[Teacher], Teacher.KIND, {**legacy, "teacher_kind": "mlm"}, encoder_only)
+    new = {SequenceEncoder: tmp_path / "enc.semm", Teacher: tmp_path / "teacher.semm"}
+    enc.save(new[SequenceEncoder])
+    Teacher(encoder=enc, kind="mlm").save(new[Teacher])
+    seqs = make_seqs(6, seed=14)
+    for cls in (SequenceEncoder, Teacher):
+        want = cls.load(new[cls]).embed_batch(seqs)
+        assert cls.load(old[cls]).embed_batch(seqs).tobytes() == want.tobytes()
+    assert "mlm.out.w" in load_checkpoint(old[SequenceEncoder])[2]
+    assert Teacher.load(old[Teacher]).kind == "mlm"
+
+
+@pytest.mark.parametrize("cls", [SequenceEncoder, Teacher])
+def test_a_header_naming_cls_pooling_is_a_format_error(tmp_path, cls):
+    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=13)
+    config = {**enc.config_dict(), "pooling": "cls", "teacher_kind": "mlm"}
+    save_checkpoint(tmp_path / "cls.semm", cls.KIND, config, enc.store)
+    with pytest.raises(FileFormatError, match="pooling 'cls'") as e:
+        cls.load(tmp_path / "cls.semm")
+    assert e.value.offset == 10

@@ -130,10 +130,14 @@ def cmd_gen_corpus(cfg: PipelineConfig, args, out: Path) -> None:
         seed=cfg["run.seed"],
     )
     corpus = generate_corpus(spec)
+    # both pair sets are built, and so checked, before anything is written
+    pair_sets = {
+        split: build_scored_pairs(corpus, n_pairs, seed=cfg["run.seed"], split=split)
+        for split, n_pairs in (("dev", cfg["pairs.n_dev"]), ("test", cfg["pairs.n_test"]))
+    }
     corpus_dir = save_corpus(corpus, out / "corpus")
     logger.info("wrote %d utterances to %s", len(corpus), corpus_dir)
-    for split, n_pairs in (("dev", cfg["pairs.n_dev"]), ("test", cfg["pairs.n_test"])):
-        pairs = build_scored_pairs(corpus, n_pairs, seed=cfg["run.seed"], split=split)
+    for split, pairs in pair_sets.items():
         path = out / f"pairs.{split}.tsv"
         save_scored_pairs(pairs, path)
         logger.info("wrote %d %s pairs to %s", len(pairs), split, path)

@@ -11,6 +11,8 @@ time; apply functions are pure given the store contents.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .tensor import (
     concat,
     dropout,
     ffn,
+    grad_enabled,
     layer_norm,
     linear,
     pad_rows,
@@ -264,8 +267,11 @@ def init_encoder(
     """Encoder parameters in saved order: the input layer (``enc.in`` over
     ``d_in``-dim frames, or the ``tok`` table over ``vocab`` ids), the
     blocks, ``enc.ln_f``, then what ``pooling`` needs: ``pool.W`` for
-    self-attention, and ``pool.cls`` for cls pooling over frames."""
+    self-attention, and ``pool.cls`` for cls pooling, which reads frames
+    only."""
     cfg.validate()
+    if pooling == "cls" and vocab is not None:
+        raise ValidationError("cls pooling needs frames, not token ids", field="pooling")
     if vocab is None:
         init_linear(store, rng, "enc.in", d_in, cfg.model_dim)
     else:
@@ -276,9 +282,9 @@ def init_encoder(
     if pooling == "self_attention":
         # zero pooling weight starts at plain mean pooling
         store.add("pool.W", Tensor(np.zeros(cfg.model_dim)))
-    elif pooling == "cls" and vocab is None:
-        # token sequences open with CLS; frames get a learnable pseudo-frame,
-        # prepended so its contextual state can summarize the sequence
+    elif pooling == "cls":
+        # a learnable pseudo-frame, prepended so its contextual state can
+        # summarize the sequence
         store.add("pool.cls", Tensor(0.02 * rng.standard_normal(d_in)))
 
 
@@ -286,6 +292,52 @@ def _positions(pack: Packing, dim: int, start: int = 0) -> Tensor:
     """The sinusoidal encoding of each packed row's position, counted from
     ``start``."""
     return Tensor(sinusoidal_positions(start + pack.length, dim, start)[pack.positions])
+
+
+# Encoder threads: the caller's own and, with two usable CPUs, one worker,
+# which the executor starts on the first split
+WORKERS = min(2, len(os.sched_getaffinity(0)))
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="encode")
+
+
+def _encode_rows(
+    x, store: ParamStore, cfg: EncoderConfig, pack: Packing, train_mode: bool, rng
+) -> Tensor:
+    """The encoder body over the packed rows ``pack`` lays out: the input
+    layer, positions, blocks and final norm."""
+    h = apply_linear(store, "enc.in", x) if isinstance(x, Tensor) else take_rows(store["tok"], x)
+    h = h + _positions(pack, cfg.model_dim)
+    return _run_blocks(store, "enc", h, cfg, pack, None, None, train_mode, rng)
+
+
+def _group(valid: np.ndarray) -> Packing:
+    """The layout of some sequences of a batch, without the trailing
+    positions that none of them holds."""
+    return Packing(valid[:, : np.flatnonzero(valid.any(axis=0))[-1] + 1])
+
+
+def _encode_halves(x, store: ParamStore, cfg: EncoderConfig, pack: Packing) -> Tensor | None:
+    """An untaped forward of two contiguous groups of sequences at once,
+    cut where the rows balance: the worker runs the second, this thread the
+    first. Each row keeps the bytes it has in the whole batch, since the
+    forward is batch-invariant. None when there is one usable CPU, or no
+    cut leaves rows on both sides."""
+    if WORKERS < 2 or pack.batch < 2:
+        return None
+    cut = int(np.argmin(np.abs(pack.starts[1:] - pack.rows / 2))) + 1
+    r = int(pack.starts[cut])
+    if not 0 < r < pack.rows:
+        return None
+    if isinstance(x, Tensor):
+        head, tail = Tensor(x.data[:r]), Tensor(x.data[r:])
+    else:
+        head, tail = x[:r], x[r:]
+    later = _worker.submit(_encode_rows, tail, store, cfg, _group(pack.valid[cut:]), False, None)
+    try:
+        first = _encode_rows(head, store, cfg, _group(pack.valid[:cut]), False, None)
+    finally:
+        wait([later])  # the worker is done before this call returns or raises
+    return concat([first, later.result()])
 
 
 def transformer_encode(
@@ -303,16 +355,20 @@ def transformer_encode(
     positions ``pack`` lays out, or one sequence when ``pack`` is None. The
     states come back as the same (N, d) packed rows; attention sees only the
     keys of each row's own sequence.
+
+    A call that records no tape (under ``no_grad``, not ``train_mode``)
+    runs two halves of a batch at once, on this thread and one worker.
     """
-    frames = isinstance(x, Tensor)
-    if not frames:
+    if not isinstance(x, Tensor):
         x = np.asarray(x, dtype=np.int64)
     if pack is None:
         pack = Packing.from_lengths([x.shape[0]])
     _check_sequence(pack.length, cfg, train_mode, rng)
-    h = apply_linear(store, "enc.in", x) if frames else take_rows(store["tok"], x)
-    h = h + _positions(pack, cfg.model_dim)
-    return _run_blocks(store, "enc", h, cfg, pack, None, None, train_mode, rng)
+    if not (train_mode or grad_enabled()):
+        h = _encode_halves(x, store, cfg, pack)
+        if h is not None:
+            return h
+    return _encode_rows(x, store, cfg, pack, train_mode, rng)
 
 
 def attention_pool(h: Tensor, w: Tensor, pack: Packing | None = None) -> Tensor:

@@ -19,7 +19,13 @@ NEG_INF = -1e9  # additive mask value; exp() of it underflows to exactly 0
 
 
 class no_grad:
-    """Context manager disabling graph construction."""
+    """Context manager disabling graph construction.
+
+    The flag is process-wide, not per thread: while it is held, no thread
+    records a tape. ``transformer_encode`` relies on that when it runs half
+    of an untaped batch on a worker thread, so the caller must hold it for
+    the whole call.
+    """
 
     def __enter__(self):
         global _GRAD_ENABLED
@@ -31,6 +37,11 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether operations record a tape now (no ``no_grad`` is held)."""
+    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

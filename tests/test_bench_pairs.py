@@ -84,7 +84,7 @@ def test_durations_alone_then_appended_to(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     record = json.loads(out.read_text())
     assert record["workloads"] == {}
-    assert record["env"]["nproc"] >= 1 and record["env"]["numpy"]
+    assert record["env"]["nproc"] >= record["env"]["usable_cpus"] >= 1 and record["env"]["numpy"]
     assert record["suite_durations"]["change"]["total_s"] == 15.0
     # --append keeps what the file holds
     record["workloads"] = {"units": {"0": {"runs": []}}}

@@ -129,6 +129,18 @@ def test_gen_corpus_artifacts(pipeline):
     assert (data / "gen_corpus.log").is_file()
 
 
+def test_gen_corpus_checks_the_pair_counts_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("[corpus]\nn_utterances = 30\n\n[pairs]\nn_dev = 5\n")
+    out = tmp_path / "o"
+    rc = main(["gen-corpus", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith("error\tValidationError\t")
+    assert not (out / "corpus" / "manifest.jsonl").exists()
+    assert not list(out.glob("pairs.*.tsv"))
+
+
 def test_quantize_and_tokenize_artifacts(pipeline):
     root, _ = pipeline
     data = root / "data"

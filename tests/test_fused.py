@@ -10,13 +10,15 @@ gradients, and each kernel is checked to write only into its own buffers.
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from gradcheck import grad_check
 from semspeech.distill import StudentModel
-from semspeech.nn import checkpoint
+from semspeech.errors import ValidationError
+from semspeech.nn import checkpoint, layers
 from semspeech.nn.layers import (
     EncoderConfig,
     apply_block,
@@ -45,6 +47,7 @@ from semspeech.nn.tensor import (
     layer_norm,
     linear,
     nll,
+    no_grad,
     pad_rows,
     softmax,
     take_rows,
@@ -548,7 +551,7 @@ def test_packed_frame_encoder_matches_padded_path(pooling):
     )
 
 
-@pytest.mark.parametrize("pooling", ["mean", "cls", "self_attention"])
+@pytest.mark.parametrize("pooling", ["mean", "self_attention"])
 def test_packed_id_encoder_matches_padded_path(pooling):
     rng = np.random.default_rng(12)
     store = ParamStore()
@@ -579,6 +582,12 @@ def test_packed_id_encoder_matches_padded_path(pooling):
         packed, padded_path, _store_params(store),
         Tensor(rng.standard_normal((pack.rows + len(LENGTHS), CFG.model_dim))),
     )
+
+
+def test_cls_pooling_reads_frames_only():
+    with pytest.raises(ValidationError) as e:
+        init_encoder(ParamStore(), np.random.default_rng(0), CFG, vocab=11, pooling="cls")
+    assert e.value.field == "pooling"
 
 
 def test_packed_decoder_matches_padded_path():
@@ -744,6 +753,109 @@ def test_every_row_has_the_bytes_of_its_input_alone(name):
             assert np.array_equal(row, model.embed_batch([x])[0])
             if hasattr(model, "embed"):
                 assert np.array_equal(row, model.embed(x))
+
+
+def _encoder_threads(monkeypatch, workers):
+    """Run the encoder on ``workers`` threads; returns the list each body
+    call appends (its batch size, whether it ran off the calling thread) to."""
+    monkeypatch.setattr(layers, "WORKERS", workers)
+    calls, body, caller = [], layers._encode_rows, threading.get_ident()
+
+    def spy(x, store, cfg, pack, train_mode, rng):
+        calls.append((pack.batch, threading.get_ident() != caller))
+        return body(x, store, cfg, pack, train_mode, rng)
+
+    monkeypatch.setattr(layers, "_encode_rows", spy)
+    return calls
+
+
+def _golden_items(name, lengths, rng):
+    if name.startswith("teacher"):
+        return [[CLS, *rng.integers(5, 30, size=n), SEP] for n in lengths]
+    return [rng.standard_normal((n, 8)) for n in lengths]
+
+
+def _golden_encoder_input(name, lengths, rng):
+    """What transformer_encode reads for the golden model ``name``: packed
+    frames or ids of the given lengths, and their layout."""
+    if name.startswith("teacher"):
+        return Packing.of([rng.integers(5, 30, size=n) for n in lengths])
+    x, pack = Packing.of([rng.standard_normal((n, 8)) for n in lengths])
+    return Tensor(x), pack
+
+
+# batch sizes 1, 2, 3 and 33, then two batches whose split makes one group
+# a single one-frame sequence, first or last (embed_batch sorts it first)
+SPLIT_LENGTHS = [
+    [9], [4, 11], [6, 1, 13], [int(n) for n in np.arange(33) % 17 + 1], [1, 20], [20, 1],
+]
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_GOLDEN))
+def test_a_split_batch_has_the_serial_bytes(name, monkeypatch):
+    """Two encoder threads give every row of embed_batch and of
+    transformer_encode the bytes the one-thread path gives, and the
+    batches of two or more sequences do run half on the worker."""
+    model = _golden_model(name)
+    store = model.store
+    cfg = getattr(model, "encoder_cfg", None) or model.cfg
+    for lengths in SPLIT_LENGTHS:
+        items = _golden_items(name, lengths, np.random.default_rng(41))
+        x, pack = _golden_encoder_input(name, lengths, np.random.default_rng(41))
+        out = {}
+        for workers in (1, 2):
+            calls = _encoder_threads(monkeypatch, workers)
+            with no_grad():
+                states = transformer_encode(x, store, cfg, pack=pack).data
+            out[workers] = model.embed_batch(items), states
+            assert any(off for _, off in calls) == (workers == 2 and len(lengths) > 1)
+        assert np.array_equal(out[2][0], out[1][0])
+        assert np.array_equal(out[2][1], out[1][1])
+    calls = _encoder_threads(monkeypatch, 2)
+    x, pack = _golden_encoder_input(name, [20, 1], np.random.default_rng(5))
+    with no_grad():
+        transformer_encode(x, store, cfg, pack=pack)
+    assert sorted(calls) == [(1, False), (1, True)]
+
+
+def test_a_taped_or_train_mode_encode_is_never_split(monkeypatch):
+    calls = _encoder_threads(monkeypatch, 2)
+    model = StudentModel.create(d_in=8, pooling="self_attention", seed=3)
+    x, pack = _golden_encoder_input("student", [5, 9, 2, 7], np.random.default_rng(6))
+    transformer_encode(x, model.store, model.cfg, pack=pack)
+    with no_grad():
+        transformer_encode(x, model.store, model.cfg, True, np.random.default_rng(0), pack)
+    transformer_encode(x, model.store, model.cfg, True, np.random.default_rng(0), pack)
+    assert calls == [(4, False)] * 3
+
+
+def test_an_error_in_the_workers_half_is_the_serial_error(monkeypatch):
+    """An id outside the table in the second half, which the worker runs,
+    is the one ValidationError the serial path raises."""
+    enc = SequenceEncoder.create(vocab=30, seed=3)
+    ids, pack = Packing.of([np.full(n, 7) for n in (5, 4, 6, 3)])
+    ids[-1] = 30
+    errors = {}
+    for workers in (1, 2):
+        calls = _encoder_threads(monkeypatch, workers)
+        with no_grad(), pytest.raises(ValidationError) as e:
+            transformer_encode(ids, enc.store, enc.cfg, pack=pack)
+        errors[workers] = (type(e.value), str(e.value), e.value.field)
+        assert any(off for _, off in calls) == (workers == 2)
+    assert errors[2] == errors[1]
+
+
+def test_an_empty_sequence_in_a_split_batch_is_the_serial_error(monkeypatch):
+    """Sorted first, an empty sequence leaves no cut with rows on both
+    sides; inside a group it reaches pooling. Either way it is pooling's
+    one ValidationError."""
+    model = StudentModel.create(d_in=8, pooling="self_attention", seed=3)
+    for frames in ([np.zeros((0, 8)), np.ones((5, 8))],
+                   [np.ones((5, 8)), np.zeros((0, 8)), np.ones((3, 8))]):
+        for workers in (1, 2):
+            monkeypatch.setattr(layers, "WORKERS", workers)
+            with pytest.raises(ValidationError, match="cannot pool an empty sequence"):
+                model.embed_batch(frames)
 
 
 def _with_dead_parameters(store, rng, key_bias):

@@ -151,6 +151,8 @@ def machine() -> dict:
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "nproc": os.cpu_count(),
+        # the CPUs this process may run on, which a parallel speed-up is bounded by
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "cpu_model": platform.processor() or platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -6,8 +6,12 @@ per-speaker offset plus i.i.d. Gaussian noise. Because the latent symbols are
 stored, semantic similarity between two utterances can be scored exactly
 (bag-of-symbols cosine), which stands in for human similarity ratings.
 
-Externally computed features can be ingested through the same manifest +
-feature-file interfaces; such corpora carry no oracle.
+A saved corpus is a manifest, one JSON line per utterance, and one SEMF
+feature archive holding every utterance's frames in manifest order; a line's
+``rows`` give its utterance's [start, stop) frames there. Externally
+computed features can be ingested through the same manifest: a line without
+``rows`` names a SEMF file of that utterance alone. Such corpora carry no
+oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterator
@@ -32,6 +37,7 @@ from .random_utils import derive_rng
 
 FEATURE_MAGIC = b"SEMF"
 FEATURE_VERSION = 1
+_ARCHIVE = "features.semf"  # a saved corpus's frames
 
 DEFAULT_MAX_FRAMES = 1000
 
@@ -555,36 +561,64 @@ def build_scored_pairs(
 # file formats
 # ---------------------------------------------------------------------------
 
-def write_features(path: str | Path, fs: FeatureSequence) -> None:
-    """SEMF format: magic, version u16, T u32, d u32, T*d float32 LE row-major."""
-    write_binary(path, FEATURE_MAGIC, FEATURE_VERSION, fs.data.shape, arrays=[fs.data])
+def write_features(path: str | Path, *seqs: FeatureSequence) -> None:
+    """SEMF format: magic, version u16, T u32, d u32, T*d float32 LE row-major.
+
+    The frames of ``seqs``, one or more sequences of one dimension, go back
+    to back, written one sequence at a time with no joined copy.
+    """
+    dims = {fs.dim for fs in seqs}
+    if len(dims) != 1:
+        raise ValidationError(
+            "SEMF frames need at least one sequence, all of one feature dimension", field="dim"
+        )
+    n_frames = sum(fs.n_frames for fs in seqs)
+    write_binary(path, FEATURE_MAGIC, FEATURE_VERSION, (n_frames, *dims),
+                 arrays=(fs.data for fs in seqs))
+
+
+@contextmanager
+def _feature_file(path: str | Path) -> Iterator[BinaryReader]:
+    """An open SEMF file whose header and payload length are checked;
+    ``fields`` are its (frames, dim)."""
+    with BinaryReader(path, FEATURE_MAGIC, FEATURE_VERSION, n_fields=2) as reader:
+        n_frames, dim = reader.fields
+        if n_frames < 1:
+            raise FileFormatError("feature file declares 0 frames", offset=6)
+        if dim < 1:
+            raise FileFormatError("feature file declares 0 dimensions", offset=10)
+        reader.expect_payload(4 * n_frames * dim)
+        yield reader
 
 
 def read_features(path: str | Path) -> FeatureSequence:
-    reader = BinaryReader(path, FEATURE_MAGIC, FEATURE_VERSION, n_fields=2)
-    n_frames, dim = reader.fields
-    if n_frames < 1:
-        raise FileFormatError("feature file declares 0 frames", offset=6)
-    if dim < 1:
-        raise FileFormatError("feature file declares 0 dimensions", offset=10)
-    reader.expect_payload(4 * n_frames * dim)
-    data = reader.floats(n_frames * dim, "feature frames")
-    return FeatureSequence(data.reshape(n_frames, dim).copy())
+    """Every frame of a SEMF file."""
+    with _feature_file(path) as reader:
+        n_frames, dim = reader.fields
+        data = reader.floats(n_frames * dim, "feature frames")
+    return FeatureSequence(data.reshape(n_frames, dim))
+
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
-    """Write manifest.jsonl plus one SEMF file per utterance; returns manifest path."""
+    """Write ``manifest.jsonl`` and ``features.semf``; returns the manifest's path.
+
+    The archive is one SEMF file of every utterance's frames in manifest
+    order, and each manifest line's ``rows`` give its utterance's [start,
+    stop) rows there. The utterances must share one feature dimension.
+    """
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_features(out_dir / _ARCHIVE, *(u.features for u in corpus.utterances))
     lines = []
+    start = 0
     for u in corpus.utterances:
-        rel = f"features/{u.id}.semf"
-        write_features(out_dir / rel, u.features)
-        record = {"id": u.id, "speaker": u.speaker_id, "path": rel}
+        stop = start + u.features.n_frames
+        record = {"id": u.id, "speaker": u.speaker_id, "path": _ARCHIVE, "rows": [start, stop]}
         if u.symbols is not None:
             record["symbols"] = u.symbols
         lines.append(json.dumps(record, sort_keys=True) + "\n")
+        start = stop
     manifest = out_dir / "manifest.jsonl"
     write_text(manifest, "".join(lines))
     return manifest
@@ -605,44 +639,70 @@ def _manifest_fault(rec) -> str | None:
     symbols = rec.get("symbols", [])
     if type(symbols) is not list or any(type(s) is not int for s in symbols):
         return "key 'symbols' is not a list of ints"
+    rows = rec.get("rows")
+    if "rows" in rec and not (
+        type(rows) is list and len(rows) == 2 and all(type(r) is int for r in rows)
+    ):
+        return "key 'rows' is not a list of two ints"
     return None
 
 
 def load_corpus(corpus_dir: str | Path, ids: Collection[str] | None = None) -> Corpus:
     """The corpus a manifest describes. Every manifest line is parsed and
     checked, ids must be unique and there must be at least one; with
-    ``ids``, only those utterances are kept, in manifest order, and only
-    their feature files are read."""
+    ``ids``, only those utterances are kept, in manifest order.
+
+    Only the kept lines' frames are read, each into its utterance's own
+    array. Consecutive kept lines that name one feature file share one open
+    of it, whose header and length are checked once. A line without
+    ``rows`` is its whole file; a range that is empty, reversed or past its
+    file's frames is a ``FileFormatError`` naming the line.
+    """
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.jsonl"
     if not manifest.exists():
         raise FileFormatError(f"no manifest.jsonl in {corpus_dir}")
     utterances = []
     seen: set[str] = set()
-    for line_no, line in enumerate(read_text(manifest).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"manifest line {line_no} is not valid JSON: {e}") from e
-        fault = _manifest_fault(rec)
-        if fault:
-            raise FileFormatError(f"manifest line {line_no} {fault}")
-        if rec["id"] in seen:
-            raise ValidationError("utterance ids must be unique", field="id")
-        seen.add(rec["id"])
-        if ids is not None and rec["id"] not in ids:
-            continue
-        utterances.append(
-            Utterance(
-                id=rec["id"],
-                speaker_id=rec["speaker"],
-                features=read_features(corpus_dir / rec["path"]),
-                symbols=rec.get("symbols"),
+    with ExitStack() as feature_file:
+        path = reader = None
+        for line_no, line in enumerate(read_text(manifest).split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise FileFormatError(f"manifest line {line_no} is not valid JSON: {e}") from e
+            fault = _manifest_fault(rec)
+            if fault:
+                raise FileFormatError(f"manifest line {line_no} {fault}")
+            if rec["id"] in seen:
+                raise ValidationError("utterance ids must be unique", field="id")
+            seen.add(rec["id"])
+            if ids is not None and rec["id"] not in ids:
+                continue
+            if rec["path"] != path:
+                feature_file.close()
+                path = rec["path"]
+                reader = feature_file.enter_context(_feature_file(corpus_dir / path))
+            n_frames, dim = reader.fields
+            start, stop = rec.get("rows", (0, n_frames))
+            if not 0 <= start < stop <= n_frames:
+                raise FileFormatError(
+                    f"manifest line {line_no} rows [{start}, {stop}] are not a nonempty"
+                    f" range of the {n_frames} frames in {path}"
+                )
+            reader.offset = reader.payload_at + 4 * start * dim
+            data = reader.floats((stop - start) * dim, f"frames of {rec['id']!r}")
+            utterances.append(
+                Utterance(
+                    id=rec["id"],
+                    speaker_id=rec["speaker"],
+                    features=FeatureSequence(data.reshape(stop - start, dim)),
+                    symbols=rec.get("symbols"),
+                )
             )
-        )
     if not seen:
         raise FileFormatError(f"{manifest} lists no utterances")
     return Corpus(utterances=utterances)

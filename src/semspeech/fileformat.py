@@ -5,7 +5,9 @@ fields, then, if the format has one, a u32 length and that many bytes of
 UTF-8 JSON object, then little-endian float32 runs. Text artifacts are UTF-8;
 TSV rows are non-blank lines of tab-separated fields, and CSV tables a header
 row then data rows, CRLF-terminated. Every fault is a ``FileFormatError``, at
-its byte offset where one is known.
+its byte offset where one is known. Every artifact is written to a
+temporary file beside its path and then renamed over it, so a reader never
+sees a half-written artifact, and a failed write leaves the old one.
 """
 
 from __future__ import annotations
@@ -13,59 +15,97 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FileFormatError
 
 
+def _write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """``write`` to a temporary file beside ``path``, then rename it over
+    ``path``; if anything raises, the temporary file goes and ``path`` keeps
+    what it held. No fsync: the rename orders the write, not its durability."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_binary(path: str | Path, magic: bytes, version: int, fields: Sequence[int],
                  doc: dict | None = None, arrays: Iterable[np.ndarray] = ()) -> None:
-    """Write the framing above, with ``doc`` as compact sorted-key JSON."""
+    """Write the framing above, with ``doc`` as compact sorted-key JSON and
+    ``arrays`` streamed one after another, with no joined copy."""
     head = magic + struct.pack(f"<H{len(fields)}I", version, *fields)
     if doc is not None:
         doc_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
         head += struct.pack("<I", len(doc_bytes)) + doc_bytes
-    with open(path, "wb") as f:
+
+    def write(f: BinaryIO) -> None:
         f.write(head)
         for arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+    _write_atomically(path, write)
 
 
 class BinaryReader:
-    """A read cursor over one binary artifact.
+    """A read cursor over one binary artifact, open until ``close`` or the
+    end of its ``with`` block.
 
     Opening checks the magic (offset 0), that the fixed header is all there
     (offset: the file's length), and the version (offset 4), then reads the
     ``n_fields`` u32 fields into ``fields`` and, with ``has_doc``, the JSON
-    object into ``doc``. ``offset`` is then where the payload starts.
+    object into ``doc``. ``payload_at`` is where the payload starts. A read
+    starts at ``offset``, which begins there, and moves it past what it
+    read; a caller may set it to read elsewhere. Only what is read is loaded.
     """
 
     def __init__(self, path: str | Path, magic: bytes, version: int, n_fields: int,
                  has_doc: bool = False):
-        with open(path, "rb") as f:
-            self.blob = blob = f.read()
-        if blob[:4] != magic:
-            raise FileFormatError(f"bad magic {blob[:4]!r}, expected {magic!r}", offset=0)
-        n_u32 = n_fields + has_doc
-        self.offset = 6 + 4 * n_u32
-        if len(blob) < self.offset:
-            raise FileFormatError("truncated header", offset=len(blob))
-        found, *u32s = struct.unpack_from(f"<H{n_u32}I", blob, 4)
-        if found != version:
-            raise FileFormatError(f"unsupported version {found}", offset=4)
-        self.fields = u32s[:n_fields]
-        self.doc = self._doc(u32s[-1]) if has_doc else None
+        self._file = open(path, "rb")
+        try:
+            self.size = os.fstat(self._file.fileno()).st_size
+            n_u32 = n_fields + has_doc
+            self.offset = 6 + 4 * n_u32
+            head = self._file.read(self.offset)
+            if head[:4] != magic:
+                raise FileFormatError(f"bad magic {head[:4]!r}, expected {magic!r}", offset=0)
+            if len(head) < self.offset:
+                raise FileFormatError("truncated header", offset=len(head))
+            found, *u32s = struct.unpack_from(f"<H{n_u32}I", head, 4)
+            if found != version:
+                raise FileFormatError(f"unsupported version {found}", offset=4)
+            self.fields = u32s[:n_fields]
+            self.doc = self._doc(u32s[-1]) if has_doc else None
+            self.payload_at = self.offset
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> BinaryReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
 
     def _doc(self, length: int) -> dict:
         at, end = self.offset, self.offset + length
-        if len(self.blob) < end:
-            raise FileFormatError("truncated JSON block", offset=len(self.blob))
+        if self.size < end:
+            raise FileFormatError("truncated JSON block", offset=self.size)
         try:
-            doc = json.loads(self.blob[at:end].decode("utf-8"))
+            doc = json.loads(self._file.read(length).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FileFormatError(f"bad JSON block: {e}", offset=at) from e
         if not isinstance(doc, dict):
@@ -75,22 +115,26 @@ class BinaryReader:
 
     def expect_payload(self, nbytes: int) -> None:
         """The rest of the file is ``nbytes`` long."""
-        short = self.offset + nbytes - len(self.blob)
+        short = self.offset + nbytes - self.size
         if short > 0:
-            raise FileFormatError(f"truncated: {short} bytes missing", offset=len(self.blob))
+            raise FileFormatError(f"truncated: {short} bytes missing", offset=self.size)
         if short < 0:
             raise FileFormatError(f"{-short} trailing bytes", offset=self.offset + nbytes)
 
     def floats(self, count: int, what: str) -> np.ndarray:
-        """The next ``count`` float32s, as a read-only view; all must be finite."""
+        """The next ``count`` float32s, as a new array; all must be finite."""
         at = self.offset
-        if len(self.blob) < at + 4 * count:
-            raise FileFormatError(f"truncated {what}", offset=len(self.blob))
-        arr = np.frombuffer(self.blob, dtype="<f4", count=count, offset=at)
+        nbytes = 4 * count
+        if self.size < at + nbytes:
+            raise FileFormatError(f"truncated {what}", offset=self.size)
+        arr = np.empty(count, dtype="<f4")
+        self._file.seek(at)
+        if self._file.readinto(arr) != nbytes:  # the file shrank since it was opened
+            raise FileFormatError(f"truncated {what}", offset=self._file.tell())
         if not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise FileFormatError(f"non-finite value in {what}", offset=at + 4 * bad)
-        self.offset = at + 4 * count
+        self.offset = at + nbytes
         return arr
 
     def end(self) -> None:
@@ -133,7 +177,8 @@ def read_rows(
 
 def write_text(path: str | Path, text: str) -> None:
     """``text`` as UTF-8, its line ends written as they are."""
-    Path(path).write_bytes(text.encode("utf-8"))
+    blob = text.encode("utf-8")
+    _write_atomically(path, lambda f: f.write(blob))
 
 
 def write_id_ints(path: str | Path, rows: Iterable[tuple[str, Sequence[int]]]) -> None:

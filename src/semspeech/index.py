@@ -192,18 +192,22 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    reader = BinaryReader(path, INDEX_MAGIC, INDEX_VERSION, n_fields=2, has_doc=True)
-    n, d = reader.fields
-    ids, metadata = reader.doc.get("ids"), reader.doc.get("metadata")
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise FileFormatError("JSON block ids missing or not a list of strings", offset=_DOC_OFFSET)
-    if not isinstance(metadata, dict):
-        raise FileFormatError("JSON block metadata missing or not an object", offset=_DOC_OFFSET)
-    if len(ids) != n:
-        raise FileFormatError(f"JSON block has {len(ids)} ids for {n} rows", offset=_DOC_OFFSET)
-    matrix_at = reader.offset
-    reader.expect_payload(4 * n * d)
-    matrix = reader.floats(n * d, "embedding matrix").reshape(n, d).copy()
+    with BinaryReader(path, INDEX_MAGIC, INDEX_VERSION, n_fields=2, has_doc=True) as reader:
+        n, d = reader.fields
+        ids, metadata = reader.doc.get("ids"), reader.doc.get("metadata")
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise FileFormatError(
+                "JSON block ids missing or not a list of strings", offset=_DOC_OFFSET
+            )
+        if not isinstance(metadata, dict):
+            raise FileFormatError(
+                "JSON block metadata missing or not an object", offset=_DOC_OFFSET
+            )
+        if len(ids) != n:
+            raise FileFormatError(f"JSON block has {len(ids)} ids for {n} rows", offset=_DOC_OFFSET)
+        matrix_at = reader.offset
+        reader.expect_payload(4 * n * d)
+        matrix = reader.floats(n * d, "embedding matrix").reshape(n, d)
     try:
         return EmbeddingIndex(ids=ids, matrix=matrix, metadata=metadata)
     except ValidationError as e:

@@ -41,19 +41,24 @@ def _is_param_entry(entry) -> bool:
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Returns (kind, config, name -> float32 array)."""
-    reader = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n_fields=0, has_doc=True)
-    header = reader.doc
-    for key, kind in (("kind", str), ("config", dict), ("params", list)):
-        if not isinstance(header.get(key), kind):
-            raise FileFormatError(f"header {key!r} missing or not a {kind.__name__}", HEADER_OFFSET)
-    for entry in header["params"]:
-        if not _is_param_entry(entry):
-            raise FileFormatError(f"parameter entry {entry!r} is not [name, shape]", HEADER_OFFSET)
-    params = {
-        name: reader.floats(math.prod(shape), f"parameter {name!r}").reshape(shape).copy()
-        for name, shape in header["params"]
-    }
-    reader.end()
+    with BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n_fields=0,
+                      has_doc=True) as reader:
+        header = reader.doc
+        for key, kind in (("kind", str), ("config", dict), ("params", list)):
+            if not isinstance(header.get(key), kind):
+                raise FileFormatError(
+                    f"header {key!r} missing or not a {kind.__name__}", HEADER_OFFSET
+                )
+        for entry in header["params"]:
+            if not _is_param_entry(entry):
+                raise FileFormatError(
+                    f"parameter entry {entry!r} is not [name, shape]", HEADER_OFFSET
+                )
+        params = {
+            name: reader.floats(math.prod(shape), f"parameter {name!r}").reshape(shape)
+            for name, shape in header["params"]
+        }
+        reader.end()
     return header["kind"], header["config"], params
 
 

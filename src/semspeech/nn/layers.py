@@ -30,6 +30,7 @@ from .tensor import (
     grad_enabled,
     layer_norm,
     linear,
+    no_grad,
     pad_rows,
     softmax,
     take_rows,
@@ -310,6 +311,12 @@ def _encode_rows(
     return _run_blocks(store, "enc", h, cfg, pack, None, None, train_mode, rng)
 
 
+def _encode_rows_untaped(x, store: ParamStore, cfg: EncoderConfig, pack: Packing) -> Tensor:
+    """``_encode_rows`` in eval mode under this thread's own ``no_grad``."""
+    with no_grad():
+        return _encode_rows(x, store, cfg, pack, False, None)
+
+
 def _group(valid: np.ndarray) -> Packing:
     """The layout of some sequences of a batch, without the trailing
     positions that none of them holds."""
@@ -332,7 +339,7 @@ def _encode_halves(x, store: ParamStore, cfg: EncoderConfig, pack: Packing) -> T
         head, tail = Tensor(x.data[:r]), Tensor(x.data[r:])
     else:
         head, tail = x[:r], x[r:]
-    later = _worker.submit(_encode_rows, tail, store, cfg, _group(pack.valid[cut:]), False, None)
+    later = _worker.submit(_encode_rows_untaped, tail, store, cfg, _group(pack.valid[cut:]))
     try:
         first = _encode_rows(head, store, cfg, _group(pack.valid[:cut]), False, None)
     finally:

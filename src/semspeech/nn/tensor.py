@@ -9,39 +9,44 @@ bitwise reproducible.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from ..errors import ValidationError
 
-_GRAD_ENABLED = True
 NEG_INF = -1e9  # additive mask value; exp() of it underflows to exactly 0
 
 
-class no_grad:
-    """Context manager disabling graph construction.
+# idents of the threads inside a no_grad block; while it is empty, as in
+# training, recording costs Tensor._make one global read
+_untaped_threads: set[int] = set()
 
-    The flag is process-wide, not per thread: while it is held, no thread
-    records a tape. ``transformer_encode`` relies on that when it runs half
-    of an untaped batch on a worker thread, so the caller must hold it for
-    the whole call.
+
+class no_grad:
+    """Context manager disabling graph construction on the calling thread.
+
+    The flag is per thread: another thread's ``no_grad`` neither stops this
+    one recording nor, on leaving, restarts it. Work handed to a worker
+    thread enters ``no_grad`` there itself.
     """
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        ident = threading.get_ident()
+        self._nested = ident in _untaped_threads
+        _untaped_threads.add(ident)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        if not self._nested:
+            _untaped_threads.discard(threading.get_ident())
         return False
 
 
 def grad_enabled() -> bool:
-    """Whether operations record a tape now (no ``no_grad`` is held)."""
-    return _GRAD_ENABLED
+    """Whether operations on this thread record a tape now (no ``no_grad``
+    is held on it)."""
+    return not _untaped_threads or threading.get_ident() not in _untaped_threads
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -85,7 +90,7 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if (not _untaped_threads or grad_enabled()) and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward

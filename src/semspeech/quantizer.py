@@ -392,14 +392,14 @@ def write_codebook(path: str | Path, cb: Codebook) -> None:
 
 
 def read_codebook(path: str | Path) -> Codebook:
-    reader = BinaryReader(path, CODEBOOK_MAGIC, CODEBOOK_VERSION, n_fields=2)
-    k, d = reader.fields
-    if k < 1:
-        raise FileFormatError("codebook declares 0 centroids", offset=6)
-    if d < 1:
-        raise FileFormatError("codebook declares 0 dimensions", offset=10)
-    reader.expect_payload(4 * k * d)
-    data = reader.floats(k * d, "centroids")
+    with BinaryReader(path, CODEBOOK_MAGIC, CODEBOOK_VERSION, n_fields=2) as reader:
+        k, d = reader.fields
+        if k < 1:
+            raise FileFormatError("codebook declares 0 centroids", offset=6)
+        if d < 1:
+            raise FileFormatError("codebook declares 0 dimensions", offset=10)
+        reader.expect_payload(4 * k * d)
+        data = reader.floats(k * d, "centroids")
     return Codebook(centroids=data.reshape(k, d).astype(np.float64))
 
 

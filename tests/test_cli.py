@@ -9,7 +9,8 @@ import pytest
 
 from semspeech.cli import build_parser, cmd_train_teacher, main
 from semspeech.config import default_config
-from semspeech.corpus import load_corpus
+from damage import poison_frame
+from semspeech.corpus import load_corpus, write_features
 from semspeech.errors import ValidationError
 from semspeech.evaluation import load_report
 from semspeech.index import load_index
@@ -202,7 +203,7 @@ def test_evaluate_reads_only_the_scored_feature_files(pipeline, tmp_path, capsys
     damaged = next(i for i in ids if (i in in_pairs) == scored)
     corpus = tmp_path / "corpus"
     shutil.copytree(data / "corpus", corpus)
-    (corpus / "features" / f"{damaged}.semf").write_bytes(b"damaged")
+    offset = poison_frame(corpus, damaged)
 
     def evaluate(corpus_dir, out):
         return main([
@@ -216,6 +217,7 @@ def test_evaluate_reads_only_the_scored_feature_files(pipeline, tmp_path, capsys
     if scored:
         assert rc == 1
         assert len(errors) == 1 and errors[0].startswith("error\tFileFormatError\t")
+        assert errors[0].endswith(f"non-finite value in frames of {damaged!r} (byte offset {offset})")
     else:
         assert rc == 0 and not errors
         assert evaluate(data / "corpus", tmp_path / "ref") == 0
@@ -243,15 +245,17 @@ def test_index_and_search(pipeline, capsys):
     assert (out / "results.tsv").read_text().strip().splitlines() == lines
 
 
-def test_search_by_features_matches_self(pipeline, capsys):
+def test_search_by_features_matches_self(pipeline, tmp_path, capsys):
     root, c = pipeline
     out = root / "index"
     corpus = load_corpus(root / "data" / "corpus")
     probe = corpus.utterances[3]
+    query = tmp_path / f"{probe.id}.semf"
+    write_features(query, probe.features)
     rc = main([
         "search", "--config", c, "--out", str(out),
         "--index", str(out / "index.semi"),
-        "--query-features", str(root / "data" / "corpus" / "features" / f"{probe.id}.semf"),
+        "--query-features", str(query),
         "--model", str(root / "student" / "student.semm"),
         "-k", "1",
     ])
@@ -270,17 +274,13 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
     data = root / "data"
     for rel in (
         "corpus/manifest.jsonl",
+        "corpus/features.semf",
         "pairs.dev.tsv",
         "pairs.test.tsv",
         "codebook.semk",
         "units.tsv",
     ):
         assert (again / rel).read_bytes() == (data / rel).read_bytes(), rel
-    probe = sorted((data / "corpus" / "features").iterdir())[0].name
-    assert (
-        (again / "corpus" / "features" / probe).read_bytes()
-        == (data / "corpus" / "features" / probe).read_bytes()
-    )
 
 
 def test_seed_flag_changes_outputs(pipeline, tmp_path):
@@ -331,6 +331,23 @@ def test_empty_manifest_exits_with_one_line_error(pipeline, tmp_path, capsys, st
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert len(errors) == 1
     assert errors[0].startswith("error\tFileFormatError\t") and "lists no utterances" in errors[0]
+
+
+def test_manifest_rows_past_the_archive_exit_with_one_line_error(pipeline, tmp_path, capsys):
+    root, c = pipeline
+    corpus = tmp_path / "corpus"
+    shutil.copytree(root / "data" / "corpus", corpus)
+    recs = [json.loads(line) for line in (corpus / "manifest.jsonl").read_text().splitlines()]
+    total = recs[-1]["rows"][1]
+    recs[5]["rows"] = [total - 2, total + 3]
+    (corpus / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+    rc = main(["quantize", "--config", c, "--out", str(tmp_path / "o"), "--corpus", str(corpus)])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tFileFormatError\tmanifest line 6 rows ")
+    assert f"of the {total} frames in features.semf" in errors[0]
+    assert not (tmp_path / "o" / "units.tsv").exists()
 
 
 @pytest.mark.parametrize("knob", ["batch_size = 0", "lr = -0.0005"])

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semspeech.corpus as corpus_module
+from damage import poison_frame
 from semspeech.corpus import (
     Corpus,
     FeatureSequence,
@@ -501,18 +503,83 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert back.has_ground_truth
 
 
+def test_saved_corpus_is_one_archive_that_rows_index(tmp_path):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=5, seed=6))
+    manifest = save_corpus(corpus, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.semf", "manifest.jsonl"]
+    recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+    stops = np.cumsum([u.features.n_frames for u in corpus]).tolist()
+    assert [r["rows"] for r in recs] == [[a, b] for a, b in zip([0] + stops[:-1], stops)]
+    assert {r["path"] for r in recs} == {"features.semf"}
+    archive = read_features(tmp_path / "features.semf")
+    assert np.array_equal(archive.data, np.concatenate([u.features.data for u in corpus]))
+
+
+def test_save_corpus_needs_one_feature_dimension(tmp_path):
+    utts = [make_utt("a", [0], dim=4), make_utt("b", [1], dim=3)]
+    for corpus in (Corpus(utterances=utts), Corpus(utterances=[])):
+        with pytest.raises(ValidationError, match="one feature dimension"):
+            save_corpus(corpus, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_corpus_load_reads_only_the_named_feature_files(tmp_path):
     corpus = generate_corpus(SyntheticSpec(n_utterances=6, seed=6))
     save_corpus(corpus, tmp_path)
-    (tmp_path / "features" / "utt-1.semf").write_bytes(b"damaged")
-    back = load_corpus(tmp_path, ids={"utt-4", "utt-0"})
-    assert [u.id for u in back] == ["utt-0", "utt-4"]  # manifest order
+    offset = poison_frame(tmp_path, "utt-1")
+    # utt-0 and utt-2 sit on either side of utt-1's rows in the archive
+    back = load_corpus(tmp_path, ids={"utt-4", "utt-2", "utt-0"})
+    assert [u.id for u in back] == ["utt-0", "utt-2", "utt-4"]  # manifest order
     for u in back:
         assert np.array_equal(u.features.data, corpus[u.id].features.data)
         assert u.symbols == corpus[u.id].symbols
-    with pytest.raises(FileFormatError):
-        load_corpus(tmp_path, ids={"utt-1"})
-    with pytest.raises(FileFormatError):
+    for ids in ({"utt-1"}, None):
+        with pytest.raises(FileFormatError, match="non-finite value in frames of 'utt-1'") as e:
+            load_corpus(tmp_path, ids=ids)
+        assert e.value.offset == offset
+
+
+def test_per_file_manifest_loads_like_the_archive(tmp_path):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=5, seed=6))
+    save_corpus(corpus, tmp_path / "packed")
+    per_file = tmp_path / "per-file"
+    (per_file / "features").mkdir(parents=True)
+    lines = []
+    for u in corpus:
+        rel = f"features/{u.id}.semf"
+        write_features(per_file / rel, u.features)
+        record = {"id": u.id, "speaker": u.speaker_id, "path": rel, "symbols": u.symbols}
+        lines.append(json.dumps(record) + "\n")
+    (per_file / "manifest.jsonl").write_text("".join(lines))
+    for ids in (None, {"utt-3", "utt-1"}):
+        a, b = load_corpus(per_file, ids=ids), load_corpus(tmp_path / "packed", ids=ids)
+        assert [(u.id, u.speaker_id, u.symbols) for u in a] == [
+            (u.id, u.speaker_id, u.symbols) for u in b
+        ]
+        for ua, ub in zip(a, b):
+            assert ua.features.data.dtype == ub.features.data.dtype == np.float32
+            assert ua.features.data.tobytes() == ub.features.data.tobytes()
+    # a file that no kept line names is never opened
+    (per_file / "features" / "utt-0.semf").write_bytes(b"damaged")
+    assert len(load_corpus(per_file, ids={"utt-1"})) == 1
+    with pytest.raises(FileFormatError, match="bad magic"):
+        load_corpus(per_file)
+
+
+@pytest.mark.parametrize(
+    "rows", [[5, 5], [5, 3], [-1, 2], "past"], ids=["empty", "reversed", "negative", "past-end"]
+)
+def test_manifest_rows_outside_the_archive_are_one_format_error(tmp_path, rows):
+    corpus = generate_corpus(SyntheticSpec(n_utterances=3, seed=6))
+    manifest = save_corpus(corpus, tmp_path)
+    total = sum(u.features.n_frames for u in corpus)
+    if rows == "past":
+        rows = [total - 1, total + 1]
+    recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+    recs[1]["rows"] = rows
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert len(load_corpus(tmp_path, ids={"utt-0", "utt-2"})) == 2
+    with pytest.raises(FileFormatError, match=f"manifest line 2 rows .* of the {total} frames"):
         load_corpus(tmp_path)
 
 
@@ -552,6 +619,11 @@ def test_manifest_without_utterances_is_a_format_error(tmp_path):
         ('{"id": "a\\tb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
         ('{"id": "a\\nb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
         ('{"id": "a\\rb", "speaker": 0, "path": "features/u0.semf"}', "tab or line break"),
+        ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "rows": 1}', "'rows'"),
+        ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "rows": [0]}', "'rows'"),
+        ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "rows": [0, 1, 2]}', "'rows'"),
+        ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "rows": [0, 1.0]}', "'rows'"),
+        ('{"id": "u0", "speaker": 0, "path": "features/u0.semf", "rows": [false, 1]}', "'rows'"),
     ],
     ids=[
         "speaker-a-string",
@@ -561,6 +633,11 @@ def test_manifest_without_utterances_is_a_format_error(tmp_path):
         "id-with-tab",
         "id-with-line-feed",
         "id-with-carriage-return",
+        "rows-a-number",
+        "rows-of-one-int",
+        "rows-of-three-ints",
+        "rows-with-a-float",
+        "rows-with-a-bool",
     ],
 )
 def test_manifest_line_of_the_wrong_type_is_a_format_error(tmp_path, line, fault):

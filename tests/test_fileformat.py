@@ -32,7 +32,7 @@ from semspeech.corpus import (
 from semspeech.distill import StudentModel
 from semspeech.errors import FileFormatError, SemspeechError
 from semspeech.evaluation import EvalReport, load_report, save_report
-from semspeech.fileformat import BinaryReader, read_rows, read_text, write_binary
+from semspeech.fileformat import BinaryReader, read_rows, read_text, write_binary, write_text
 from semspeech.index import EmbeddingIndex, load_index, save_index
 from semspeech.nn import checkpoint
 from semspeech.nn.layers import EncoderConfig
@@ -209,22 +209,62 @@ def test_read_rows_skips_blank_lines_and_checks_the_field_count(tmp_path):
 def test_binary_reader_walks_fields_doc_and_floats(tmp_path):
     path = tmp_path / "x.bin"
     write_binary(path, b"TEST", 3, (2, 7), {"k": [1]}, [np.array([1.0, 2.0])])
-    reader = BinaryReader(path, b"TEST", 3, n_fields=2, has_doc=True)
-    assert reader.fields == [2, 7]
-    assert reader.doc == {"k": [1]}
-    assert reader.floats(2, "values").tolist() == [1.0, 2.0]
-    reader.end()
+    with BinaryReader(path, b"TEST", 3, n_fields=2, has_doc=True) as reader:
+        assert reader.fields == [2, 7]
+        assert reader.doc == {"k": [1]}
+        assert reader.floats(2, "values").tolist() == [1.0, 2.0]
+        reader.end()
     with pytest.raises(FileFormatError) as e:
         BinaryReader(path, b"TEST", 4, n_fields=2, has_doc=True)
     assert e.value.offset == 4
+
+
+def test_binary_reader_reads_from_where_its_offset_is_set(tmp_path):
+    path = tmp_path / "x.bin"
+    write_binary(path, b"TEST", 1, (4,), arrays=[np.arange(4.0)])
+    with BinaryReader(path, b"TEST", 1, n_fields=1) as reader:
+        payload_at = reader.offset
+        reader.offset = payload_at + 8
+        assert reader.floats(2, "values").tolist() == [2.0, 3.0]
+        reader.offset = payload_at
+        assert reader.floats(1, "values").tolist() == [0.0]
+        with pytest.raises(FileFormatError, match="truncated values") as e:
+            reader.floats(4, "values")
+        assert e.value.offset == payload_at + 16
 
 
 def test_binary_reader_rejects_trailing_bytes_at_their_offset(tmp_path):
     path = tmp_path / "x.bin"
     write_binary(path, b"TEST", 1, (1,), arrays=[np.ones(1)])
     path.write_bytes(path.read_bytes() + b"\0")
-    reader = BinaryReader(path, b"TEST", 1, n_fields=1)
-    reader.floats(1, "values")
-    with pytest.raises(FileFormatError, match="1 trailing bytes") as e:
-        reader.end()
+    with BinaryReader(path, b"TEST", 1, n_fields=1) as reader:
+        reader.floats(1, "values")
+        with pytest.raises(FileFormatError, match="1 trailing bytes") as e:
+            reader.end()
     assert e.value.offset == 14
+
+
+def test_a_write_that_raises_mid_payload_keeps_the_old_bytes(tmp_path):
+    path = tmp_path / "x.bin"
+    write_binary(path, b"TEST", 1, (2,), arrays=[np.ones(2)])
+    old = path.read_bytes()
+
+    def arrays():
+        yield np.zeros(1)
+        raise RuntimeError("mid-payload")
+
+    with pytest.raises(RuntimeError, match="mid-payload"):
+        write_binary(path, b"TEST", 1, (2,), arrays=arrays())
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
+def test_a_text_write_that_cannot_land_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        write_text(tmp_path / "taken", "a\n")  # the rename cannot replace a directory
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    write_text(tmp_path / "x.txt", "old\n")
+    write_text(tmp_path / "x.txt", "new\n")
+    assert (tmp_path / "x.txt").read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "x.txt"]

@@ -829,6 +829,26 @@ def test_a_taped_or_train_mode_encode_is_never_split(monkeypatch):
     assert calls == [(4, False)] * 3
 
 
+def test_the_workers_half_records_no_tape(monkeypatch):
+    """The worker enters no_grad itself: the half it encodes, from
+    parameters that want gradients, comes back with no tape."""
+    monkeypatch.setattr(layers, "WORKERS", 2)
+    halves, body, caller = [], layers._encode_rows, threading.get_ident()
+
+    def spy(*args):
+        out = body(*args)
+        halves.append((threading.get_ident() != caller, out.requires_grad, bool(out._parents)))
+        return out
+
+    monkeypatch.setattr(layers, "_encode_rows", spy)
+    model = StudentModel.create(d_in=8, pooling="self_attention", seed=3)
+    assert all(p.requires_grad for _, p in model.store.items())
+    x, pack = _golden_encoder_input("student", [5, 9, 2, 7], np.random.default_rng(6))
+    with no_grad():
+        transformer_encode(x, model.store, model.cfg, pack=pack)
+    assert sorted(halves) == [(False, False, False), (True, False, False)]
+
+
 def test_an_error_in_the_workers_half_is_the_serial_error(monkeypatch):
     """An id outside the table in the second half, which the worker runs,
     is the one ValidationError the serial path raises."""

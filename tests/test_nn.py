@@ -1,4 +1,5 @@
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -33,6 +34,7 @@ from semspeech.nn.tensor import (
     _softmax,
     concat,
     dropout,
+    grad_enabled,
     layer_norm,
     nll,
     no_grad,
@@ -163,6 +165,37 @@ def test_no_grad_blocks_graph():
     with no_grad():
         b = a * 2.0
     assert not b.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    """Thread A enters no_grad, then B, then A leaves: B's block still
+    records no tape, and each thread records again once it has left."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with no_grad():
+            a_in.set()
+            b_in.wait(10)
+        seen["a records after"] = (a * 2.0).requires_grad
+        a_out.set()
+
+    def thread_b():
+        a_in.wait(10)
+        with no_grad():
+            b_in.set()
+            a_out.wait(10)
+            seen["b records inside"] = (a * 2.0).requires_grad
+        seen["b records after"] = (a * 2.0).requires_grad
+
+    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert seen == {"a records after": True, "b records inside": False, "b records after": True}
+    assert grad_enabled() and (a * 2.0).requires_grad
 
 
 def test_backward_requires_scalar():

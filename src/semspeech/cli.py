@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig, default_config, load_config
 from .corpus import (
+    PairCandidates,
     SyntheticSpec,
     build_scored_pairs,
     generate_corpus,
@@ -130,9 +131,13 @@ def cmd_gen_corpus(cfg: PipelineConfig, args, out: Path) -> None:
         seed=cfg["run.seed"],
     )
     corpus = generate_corpus(spec)
-    # both pair sets are built, and so checked, before anything is written
+    # both pair sets are built, and so checked, before anything is written;
+    # they draw from one scoring of the candidates where they share them
+    candidates = PairCandidates()
     pair_sets = {
-        split: build_scored_pairs(corpus, n_pairs, seed=cfg["run.seed"], split=split)
+        split: build_scored_pairs(
+            corpus, n_pairs, seed=cfg["run.seed"], split=split, candidates=candidates
+        )
         for split, n_pairs in (("dev", cfg["pairs.n_dev"]), ("test", cfg["pairs.n_test"]))
     }
     corpus_dir = save_corpus(corpus, out / "corpus")

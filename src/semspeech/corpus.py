@@ -64,6 +64,8 @@ _COPY_PROB = 0.15
 # page faults rose by about 60%)
 _PAIR_BLOCK = 1 << 18
 
+_N_BINS = 10  # equal-width score bins of the scored pairs
+
 
 @dataclass
 class FeatureSequence:
@@ -82,6 +84,14 @@ class FeatureSequence:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("feature values must be finite", field="data")
         self.data = arr
+
+    @classmethod
+    def _checked(cls, data: np.ndarray) -> FeatureSequence:
+        """A sequence over a nonempty (T, d) float32 matrix whose values its
+        reader has already found finite, built without checking them again."""
+        seq = cls.__new__(cls)
+        seq.data = data
+        return seq
 
     @property
     def n_frames(self) -> int:
@@ -345,9 +355,14 @@ def ground_truth_similarity(a: Utterance, b: Utterance) -> float:
     return dot / math.sqrt(sq_a * sq_b)
 
 
-def _bin_label(idx: int, n_bins: int = 10) -> str:
-    lo, hi = 5.0 * idx / n_bins, 5.0 * (idx + 1) / n_bins
-    closer = "]" if idx == n_bins - 1 else ")"
+def _bin_range(idx: int) -> tuple[float, float]:
+    """A score bin's interval on the 0-5 scale."""
+    return 5.0 * idx / _N_BINS, 5.0 * (idx + 1) / _N_BINS
+
+
+def _bin_label(idx: int) -> str:
+    lo, hi = _bin_range(idx)
+    closer = "]" if idx == _N_BINS - 1 else ")"
     return f"[{lo:.1f}, {hi:.1f}{closer}"
 
 
@@ -434,12 +449,131 @@ def _candidate_blocks(
             yield block, np.einsum("ij,ij->i", counts[block // n], counts[block % n])
 
 
+@dataclass
+class PairCandidates:
+    """One corpus's candidate pairs, scored and binned by the first
+    ``build_scored_pairs`` call given this holder, for later calls on the
+    same corpus to draw from without scoring them again.
+
+    Only a corpus whose every pair is a candidate is kept: those candidates
+    take no random draws, so every split sees the same ones, where sampled
+    candidates come from the split's own generator. A draw shuffles copies
+    and leaves the kept bins as the scoring made them.
+    """
+
+    corpus: Corpus | None = None
+    # the count matrix, its rows' squared norms and the bins of keys
+    scored: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
+
+
+def _symbol_counts(utts: list[Utterance]) -> tuple[np.ndarray, np.ndarray]:
+    """The bag-of-symbols count matrix and each row's squared norm.
+
+    Counts are small integers, so float64 dot products are exact in any
+    summation order and the vectorized cosine matches
+    ground_truth_similarity bit for bit.
+    """
+    n_symbols = 1 + max(max(u.symbols) for u in utts)
+    counts = np.zeros((len(utts), n_symbols), dtype=np.float64)
+    for row, u in enumerate(utts):
+        for sym in u.symbols:
+            counts[row, sym] += 1.0
+    return counts, np.einsum("ij,ij->i", counts, counts)
+
+
+def _binned_candidates(
+    counts: np.ndarray, sq: np.ndarray, rng: np.random.Generator, max_candidates: int
+) -> list[np.ndarray]:
+    """The candidates' keys in ten equal-width score bins over [0, 1], the
+    top bin closed, each bin ascending; an empty bin is a PairBinningError."""
+    n = len(counts)
+    parts: list[list[np.ndarray]] = [[] for _ in range(_N_BINS)]
+    for keys, dots in _candidate_blocks(counts, rng, max_candidates):
+        scores = _cosines(dots, sq[keys // n], sq[keys % n])
+        bin_of = np.minimum((scores * _N_BINS).astype(np.int8), _N_BINS - 1)
+        # a stable sort by bin keeps each bin's keys ascending
+        order = np.argsort(bin_of, kind="stable")
+        bounds = np.cumsum(np.bincount(bin_of, minlength=_N_BINS))[:-1]
+        for k, part in enumerate(np.split(keys[order], bounds)):
+            parts[k].append(part)
+    bins = []
+    for part in parts:
+        bins.append(np.concatenate(part))
+        part.clear()
+
+    populated = [k for k in range(_N_BINS) if bins[k].size]
+    for k in range(_N_BINS):
+        if not bins[k].size:
+            only = ", ".join(_bin_label(p) for p in populated)
+            raise PairBinningError(
+                f"score bin {_bin_label(k)} has no candidate pairs (populable: {only})",
+                bin_range=_bin_range(k),
+            )
+    return bins
+
+
+def _draw_binned(bins: list[np.ndarray], n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Keys of ``n_pairs`` pairs, a tenth from each bin where it can give
+    them and the rest borrowed from the nearest bins, as a new array; the
+    bins are left as they are.
+
+    Raises when a bin's deficit cannot be borrowed or when the pairs taken
+    from a bin deviate more than 20% from n_pairs/10.
+    """
+    # the shuffle's draws depend only on a bin's length, so a bin of keys
+    # shuffles into the same permutation as a list of its pairs. Each bin is
+    # shuffled as an int64 copy, one bin at a time, as numpy shuffles 8-byte
+    # items on a fast path (2M keys: 27 ms, against 51 ms for int32 keys
+    # shuffled in place and sorted back, on a 2-vCPU VM). A draw reaches at
+    # most n_pairs into a bin.
+    heads = []
+    for b in bins:
+        shuffled = b.astype(np.int64)
+        rng.shuffle(shuffled)
+        heads.append(shuffled[:n_pairs].copy())
+        del shuffled
+
+    base, rem = divmod(n_pairs, _N_BINS)
+    quotas = [base + (1 if k < rem else 0) for k in range(_N_BINS)]
+    # pairs taken from the head of each shuffled bin, for itself or a neighbour
+    used = [min(q, h.size) for q, h in zip(quotas, heads)]
+    taken = [[h[:u]] for h, u in zip(heads, used)]
+
+    # borrow for deficit bins from the nearest bins that still have candidates
+    for k in range(_N_BINS):
+        deficit = quotas[k] - taken[k][0].size
+        for dist in range(1, _N_BINS):
+            for nb in (k - dist, k + dist):
+                if deficit > 0 and 0 <= nb < _N_BINS and used[nb] < heads[nb].size:
+                    grab = min(deficit, heads[nb].size - used[nb])
+                    taken[k].append(heads[nb][used[nb] : used[nb] + grab])
+                    used[nb] += grab
+                    deficit -= grab
+        if deficit > 0:
+            raise PairBinningError(
+                f"score bin {_bin_label(k)} cannot be filled: {deficit} pairs short"
+                " even after borrowing from neighbors",
+                bin_range=_bin_range(k),
+            )
+
+    target = n_pairs / _N_BINS
+    for k in range(_N_BINS):
+        if abs(used[k] - target) > 0.2 * target + 1e-9:
+            raise PairBinningError(
+                f"emitted count {used[k]} in score bin {_bin_label(k)} deviates more than"
+                f" 20% from the target {target:.1f}",
+                bin_range=_bin_range(k),
+            )
+    return np.concatenate([part for bucket in taken for part in bucket])
+
+
 def build_scored_pairs(
     corpus: Corpus,
     n_pairs: int,
     seed: int,
     split: str = "dev",
     max_candidates: int = 2_500_000,
+    candidates: PairCandidates | None = None,
 ) -> ScoredPairSet:
     """Stratify oracle-scored pairs into ten equal-width score bins.
 
@@ -447,6 +581,10 @@ def build_scored_pairs(
     bin as evenly as possible; small deficits are borrowed from the nearest
     bins. Raises when a bin has no candidates or when the emitted histogram
     deviates more than 20% from n_pairs/10 in any bin.
+
+    With ``candidates``, calls on one corpus whose every pair is a
+    candidate score them once and each draw its own split from them; the
+    pairs are those of a call without it.
     """
     if n_pairs < 10:
         raise ValidationError("n_pairs must be >= 10", field="n_pairs")
@@ -463,91 +601,16 @@ def build_scored_pairs(
             field="n_pairs",
         )
 
-    # Bag-of-symbols count matrix. Counts are small integers, so float64 dot
-    # products are exact in any summation order and the vectorized cosine
-    # matches ground_truth_similarity bit for bit.
-    n_symbols = 1 + max(max(u.symbols) for u in utts)
-    counts = np.zeros((n, n_symbols), dtype=np.float64)
-    for row, u in enumerate(utts):
-        for sym in u.symbols:
-            counts[row, sym] += 1.0
-    sq = np.einsum("ij,ij->i", counts, counts)
+    shared = candidates is not None and total_pairs <= max_candidates
+    if shared and candidates.corpus is corpus:
+        counts, sq, bins = candidates.scored
+    else:
+        counts, sq = _symbol_counts(utts)
+        bins = _binned_candidates(counts, sq, rng, max_candidates)
+        if shared:
+            candidates.corpus, candidates.scored = corpus, (counts, sq, bins)
+    emitted = _draw_binned(bins, n_pairs, rng)
 
-    # equal-width bins over [0, 1], the top bin closed; each bin holds its
-    # candidates' keys in ascending order
-    n_bins = 10
-    parts: list[list[np.ndarray]] = [[] for _ in range(n_bins)]
-    for keys, dots in _candidate_blocks(counts, rng, max_candidates):
-        scores = _cosines(dots, sq[keys // n], sq[keys % n])
-        bin_of = np.minimum((scores * n_bins).astype(np.int8), n_bins - 1)
-        # a stable sort by bin keeps each bin's keys ascending
-        order = np.argsort(bin_of, kind="stable")
-        bounds = np.cumsum(np.bincount(bin_of, minlength=n_bins))[:-1]
-        for k, part in enumerate(np.split(keys[order], bounds)):
-            parts[k].append(part)
-    bins = []
-    for part in parts:
-        bins.append(np.concatenate(part))
-        part.clear()
-
-    populated = [k for k in range(n_bins) if bins[k].size]
-    for k in range(n_bins):
-        if not bins[k].size:
-            only = ", ".join(_bin_label(p) for p in populated)
-            raise PairBinningError(
-                f"score bin {_bin_label(k)} has no candidate pairs (populable: {only})",
-                bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
-            )
-
-    # the shuffle's draws depend only on a bin's length, so a bin of keys
-    # shuffles into the same permutation as a list of its pairs
-    for k in range(n_bins):
-        rng.shuffle(bins[k])
-
-    base, rem = divmod(n_pairs, n_bins)
-    quotas = [base + (1 if k < rem else 0) for k in range(n_bins)]
-    # emitted pairs per bin they were taken from
-    hist = [0] * n_bins
-    taken: list[list[np.ndarray]] = []
-    for k in range(n_bins):
-        taken.append([bins[k][: quotas[k]]])
-        hist[k] += taken[k][0].size
-        bins[k] = bins[k][quotas[k] :]
-
-    # borrow for deficit bins from the nearest bins that still have candidates
-    for k in range(n_bins):
-        deficit = quotas[k] - taken[k][0].size
-        if deficit <= 0:
-            continue
-        for dist in range(1, n_bins):
-            for nb in (k - dist, k + dist):
-                if deficit == 0:
-                    break
-                if 0 <= nb < n_bins and bins[nb].size:
-                    grab = min(deficit, bins[nb].size)
-                    taken[k].append(bins[nb][:grab])
-                    hist[nb] += grab
-                    bins[nb] = bins[nb][grab:]
-                    deficit -= grab
-            if deficit == 0:
-                break
-        if deficit > 0:
-            raise PairBinningError(
-                f"score bin {_bin_label(k)} cannot be filled: {deficit} pairs short"
-                " even after borrowing from neighbors",
-                bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
-            )
-
-    target = n_pairs / n_bins
-    for k in range(n_bins):
-        if abs(hist[k] - target) > 0.2 * target + 1e-9:
-            raise PairBinningError(
-                f"emitted count {hist[k]} in score bin {_bin_label(k)} deviates more than"
-                f" 20% from the target {target:.1f}",
-                bin_range=(5.0 * k / n_bins, 5.0 * (k + 1) / n_bins),
-            )
-
-    emitted = np.concatenate([part for bucket in taken for part in bucket])
     iu, ju = emitted // n, emitted % n
     scores = _cosines(np.einsum("ij,ij->i", counts[iu], counts[ju]), sq[iu], sq[ju])
     pairs = [
@@ -596,7 +659,7 @@ def read_features(path: str | Path) -> FeatureSequence:
     with _feature_file(path) as reader:
         n_frames, dim = reader.fields
         data = reader.floats(n_frames * dim, "feature frames")
-    return FeatureSequence(data.reshape(n_frames, dim))
+    return FeatureSequence._checked(data.reshape(n_frames, dim))
 
 
 
@@ -699,7 +762,7 @@ def load_corpus(corpus_dir: str | Path, ids: Collection[str] | None = None) -> C
                 Utterance(
                     id=rec["id"],
                     speaker_id=rec["speaker"],
-                    features=FeatureSequence(data.reshape(stop - start, dim)),
+                    features=FeatureSequence._checked(data.reshape(stop - start, dim)),
                     symbols=rec.get("symbols"),
                 )
             )

@@ -198,9 +198,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def read_id_ints(path: str | Path, make: Callable[[list[int], str], object]) -> list:
     """``make(ints, id)`` for each row ``write_id_ints`` wrote; a bad int or a
-    ``ValidationError`` from ``make`` is a ``FileFormatError`` naming the line."""
+    ``ValidationError`` from ``make`` is a ``FileFormatError`` naming the line,
+    and an id on two lines one naming both."""
     out = []
+    first_line: dict[str, int] = {}
     for line_no, (row_id, ints) in read_rows(path, 2):
+        first = first_line.setdefault(row_id, line_no)
+        if first != line_no:
+            raise FileFormatError(f"{path} lines {first} and {line_no}: repeated id {row_id!r}")
         try:
             out.append(make([int(x) for x in ints.split()], row_id))
         except ValueError as e:  # ValidationError included

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,9 +106,12 @@ def _merge_once(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]
     return out
 
 
-def _pair_counts(seq: list[int]) -> Counter:
+def _pair_counts(seq: list[int]) -> dict[tuple[int, int], int]:
     # overlapping occurrences each count: "x x x" holds (x,x) twice
-    return Counter(zip(seq, seq[1:]))
+    counts: dict[tuple[int, int], int] = {}
+    for p in zip(seq, seq[1:]):
+        counts[p] = counts.get(p, 0) + 1
+    return counts
 
 
 def train_bpe(units: list[UnitSequence], vocab_size: int) -> BpeModel:
@@ -128,11 +131,15 @@ def train_bpe(units: list[UnitSequence], vocab_size: int) -> BpeModel:
     model = BpeModel(alphabet=alphabet, merges=[])
     seqs = [[model.token_for_unit(u) for u in seq.units] for seq in units]
 
-    counts: Counter = Counter()
+    # each sequence's own pair counts, kept from merge to merge: a merge
+    # counts a touched sequence's pairs once, after merging, and applies the
+    # difference from the kept counts
+    held = [_pair_counts(s) for s in seqs]
+    counts: dict[tuple[int, int], int] = {}
     where: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for idx, s in enumerate(seqs):
-        for p, c in _pair_counts(s).items():
-            counts[p] += c
+    for idx, own in enumerate(held):
+        for p, c in own.items():
+            counts[p] = counts.get(p, 0) + c
             where[p].add(idx)
 
     # max-count pair first, ties to the smallest pair; an entry whose count is
@@ -149,23 +156,26 @@ def train_bpe(units: list[UnitSequence], vocab_size: int) -> BpeModel:
         if -neg < 2:
             break
         merges.append(best_pair)
-        affected = sorted(where[best_pair])
         # net count change per pair; only a pair whose count moved gets a new
         # heap entry
-        delta: Counter = Counter()
-        for idx in affected:
-            before = _pair_counts(seqs[idx])
+        delta: dict[tuple[int, int], int] = {}
+        for idx in list(where[best_pair]):
             seqs[idx] = _merge_once(seqs[idx], best_pair, next_id)
-            after = _pair_counts(seqs[idx])
-            for p in before.keys() - after.keys():
+            before, after = held[idx], _pair_counts(seqs[idx])
+            held[idx] = after
+            for p, c in after.items():
+                d = c - before.pop(p, 0)
+                if d:
+                    delta[p] = delta.get(p, 0) + d
+                    if d == c:  # new to this sequence
+                        where[p].add(idx)
+            # what is left of before is gone from the sequence
+            for p, c in before.items():
+                delta[p] = delta.get(p, 0) - c
                 where[p].discard(idx)
-            for p in after.keys() - before.keys():
-                where[p].add(idx)
-            delta.update(after)
-            delta.subtract(before)
         for p, d in delta.items():
             if d:
-                c = counts[p] + d
+                c = counts.get(p, 0) + d
                 if c > 0:
                     counts[p] = c
                     heapq.heappush(heap, (-c, p))

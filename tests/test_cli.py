@@ -10,7 +10,8 @@ import pytest
 from semspeech.cli import build_parser, cmd_train_teacher, main
 from semspeech.config import default_config
 from damage import poison_frame
-from semspeech.corpus import load_corpus, write_features
+import semspeech.cli as cli_module
+from semspeech.corpus import build_scored_pairs, load_corpus, save_scored_pairs, write_features
 from semspeech.errors import ValidationError
 from semspeech.evaluation import load_report
 from semspeech.index import load_index
@@ -139,6 +140,64 @@ def test_gen_corpus_checks_the_pair_counts_before_writing(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert len(errors) == 1 and errors[0].startswith("error\tValidationError\t")
     assert not (out / "corpus" / "manifest.jsonl").exists()
+    assert not list(out.glob("pairs.*.tsv"))
+
+
+def _gen_corpus_pairs(tmp_path, n_utterances, n_dev, n_test):
+    """gen-corpus's dev and test pair files, and those of two independent
+    build_scored_pairs calls over the corpus it wrote (seed 0)."""
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text(
+        f"[corpus]\nn_utterances = {n_utterances}\n\n"
+        f"[pairs]\nn_dev = {n_dev}\nn_test = {n_test}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["gen-corpus", "--config", str(cfg), "--out", str(out)]) == 0
+    corpus = load_corpus(out / "corpus")
+    got, expected = {}, {}
+    for split, n_pairs in (("dev", n_dev), ("test", n_test)):
+        got[split] = (out / f"pairs.{split}.tsv").read_bytes()
+        oracle = tmp_path / f"oracle.{split}.tsv"
+        save_scored_pairs(cli_module.build_scored_pairs(corpus, n_pairs, 0, split), oracle)
+        expected[split] = oracle.read_bytes()
+    return got, expected
+
+
+def test_gen_corpus_pairs_equal_independent_calls_when_bins_borrow(tmp_path):
+    # the corpus of test_scored_pairs_borrowing_matches_reference: its 780
+    # pairs put 8 in the top score bin, so a dev quota of 10 borrows 2
+    got, expected = _gen_corpus_pairs(tmp_path, n_utterances=40, n_dev=100, n_test=80)
+    assert got == expected
+    scores = [float(line.split("\t")[2]) for line in got["dev"].decode().splitlines()[1:]]
+    assert sum(s >= 4.5 for s in scores) == 8
+
+
+def test_gen_corpus_pairs_equal_independent_calls_when_candidates_are_sampled(
+    tmp_path, monkeypatch
+):
+    # 6000 of the 11175 pairs of 150 utterances: each split samples its own
+    real = build_scored_pairs
+    monkeypatch.setattr(
+        cli_module, "build_scored_pairs",
+        lambda *args, **kwargs: real(*args, max_candidates=6000, **kwargs),
+    )
+    got, expected = _gen_corpus_pairs(tmp_path, n_utterances=150, n_dev=60, n_test=40)
+    assert got == expected
+
+
+def test_gen_corpus_empty_score_bin_exits_before_writing(tmp_path, capsys):
+    # one symbol per utterance from two: every pair scores 0 or 5
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(
+        "[corpus]\nn_utterances = 40\nalphabet_size = 2\n"
+        "utterance_len_min = 1\nutterance_len_max = 1\n\n[pairs]\nn_dev = 10\nn_test = 20\n"
+    )
+    out = tmp_path / "o"
+    rc = main(["gen-corpus", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith("error\tPairBinningError\tscore bin ")
+    assert not (out / "corpus").exists()
     assert not list(out.glob("pairs.*.tsv"))
 
 
@@ -348,6 +407,20 @@ def test_manifest_rows_past_the_archive_exit_with_one_line_error(pipeline, tmp_p
     assert errors[0].startswith("error\tFileFormatError\tmanifest line 6 rows ")
     assert f"of the {total} frames in features.semf" in errors[0]
     assert not (tmp_path / "o" / "units.tsv").exists()
+
+
+def test_repeated_unit_id_exits_with_one_line_error(pipeline, tmp_path, capsys):
+    root, c = pipeline
+    lines = (root / "data" / "units.tsv").read_text().splitlines(keepends=True)
+    first_id = lines[0].split("\t")[0]
+    units = tmp_path / "units.tsv"
+    units.write_text("".join(lines[:3] + lines[:1] + lines[3:]))
+    out = tmp_path / "o"
+    rc = main(["tokenize", "--config", c, "--out", str(out), "--units", str(units)])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [f"error\tFileFormatError\t{units} lines 1 and 4: repeated id {first_id!r}"]
+    assert not (out / "tokens.tsv").exists()
 
 
 @pytest.mark.parametrize("knob", ["batch_size = 0", "lr = -0.0005"])

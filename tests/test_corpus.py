@@ -12,6 +12,7 @@ from damage import poison_frame
 from semspeech.corpus import (
     Corpus,
     FeatureSequence,
+    PairCandidates,
     ScoredPairSet,
     SyntheticSpec,
     Utterance,
@@ -381,6 +382,49 @@ def test_scored_pairs_peak_memory(n_utterances, limit_mib):
     assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _ascending(bins):
+    return all(np.all(b[1:] > b[:-1]) for b in bins)
+
+
+def test_shared_candidates_draw_the_pairs_of_independent_calls():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=150, seed=2))
+    candidates = PairCandidates()
+    for split, n_pairs in (("dev", 60), ("test", 40), ("dev", 60), ("test", 70)):
+        shared = build_scored_pairs(corpus, n_pairs, seed=5, split=split, candidates=candidates)
+        assert shared.pairs == build_scored_pairs(corpus, n_pairs, seed=5, split=split).pairs
+        assert candidates.corpus is corpus and _ascending(candidates.scored[2])
+    bins = candidates.scored[2]
+    # another corpus is scored anew, and replaces the kept one
+    other = generate_corpus(SyntheticSpec(n_utterances=100, seed=3))
+    shared = build_scored_pairs(other, 50, seed=5, candidates=candidates)
+    assert shared.pairs == build_scored_pairs(other, 50, seed=5).pairs
+    assert candidates.corpus is other and candidates.scored[2] is not bins
+
+
+def test_shared_candidates_are_left_as_scored_when_a_draw_raises():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=40, seed=0))
+    candidates = PairCandidates()
+    # 120 pairs cannot be drawn within 20% of 12 a bin from these 780
+    with pytest.raises(PairBinningError, match="deviates more than 20%"):
+        build_scored_pairs(corpus, 120, seed=1, candidates=candidates)
+    assert candidates.corpus is corpus and _ascending(candidates.scored[2])
+    expected, borrowed = reference_scored_pairs(corpus, n_pairs=100, seed=1)
+    assert borrowed > 0
+    assert build_scored_pairs(corpus, 100, seed=1, candidates=candidates).pairs == expected
+
+
+def test_sampled_candidates_are_not_shared():
+    corpus = generate_corpus(SyntheticSpec(n_utterances=150, seed=2))
+    candidates = PairCandidates()
+    for split in ("dev", "test"):
+        expected, _ = reference_scored_pairs(corpus, 60, seed=5, split=split, max_candidates=6000)
+        got = build_scored_pairs(
+            corpus, 60, seed=5, split=split, max_candidates=6000, candidates=candidates
+        )
+        assert got.pairs == expected
+        assert candidates.scored is None
+
+
 def test_scored_pair_set_validates():
     with pytest.raises(ValidationError):
         ScoredPairSet(pairs=[("a", "b", 6.0)])
@@ -393,6 +437,31 @@ def test_scored_pair_set_validates():
 # ---------------------------------------------------------------------------
 # feature file format
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feature_sequence_rejects_non_finite_frames(bad):
+    data = np.ones((3, 2), dtype=np.float32)
+    data[2, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        FeatureSequence(data)
+
+
+def test_loaded_frames_are_checked_once(tmp_path, monkeypatch):
+    # the reader checks them, at their byte offset; the loaded sequence
+    # does not check them again
+    corpus = generate_corpus(SyntheticSpec(n_utterances=4, seed=1))
+    save_corpus(corpus, tmp_path)
+    write_features(tmp_path / "one.semf", corpus.utterances[0].features)
+    built = []
+    monkeypatch.setattr(FeatureSequence, "__post_init__", lambda self: built.append(self))
+    back = load_corpus(tmp_path)
+    one = read_features(tmp_path / "one.semf")
+    assert built == []
+    assert np.array_equal(one.data, corpus.utterances[0].features.data)
+    for u in back:
+        assert u.features.data.dtype == np.float32
+        assert np.array_equal(u.features.data, corpus[u.id].features.data)
+
 
 def test_feature_round_trip(tmp_path):
     rng = np.random.default_rng(0)

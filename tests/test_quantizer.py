@@ -541,6 +541,13 @@ def test_unit_corpus_rejects_adjacent_duplicates(tmp_path):
         load_unit_corpus(path)
 
 
+def test_unit_corpus_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "units.tsv"
+    path.write_text("u0\t1 2\nu1\t3\n\nu0\t4 5\n")
+    with pytest.raises(FileFormatError, match=r"lines 1 and 4: repeated id 'u0'"):
+        load_unit_corpus(path)
+
+
 def test_unit_sequence_invariants():
     with pytest.raises(ValidationError):
         UnitSequence(units=[], source_id="x")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semspeech.cli import main
 from semspeech.errors import FileFormatError, ValidationError
 from semspeech.quantizer import UnitSequence
 from semspeech.tokenizer import (
@@ -245,6 +246,69 @@ def test_model_file_bytes_are_pinned(tmp_path):
     assert digest == "c8600aaec719862da04cf7966c6bcb0b48971ade0b346d8ccfc1fe4db84c6ebb"
 
 
+def test_runs_of_one_token_merge_without_overlaps():
+    # (1,2) merges to 7, leaving "7 7 7 7" and "7 7 7": (7,7) counts its
+    # overlapping occurrences, 3 + 2, and merges left to right into 8
+    units = [
+        UnitSequence(units=[1, 2] * 4, source_id="a"),
+        UnitSequence(units=[1, 2] * 3, source_id="b"),
+    ]
+    model = train_bpe(units, vocab_size=100)
+    # then (8,8) and (8,7) occur once each, and training stops
+    assert model.merges == [(5, 6), (7, 7)]
+    assert [encode(u, model).tokens[1:-1] for u in units] == [[8, 8], [8, 7]]
+
+
+def _motif_line(chunks):
+    return _dedup_runs([u for motif, repeats in chunks for u in motif * repeats])
+
+
+# lines of a few repeated motifs over four units: a motif's merges leave runs
+# of one token ("x x x x"), whose pairs overlap, and most choices are ties
+motif_lines = st.lists(
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 6)),
+        min_size=1,
+        max_size=3,
+    ).map(_motif_line),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=motif_lines, extra=st.integers(0, 40))
+def test_merges_over_repeated_motifs_equal_the_oracle(lines, extra):
+    units = [UnitSequence(units=line, source_id=f"u{i}") for i, line in enumerate(lines)]
+    alphabet = sorted({u for line in lines for u in line})
+    base = N_SPECIALS + len(alphabet)
+    model = train_bpe(units, base + extra)
+    to_token = {u: N_SPECIALS + i for i, u in enumerate(alphabet)}
+    merges, seqs = oracle_bpe([[to_token[u] for u in line] for line in lines], extra, base)
+    assert model.merges == merges
+    assert [encode(u, model).tokens[1:-1] for u in units] == seqs
+    if len(merges) < extra:  # stopped early: no pair is left twice
+        counts = Counter(p for s in seqs for p in zip(s, s[1:]))
+        assert max(counts.values(), default=0) < 2
+
+
+def test_default_pipeline_bpe_and_tokens_are_pinned(tmp_path):
+    # gen-corpus, quantize and tokenize at the default config: 2000
+    # utterances, seed 0, 895 merges
+    out = str(tmp_path)
+    assert main(["gen-corpus", "--out", out]) == 0
+    assert main(["quantize", "--out", out, "--corpus", str(tmp_path / "corpus")]) == 0
+    assert main(["tokenize", "--out", out, "--units", str(tmp_path / "units.tsv")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("bpe.json", "tokens.tsv")
+    }
+    assert digests == {
+        "bpe.json": "7dede59a1037ccb18e4c7e4aa9f68d0aefd5d59f425b81c8ff39e6d7177d6219",
+        "tokens.tsv": "10d8568f414b93e4f27b206276a8aa04c4e6ddb2ddaae06db9bf8bca2fe63fb0",
+    }
+
+
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
@@ -404,6 +468,13 @@ def test_token_corpus_round_trip(tmp_path):
         ("a", [CLS, 5, 6, SEP]),
         ("b", [CLS, UNK, SEP]),
     ]
+
+
+def test_token_corpus_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "tokens.tsv"
+    path.write_text(f"a\t{CLS} 5 {SEP}\na\t{CLS} 6 {SEP}\n")
+    with pytest.raises(FileFormatError, match=r"lines 1 and 2: repeated id 'a'"):
+        load_token_corpus(path)
 
 
 def test_token_sequence_invariants():

@@ -60,6 +60,15 @@ def test_split_encoding_keeps_the_traced_spans_nested(tracer, monkeypatch, tmp_p
     check_spans(spans)
 
 
+def test_traced_gen_corpus_opens_a_pairs_span_per_split(tracer, tmp_path):
+    """gen-corpus scores its candidates once for both splits, inside the
+    first split's traced build_scored_pairs."""
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text("[corpus]\nn_utterances = 60\n\n[pairs]\nn_dev = 20\nn_test = 30\n")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert [s.name for s in tracer.spans if s.name == "corpus.pairs"] == ["corpus.pairs"] * 2
+
+
 def test_the_unit_stages_start_no_thread(tmp_path):
     cfg = tmp_path / "units.cfg"
     cfg.write_text(

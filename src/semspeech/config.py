@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -78,15 +79,14 @@ def _cast(key: str, raw: str) -> object:
     tag = SCHEMA[key][0]
     raw = raw.strip()
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
+        value = {"int": int, "float": float}.get(tag, str)(raw)
     except ValueError:
         raise ConfigError(
             f"value {raw!r} for key {key!r} is not a valid {tag}", key=key
         ) from None
-    return raw
+    if tag == "float" and not math.isfinite(value):
+        raise ConfigError(f"value {raw!r} for key {key!r} is not a finite float", key=key)
+    return value
 
 
 def _format(value: object) -> str:

@@ -25,7 +25,7 @@ from .nn.optim import ParamStore
 from .nn.tensor import Tensor
 from .random_utils import derive_rng
 from .teachers import Teacher
-from .training import fit, optimizer_step
+from .training import fit
 from .wavembed import _embed_frames, encode_frames
 
 DEFAULT_BANK_CAPACITY = 256
@@ -174,18 +174,18 @@ class DistillConfig:
             raise ValidationError(
                 f"loss must be 'infonce' or 'mse', got {self.loss!r}", field="loss"
             )
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive", field="tau")
+        if not 0.0 < self.tau < np.inf:
+            raise ValidationError("tau must be positive and finite", field="tau")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1", field="batch_size")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive", field="lr")
+        if not 0.0 < self.lr < np.inf:
+            raise ValidationError("lr must be positive and finite", field="lr")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1", field="epochs")
         if self.bank_capacity < 1:
             raise ValidationError("bank_capacity must be >= 1", field="bank_capacity")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0", field="weight_decay")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValidationError("weight_decay must be >= 0 and finite", field="weight_decay")
 
 
 def distill_step(
@@ -195,10 +195,10 @@ def distill_step(
     bank: MemoryBank,
     cfg: DistillConfig,
     rng: np.random.Generator,
-) -> float:
-    """One optimization step of the student on a batch of frame sequences
-    toward the frozen teacher's (B, d) embeddings of their targets, which
-    are banked afterwards."""
+) -> Tensor:
+    """The student's loss on a batch of frame sequences toward the frozen
+    teacher's (B, d) embeddings of their targets. The loss reads the bank,
+    then the embeddings are banked; ``fit`` takes the step."""
     cfg.validate()
     if not frames:
         raise ValidationError("batch is empty", field="batch")
@@ -215,9 +215,8 @@ def distill_step(
     else:
         targets = teacher_embs / np.sqrt((teacher_embs**2).sum(axis=1, keepdims=True))
         loss = mse(_normalize_rows(z, "student embedding"), Tensor(targets))
-    value = optimizer_step(student.store, loss, cfg.lr, cfg.weight_decay)
     bank.push(teacher_embs)
-    return value
+    return loss
 
 
 def distill_train(
@@ -279,23 +278,21 @@ def distill_train(
     if bank is None:
         bank = MemoryBank(cfg.bank_capacity)
 
-    def step(chunk) -> float | None:
+    def batch_loss(chunk) -> Tensor | None:
         if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
             return None  # nothing to contrast against yet
         frames = [corpus[i].features.data for i in chunk]
         return distill_step(student, frames, table[[row[i] for i in chunk]], bank, cfg, rng)
 
-    evals, _, best_metric = fit(
-        student.store, ids, cfg.batch_size, rng, step,
+    evals, _, kept = fit(
+        student.store, ids, cfg.batch_size, rng, batch_loss, cfg.lr, cfg.weight_decay,
         evaluate=lambda: pair_spearman(embed_dev, dev_pairs, dev_frames),
         epochs=cfg.epochs, maximize=True,
     )
-    # fit keeps the first evaluation that reached the best value
-    best = [v for _, _, v in evals].index(best_metric)
     info = {
         "cosine_start": teacher_cosines[0],
-        "cosine_best": teacher_cosines[best],
-        "best_dev_spearman": best_metric,
+        "cosine_best": teacher_cosines[kept],
+        "best_dev_spearman": evals[kept][2],
     }
     return [(s, v) for s, _, v in evals], info
 

@@ -35,8 +35,8 @@ def infonce_batch(
     denominator for row i holds its positive, the other in-batch positives,
     and every bank entry. It is the cross-entropy (``nll``) of each row's
     scores at its positive's column."""
-    if tau <= 0:
-        raise ValidationError("tau must be > 0", field="tau")
+    if not 0.0 < tau < np.inf:
+        raise ValidationError("tau must be > 0 and finite", field="tau")
     b = anchors.shape[0]
     if positives.shape != anchors.shape:
         raise ValidationError("anchors and positives must share a shape", field="positives")

@@ -17,8 +17,8 @@ class ParamStore:
     insertion order, and every parameter's ``.data`` is a view into the
     first. The buffers are (re)built lazily: an added parameter, or a
     ``.data`` rebound to a fresh array, is copied in by ``_sync`` before the
-    next optimizer step or state load, and m and v are made by the first
-    ``zero_grad`` or optimizer step.
+    next optimizer step or state load, and m and v are made at full size by
+    a run's first ``zero_grad`` or step; ``reset_optimizer`` starts a run.
 
     Gradients live in a fourth flat buffer: ``zero_grad`` zeroes it and binds
     every parameter's ``.grad`` to its view, so backward accumulates into it
@@ -28,14 +28,12 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self.step_count = 0
         self._flat = np.zeros(0)
         self._bounds = [0]
         self._views: list[np.ndarray] = []
         # Adam's moments and the update's scratch, made by the first step:
         # a store that only runs inference holds the parameter buffer alone
-        self._m = np.zeros(0)
-        self._v = np.zeros(0)
+        self.reset_optimizer()
         self._grad = np.zeros(0)  # the gradients, then the update's denominator
         self._tmp = np.zeros(0)
         self._grad_views: list[np.ndarray] = []
@@ -62,6 +60,11 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def reset_optimizer(self) -> None:
+        """Drop Adam's moments and step count, so the next step starts a run."""
+        self.step_count = 0
+        self._m = self._v = np.zeros(0)
+
     def zero_grad(self) -> None:
         """Zero the flat gradient buffer and bind each ``.grad`` to its view."""
         self._sync()
@@ -87,11 +90,12 @@ class ParamStore:
 
     def _adam_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """m, v and two scratch buffers, each the size of the synced flat buffer."""
-        n, old = self._flat.size, self._m.size
-        if old != n:
-            # parameters are only appended, so the moments so far are a prefix
-            self._m = np.concatenate((self._m, np.zeros(n - old)))
-            self._v = np.concatenate((self._v, np.zeros(n - old)))
+        n = self._flat.size
+        if self._m.size != n:
+            if self.step_count:  # the run's moments were made without the new parameters
+                raise ValidationError("a parameter added mid-run has no moments", field="params")
+            self._m = np.zeros(n)
+            self._v = np.zeros(n)
             self._grad = np.empty(n)
             self._tmp = np.empty(n)
             self._grad_views = self._cut(self._grad)

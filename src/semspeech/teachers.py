@@ -34,7 +34,7 @@ from .nn.tensor import Packing, Tensor, nll
 from .random_utils import derive_rng
 from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, token_array
 from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
-from .training import fit, mean_loss, optimizer_step, split_dev
+from .training import fit, mean_loss, split_dev
 from .wavembed import CurvePoint, _embed_by_length, decode_loss
 
 logger = logging.getLogger(__name__)
@@ -205,8 +205,8 @@ def mlm_pretrain(
         raise ValidationError("steps must be >= 1", field="steps")
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1", field="batch_size")
-    if lr <= 0:
-        raise ValidationError("lr must be positive", field="lr")
+    if not 0.0 < lr < np.inf:
+        raise ValidationError("lr must be positive and finite", field="lr")
     arrs = []
     for seq in corpus:
         arr = token_array(seq)
@@ -220,14 +220,13 @@ def mlm_pretrain(
 
     rng = derive_rng(seed, "mlm", "train")
 
-    def step(chunk) -> float:
+    def loss(chunk) -> Tensor:
         ids, pack = Packing.of(chunk)
         corrupted, mask = _mask_batch(ids, pack, mask_rate, encoder.vocab, rng)
         logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
-        loss = nll(logits, ids, mask)
-        return optimizer_step(encoder.store, loss, lr, 0.01)
+        return nll(logits, ids, mask)
 
-    _, history, _ = fit(encoder.store, arrs, batch_size, rng, step, max_steps=steps)
+    _, history, _ = fit(encoder.store, arrs, batch_size, rng, loss, lr, 0.01, max_steps=steps)
     return history
 
 
@@ -275,12 +274,12 @@ class TeacherConfig:
             raise ValidationError("deletion_ratio must be in [0, 1]", field="deletion_ratio")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError("dropout_rate must be in [0, 1)", field="dropout_rate")
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive", field="tau")
+        if not 0.0 < self.tau < np.inf:
+            raise ValidationError("tau must be positive and finite", field="tau")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1", field="batch_size")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive", field="lr")
+        if not 0.0 < self.lr < np.inf:
+            raise ValidationError("lr must be positive and finite", field="lr")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1", field="epochs")
         if not 0.0 <= self.dev_fraction < 1.0:
@@ -347,17 +346,14 @@ def train_tsdae(
         z = encoder._embed(*Packing.of(corrupted), train_mode, rng)
         return decode_loss(z, originals, encoder.store, encoder.cfg, encoder.vocab, train_mode, rng)
 
-    def step(chunk) -> float:
-        loss = batch_loss(corrupt(chunk, rng), True, rng)
-        return optimizer_step(encoder.store, loss, cfg.lr, 0.01)
-
     # dev corruption drawn once so epoch-to-epoch dev losses are comparable
     dev_examples = corrupt(dev_seqs, derive_rng(cfg.seed, "tsdae", "dev-corrupt"))
     init_train = mean_loss(
         batch_loss, corrupt(train_seqs, derive_rng(cfg.seed, "tsdae", "init-eval")), cfg.batch_size
     )
     evals, _, _ = fit(
-        encoder.store, train_seqs, cfg.batch_size, rng, step,
+        encoder.store, train_seqs, cfg.batch_size, rng,
+        lambda chunk: batch_loss(corrupt(chunk, rng), True, rng), cfg.lr, 0.01,
         evaluate=lambda: mean_loss(batch_loss, dev_examples, cfg.batch_size),
         epochs=cfg.epochs,
     )
@@ -397,26 +393,24 @@ def train_simcse(
                 )
 
     rng = derive_rng(cfg.seed, "simcse", "train")
+    # trains the caller's parameters under the recipe's dropout, leaving the
+    # caller's config as it was
+    train_encoder = SequenceEncoder(
+        encoder.store, replace(encoder.cfg, dropout_rate=cfg.dropout_rate), encoder.vocab
+    )
 
-    def step(chunk) -> float | None:
+    def loss(chunk) -> Tensor | None:
         if len(chunk) < 2:
             return None  # a lone trailing sequence has no in-batch negatives
         ids, pack = Packing.of([np.asarray(s.tokens) for s in chunk])
-        z1 = encoder._embed(ids, pack, True, rng)
-        z2 = encoder._embed(ids, pack, True, rng)
-        loss = infonce_batch(z1, z2, tau=cfg.tau)
-        return optimizer_step(encoder.store, loss, cfg.lr, 0.01)
+        z1 = train_encoder._embed(ids, pack, True, rng)
+        z2 = train_encoder._embed(ids, pack, True, rng)
+        return infonce_batch(z1, z2, tau=cfg.tau)
 
-    # train under the recipe's dropout without touching the caller's config
-    own_cfg = encoder.cfg
-    encoder.cfg = replace(own_cfg, dropout_rate=cfg.dropout_rate)
-    try:
-        evals, _, _ = fit(
-            encoder.store, seqs, cfg.batch_size, rng, step,
-            evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id),
-            epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
-            patience=cfg.patience,
-        )
-    finally:
-        encoder.cfg = own_cfg
+    evals, _, _ = fit(
+        encoder.store, seqs, cfg.batch_size, rng, loss, cfg.lr, 0.01,
+        evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id),
+        epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
+        patience=cfg.patience,
+    )
     return Teacher(encoder=encoder, kind="simcse"), [(s, v) for s, _, v in evals]

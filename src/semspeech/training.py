@@ -1,14 +1,15 @@
 """The one training loop every trainer runs.
 
-A trainer prepares its data and hands ``fit`` two closures: ``step``, which
-takes one optimizer step on a batch, and ``evaluate``, which scores the
-current parameters. ``fit`` owns the rest: the per-epoch shuffle, batching,
-the evaluation schedule, keep-best and early stopping.
+A trainer prepares its data and hands ``fit`` two closures: ``loss``, which
+returns a batch's loss, and ``evaluate``, which scores the current
+parameters. ``fit`` owns the rest: the per-epoch shuffle, batching, every
+optimizer step, the evaluation schedule, keep-best and early stopping.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import ValidationError
 from .nn.optim import ParamStore, adamw_step
 from .nn.tensor import Tensor, no_grad
+
+logger = logging.getLogger(__name__)
 
 
 class EarlyStopper:
@@ -50,18 +53,6 @@ def _item_name(item, position: int) -> str:
     return getattr(item, "source_id", "") or f"#{position}"
 
 
-def optimizer_step(store: ParamStore, loss: Tensor, lr: float, weight_decay: float) -> float:
-    """Backpropagate ``loss`` into ``store`` and take one AdamW step.
-
-    Returns the loss as a float, so the caller can drop the Tensor and with
-    it the step's autograd graph.
-    """
-    store.zero_grad()
-    loss.backward()
-    adamw_step(store, lr=lr, weight_decay=weight_decay)
-    return float(loss.data)
-
-
 def mean_loss(batch_loss: Callable[[list], Tensor], items: Sequence, batch_size: int) -> float:
     """Item-weighted mean of ``batch_loss`` over ``items`` in order, without gradients."""
     total, count = 0.0, 0
@@ -88,7 +79,9 @@ def fit(
     items: Sequence,
     batch_size: int,
     rng: np.random.Generator,
-    step: Callable[[list], float | None],
+    loss: Callable[[list], Tensor | None],
+    lr: float,
+    weight_decay: float,
     evaluate: Callable[[], float] | None = None,
     epochs: int | None = None,
     max_steps: int | None = None,
@@ -99,35 +92,38 @@ def fit(
     """Train until ``epochs`` epochs or ``max_steps`` steps, whichever ends first.
 
     Each epoch feeds ``items`` in the order of ``rng.permutation``,
-    ``batch_size`` at a time, to ``step``, which returns the batch loss or
-    ``None`` for a batch it skips. A first epoch that skips every batch
-    raises ``ValidationError``: the run would train nothing. ``evaluate``
-    runs at step 0, then after every epoch, or every ``eval_every`` steps if
-    that is set. ``store`` ends at the parameters of the best evaluation: the
-    lowest, or the highest with ``maximize``, taking only strict
+    ``batch_size`` at a time, to ``loss``, which returns the batch's loss
+    Tensor or ``None`` to skip the batch; ``fit`` backpropagates it and takes
+    one AdamW step at ``lr`` and ``weight_decay``, from an optimizer state
+    each run starts afresh. A first epoch that skips every batch raises
+    ``ValidationError``: the run would train nothing. ``evaluate`` runs at
+    step 0, then after every epoch, or every ``eval_every`` steps if that is
+    set. ``store`` ends at the parameters of the best evaluation, which is
+    logged: the lowest, or the highest with ``maximize``, taking only strict
     improvements. ``patience`` stops the run once that many evaluations in a
-    row fail to improve. A ``ValidationError`` from ``step``, such as a
-    non-finite gradient, is raised again naming the epoch (from 1) and the
-    batch's items.
+    row fail to improve. A ``ValidationError`` from the loss or the step is
+    raised again naming the epoch (from 1) and the batch's items.
 
-    Returns ``(evals, losses, best)``: one ``(step, mean train loss since the
-    previous evaluation or None, value)`` per evaluation, the loss of every
-    step taken, and the best value.
+    Returns ``(evals, losses, kept)``: one ``(step, mean train loss since
+    the previous evaluation or None, value)`` per evaluation, the loss of
+    every step taken, and the kept evaluation's index (None without
+    ``evaluate``).
     """
     evals: list[tuple[int, float | None, float]] = []
     losses: list[float] = []
-    best, best_state = None, None
+    kept, best_state = None, None
     stopper = EarlyStopper(patience) if patience is not None else None
     total, count = 0.0, 0
+    store.reset_optimizer()
 
     def evaluate_now() -> bool:
         """Record an evaluation and keep the best parameters; True ends the run."""
-        nonlocal best, best_state, total, count
+        nonlocal kept, best_state, total, count
         value = evaluate()
         evals.append((len(losses), total / count if count else None, value))
         total, count = 0.0, 0
-        if best is None or (value > best if maximize else value < best):
-            best, best_state = value, store.state_dict()
+        if kept is None or (value > evals[kept][2] if maximize else value < evals[kept][2]):
+            kept, best_state = len(evals) - 1, store.state_dict()
         return stopper is not None and stopper.update(value if maximize else -value)
 
     stop = evaluate is not None and evaluate_now()
@@ -137,16 +133,20 @@ def fit(
         for positions in _chunks(rng.permutation(len(items)), batch_size):
             chunk = [items[i] for i in positions]
             try:
-                loss = step(chunk)
+                batch = loss(chunk)
+                if batch is None:
+                    continue
+                store.zero_grad()
+                batch.backward()
+                adamw_step(store, lr=lr, weight_decay=weight_decay)
             except ValidationError as e:
                 names = [_item_name(item, int(i)) for item, i in zip(chunk, positions)]
                 raise ValidationError(
                     f"{e}; epoch {epoch + 1}, batch items {names}", field=e.field
                 ) from e
-            if loss is None:
-                continue
-            losses.append(loss)
-            total += loss * len(chunk)
+            losses.append(float(batch.data))
+            del batch  # backward freed its graph; the Tensor goes before the next batch
+            total += losses[-1] * len(chunk)
             count += len(chunk)
             if eval_every is not None and len(losses) % eval_every == 0:
                 stop = evaluate_now()
@@ -160,6 +160,9 @@ def fit(
             )
         if evaluate is not None and eval_every is None and not stop:
             stop = evaluate_now()
-    if best_state is not None:
+    if kept is not None:
         store.load_state_dict(best_state)
-    return evals, losses, best
+        logger.info("kept the evaluation at step %d: %.4f", evals[kept][0], evals[kept][2])
+        if kept == 0:
+            logger.warning("no evaluation beat the untrained model")
+    return evals, losses, kept

@@ -31,7 +31,7 @@ from .nn.optim import ParamStore
 from .nn.tensor import Packing, Tensor, concat, nll, no_grad, take_rows
 from .random_utils import derive_rng
 from .tokenizer import CLS, PAD, SEP, token_array
-from .training import _chunks, fit, mean_loss, optimizer_step, split_dev
+from .training import _chunks, fit, mean_loss, split_dev
 
 EMBED_CHUNK = 32  # sequences per forward pass in embed_batch
 
@@ -48,14 +48,14 @@ class TrainRunConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1", field="epochs")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive", field="lr")
+        if not 0.0 < self.lr < np.inf:
+            raise ValidationError("lr must be positive and finite", field="lr")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1", field="batch_size")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValidationError("dev_fraction must be in [0, 1)", field="dev_fraction")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0", field="weight_decay")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValidationError("weight_decay must be >= 0 and finite", field="weight_decay")
 
 
 @dataclass
@@ -330,13 +330,10 @@ def train_wavembed(
             [frame_map[i] for i in chunk], [token_map[i] for i in chunk], train_mode, rng
         )
 
-    def step(chunk) -> float:
-        loss = batch_loss(chunk, True, train_rng)
-        return optimizer_step(model.store, loss, cfg.lr, cfg.weight_decay)
-
     init_train = mean_loss(batch_loss, train_ids, cfg.batch_size)
     evals, _, _ = fit(
-        model.store, train_ids, cfg.batch_size, train_rng, step,
+        model.store, train_ids, cfg.batch_size, train_rng,
+        lambda chunk: batch_loss(chunk, True, train_rng), cfg.lr, cfg.weight_decay,
         evaluate=lambda: mean_loss(batch_loss, dev_ids, cfg.batch_size),
         epochs=cfg.epochs,
     )

@@ -440,6 +440,31 @@ def test_mlm_knob_out_of_range_exits_with_one_line_error(pipeline, tmp_path, cap
     assert not list(out.glob("*.semm"))
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [("distill", "tau", "inf"), ("mlm", "lr", "inf"), ("wavembed", "lr", "nan"),
+     ("eval", "pos_threshold", "nan")],
+)
+def test_non_finite_setting_exits_with_one_line_error(
+    pipeline, tmp_path, capsys, section, key, raw
+):
+    root, _ = pipeline
+    data = root / "data"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "o"
+    rc = main([
+        "pretrain-mlm", "--config", str(cfg), "--out", str(out),
+        "--tokens", str(data / "tokens.tsv"), "--bpe", str(data / "bpe.json"),
+    ])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [
+        f"error\tConfigError\tvalue {raw!r} for key '{section}.{key}' is not a finite float"
+    ]
+    assert [p.name for p in out.iterdir()] == ["pretrain_mlm.log"]
+
+
 def test_negative_kmeans_frame_budget_exits_with_one_line_error(pipeline, tmp_path, capsys):
     root, _ = pipeline
     cfg = tmp_path / "cap.cfg"

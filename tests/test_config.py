@@ -63,6 +63,18 @@ def test_bad_value_type_rejected():
     assert "corpus.n_utterances" in str(e.value)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected_by_name(raw):
+    float_keys = [key for key, (tag, _) in SCHEMA.items() if tag == "float"]
+    assert len(float_keys) == 19
+    for key in float_keys:
+        section, name = key.split(".")
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"[{section}]\n{name} = {raw}\n")
+        assert str(e.value) == f"value {raw!r} for key {key!r} is not a finite float"
+        assert e.value.key == key
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("[run]\nseed = 1\nseed = 2\n")

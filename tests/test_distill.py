@@ -26,6 +26,7 @@ from semspeech.errors import ValidationError
 from semspeech.evaluation import spearman
 from semspeech.nn.layers import EncoderConfig
 from semspeech.nn.losses import infonce_batch
+from semspeech.nn.optim import adamw_step
 from semspeech.nn.tensor import Tensor
 from semspeech.random_utils import derive_rng
 from semspeech.teachers import SequenceEncoder, Teacher
@@ -83,6 +84,13 @@ def batch_of(corpus, targets, teacher, ids):
     """distill_step's frames and teacher embeddings for the given ids."""
     frames = [corpus[i].features.data for i in ids]
     return frames, teacher.embed_batch([targets[i] for i in ids])
+
+
+def take_step(student, loss, cfg) -> None:
+    """The optimizer step ``fit`` takes on a batch loss."""
+    student.store.zero_grad()
+    loss.backward()
+    adamw_step(student.store, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
 
 def store_hash(store) -> str:
@@ -259,7 +267,7 @@ def test_first_step_loss_near_log_k_plus_one():
         bank.push(teacher.embed_batch([targets[i] for i in ids[8:24]]))
         frames, t = batch_of(corpus, targets, teacher, ids[:8])
         cfg = DistillConfig(loss="infonce", tau=0.05, lr=1e-4, batch_size=8, seed=seed)
-        loss = distill_step(student, frames, t, bank, cfg, derive_rng(seed, "t"))
+        loss = float(distill_step(student, frames, t, bank, cfg, derive_rng(seed, "t")).data)
         target = math.log(24)
         assert abs(loss - target) / target < 0.2, loss
 
@@ -289,7 +297,7 @@ def test_denominator_counts_batch_and_bank():
 
     cfg = DistillConfig(loss="infonce", tau=tau, lr=1e-4, seed=4)
     frames = [corpus[i].features.data for i in batch_ids]
-    loss = distill_step(student, frames, t, bank, cfg, derive_rng(4, "t"))
+    loss = float(distill_step(student, frames, t, bank, cfg, derive_rng(4, "t")).data)
     assert abs(loss - expected) < 1e-9 * max(1.0, abs(expected))
 
 
@@ -306,7 +314,7 @@ def test_infonce_needs_negatives():
     bank = MemoryBank(4)
     bank.push(teacher.embed_batch([targets[ids[1]]]))
     loss = distill_step(student, frames, t, bank, cfg, derive_rng(5, "t"))
-    assert np.isfinite(loss)
+    assert np.isfinite(loss.data)
 
 
 def test_mse_ignores_bank_but_updates_it():
@@ -326,7 +334,7 @@ def test_mse_ignores_bank_but_updates_it():
 
     cfg = DistillConfig(loss="mse", seed=6)
     frames = [corpus[i].features.data for i in batch_ids]
-    loss = distill_step(student, frames, t, bank, cfg, derive_rng(6, "t"))
+    loss = float(distill_step(student, frames, t, bank, cfg, derive_rng(6, "t")).data)
     assert abs(loss - expected) < 1e-9
     assert len(bank) == 9  # the batch was still banked
 
@@ -352,7 +360,7 @@ def test_bank_updated_only_after_the_loss():
     bank = MemoryBank(capacity=8)
     cfg = DistillConfig(loss="infonce", tau=tau, seed=7)
     frames = [corpus[i].features.data for i in batch_ids]
-    loss = distill_step(student, frames, t, bank, cfg, derive_rng(7, "t"))
+    loss = float(distill_step(student, frames, t, bank, cfg, derive_rng(7, "t")).data)
     assert abs(loss - expected) < 1e-9
     assert len(bank) == 2
     np.testing.assert_allclose(bank.contents(), tn, atol=1e-12)
@@ -372,7 +380,8 @@ def test_hundred_steps_leave_teacher_bit_identical():
     for step in range(100):
         chunk = [ids[(step * 4 + k) % len(ids)] for k in range(4)]
         loss = distill_step(student, *batch_of(corpus, targets, teacher, chunk), bank, cfg, rng)
-        assert np.isfinite(loss)
+        assert np.isfinite(loss.data)
+        take_step(student, loss, cfg)
     assert store_hash(teacher.encoder.store) == before_teacher
     assert store_hash(student.store) != before_student
 
@@ -513,7 +522,8 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs, bank):
             chunk = chunked[start : start + cfg.batch_size]
             if cfg.loss == "infonce" and len(chunk) == 1 and len(bank) == 0:
                 continue
-            distill_step(student, *batch_of(corpus, targets, teacher, chunk), bank, cfg, rng)
+            loss = distill_step(student, *batch_of(corpus, targets, teacher, chunk), bank, cfg, rng)
+            take_step(student, loss, cfg)
             step += 1
         metric, cosine = dev_metric()
         history.append((step, metric))
@@ -636,6 +646,12 @@ def test_distill_config_validation():
         DistillConfig(epochs=0),
         DistillConfig(lr=0.0),
         DistillConfig(bank_capacity=0),
+        DistillConfig(tau=math.inf),  # every score 0: the loss is log B with no gradient
+        DistillConfig(tau=math.nan),
+        DistillConfig(lr=math.nan),
+        DistillConfig(lr=math.inf),
+        DistillConfig(weight_decay=math.nan),
+        DistillConfig(weight_decay=math.inf),
     ):
         with pytest.raises(ValidationError):
             bad.validate()

@@ -377,8 +377,10 @@ def test_infonce_requires_negatives_and_positive_tau():
     z = Tensor([1.0, 0.0])
     with pytest.raises(ValidationError):
         infonce(z, z, [], tau=0.05)
-    with pytest.raises(ValidationError):
-        infonce(z, z, [Tensor([0.0, 1.0])], tau=0.0)
+    # at tau = inf every score is 0: the loss is log B with a zero gradient
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tau must be > 0"):
+            infonce(z, z, [Tensor([0.0, 1.0])], tau=tau)
 
 
 def test_infonce_zero_norm_errors():
@@ -878,18 +880,25 @@ def test_rebound_param_data_is_still_trained():
         assert np.shares_memory(w.data, store._flat)
 
 
-def test_parameter_added_after_a_step_keeps_earlier_moments():
+def test_parameter_added_after_a_step_is_refused_until_the_optimizer_resets():
     store = ParamStore()
     a = store.add("a", Tensor(np.array([1.0, 2.0])))
-    ref_a, state = a.data.copy(), {}
+    ref_a = a.data.copy()
     a.grad = ga = np.array([0.5, -0.5])  # the step consumes .grad
     adamw_step(store, lr=0.1)
-    reference_adamw([(ref_a, ga)], state, 0.1, 1)
+    reference_adamw([(ref_a, ga)], {}, 0.1, 1)
     b = store.add("b", Tensor(np.array([3.0])))
     ref_b = b.data.copy()
     a.grad, b.grad = ga, gb = np.array([0.1, 0.2]), np.array([-1.0])
+    with pytest.raises(ValidationError, match="a parameter added mid-run has no moments"):
+        adamw_step(store, lr=0.1)
+    assert store.step_count == 1 and a.data.tobytes() == ref_a.tobytes()
+    # a new run makes its moments at the store's full size, from step 1
+    store.reset_optimizer()
+    a.grad, b.grad = ga, gb
     adamw_step(store, lr=0.1)
-    reference_adamw([(ref_a, ga), (ref_b, gb)], state, 0.1, 2)
+    reference_adamw([(ref_a, ga), (ref_b, gb)], {}, 0.1, 1)
+    assert store.step_count == 1
     assert a.data.tobytes() == ref_a.tobytes() and b.data.tobytes() == ref_b.tobytes()
 
 
@@ -943,8 +952,8 @@ def _former_zero_grad(self):
         p.grad = None
 
 
-def _encoder_decoder_step(seed, monkeypatch):
-    """One optimizer_step on a small encoder-decoder loss: the leaf
+def _encoder_decoder_step(seed):
+    """One optimizer step, as ``fit`` takes it, on a small encoder-decoder loss: the leaf
     gradients as adamw_step received them, the logits and the updated
     parameter bytes."""
     rng = np.random.default_rng(seed)
@@ -962,25 +971,23 @@ def _encoder_decoder_step(seed, monkeypatch):
     loss = pad_nll(logits, np.array([4, 2, 6, 2]))
     grads = {}
 
-    def step(store, **kw):
-        # the step spends the flat gradient buffer, so keep a copy of each
-        grads.update((name, p.grad.copy(order="K")) for name, p in store.items())
-        adamw_step(store, **kw)
-
-    monkeypatch.setattr(training, "adamw_step", step)
-    training.optimizer_step(store, loss, lr=1e-2, weight_decay=0.01)
+    store.zero_grad()
+    loss.backward()
+    # the step spends the flat gradient buffer, so keep a copy of each
+    grads.update((name, p.grad.copy(order="K")) for name, p in store.items())
+    adamw_step(store, lr=1e-2, weight_decay=0.01)
     return grads, logits, {name: p.data.tobytes() for name, p in store.items()}
 
 
 def test_leaf_grads_match_former_tape_bitwise(monkeypatch):
-    grads, logits, params = _encoder_decoder_step(63, monkeypatch)
+    grads, logits, params = _encoder_decoder_step(63)
     assert logits.grad is None  # the tape frees non-leaf gradients
     with monkeypatch.context() as m:
         # fresh leaf gradients that adamw_step copies into its buffer
         m.setattr(Tensor, "_accumulate", _former_accumulate)
         m.setattr(Tensor, "backward", _former_backward)
         m.setattr(ParamStore, "zero_grad", _former_zero_grad)
-        ref, ref_logits, ref_params = _encoder_decoder_step(63, m)
+        ref, ref_logits, ref_params = _encoder_decoder_step(63)
     assert ref_logits.grad is not None
     assert grads.keys() == ref.keys()
     for name, g in grads.items():
@@ -1006,24 +1013,26 @@ def test_backward_frees_the_graph_the_loss_held():
     assert np.array_equal(w.grad, 8.0 * w.data)
 
 
-def test_optimizer_step_accumulates_into_the_flat_buffer_and_consumes_it(monkeypatch):
+def test_a_fit_step_accumulates_into_the_flat_buffer_and_consumes_it(monkeypatch):
     rng = np.random.default_rng(64)
     cfg = EncoderConfig(layers=1, model_dim=8, heads=2, ff_dim=12, dropout_rate=0.0)
     store = ParamStore()
     init_encoder(store, rng, cfg, d_in=4)
-    seen = []
+    seen, spent = [], []
 
     def step(store, **kw):
         seen.extend(np.shares_memory(p.grad, store._grad) for _, p in store.items())
         adamw_step(store, **kw)
+        spent.extend(p.grad is None for _, p in store.items())
+
+    def loss(chunk):
+        h = transformer_encode(Tensor(chunk[0]), store, cfg, pack=Packing.from_lengths([5]))
+        return (h * h).mean()
 
     monkeypatch.setattr(training, "adamw_step", step)
-    for _ in range(2):
-        x = Tensor(rng.standard_normal((5, 4)))
-        h = transformer_encode(x, store, cfg, pack=Packing.from_lengths([5]))
-        training.optimizer_step(store, (h * h).mean(), lr=1e-2, weight_decay=0.0)
-        assert all(p.grad is None for _, p in store.items())
-    assert len(seen) == 2 * len(store) and all(seen)
+    xs = [rng.standard_normal((5, 4)) for _ in range(2)]
+    training.fit(store, xs, 1, np.random.default_rng(0), loss, 1e-2, 0.0, epochs=1)
+    assert len(seen) == len(spent) == 2 * len(store) and all(seen) and all(spent)
 
 
 # ---------------------------------------------------------------------------

@@ -70,3 +70,27 @@ def test_every_definition_has_a_caller_in_the_program():
 def test_every_allowed_definition_still_exists_without_a_caller():
     # an entry whose definition is gone or has gained a caller is stale
     assert sorted(ALLOWED) == sorted(d for d in unreferenced() if d in ALLOWED)
+
+
+STEP_CALLS = {"zero_grad", "backward", "adamw_step"}
+
+
+def test_only_the_fit_loop_takes_optimizer_steps():
+    # a trainer hands fit a batch loss; the step policy lives in training.py alone
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "training.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in STEP_CALLS:
+                    found.append((path.name, node.lineno, name))
+            named = next(
+                (getattr(node, f) for f in ("id", "attr", "name") if hasattr(node, f)), None
+            )
+            if named == "optimizer_step":
+                found.append((path.name, getattr(node, "lineno", 0), named))
+    assert not found, f"optimizer steps taken outside training.py: {found}"

@@ -137,7 +137,8 @@ def test_mask_rate_zero_rejected():
 @pytest.mark.parametrize(
     "knobs, field",
     [({"batch_size": 0}, "batch_size"), ({"batch_size": -2}, "batch_size"),
-     ({"lr": 0.0}, "lr"), ({"lr": -5e-4}, "lr")],
+     ({"lr": 0.0}, "lr"), ({"lr": -5e-4}, "lr"), ({"lr": math.nan}, "lr"),
+     ({"lr": math.inf}, "lr")],
 )
 def test_mlm_rejects_a_batch_size_below_one_and_a_non_positive_lr(knobs, field):
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
@@ -146,6 +147,16 @@ def test_mlm_rejects_a_batch_size_below_one_and_a_non_positive_lr(knobs, field):
         mlm_pretrain(enc, make_seqs(4), steps=1, **knobs)
     assert e.value.field == field
     assert enc.store.names() == before  # refused before the head is made
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, message", [("lr", "lr must be positive"), ("tau", "tau must be positive")]
+)
+def test_teacher_config_refuses_non_finite_settings(field, message, value):
+    with pytest.raises(ValidationError, match=f"{message} and finite") as e:
+        TeacherConfig(**{field: value}).validate()
+    assert e.value.field == field
 
 
 def test_mask_count_contract():
@@ -460,6 +471,40 @@ def test_simcse_leaves_the_callers_encoder_config_alone(tmp_path):
     with pytest.raises(ValidationError):
         train_simcse(enc, seqs, cfg, pairs)
     assert enc.cfg is shared
+
+
+def test_simcse_never_assigns_the_callers_encoder_config():
+    assigned = []
+
+    class Watched(SequenceEncoder):
+        def __setattr__(self, name, value):
+            if name == "cfg":
+                assigned.append(value)
+            super().__setattr__(name, value)
+
+    enc = Watched.create(vocab=13, cfg=TINY, seed=3)
+    assert assigned == [TINY]  # by __init__ alone
+    pairs = ScoredPairSet(pairs=[("u000", "u001", 4.0), ("u002", "u003", 1.0)], split="dev")
+    cfg = TeacherConfig(dropout_rate=0.3, epochs=1, batch_size=4, seed=3, eval_every_steps=1)
+    train_simcse(enc, make_seqs(8, vocab=13, seed=3), cfg, pairs)
+    assert assigned == [TINY]
+
+
+def test_a_trainer_after_another_on_one_encoder_starts_its_own_optimizer_state():
+    # TSDAE on the encoder MLM just trained must equal TSDAE on a fresh
+    # encoder given the MLM weights, the route the CLI and the acceptance
+    # fixtures take; a saved and loaded checkpoint would round to float32
+    seqs = make_seqs(80, vocab=30, seed=11)
+    chained = SequenceEncoder.create(vocab=30, cfg=TINY, seed=11)
+    mlm_pretrain(chained, seqs, steps=40, batch_size=8, seed=11)
+    fresh = SequenceEncoder.create(vocab=30, cfg=TINY, seed=11)
+    fresh.store.load_state_dict(chained.store.state_dict())
+    cfg = TeacherConfig(deletion_ratio=0.6, epochs=1, batch_size=8, seed=11)
+    chained_teacher, chained_curve = train_tsdae(chained, seqs, cfg)
+    fresh_teacher, fresh_curve = train_tsdae(fresh, seqs, cfg)
+    assert chained_curve == fresh_curve
+    assert chained.store.step_count == fresh.store.step_count == 9
+    assert chained_teacher.embed_batch(seqs).tobytes() == fresh_teacher.embed_batch(seqs).tobytes()
 
 
 def simcse_reference(encoder, seqs, cfg, dev_pairs):

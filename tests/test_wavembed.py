@@ -478,3 +478,13 @@ def test_default_dims_hold_no_dead_parameter():
     dead = (".k.b", ".lnx.", ".xattn.q.", ".xattn.k.")
     assert not [n for n in names if any(part in n for part in dead)]
     assert sum(p.size for _, p in model.store.items()) == 203_280
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, message", [("lr", "lr must be positive"), ("weight_decay", "weight_decay must be >= 0")]
+)
+def test_train_run_config_refuses_non_finite_settings(field, message, value):
+    with pytest.raises(ValidationError, match=f"{message} and finite") as e:
+        TrainRunConfig(**{field: value}).validate()
+    assert e.value.field == field

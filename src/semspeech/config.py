@@ -104,10 +104,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown config key {key!r}", key=key)
         return self.values[key]
 
-    def set(self, key: str, raw: str | object) -> None:
+    def set(self, key: str, raw: object) -> None:
+        """Bind ``key`` to ``raw`` checked as its text would be in a config file."""
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}", key=key)
-        self.values[key] = _cast(key, raw) if isinstance(raw, str) else raw
+        self.values[key] = _cast(key, str(raw))
 
     def to_text(self) -> str:
         """Canonical rendering: sorted sections, sorted keys, one per line."""

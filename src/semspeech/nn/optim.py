@@ -17,7 +17,7 @@ class ParamStore:
     insertion order, and every parameter's ``.data`` is a view into the
     first. The buffers are (re)built lazily: an added parameter, or a
     ``.data`` rebound to a fresh array, is copied in by ``_sync`` before the
-    next optimizer step or state load, and m and v are made at full size by
+    next step, load, snapshot or restore, and m and v are made at full size by
     a run's first ``zero_grad`` or step; ``reset_optimizer`` starts a run.
 
     Gradients live in a fourth flat buffer: ``zero_grad`` zeroes it and binds
@@ -37,6 +37,7 @@ class ParamStore:
         self._grad = np.zeros(0)  # the gradients, then the update's denominator
         self._tmp = np.zeros(0)
         self._grad_views: list[np.ndarray] = []
+        self._saved = np.zeros(0)  # the parameters as ``snapshot`` last saw them
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
@@ -53,9 +54,6 @@ class ParamStore:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -101,8 +99,17 @@ class ParamStore:
             self._grad_views = self._cut(self._grad)
         return self._m, self._v, self._grad, self._tmp
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+    def snapshot(self) -> None:
+        """Copy the parameters into the store's saved buffer, sized to the store."""
+        self._sync()
+        if self._saved.size != self._flat.size:
+            self._saved = np.empty_like(self._flat)
+        np.copyto(self._saved, self._flat)
+
+    def restore(self) -> None:
+        """Copy the last ``snapshot`` back into the parameters' views."""
+        self._sync()
+        np.copyto(self._flat, self._saved)
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Copy ``state`` into the parameters' views; nothing loads unless all fit."""

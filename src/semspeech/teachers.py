@@ -33,7 +33,6 @@ from .nn.optim import ParamStore
 from .nn.tensor import Packing, Tensor, nll
 from .random_utils import derive_rng
 from .tokenizer import MASK, N_SPECIALS, PAD, SEP, TokenSequence, token_array
-from .training import EarlyStopper  # noqa: F401  (the benchmark imports it from here)
 from .training import fit, mean_loss, split_dev
 from .wavembed import CurvePoint, _embed_by_length, decode_loss
 
@@ -359,6 +358,26 @@ def train_tsdae(
     )
     curve = [CurvePoint(s, init_train if t is None else t, d) for s, t, d in evals]
     return Teacher(encoder=encoder, kind="tsdae"), curve
+
+
+class EarlyStopper:
+    """Stop once ``patience`` evaluations in a row fail to improve: the rule
+    ``fit`` applies from its kept index, which the benchmark replays for SimCSE."""
+
+    def __init__(self, patience: int):
+        if patience < 1:
+            raise ValidationError("patience must be >= 1", field="patience")
+        self.patience = patience
+        self.best = -np.inf
+        self.stale = 0
+
+    def update(self, value: float) -> bool:
+        if value > self.best:
+            self.best = value
+            self.stale = 0
+        else:
+            self.stale += 1
+        return self.stale >= self.patience
 
 
 def train_simcse(

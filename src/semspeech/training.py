@@ -21,25 +21,6 @@ from .nn.tensor import Tensor, no_grad
 logger = logging.getLogger(__name__)
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive evaluations without improvement."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValidationError("patience must be >= 1", field="patience")
-        self.patience = patience
-        self.best = -np.inf
-        self.stale = 0
-
-    def update(self, value: float) -> bool:
-        if value > self.best:
-            self.best = value
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-
 def _chunks(seq: Sequence, size: int):
     for i in range(0, len(seq), size):
         yield seq[i : i + size]
@@ -98,11 +79,14 @@ def fit(
     each run starts afresh. A first epoch that skips every batch raises
     ``ValidationError``: the run would train nothing. ``evaluate`` runs at
     step 0, then after every epoch, or every ``eval_every`` steps if that is
-    set. ``store`` ends at the parameters of the best evaluation, which is
-    logged: the lowest, or the highest with ``maximize``, taking only strict
-    improvements. ``patience`` stops the run once that many evaluations in a
-    row fail to improve. A ``ValidationError`` from the loss or the step is
-    raised again naming the epoch (from 1) and the batch's items.
+    set. A NaN or infinite evaluation raises ``ValidationError`` naming its
+    step. Keep-best holds the kept evaluation's index and one
+    ``store.snapshot()`` of its parameters, taken at each strict improvement
+    (lower, or higher with ``maximize``); ``store`` ends restored to it, and
+    the kept evaluation is logged. ``patience`` stops the run once that many
+    evaluations have followed the kept one. A ``ValidationError`` from the
+    loss or the step is raised again naming the epoch (from 1) and the
+    batch's items.
 
     Returns ``(evals, losses, kept)``: one ``(step, mean train loss since
     the previous evaluation or None, value)`` per evaluation, the loss of
@@ -111,20 +95,24 @@ def fit(
     """
     evals: list[tuple[int, float | None, float]] = []
     losses: list[float] = []
-    kept, best_state = None, None
-    stopper = EarlyStopper(patience) if patience is not None else None
+    kept = None
     total, count = 0.0, 0
     store.reset_optimizer()
 
     def evaluate_now() -> bool:
         """Record an evaluation and keep the best parameters; True ends the run."""
-        nonlocal kept, best_state, total, count
+        nonlocal kept, total, count
         value = evaluate()
+        if not np.isfinite(value):
+            raise ValidationError(
+                f"evaluation at step {len(losses)} is not finite: {value}", field="evaluate"
+            )
         evals.append((len(losses), total / count if count else None, value))
         total, count = 0.0, 0
         if kept is None or (value > evals[kept][2] if maximize else value < evals[kept][2]):
-            kept, best_state = len(evals) - 1, store.state_dict()
-        return stopper is not None and stopper.update(value if maximize else -value)
+            kept = len(evals) - 1
+            store.snapshot()
+        return patience is not None and len(evals) - 1 - kept >= patience
 
     stop = evaluate is not None and evaluate_now()
     for epoch in range(epochs) if epochs is not None else itertools.count():
@@ -161,7 +149,7 @@ def fit(
         if evaluate is not None and eval_every is None and not stop:
             stop = evaluate_now()
     if kept is not None:
-        store.load_state_dict(best_state)
+        store.restore()
         logger.info("kept the evaluation at step %d: %.4f", evals[kept][0], evals[kept][2])
         if kept == 0:
             logger.warning("no evaluation beat the untrained model")

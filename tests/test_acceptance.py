@@ -126,7 +126,7 @@ def mlm_bases(world):
             enc, world.corpus_tokens,
             mask_rate=0.15, steps=MLM_STEPS, seed=seed, lr=5e-4, batch_size=16,
         )
-        states[seed] = enc.store.state_dict()
+        states[seed] = {name: p.data.copy() for name, p in enc.store.items()}
     return states
 
 

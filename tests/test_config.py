@@ -1,5 +1,6 @@
 """Config document: strict schema, typed values, canonical rendering."""
 
+import math
 import re
 from pathlib import Path
 
@@ -98,6 +99,23 @@ def test_set_validates_key_and_value():
         cfg.set("run.seed", "three")
     cfg.set("run.seed", "3")
     assert cfg["run.seed"] == 3
+    cfg.set("run.seed", 42)  # the CLI's --seed, an argparse int
+    cfg.set("distill.loss", 3)
+    assert cfg["run.seed"] == 42 and type(cfg["run.seed"]) is int
+    assert cfg["distill.loss"] == "3"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("distill.tau", math.inf), ("distill.tau", math.nan), ("corpus.n_utterances", 2.5)],
+)
+def test_set_checks_a_value_that_is_not_text_as_a_config_file_would(key, value):
+    cfg = default_config()
+    before = cfg[key]
+    with pytest.raises(ConfigError) as e:
+        cfg.set(key, value)
+    assert e.value.key == key and repr(key) in str(e.value)
+    assert cfg[key] == before
 
 
 def test_load_config_missing_file(tmp_path):

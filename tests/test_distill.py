@@ -512,7 +512,7 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs, bank):
     init_metric, cosine = dev_metric()
     history = [(0, init_metric)]
     best_metric = init_metric
-    best_state = student.store.state_dict()
+    best_state = {name: p.data.copy() for name, p in student.store.items()}
     info = {"cosine_start": cosine, "cosine_best": cosine}
     step = 0
     for _epoch in range(cfg.epochs):
@@ -529,7 +529,7 @@ def distill_reference(student, teacher, corpus, targets, cfg, dev_pairs, bank):
         history.append((step, metric))
         if metric > best_metric:
             best_metric = metric
-            best_state = student.store.state_dict()
+            best_state = {name: p.data.copy() for name, p in student.store.items()}
             info["cosine_best"] = cosine
     student.store.load_state_dict(best_state)
     info["best_dev_spearman"] = best_metric

@@ -4,8 +4,9 @@ A definition under ``src/semspeech`` must be referenced from ``src/``,
 ``perfbench/`` or ``tools/`` outside its own body, so code that only tests
 reach does not stay in the package. A reference is a name, an attribute, an
 imported name, or a string constant equal to the name (the benchmark names
-the entry points it traces as strings). Dunder methods are called by Python
-itself and are not checked.
+the entry points it traces as strings). A method is reached only through an
+attribute, an import or a string, so a bare local of the same name does not
+count for it. Dunder methods are called by Python itself and are not checked.
 """
 
 import ast
@@ -26,10 +27,10 @@ ALLOWED = {
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree: ast.AST) -> Counter:
+def _references(tree: ast.AST, bare_names: bool = True) -> Counter:
     refs = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare_names:
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
@@ -48,16 +49,25 @@ def _program_trees():
 
 def unreferenced() -> list[tuple[str, str]]:
     trees = list(_program_trees())
-    total = sum((_references(tree) for _, tree in trees), Counter())
+    total = {
+        bare: sum((_references(tree, bare) for _, tree in trees), Counter())
+        for bare in (True, False)
+    }
     missing = []
     for path, tree in trees:
         if PACKAGE not in path.parents:
             continue
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, DEFINITIONS)
+        }
         for node in ast.walk(tree):
             if not isinstance(node, DEFINITIONS) or node.name.startswith("__"):
                 continue
-            if total[node.name] - _references(node)[node.name] == 0:
+            bare = id(node) not in methods
+            if total[bare][node.name] - _references(node, bare)[node.name] == 0:
                 missing.append((module, node.name))
     return missing
 

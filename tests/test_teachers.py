@@ -39,9 +39,9 @@ def batches(items, size):
 
 
 def assert_same_params(store_a, store_b):
-    assert store_a.names() == store_b.names()
-    for name in store_a.names():
-        assert store_a[name].data.tobytes() == store_b[name].data.tobytes(), name
+    assert [n for n, _ in store_a.items()] == [n for n, _ in store_b.items()]
+    for name, p in store_a.items():
+        assert p.data.tobytes() == store_b[name].data.tobytes(), name
 
 
 def make_seqs(n, vocab=20, min_len=3, max_len=8, seed=0):
@@ -142,11 +142,11 @@ def test_mask_rate_zero_rejected():
 )
 def test_mlm_rejects_a_batch_size_below_one_and_a_non_positive_lr(knobs, field):
     enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
-    before = enc.store.names()
+    before = [n for n, _ in enc.store.items()]
     with pytest.raises(ValidationError) as e:
         mlm_pretrain(enc, make_seqs(4), steps=1, **knobs)
     assert e.value.field == field
-    assert enc.store.names() == before  # refused before the head is made
+    assert [n for n, _ in enc.store.items()] == before  # refused before the head is made
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -498,7 +498,7 @@ def test_a_trainer_after_another_on_one_encoder_starts_its_own_optimizer_state()
     chained = SequenceEncoder.create(vocab=30, cfg=TINY, seed=11)
     mlm_pretrain(chained, seqs, steps=40, batch_size=8, seed=11)
     fresh = SequenceEncoder.create(vocab=30, cfg=TINY, seed=11)
-    fresh.store.load_state_dict(chained.store.state_dict())
+    fresh.store.load_state_dict({name: p.data.copy() for name, p in chained.store.items()})
     cfg = TeacherConfig(deletion_ratio=0.6, epochs=1, batch_size=8, seed=11)
     chained_teacher, chained_curve = train_tsdae(chained, seqs, cfg)
     fresh_teacher, fresh_curve = train_tsdae(fresh, seqs, cfg)
@@ -528,7 +528,7 @@ def simcse_reference(encoder, seqs, cfg, dev_pairs):
     init_metric = dev_metric()
     history = [(0, init_metric)]
     best_metric = init_metric
-    best_state = encoder.store.state_dict()
+    best_state = {name: p.data.copy() for name, p in encoder.store.items()}
     stopper.update(init_metric)
     step = 0
     stop = False
@@ -552,7 +552,7 @@ def simcse_reference(encoder, seqs, cfg, dev_pairs):
                 history.append((step, metric))
                 if metric > best_metric:
                     best_metric = metric
-                    best_state = encoder.store.state_dict()
+                    best_state = {name: p.data.copy() for name, p in encoder.store.items()}
                 if stopper.update(metric):
                     stop = True
                     break
@@ -641,7 +641,7 @@ def test_teacher_save_load_round_trip(tmp_path):
     assert loaded.kind == "tsdae"
     assert np.allclose(loaded.embed_batch(seqs[:1]), z, atol=1e-5)  # float32 storage
     # decoder params were discarded with the checkpoint
-    assert not any(n.startswith("dec.") for n in loaded.encoder.store.names())
+    assert not any(n.startswith("dec.") for n, _ in loaded.encoder.store.items())
 
 
 def _mlm_trained_encoder():
@@ -656,7 +656,7 @@ def test_an_encoder_checkpoint_holds_the_encoder_alone(tmp_path):
     enc.save(tmp_path / "enc.semm")
     kind, config, params = load_checkpoint(tmp_path / "enc.semm")
     assert kind == SequenceEncoder.KIND and "pooling" not in config
-    assert list(params) == [n for n in enc.store.names() if not n.startswith("mlm.")]
+    assert list(params) == [n for n, _ in enc.store.items() if not n.startswith("mlm.")]
     for name, arr in params.items():
         assert arr.tobytes() == enc.store[name].data.astype(np.float32).tobytes(), name
 

@@ -6,12 +6,17 @@ before; these cover what those comparisons cannot pin down.
 
 import logging
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semspeech.errors import ValidationError
 from semspeech.nn.optim import ParamStore
 from semspeech.nn.tensor import Tensor
+from semspeech.teachers import EarlyStopper
 from semspeech.training import fit
 
 
@@ -105,3 +110,76 @@ def test_non_finite_gradient_names_the_epoch_and_the_batch_items():
     assert "epoch 2" in message
     assert f"batch items {calls[-1]}" in message and poisoned in calls[-1]
     assert e.value.field == "w"
+
+
+@pytest.mark.parametrize(
+    "values, step",
+    [([math.nan, 1.0, 2.0, 3.0], 0), ([1.0, 2.0, math.inf], 4), ([1.0, -math.inf], 2)],
+)
+def test_a_non_finite_evaluation_is_refused_naming_its_step(values, step):
+    # at the parent a NaN at step 0 was kept over every later improvement
+    store = ParamStore()
+    w = store.add("w", Tensor(np.zeros(1)))
+    scores = iter(values)
+    with pytest.raises(ValidationError, match=f"evaluation at step {step} is not finite") as e:
+        fit(
+            store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+            evaluate=lambda: next(scores), epochs=6, maximize=True,
+        )
+    assert e.value.field == "evaluate"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 3), min_size=12, max_size=12),
+    maximize=st.booleans(),
+    eval_every=st.sampled_from([None, 2]),
+    patience=st.integers(1, 4),
+)
+def test_patience_stops_where_an_early_stopper_replay_of_the_values_stops(
+    values, maximize, eval_every, patience
+):
+    # three items in batches of one: 3 steps an epoch and, over 3 epochs,
+    # 4 evaluations per epoch or 5 every 2 steps; small integers make ties
+    def run(patience):
+        store = ParamStore()
+        w = store.add("w", Tensor(np.zeros(1)))
+        scores = iter(values)
+        evals, losses, kept = fit(
+            store, ["a", "b", "c"], 1, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+            evaluate=lambda: float(next(scores)), epochs=3, maximize=maximize,
+            eval_every=eval_every, patience=patience,
+        )
+        return evals, losses, kept, w.data[0]
+
+    n_evals = len(run(None)[0])
+    stopper = EarlyStopper(patience)
+    signed = [v if maximize else -v for v in values[:n_evals]]
+    stops = [i for i, v in enumerate(signed) if stopper.update(v)]
+    expected = stops[0] + 1 if stops else n_evals
+    evals, losses, kept, w = run(patience)
+    assert len(evals) == expected
+    if stops:
+        assert len(losses) == evals[-1][0]  # no step after the stopping evaluation
+    best = max(signed[:expected])
+    assert kept == signed.index(best) and w == evals[kept][0]
+
+
+def test_snapshot_and_restore_round_trip_bit_equal():
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    a = store.add("a", Tensor(rng.standard_normal((3, 2))))
+    b = store.add("b", Tensor(rng.standard_normal(4)))
+    store.snapshot()
+    saved = {name: p.data.copy() for name, p in store.items()}
+    views = {name: p.data for name, p in store.items()}
+    a.data += 1.0  # in place, in the view
+    b.data = rng.standard_normal(4)  # rebound to a fresh array
+    store.restore()
+    for name, p in store.items():
+        assert p.data is views[name], name  # restore copies, it never rebinds
+        assert p.data.tobytes() == saved[name].tobytes(), name
+    # the saved buffer is the store's own: a later change leaves it alone
+    a.data *= 3.0
+    store.restore()
+    assert a.data.tobytes() == saved["a"].tobytes()

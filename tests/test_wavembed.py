@@ -309,11 +309,11 @@ def test_train_refuses_an_overlong_target_before_its_first_step():
     targets[victim] = [CLS, *[5] * 64, SEP]  # 65 decoder positions
     # the toy utterances have at most 30 frames
     model = tiny_model(encoder_cfg=replace(TINY, max_positions=64))
-    before = model.store.state_dict()
+    before = {name: p.data.copy() for name, p in model.store.items()}
     with pytest.raises(ValidationError) as e:
         train_wavembed(model, corpus, targets, TrainRunConfig(epochs=1))
     assert e.value.field == victim and repr(victim) in str(e.value)
-    after = model.store.state_dict()
+    after = {name: p.data.copy() for name, p in model.store.items()}
     assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
@@ -325,7 +325,7 @@ def test_train_rerun_is_bit_identical():
         train_wavembed(
             model, corpus, targets, TrainRunConfig(epochs=2, lr=1e-3, batch_size=8, seed=7)
         )
-        states.append(model.store.state_dict())
+        states.append({name: p.data.copy() for name, p in model.store.items()})
     for name in states[0]:
         assert np.array_equal(states[0][name], states[1][name]), name
 
@@ -474,7 +474,7 @@ def test_default_dims_hold_no_dead_parameter():
     """No key bias, no lnx norm and no cross-attention Q or K: each would
     only get rounding residue as its gradient."""
     model = WavEmbedModel.create(d_in=16, vocab=400)
-    names = model.store.names()
+    names = [n for n, _ in model.store.items()]
     dead = (".k.b", ".lnx.", ".xattn.q.", ".xattn.k.")
     assert not [n for n in names if any(part in n for part in dead)]
     assert sum(p.size for _, p in model.store.items()) == 203_280

@@ -152,14 +152,12 @@ def cmd_quantize(cfg: PipelineConfig, args, out: Path) -> None:
     corpus = load_corpus(args.corpus)
     # float64 from the start, so k-means makes no copy of its own
     frames = np.concatenate([u.features.data for u in corpus], axis=0, dtype=np.float64)
-    cap = cfg["quantizer.max_training_frames"] or None
     codebook = train_kmeans(
         frames,
         k=cfg["quantizer.clusters"],
         max_iters=cfg["quantizer.max_iters"],
         tol=cfg["quantizer.tol"],
         seed=cfg["run.seed"],
-        max_training_frames=cap,
     )
     write_codebook(out / "codebook.semk", codebook)
     units = quantize_corpus(corpus, codebook)
@@ -220,7 +218,6 @@ def cmd_train_wavembed(cfg: PipelineConfig, args, out: Path) -> None:
         lr=cfg["wavembed.lr"],
         batch_size=cfg["wavembed.batch_size"],
         seed=cfg["run.seed"],
-        weight_decay=cfg["wavembed.weight_decay"],
         dev_fraction=cfg["wavembed.dev_fraction"],
     )
     curve = train_wavembed(model, corpus, targets, run_cfg)
@@ -269,7 +266,6 @@ def cmd_train_teacher(cfg: PipelineConfig, args, out: Path) -> None:
             raise ValidationError("simcse needs --pairs for dev evaluation", field="pairs")
         dev_pairs = load_scored_pairs(args.pairs, split="dev")
         tcfg = TeacherConfig(
-            dropout_rate=cfg["simcse.dropout"],
             tau=cfg["simcse.tau"],
             lr=cfg["simcse.lr"],
             batch_size=cfg["simcse.batch_size"],
@@ -304,7 +300,6 @@ def cmd_distill(cfg: PipelineConfig, args, out: Path) -> None:
         epochs=cfg["distill.epochs"],
         seed=cfg["run.seed"],
         bank_capacity=cfg["distill.bank_capacity"],
-        weight_decay=cfg["distill.weight_decay"],
     )
     history, info = distill_train(student, teacher, corpus, targets, dcfg, dev_pairs)
     student.save(out / "student.semm")

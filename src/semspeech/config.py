@@ -34,7 +34,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "quantizer.clusters": ("int", 100),
     "quantizer.max_iters": ("int", 100),
     "quantizer.tol": ("float", 1e-6),
-    "quantizer.max_training_frames": ("int", 0),  # 0 = use every frame
     "tokenizer.vocab_size": ("int", 1000),
     "encoder.layers": ("int", 2),
     "encoder.model_dim": ("int", 64),
@@ -45,7 +44,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "wavembed.epochs": ("int", 10),
     "wavembed.lr": ("float", 5e-4),
     "wavembed.batch_size": ("int", 16),
-    "wavembed.weight_decay": ("float", 0.01),
     "wavembed.dev_fraction": ("float", 0.1),
     "mlm.steps": ("int", 500),
     "mlm.lr": ("float", 5e-4),
@@ -56,7 +54,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "tsdae.lr": ("float", 5e-4),
     "tsdae.batch_size": ("int", 32),
     "tsdae.dev_fraction": ("float", 0.1),
-    "simcse.dropout": ("float", 0.1),
     "simcse.tau": ("float", 0.05),
     "simcse.lr": ("float", 5e-4),
     "simcse.batch_size": ("int", 32),
@@ -70,7 +67,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "distill.epochs": ("int", 10),
     "distill.bank_capacity": ("int", 256),
     "distill.pooling": ("str", "self_attention"),
-    "distill.weight_decay": ("float", 0.01),
     "eval.pos_threshold": ("float", 4.0),
 }
 

@@ -167,7 +167,6 @@ class DistillConfig:
     epochs: int = 10
     seed: int = 0
     bank_capacity: int = DEFAULT_BANK_CAPACITY
-    weight_decay: float = 0.01
 
     def validate(self) -> None:
         if self.loss not in ("infonce", "mse"):
@@ -184,8 +183,6 @@ class DistillConfig:
             raise ValidationError("epochs must be >= 1", field="epochs")
         if self.bank_capacity < 1:
             raise ValidationError("bank_capacity must be >= 1", field="bank_capacity")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValidationError("weight_decay must be >= 0 and finite", field="weight_decay")
 
 
 def distill_step(
@@ -285,7 +282,7 @@ def distill_train(
         return distill_step(student, frames, table[[row[i] for i in chunk]], bank, cfg, rng)
 
     evals, _, kept = fit(
-        student.store, ids, cfg.batch_size, rng, batch_loss, cfg.lr, cfg.weight_decay,
+        student.store, ids, cfg.batch_size, rng, batch_loss, cfg.lr,
         evaluate=lambda: pair_spearman(embed_dev, dev_pairs, dev_frames),
         epochs=cfg.epochs, maximize=True,
     )

@@ -107,8 +107,15 @@ class ParamStore:
         np.copyto(self._saved, self._flat)
 
     def restore(self) -> None:
-        """Copy the last ``snapshot`` back into the parameters' views."""
+        """Copy the last ``snapshot`` back into the parameters' views; with no
+        snapshot of the store at its present size there is nothing to restore."""
         self._sync()
+        if self._saved.size != self._flat.size:
+            raise ValidationError(
+                f"the snapshot holds {self._saved.size} values, the store "
+                f"{self._flat.size}: snapshot() the store as it is first",
+                field="snapshot",
+            )
         np.copyto(self._flat, self._saved)
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:

@@ -75,10 +75,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -227,8 +223,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old_shape = self.shape
         out_data = self.data.reshape(shape)
 
@@ -238,8 +232,6 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = tuple(np.argsort(axes))
         out_data = self.data.transpose(axes)
 

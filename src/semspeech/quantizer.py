@@ -219,7 +219,6 @@ def train_kmeans(
     max_iters: int = 100,
     tol: float = 1e-6,
     seed: int = 0,
-    max_training_frames: int | None = None,
 ) -> Codebook:
     """Lloyd's algorithm with k-means++ initialization, deterministic per seed.
 
@@ -248,10 +247,6 @@ def train_kmeans(
         raise ValidationError("tol must be >= 0", field="tol")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1", field="max_iters")
-    if max_training_frames is not None and max_training_frames < 1:
-        raise ValidationError(
-            "max_training_frames must be >= 1", field="max_training_frames"
-        )
     sq = np.einsum("ij,ij->i", frames, frames)
     if not np.all(np.isfinite(sq)):
         bad = int(np.flatnonzero(~np.isfinite(sq))[0])
@@ -260,10 +255,6 @@ def train_kmeans(
         )
 
     rng = derive_rng(seed, "kmeans", k)
-    if max_training_frames is not None and frames.shape[0] > max_training_frames:
-        pick = np.sort(rng.choice(frames.shape[0], size=max_training_frames, replace=False))
-        frames, sq = frames[pick], sq[pick]
-
     # k distinct rows in a prefix settle it; only a shortfall counts them all
     if _count_distinct_rows(frames[: _DISTINCT_PREFIX_PER_K * k]) < k:
         n_distinct = _count_distinct_rows(frames)

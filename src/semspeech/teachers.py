@@ -9,7 +9,7 @@ forward pass of the same sequence is the positive.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -225,7 +225,7 @@ def mlm_pretrain(
         logits = mlm_forward(encoder, corrupted, pack, train_mode=True, rng=rng, seed=seed)
         return nll(logits, ids, mask)
 
-    _, history, _ = fit(encoder.store, arrs, batch_size, rng, loss, lr, 0.01, max_steps=steps)
+    _, history, _ = fit(encoder.store, arrs, batch_size, rng, loss, lr, max_steps=steps)
     return history
 
 
@@ -258,7 +258,6 @@ def delete_tokens(seq: TokenSequence, ratio: float, rng: np.random.Generator) ->
 @dataclass
 class TeacherConfig:
     deletion_ratio: float = 0.0
-    dropout_rate: float = 0.1
     tau: float = 0.05
     batch_size: int = 32
     lr: float = 5e-4
@@ -271,8 +270,6 @@ class TeacherConfig:
     def validate(self) -> None:
         if not 0.0 <= self.deletion_ratio <= 1.0:
             raise ValidationError("deletion_ratio must be in [0, 1]", field="deletion_ratio")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValidationError("dropout_rate must be in [0, 1)", field="dropout_rate")
         if not 0.0 < self.tau < np.inf:
             raise ValidationError("tau must be positive and finite", field="tau")
         if self.batch_size < 1:
@@ -352,7 +349,7 @@ def train_tsdae(
     )
     evals, _, _ = fit(
         encoder.store, train_seqs, cfg.batch_size, rng,
-        lambda chunk: batch_loss(corrupt(chunk, rng), True, rng), cfg.lr, 0.01,
+        lambda chunk: batch_loss(corrupt(chunk, rng), True, rng), cfg.lr,
         evaluate=lambda: mean_loss(batch_loss, dev_examples, cfg.batch_size),
         epochs=cfg.epochs,
     )
@@ -386,10 +383,11 @@ def train_simcse(
     cfg: TeacherConfig,
     dev_pairs: ScoredPairSet,
 ) -> tuple[Teacher, list[tuple[int, float]]]:
-    """Dropout-contrastive training; the same sequence under a second dropout
-    draw is the positive, the rest of the batch the negatives."""
+    """Dropout-contrastive training under the encoder's own dropout; the same
+    sequence under a second dropout draw is the positive, the rest of the
+    batch the negatives."""
     cfg.validate()
-    if cfg.dropout_rate <= 0.0:
+    if encoder.cfg.dropout_rate <= 0.0:
         raise ValidationError(
             "dropout_rate must be positive: with no dropout both passes collapse "
             "to the same embedding",
@@ -412,22 +410,17 @@ def train_simcse(
                 )
 
     rng = derive_rng(cfg.seed, "simcse", "train")
-    # trains the caller's parameters under the recipe's dropout, leaving the
-    # caller's config as it was
-    train_encoder = SequenceEncoder(
-        encoder.store, replace(encoder.cfg, dropout_rate=cfg.dropout_rate), encoder.vocab
-    )
 
     def loss(chunk) -> Tensor | None:
         if len(chunk) < 2:
             return None  # a lone trailing sequence has no in-batch negatives
         ids, pack = Packing.of([np.asarray(s.tokens) for s in chunk])
-        z1 = train_encoder._embed(ids, pack, True, rng)
-        z2 = train_encoder._embed(ids, pack, True, rng)
+        z1 = encoder._embed(ids, pack, True, rng)
+        z2 = encoder._embed(ids, pack, True, rng)
         return infonce_batch(z1, z2, tau=cfg.tau)
 
     evals, _, _ = fit(
-        encoder.store, seqs, cfg.batch_size, rng, loss, cfg.lr, 0.01,
+        encoder.store, seqs, cfg.batch_size, rng, loss, cfg.lr,
         evaluate=lambda: pair_spearman(encoder.embed_batch, dev_pairs, by_id),
         epochs=cfg.epochs, maximize=True, eval_every=cfg.eval_every_steps,
         patience=cfg.patience,

@@ -20,6 +20,8 @@ from .nn.tensor import Tensor, no_grad
 
 logger = logging.getLogger(__name__)
 
+WEIGHT_DECAY = 0.01  # AdamW's decoupled decay, the same in every trainer
+
 
 def _chunks(seq: Sequence, size: int):
     for i in range(0, len(seq), size):
@@ -62,7 +64,6 @@ def fit(
     rng: np.random.Generator,
     loss: Callable[[list], Tensor | None],
     lr: float,
-    weight_decay: float,
     evaluate: Callable[[], float] | None = None,
     epochs: int | None = None,
     max_steps: int | None = None,
@@ -70,12 +71,13 @@ def fit(
     eval_every: int | None = None,
     patience: int | None = None,
 ):
-    """Train until ``epochs`` epochs or ``max_steps`` steps, whichever ends first.
+    """Train until ``epochs`` epochs or ``max_steps`` steps, whichever ends
+    first; with neither set the run would never end and is refused.
 
     Each epoch feeds ``items`` in the order of ``rng.permutation``,
     ``batch_size`` at a time, to ``loss``, which returns the batch's loss
     Tensor or ``None`` to skip the batch; ``fit`` backpropagates it and takes
-    one AdamW step at ``lr`` and ``weight_decay``, from an optimizer state
+    one AdamW step at ``lr`` and ``WEIGHT_DECAY``, from an optimizer state
     each run starts afresh. A first epoch that skips every batch raises
     ``ValidationError``: the run would train nothing. ``evaluate`` runs at
     step 0, then after every epoch, or every ``eval_every`` steps if that is
@@ -93,6 +95,8 @@ def fit(
     every step taken, and the kept evaluation's index (None without
     ``evaluate``).
     """
+    if epochs is None and max_steps is None:
+        raise ValidationError("fit needs epochs or max_steps to end", field="epochs")
     evals: list[tuple[int, float | None, float]] = []
     losses: list[float] = []
     kept = None
@@ -126,7 +130,7 @@ def fit(
                     continue
                 store.zero_grad()
                 batch.backward()
-                adamw_step(store, lr=lr, weight_decay=weight_decay)
+                adamw_step(store, lr=lr, weight_decay=WEIGHT_DECAY)
             except ValidationError as e:
                 names = [_item_name(item, int(i)) for item, i in zip(chunk, positions)]
                 raise ValidationError(

@@ -42,7 +42,6 @@ class TrainRunConfig:
     lr: float = 5e-4
     batch_size: int = 16
     seed: int = 0
-    weight_decay: float = 0.01
     dev_fraction: float = 0.1
 
     def validate(self) -> None:
@@ -54,8 +53,6 @@ class TrainRunConfig:
             raise ValidationError("batch_size must be >= 1", field="batch_size")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValidationError("dev_fraction must be in [0, 1)", field="dev_fraction")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValidationError("weight_decay must be >= 0 and finite", field="weight_decay")
 
 
 @dataclass
@@ -333,7 +330,7 @@ def train_wavembed(
     init_train = mean_loss(batch_loss, train_ids, cfg.batch_size)
     evals, _, _ = fit(
         model.store, train_ids, cfg.batch_size, train_rng,
-        lambda chunk: batch_loss(chunk, True, train_rng), cfg.lr, cfg.weight_decay,
+        lambda chunk: batch_loss(chunk, True, train_rng), cfg.lr,
         evaluate=lambda: mean_loss(batch_loss, dev_ids, cfg.batch_size),
         epochs=cfg.epochs,
     )

@@ -1,8 +1,10 @@
 """The pure parts of tools/bench_pairs.py: pair summaries, hash agreement,
-pytest --durations parsing and a record of the durations alone."""
+pytest --durations parsing, a record of the durations alone, and the
+commits a record names."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,41 @@ def test_durations_alone_then_appended_to(tmp_path, monkeypatch):
     # the earlier durations pair is kept, not overwritten
     assert appended["earlier_suite_durations"] == [record["suite_durations"]]
     assert appended["suite_durations"] == record["suite_durations"]
+
+
+def test_each_record_names_both_sides_commits_or_none(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*argv):
+        return subprocess.run(["git", "-c", "user.name=b", "-c", "user.email=b@b", *argv],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (repo / "f.txt").write_text("one")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD").strip()
+    plain = repo / "plain"  # a directory inside a checkout is not one itself
+    plain.mkdir()
+    assert bench_pairs.head_commit(repo) == sha  # untracked files do not count
+    assert bench_pairs.head_commit(plain) is None
+    (repo / "f.txt").write_text("two")
+    assert bench_pairs.head_commit(repo) == sha + "+dirty"
+
+    def fake_run(root, workload, seed):
+        run = dict(setup_s=1.0, pass_s=2.0, peak_rss_mb=3.0, attempted=1, failed=0,
+                   minor_page_faults=0)
+        return {"run": run, "env": {"nproc": 1}, "hashes": [{}]}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", plain)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    durations = tmp_path / "d.txt"
+    durations.write_text("1 passed in 1.0s\n")
+    argv = ["--parent", str(repo), "--area", "x", "--workloads", "units", "--pairs", "1",
+            "--durations", str(durations), str(durations)]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads((plain / "BENCH_x.json").read_text())
+    expected = {"parent": sha + "+dirty", "change": None}
+    assert record["workloads"]["units"]["0"]["commits"] == expected
+    assert record["suite_durations"]["commits"] == expected

@@ -468,14 +468,14 @@ def test_non_finite_setting_exits_with_one_line_error(
 def test_negative_kmeans_frame_budget_exits_with_one_line_error(pipeline, tmp_path, capsys):
     root, _ = pipeline
     cfg = tmp_path / "cap.cfg"
-    cfg.write_text("[quantizer]\nclusters = 8\nmax_training_frames = -3\n")
+    cfg.write_text("[quantizer]\nclusters = 8\nmax_iters = 0\n")
     rc = main([
         "quantize", "--config", str(cfg), "--out", str(tmp_path / "o"),
         "--corpus", str(root / "data" / "corpus"),
     ])
     assert rc == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
-    assert errors == ["error\tValidationError\tmax_training_frames must be >= 1"]
+    assert errors == ["error\tValidationError\tmax_iters must be >= 1"]
 
 
 def test_missing_input_exits_with_one_line_error(tmp_path, capsys):

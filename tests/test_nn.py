@@ -1031,7 +1031,7 @@ def test_a_fit_step_accumulates_into_the_flat_buffer_and_consumes_it(monkeypatch
 
     monkeypatch.setattr(training, "adamw_step", step)
     xs = [rng.standard_normal((5, 4)) for _ in range(2)]
-    training.fit(store, xs, 1, np.random.default_rng(0), loss, 1e-2, 0.0, epochs=1)
+    training.fit(store, xs, 1, np.random.default_rng(0), loss, 1e-2, epochs=1)
     assert len(seen) == len(spent) == 2 * len(store) and all(seen) and all(spent)
 
 

@@ -104,24 +104,6 @@ def test_kmeans_rejects_too_few_distinct():
         train_kmeans(frames, k=2, seed=0)
 
 
-def test_kmeans_subsampling_budget():
-    rng = np.random.default_rng(8)
-    frames = rng.standard_normal((2000, 3))
-    cb = train_kmeans(frames, k=4, seed=2, max_training_frames=200)
-    assert cb.k == 4
-    # deterministic under the same budget
-    cb2 = train_kmeans(frames, k=4, seed=2, max_training_frames=200)
-    assert np.array_equal(cb.centroids, cb2.centroids)
-
-
-@pytest.mark.parametrize("budget", [0, -3])
-def test_kmeans_rejects_a_frame_budget_below_one(budget):
-    with pytest.raises(ValidationError) as e:
-        train_kmeans(np.random.default_rng(8).standard_normal((50, 3)), k=4,
-                     max_training_frames=budget)
-    assert e.value.field == "max_training_frames"
-
-
 @pytest.mark.parametrize(
     "rows",
     [
@@ -182,11 +164,9 @@ def reference_sq_dists(frames, centroids):
     return np.maximum(d2, 0.0)
 
 
-def reference_kmeans(frames, k, max_iters, tol, seed, max_training_frames=None):
+def reference_kmeans(frames, k, max_iters, tol, seed):
     frames = np.asarray(frames, dtype=np.float64)
     rng = derive_rng(seed, "kmeans", k)
-    if max_training_frames is not None and frames.shape[0] > max_training_frames:
-        frames = frames[np.sort(rng.choice(frames.shape[0], max_training_frames, replace=False))]
     n = frames.shape[0]
     centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
     centroids[0] = frames[int(rng.integers(n))]
@@ -217,14 +197,9 @@ def reference_kmeans(frames, k, max_iters, tol, seed, max_training_frames=None):
     return centroids, history
 
 
-def assert_kmeans_matches_reference(frames, k, max_iters, tol, seed, max_training_frames=None):
-    cb = train_kmeans(
-        frames, k=k, max_iters=max_iters, tol=tol, seed=seed,
-        max_training_frames=max_training_frames,
-    )
-    ref_centroids, ref_history = reference_kmeans(
-        frames, k, max_iters, tol, seed, max_training_frames
-    )
+def assert_kmeans_matches_reference(frames, k, max_iters, tol, seed):
+    cb = train_kmeans(frames, k=k, max_iters=max_iters, tol=tol, seed=seed)
+    ref_centroids, ref_history = reference_kmeans(frames, k, max_iters, tol, seed)
     assert cb.centroids.tobytes() == ref_centroids.tobytes()
     assert cb.inertia_history == ref_history
 
@@ -262,23 +237,21 @@ def _lattice(n, seed):
 # The bounded pass skips most frames; each case checks that the result is
 # still plain Lloyd's, bit for bit.
 @pytest.mark.parametrize(
-    "make, k, max_iters, tol, budget",
+    "make, k, max_iters, tol",
     [
-        (lambda: np.random.default_rng(21).standard_normal((2500, 16)), 30, 25, 0.0, None),
-        (lambda: _lattice(900, 22), 9, 30, 0.0, None),
-        (lambda: np.repeat(_lattice(40, 23), 7, axis=0)[::-1], 1, 10, 0.0, None),
+        (lambda: np.random.default_rng(21).standard_normal((2500, 16)), 30, 25, 0.0),
+        (lambda: _lattice(900, 22), 9, 30, 0.0),
+        (lambda: np.repeat(_lattice(40, 23), 7, axis=0)[::-1], 1, 10, 0.0),
         # k equal to the distinct rows of the lattice
-        (lambda: _lattice(900, 24), np.unique(_lattice(900, 24), axis=0).shape[0], 30, 0.0, None),
-        (lambda: _corpus_frames(200, 25)[:2048], 100, 20, 0.0, None),
-        (lambda: _corpus_frames(200, 25)[:2049], 100, 20, 0.0, None),
-        (lambda: np.random.default_rng(26).standard_normal((3000, 4)) ** 3, 15, 200, 1e-3, None),
-        (lambda: _corpus_frames(200, 27), 40, 15, 0.0, 1500),
+        (lambda: _lattice(900, 24), np.unique(_lattice(900, 24), axis=0).shape[0], 30, 0.0),
+        (lambda: _corpus_frames(200, 25)[:2048], 100, 20, 0.0),
+        (lambda: _corpus_frames(200, 25)[:2049], 100, 20, 0.0),
+        (lambda: np.random.default_rng(26).standard_normal((3000, 4)) ** 3, 15, 200, 1e-3),
     ],
-    ids=["gaussian", "lattice-ties", "k-1", "k-distinct", "n-2048", "n-2049", "tol",
-         "max-training-frames"],
+    ids=["gaussian", "lattice-ties", "k-1", "k-distinct", "n-2048", "n-2049", "tol"],
 )
-def test_bounded_kmeans_matches_reference(make, k, max_iters, tol, budget):
-    assert_kmeans_matches_reference(make(), k, max_iters, tol, seed=7, max_training_frames=budget)
+def test_bounded_kmeans_matches_reference(make, k, max_iters, tol):
+    assert_kmeans_matches_reference(make(), k, max_iters, tol, seed=7)
 
 
 def test_kmeans_prunes_most_frame_assignments(monkeypatch, caplog):
@@ -303,13 +276,12 @@ def test_kmeans_prunes_most_frame_assignments(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-@pytest.mark.parametrize("budget", [None, 3000])
-def test_kmeans_refuses_a_non_finite_frame(bad, budget):
+def test_kmeans_refuses_a_non_finite_frame(bad):
     # 1e200 is finite, but its square is not
     frames = np.random.default_rng(9).standard_normal((6979, 4))
     frames[4321, 2] = bad
     with pytest.raises(ValidationError, match="frame 4321") as e:
-        train_kmeans(frames, k=5, max_training_frames=budget)
+        train_kmeans(frames, k=5)
     assert e.value.field == "frames"
 
 

@@ -388,11 +388,11 @@ def test_tsdae_keep_best_and_determinism():
 # ---------------------------------------------------------------------------
 
 def test_simcse_requires_dropout():
-    enc = SequenceEncoder.create(vocab=20, cfg=TINY, seed=0)
-    cfg = TeacherConfig(dropout_rate=0.0)
+    enc = SequenceEncoder.create(vocab=20, cfg=replace(TINY, dropout_rate=0.0), seed=0)
     pairs = ScoredPairSet(pairs=[("u000", "u001", 4.0)], split="dev")
-    with pytest.raises(ValidationError):
-        train_simcse(enc, make_seqs(4), cfg, pairs)
+    with pytest.raises(ValidationError, match="dropout_rate must be positive") as e:
+        train_simcse(enc, make_seqs(4), TeacherConfig(), pairs)
+    assert e.value.field == "dropout_rate"
 
 
 def test_simcse_requires_batch_of_two():
@@ -453,20 +453,18 @@ def test_simcse_trains_and_keeps_best():
 
 
 def test_simcse_leaves_the_callers_encoder_config_alone(tmp_path):
-    shared = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.0)
+    shared = EncoderConfig(layers=1, model_dim=16, heads=2, ff_dim=24, dropout_rate=0.1)
     enc = SequenceEncoder.create(vocab=13, cfg=shared, seed=3)
     seqs = make_seqs(8, vocab=13, seed=3)
     pairs = ScoredPairSet(
         pairs=[("u000", "u001", 4.0), ("u002", "u003", 1.0), ("u004", "u005", 2.5)], split="dev"
     )
-    cfg = TeacherConfig(dropout_rate=0.1, epochs=1, batch_size=4, seed=3,
-                        eval_every_steps=1)
+    cfg = TeacherConfig(epochs=1, batch_size=4, seed=3, eval_every_steps=1)
     teacher, _ = train_simcse(enc, seqs, cfg, pairs)
-    assert shared.dropout_rate == 0.0
     assert enc.cfg is shared
     teacher.save(tmp_path / "teacher.semm")
-    assert Teacher.load(tmp_path / "teacher.semm").encoder.cfg.dropout_rate == 0.0
-    # a run that fails inside training restores the encoder's config too
+    assert Teacher.load(tmp_path / "teacher.semm").encoder.cfg == shared
+    # a run that fails inside training leaves the encoder's config too
     seqs[0] = TokenSequence([CLS, 99, SEP], source_id="u000")
     with pytest.raises(ValidationError):
         train_simcse(enc, seqs, cfg, pairs)
@@ -485,7 +483,7 @@ def test_simcse_never_assigns_the_callers_encoder_config():
     enc = Watched.create(vocab=13, cfg=TINY, seed=3)
     assert assigned == [TINY]  # by __init__ alone
     pairs = ScoredPairSet(pairs=[("u000", "u001", 4.0), ("u002", "u003", 1.0)], split="dev")
-    cfg = TeacherConfig(dropout_rate=0.3, epochs=1, batch_size=4, seed=3, eval_every_steps=1)
+    cfg = TeacherConfig(epochs=1, batch_size=4, seed=3, eval_every_steps=1)
     train_simcse(enc, make_seqs(8, vocab=13, seed=3), cfg, pairs)
     assert assigned == [TINY]
 
@@ -509,7 +507,6 @@ def test_a_trainer_after_another_on_one_encoder_starts_its_own_optimizer_state()
 
 def simcse_reference(encoder, seqs, cfg, dev_pairs):
     """train_simcse's own loop before it ran on the shared fit loop."""
-    encoder.cfg = replace(encoder.cfg, dropout_rate=cfg.dropout_rate)
     by_id = {s.source_id: np.asarray(s.tokens) for s in seqs}
 
     def dev_metric():

@@ -21,8 +21,9 @@ from semspeech.training import fit
 
 
 def _counting_loss(w):
-    """A loss of the batch size with a zero gradient, so AdamW leaves ``w``
-    where the loss puts it: one more than before each step."""
+    """A loss of the batch size with a zero gradient. At lr 0 AdamW, weight
+    decay included, leaves ``w`` where the loss puts it: one more than before
+    each step."""
 
     def loss(chunk):
         w.data = w.data + 1.0
@@ -45,7 +46,7 @@ def test_fit_keeps_the_first_strictly_best_evaluation(maximize, values, kept):
     w = store.add("w", Tensor(np.zeros(1)))
     scores = iter(values)
     evals, losses, kept_index = fit(
-        store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+        store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 0.0,
         evaluate=lambda: next(scores), epochs=2, maximize=maximize,
     )
     # batches of 2 and 1: the loss-weighted mean is (2*2 + 1*1) / 3
@@ -62,7 +63,7 @@ def test_fit_logs_the_kept_evaluation_and_warns_when_it_is_step_0(caplog, values
     scores = iter(values)
     with caplog.at_level(logging.INFO, logger="semspeech.training"):
         _, _, kept = fit(
-            store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+            store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 0.0,
             evaluate=lambda: next(scores), epochs=2,
         )
     assert kept == (0 if warned else 1)
@@ -77,7 +78,7 @@ def test_each_fit_starts_a_fresh_optimizer_state():
     def run(store, w):
         fit(store, list(range(6)), 2, np.random.default_rng(0),
             lambda chunk: ((w - Tensor(np.full(3, float(len(chunk))))) ** 2).sum(),
-            0.1, 0.01, epochs=2)
+            0.1, epochs=2)
 
     worn, fresh = ParamStore(), ParamStore()
     w = worn.add("w", Tensor(np.array([1.0, -2.0, 0.5])))
@@ -105,7 +106,7 @@ def test_non_finite_gradient_names_the_epoch_and_the_batch_items():
 
     items = [f"utt-{i}" for i in range(10)]
     with pytest.raises(ValidationError, match="non-finite gradient for parameter 'w'") as e:
-        fit(store, items, 4, np.random.default_rng(0), loss, 1e-3, 0.0, epochs=3)
+        fit(store, items, 4, np.random.default_rng(0), loss, 1e-3, epochs=3)
     message = str(e.value)
     assert "epoch 2" in message
     assert f"batch items {calls[-1]}" in message and poisoned in calls[-1]
@@ -123,7 +124,7 @@ def test_a_non_finite_evaluation_is_refused_naming_its_step(values, step):
     scores = iter(values)
     with pytest.raises(ValidationError, match=f"evaluation at step {step} is not finite") as e:
         fit(
-            store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+            store, ["a", "b", "c"], 2, np.random.default_rng(0), _counting_loss(w), 0.0,
             evaluate=lambda: next(scores), epochs=6, maximize=True,
         )
     assert e.value.field == "evaluate"
@@ -146,7 +147,7 @@ def test_patience_stops_where_an_early_stopper_replay_of_the_values_stops(
         w = store.add("w", Tensor(np.zeros(1)))
         scores = iter(values)
         evals, losses, kept = fit(
-            store, ["a", "b", "c"], 1, np.random.default_rng(0), _counting_loss(w), 1e-3, 0.0,
+            store, ["a", "b", "c"], 1, np.random.default_rng(0), _counting_loss(w), 0.0,
             evaluate=lambda: float(next(scores)), epochs=3, maximize=maximize,
             eval_every=eval_every, patience=patience,
         )
@@ -183,3 +184,39 @@ def test_snapshot_and_restore_round_trip_bit_equal():
     a.data *= 3.0
     store.restore()
     assert a.data.tobytes() == saved["a"].tobytes()
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_restore_without_a_snapshot_of_the_store_as_it_is_names_both_sizes(grow):
+    # at the parent numpy's broadcast error came out of np.copyto instead
+    store = ParamStore()
+    store.add("a", Tensor(np.ones((3, 2))))
+    if grow:
+        store.snapshot()
+        store.add("b", Tensor(np.ones(4)))
+    before = {name: p.data.copy() for name, p in store.items()}
+    saved, size = (6, 10) if grow else (0, 6)
+    with pytest.raises(ValidationError, match=f"holds {saved} values, the store {size}") as e:
+        store.restore()
+    assert e.value.field == "snapshot"
+    for name, p in store.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
+def test_fit_with_neither_epochs_nor_max_steps_is_refused_before_it_evaluates():
+    # without patience such a run never returned: a 4-item toy was still
+    # stepping after 5,000 steps. Patience ends this one, so a missing
+    # refusal fails the test instead of hanging it.
+    store = ParamStore()
+    w = store.add("w", Tensor(np.zeros(1)))
+    evaluations = []
+
+    def evaluate():
+        evaluations.append(w.data[0])
+        return 0.0
+
+    with pytest.raises(ValidationError, match="epochs or max_steps") as e:
+        fit(store, ["a", "b", "c", "d"], 2, np.random.default_rng(0), _counting_loss(w), 0.0,
+            evaluate=evaluate, patience=3)
+    assert e.value.field == "epochs"
+    assert evaluations == [] and w.data[0] == 0.0

@@ -16,7 +16,10 @@ this checkout, holding the machine and the numpy/BLAS build, per-side medians
 and quartiles of ``setup_s``, ``pass_s`` and ``peak_rss_mb``, the pairs each
 side won, failed operations, the minor page faults of each run, and whether
 every artifact hashed the same in every pass of both sides, with each
-artifact's sha256.
+artifact's sha256. Each workload's record and each durations pair also
+holds both sides' ``git rev-parse HEAD``, marked ``+dirty`` where tracked
+files differ from it (None for a side that is not a git checkout), so the
+file names the commits it compares.
 
 ``<metric>_claim_holds`` applies the rule a claimed gain must meet: the
 change won at least 9 of every 10 pairs, and the parent's median exceeds
@@ -73,6 +76,25 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
         passes_s=[p["wall_s"] for p in record["passes"]],
     )
     return {"run": run, "env": record["env"], "hashes": [p["hashes"] for p in record["passes"]]}
+
+
+def head_commit(root: Path) -> str | None:
+    """The commit checked out at ``root``, marked ``+dirty`` when tracked
+    files differ from it, or None if ``root`` is not a git checkout; a
+    repository around ``root`` does not count."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=root, env=env, capture_output=True, text=True)
+
+    try:
+        head = git("rev-parse", "HEAD")
+        changed = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    except OSError:  # no git on this machine
+        return None
+    if head.returncode != 0:
+        return None
+    return head.stdout.strip() + ("+dirty" if changed else "")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -173,6 +195,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.area}.json"
 
     roots = {"parent": args.parent.resolve(), "change": ROOT}
+    commits = {side: head_commit(root) for side, root in roots.items()}
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "pairs_alternate_order": True,
@@ -195,6 +218,7 @@ def main(argv=None) -> int:
                           + " ".join(f"{m}={got['run'][m]:.3f}" for m in METRICS),
                           file=sys.stderr, flush=True)
             report["workloads"].setdefault(workload, {})[str(seed)] = {
+                "commits": commits,
                 "summary": summarise(runs),
                 "artifact_hashes": compare_hashes(hashes),
                 "runs": runs,
@@ -207,8 +231,9 @@ def main(argv=None) -> int:
         if "suite_durations" in report:  # only with --append: keep the earlier pairs
             report.setdefault("earlier_suite_durations", []).append(report["suite_durations"])
         report["suite_durations"] = {
-            side: parse_durations(path.read_text(), MIN_DURATION_S)
-            for side, path in zip(SIDES, args.durations)
+            "commits": commits,
+            **{side: parse_durations(path.read_text(), MIN_DURATION_S)
+               for side, path in zip(SIDES, args.durations)},
         }
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
